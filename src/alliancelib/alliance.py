@@ -12,7 +12,7 @@ import json
 import warnings
 from dataclasses import dataclass
 
-from .graph import Graph, edge_key, parse_vertex
+from .graph import Graph, edge_key, is_integer, parse_vertex
 
 MODES = ("at-most", "exact")
 
@@ -58,7 +58,7 @@ class AllianceInstance:
         object.__setattr__(self, "pairs", frozenset(edge_key(a, b) for a, b in self.pairs))
         if self.mode not in MODES:
             raise ValueError("mode must be one of %s" % (MODES,))
-        if not isinstance(self.k, int) or self.k < 0:
+        if not is_integer(self.k) or self.k < 0:
             raise ValueError("k must be a non-negative integer")
         if self.k == 0 and self.mode == "at-most":
             raise ValueError("k = 0 leaves no room for a nonempty set in at-most mode")
@@ -185,6 +185,12 @@ def _parse_vertex_field(raw, context):
         raise ValueError("%s: %s" % (context, exc)) from None
 
 
+def _parse_vertex_list(raw, field, item):
+    if not isinstance(raw, list):
+        raise ValueError("field %r must be a list" % (field,))
+    return [_parse_vertex_field(x, "%s %d" % (item, i)) for i, x in enumerate(raw)]
+
+
 def _parse_vertex_pairs(raw, what):
     if not isinstance(raw, list):
         raise ValueError("field %r must be a list" % (what,))
@@ -211,23 +217,14 @@ def instance_from_json(text):
     for required in ("vertices", "edges", "k"):
         if required not in payload:
             raise ValueError("missing field: %s" % (required,))
-    vertices = [
-        _parse_vertex_field(x, "vertex %d" % (i,))
-        for i, x in enumerate(payload["vertices"])
-    ]
+    vertices = _parse_vertex_list(payload["vertices"], "vertices", "vertex")
     edges = _parse_vertex_pairs(payload["edges"], "edge")
     k = payload["k"]
-    if not isinstance(k, int):
+    if not is_integer(k):
         raise ValueError("field 'k' must be an integer")
     graph = Graph(vertices, edges)
-    forbidden = [
-        _parse_vertex_field(x, "forbidden %d" % (i,))
-        for i, x in enumerate(payload.get("forbidden", []))
-    ]
-    necessary = [
-        _parse_vertex_field(x, "necessary %d" % (i,))
-        for i, x in enumerate(payload.get("necessary", []))
-    ]
+    forbidden = _parse_vertex_list(payload.get("forbidden", []), "forbidden", "forbidden")
+    necessary = _parse_vertex_list(payload.get("necessary", []), "necessary", "necessary")
     pairs = _parse_vertex_pairs(payload.get("pairs", []), "pair")
     mode = payload.get("mode", "at-most")
     return AllianceInstance(

@@ -177,6 +177,12 @@ def _parse_atom(text):
     return text
 
 
+def is_integer(value):
+    """True for an int that is not a bool: JSON true and false load as
+    bools, which isinstance(value, int) would let through as 1 and 0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_vertex(text):
     """Parse a canonical rendering back into a VertexId."""
     if not text or any(ch.isspace() for ch in text):
@@ -204,6 +210,11 @@ def _parse_atom_plain_only(text):
     if not _is_plain(text):
         raise ValueError("bad vertex name: %r" % (text,))
     return text
+
+
+def edge_sort_key(edge):
+    """Order of canonical edges: by first endpoint, then second."""
+    return (edge[0].sort_key(), edge[1].sort_key())
 
 
 def edge_key(u, v):
@@ -254,7 +265,7 @@ class Graph:
         return sorted(self.vertices)
 
     def sorted_edges(self):
-        return sorted(self.edges, key=lambda e: (e[0].sort_key(), e[1].sort_key()))
+        return sorted(self.edges, key=edge_sort_key)
 
     def neighbors(self, v):
         self._check(v)

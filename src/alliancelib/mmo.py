@@ -4,7 +4,7 @@ vertex sends out total weight at most r."""
 import json
 from dataclasses import dataclass
 
-from .graph import Graph, edge_key, parse_vertex
+from .graph import Graph, edge_key, is_integer, parse_vertex
 
 # reductions blow an instance up by a factor of the total weight, so
 # keep sources at desk scale
@@ -20,7 +20,7 @@ class MmoInstance:
     def __post_init__(self):
         norm = {}
         for (u, w), value in self.weights.items():
-            if not isinstance(value, int) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ValueError("edge weight must be a positive integer, got %r" % (value,))
             norm[edge_key(u, w)] = value
         if set(norm) != set(self.graph.edges):
@@ -31,7 +31,7 @@ class MmoInstance:
             raise ValueError("weight given for non-edge %s--%s" % extra[0])
         if sum(norm.values()) > TOTAL_WEIGHT_CAP:
             raise ValueError("total weight exceeds %d" % (TOTAL_WEIGHT_CAP,))
-        if not isinstance(self.r, int) or self.r < 1:
+        if not is_integer(self.r) or self.r < 1:
             raise ValueError("target r must be a positive integer")
         object.__setattr__(self, "weights", norm)
 
@@ -125,6 +125,9 @@ def mmo_from_json(text):
     for required in ("vertices", "edges", "r"):
         if required not in payload:
             raise ValueError("missing field: %s" % (required,))
+    for field in ("vertices", "edges"):
+        if not isinstance(payload[field], list):
+            raise ValueError("field %r must be a list" % (field,))
     try:
         vertices = [parse_vertex(x) for x in payload["vertices"]]
     except (TypeError, ValueError) as exc:
@@ -141,6 +144,6 @@ def mmo_from_json(text):
             raise ValueError("edge %d: %s" % (i, exc)) from None
         edges.append((uu, ww))
         weights[(uu, ww)] = value
-    if not isinstance(payload["r"], int):
+    if not is_integer(payload["r"]):
         raise ValueError("field 'r' must be an integer")
     return MmoInstance(Graph(vertices, edges), weights, payload["r"])

@@ -7,10 +7,12 @@ are always iterated in node id order, so every traversal here is
 deterministic.
 """
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
 from .alliance import primal_graph
+from .graph import edge_sort_key, parse_vertex
 
 NICE_KINDS = ("leaf", "introduce", "forget", "join")
 
@@ -25,11 +27,18 @@ class TdVerdict:
 
 
 class TreeDecomposition:
-    """Mutable rooted tree of bags with integer node ids."""
+    """Mutable rooted tree of bags with integer node ids.
+
+    Each node's children are kept in a list in id order, updated by
+    the mutators, so no traversal rescans the parent map. Vertex
+    occurrences are not indexed: the queries that need them build a
+    local map in one pass over the bags.
+    """
 
     def __init__(self):
         self._bags = {}
         self._parent = {}
+        self._kids = {}
         self._next_id = 0
 
     def add_node(self, bag, parent=None):
@@ -39,6 +48,9 @@ class TreeDecomposition:
         self._next_id += 1
         self._bags[nid] = set(bag)
         self._parent[nid] = parent
+        if parent is not None:
+            # nid is the largest id so far, so the list stays in id order
+            self._kids.setdefault(parent, []).append(nid)
         return nid
 
     def nodes(self):
@@ -57,13 +69,21 @@ class TreeDecomposition:
         return self._parent[n]
 
     def set_parent(self, n, parent):
+        old = self._parent.get(n)
+        if old is not None:
+            siblings = self._kids[old]
+            siblings.remove(n)
+            if not siblings:
+                del self._kids[old]
         self._parent[n] = parent
+        if parent is not None:
+            bisect.insort(self._kids.setdefault(parent, []), n)
 
     def children(self, n):
-        return sorted(c for c, p in self._parent.items() if p == n)
+        return list(self._kids.get(n, ()))
 
     def root(self):
-        roots = sorted(n for n, p in self._parent.items() if p is None)
+        roots = [n for n, p in self._parent.items() if p is None]
         if len(roots) != 1:
             raise ValueError("decomposition must have exactly one root, found %d" % len(roots))
         return roots[0]
@@ -77,15 +97,12 @@ class TreeDecomposition:
         out = (into or type(self))()
         out._bags = {n: set(b) for n, b in self._bags.items()}
         out._parent = dict(self._parent)
+        out._kids = {n: list(c) for n, c in self._kids.items()}
         out._next_id = self._next_id
         return out
 
     def postorder(self):
         """Node ids, children before parents, children in id order."""
-        kids = {n: [] for n in self._bags}
-        for n, p in sorted(self._parent.items()):
-            if p is not None:
-                kids[p].append(n)
         out = []
         stack = [(self.root(), False)]
         while stack:
@@ -94,8 +111,7 @@ class TreeDecomposition:
                 out.append(node)
                 continue
             stack.append((node, True))
-            for c in reversed(kids[node]):
-                stack.append((c, False))
+            stack.extend((c, False) for c in reversed(self._kids.get(node, ())))
         return out
 
     def splice_above(self, n, bags):
@@ -110,22 +126,18 @@ class TreeDecomposition:
         prev = n
         for bag in bags:
             nid = self.add_node(bag)
-            self._parent[prev] = nid
+            self.set_parent(prev, nid)
             prev = nid
             ids.append(nid)
-        self._parent[prev] = old_parent
+        self.set_parent(prev, old_parent)
         return ids
 
     def occurrences(self, v):
-        return [n for n in self.nodes() if v in self._bags[n]]
+        return _occurrence_tops(self, (v,))[0][v]
 
     def topmost(self, v):
         """The unique occurrence of v whose parent bag lacks v."""
-        tops = [
-            n
-            for n in self.occurrences(v)
-            if self._parent[n] is None or v not in self._bags[self._parent[n]]
-        ]
+        tops = _occurrence_tops(self, (v,))[1][v]
         if len(tops) != 1:
             raise ValueError(
                 "vertex %s occurs in %d occurrence components" % (v, len(tops))
@@ -133,21 +145,31 @@ class TreeDecomposition:
         return tops[0]
 
     def path_between(self, a, b):
-        """Node ids on the tree path from a to b, both inclusive."""
-        up_a = []
-        cur = a
-        while cur is not None:
-            up_a.append(cur)
-            cur = self._parent[cur]
-        index = {n: i for i, n in enumerate(up_a)}
-        path_b = []
-        cur = b
-        while cur not in index:
-            path_b.append(cur)
-            cur = self._parent[cur]
-            if cur is None and cur not in index:
+        """Node ids on the tree path from a to b, both inclusive.
+
+        Both ends climb in turn until one reaches a node the other has
+        passed, which is their lowest common ancestor; the cost is the
+        length of the path, not the depth of the tree.
+        """
+        up_a, up_b = [a], [b]
+        seen_a, seen_b = {a: 0}, {b: 0}
+        while True:
+            if up_a[-1] in seen_b:
+                meet = up_a[-1]
+                break
+            if up_b[-1] in seen_a:
+                meet = up_b[-1]
+                break
+            moved = False
+            for up, seen in ((up_a, seen_a), (up_b, seen_b)):
+                p = self._parent[up[-1]]
+                if p is not None:
+                    seen[p] = len(up)
+                    up.append(p)
+                    moved = True
+            if not moved:
                 raise ValueError("nodes %r and %r are not in one tree" % (a, b))
-        return up_a[: index[cur] + 1] + list(reversed(path_b))
+        return up_a[: seen_a[meet] + 1] + up_b[: seen_b[meet]][::-1]
 
     def validate(self, graph):
         """Check the three decomposition conditions against graph."""
@@ -160,45 +182,106 @@ class TreeDecomposition:
         for n, p in self._parent.items():
             if p is not None and p not in self._bags:
                 problems.append("node %d has unknown parent %d" % (n, p))
-        if not problems:
-            seen = set()
-            stack = [roots[0]]
-            kids = {n: [] for n in self._bags}
-            for n, p in self._parent.items():
-                if p in kids:
-                    kids[p].append(n)
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    problems.append("cycle through node %d" % (node,))
-                    break
-                seen.add(node)
-                stack.extend(kids[node])
-            if len(seen) != len(self._bags):
-                problems.append("some nodes are not reachable from the root")
+        # with one root and known parents, a node off the root's tree
+        # lies on a cycle of parent links
+        if not problems and len(self.postorder()) != len(self._bags):
+            problems.append("some nodes are not reachable from the root")
         if problems:
             return TdVerdict(False, tuple(problems))
-        covered = set()
         for n in self.nodes():
             for u in self._bags[n]:
                 if u not in graph.vertices:
                     problems.append("bag of node %d contains foreign vertex %s" % (n, u))
-            covered |= self._bags[n]
-        for u in graph.sorted_vertices():
-            if u not in covered:
-                problems.append("vertex %s is in no bag" % (u,))
-        for u, w in graph.sorted_edges():
-            if not any(u in b and w in b for b in self._bags.values()):
-                problems.append("edge %s--%s is in no bag" % (u, w))
-        for u in graph.sorted_vertices():
-            tops = [
-                n
-                for n in self.occurrences(u)
-                if self._parent[n] is None or u not in self._bags[self._parent[n]]
-            ]
-            if len(tops) > 1:
-                problems.append("occurrences of %s are not connected" % (u,))
+        occ, tops = _occurrence_tops(self, graph.vertices)
+        # only the failures are sorted, so a valid decomposition costs
+        # no sort of the graph
+        for u in sorted(u for u, nodes in occ.items() if not nodes):
+            problems.append("vertex %s is in no bag" % (u,))
+        uncovered = []
+        for u, w in graph.edges:
+            short, other = (u, w) if len(occ[u]) <= len(occ[w]) else (w, u)
+            if not any(other in self._bags[n] for n in occ[short]):
+                uncovered.append((u, w))
+        for u, w in sorted(uncovered, key=edge_sort_key):
+            problems.append("edge %s--%s is in no bag" % (u, w))
+        for u in sorted(u for u, nodes in tops.items() if len(nodes) > 1):
+            problems.append("occurrences of %s are not connected" % (u,))
         return TdVerdict(not problems, tuple(problems))
+
+
+def _occurrence_tops(td, vertices):
+    """For each of vertices, the nodes whose bag holds it and the tops
+    among them, whose parent bag lacks it; both in id order, from one
+    pass over the bags. A vertex with one top has connected occurrences
+    and that top is its topmost node."""
+    occ = {u: [] for u in vertices}
+    tops = {u: [] for u in vertices}
+    bags, parent = td._bags, td._parent
+    for n in td.nodes():
+        p = parent[n]
+        above = bags[p] if p is not None else ()
+        for u in bags[n]:
+            found = occ.get(u)
+            if found is not None:
+                found.append(n)
+                if u not in above:
+                    tops[u].append(n)
+    return occ, tops
+
+
+def _joint_tops(td, occ, pairs):
+    """Topmost node whose bag holds both ends, for each pair, from the
+    occurrence lists of _occurrence_tops."""
+    bags, parent = td._bags, td._parent
+    out = {}
+    for u, w in pairs:
+        short, other = (u, w) if len(occ[u]) <= len(occ[w]) else (w, u)
+        joint = [n for n in occ[short] if other in bags[n]]
+        if not joint:
+            raise ValueError("no bag contains both %s and %s" % (u, w))
+        tops = [
+            n for n in joint
+            if parent[n] is None or not (u in bags[parent[n]] and w in bags[parent[n]])
+        ]
+        if len(tops) != 1:
+            raise ValueError("occurrences of %s and %s are not connected" % (u, w))
+        out[(u, w)] = tops[0]
+    return out
+
+
+def _kind(td, n):
+    ch = td._kids.get(n, ())
+    if not ch:
+        return "leaf"
+    if len(ch) == 1:
+        b, cb = td._bags[n], td._bags[ch[0]]
+        if len(b) == len(cb) + 1 and cb <= b:
+            return "introduce"
+        if len(b) == len(cb) - 1 and b <= cb:
+            return "forget"
+        raise ValueError(
+            "node %d must differ from its child by exactly one vertex" % (n,)
+        )
+    if len(ch) == 2:
+        if all(td._bags[c] == td._bags[n] for c in ch):
+            return "join"
+        raise ValueError("join node %d must repeat its children's bag" % (n,))
+    raise ValueError("node %d has %d children" % (n, len(ch)))
+
+
+def _shape_problems(td):
+    """Why a rooted decomposition is not nice, in node order; empty
+    when it is."""
+    if td.bag(td.root()):
+        yield "root bag is not empty"
+    for n in td.nodes():
+        try:
+            kind = _kind(td, n)
+        except ValueError as exc:
+            yield str(exc)
+            continue
+        if kind == "leaf" and td.bag(n):
+            yield "leaf node %d has a nonempty bag" % (n,)
 
 
 class NiceTreeDecomposition(TreeDecomposition):
@@ -207,40 +290,14 @@ class NiceTreeDecomposition(TreeDecomposition):
     children, so fan-out is at most two everywhere."""
 
     def kind(self, n):
-        ch = self.children(n)
-        if not ch:
-            return "leaf"
-        if len(ch) == 1:
-            b, cb = self._bags[n], self._bags[ch[0]]
-            if len(b) == len(cb) + 1 and cb <= b:
-                return "introduce"
-            if len(b) == len(cb) - 1 and b <= cb:
-                return "forget"
-            raise ValueError(
-                "node %d must differ from its child by exactly one vertex" % (n,)
-            )
-        if len(ch) == 2:
-            if all(self._bags[c] == self._bags[n] for c in ch):
-                return "join"
-            raise ValueError("join node %d must repeat its children's bag" % (n,))
-        raise ValueError("node %d has %d children" % (n, len(ch)))
+        return _kind(self, n)
 
     def validate_nice(self, graph):
         base = self.validate(graph)
-        problems = list(base.problems)
         if not base:
-            return TdVerdict(False, tuple(problems))
-        if self._bags[self.root()]:
-            problems.append("root bag is not empty")
-        for n in self.nodes():
-            try:
-                kind = self.kind(n)
-            except ValueError as exc:
-                problems.append(str(exc))
-                continue
-            if kind == "leaf" and self._bags[n]:
-                problems.append("leaf node %d has a nonempty bag" % (n,))
-        return TdVerdict(not problems, tuple(problems))
+            return base
+        problems = tuple(_shape_problems(self))
+        return TdVerdict(not problems, problems)
 
 
 def validate_td(graph, td):
@@ -249,21 +306,10 @@ def validate_td(graph, td):
 
 def _has_nice_shape(td):
     try:
-        root = td.root()
+        td.root()
     except ValueError:
         return False
-    if not isinstance(td, NiceTreeDecomposition):
-        td = td.copy(into=NiceTreeDecomposition)
-    if td.bag(root):
-        return False
-    for n in td.nodes():
-        try:
-            kind = td.kind(n)
-        except ValueError:
-            return False
-        if kind == "leaf" and td.bag(n):
-            return False
-    return True
+    return next(_shape_problems(td), None) is None
 
 
 def make_nice(td):
@@ -271,7 +317,9 @@ def make_nice(td):
 
     An input that already has nice shape is returned unchanged (as a
     copy); anything else is rebuilt with forget/introduce transitions
-    between the original bags and left-folded binary joins.
+    between the original bags and left-folded binary joins. The input
+    tree is walked depth first with an explicit stack, children in id
+    order, so depth is not limited by the interpreter's recursion.
     """
     if _has_nice_shape(td):
         return td.copy(into=NiceTreeDecomposition)
@@ -291,11 +339,9 @@ def make_nice(td):
             top = nid
         return top
 
-    def build(node):
-        target = set(td.bag(node))
-        tops = []
-        for c in td.children(node):
-            tops.append(transition(build(c), set(td.bag(c)), target))
+    def finish(node, tops):
+        """Top of node's rebuilt subtree, given its children's tops."""
+        target = td.bag(node)
         if not tops:
             leaf = out.add_node(set())
             return transition(leaf, set(), target)
@@ -307,8 +353,22 @@ def make_nice(td):
             top = join
         return top
 
-    top = build(td.root())
-    transition(top, set(td.bag(td.root())), set())
+    # frames: (node, its children not yet built, tops of those built)
+    root = td.root()
+    stack = [(root, iter(td.children(root)), [])]
+    while True:
+        node, pending, tops = stack[-1]
+        child = next(pending, None)
+        if child is not None:
+            stack.append((child, iter(td.children(child)), []))
+            continue
+        top = finish(node, tops)
+        stack.pop()
+        if not stack:
+            break
+        above = stack[-1][0]
+        stack[-1][2].append(transition(top, td.bag(node), td.bag(above)))
+    transition(top, td.bag(root), set())
     return out
 
 
@@ -411,34 +471,20 @@ def heuristic_td(graph):
 def postorder_ordering(td, eligible):
     """Eligible vertices in the order their topmost bags close during a
     post-order traversal; ties inside one bag break sorted."""
-    eligible = frozenset(eligible)
-    topmost = {}
-    for n in td.nodes():
-        p = td.parent(n)
-        for u in td.bag(n):
-            if u in eligible and (p is None or u not in td.bag(p)):
-                if u in topmost:
-                    raise ValueError("occurrences of %s are not connected" % (u,))
-                topmost[u] = n
-    for u in sorted(eligible):
-        if u not in topmost:
+    eligible = sorted(frozenset(eligible))
+    _occ, tops = _occurrence_tops(td, eligible)
+    for u in eligible:
+        if len(tops[u]) > 1:
+            raise ValueError("occurrences of %s are not connected" % (u,))
+    closing = {}
+    for u in eligible:
+        if not tops[u]:
             raise ValueError("vertex %s is in no bag" % (u,))
+        closing.setdefault(tops[u][0], []).append(u)
     out = []
     for n in td.postorder():
-        out.extend(sorted(u for u in td.bag(n) if topmost.get(u) == n))
+        out.extend(closing.get(n, ()))
     return tuple(out)
-
-
-def _topmost_joint(td, u, w):
-    """Topmost node whose bag contains both u and w."""
-    nodes = [n for n in td.nodes() if u in td.bag(n) and w in td.bag(n)]
-    if not nodes:
-        raise ValueError("no bag contains both %s and %s" % (u, w))
-    members = set(nodes)
-    tops = [n for n in nodes if td.parent(n) is None or td.parent(n) not in members]
-    if len(tops) != 1:
-        raise ValueError("occurrences of %s and %s are not connected" % (u, w))
-    return tops[0]
 
 
 def transform_td(stage, td):
@@ -467,11 +513,10 @@ def _transform_mmo(stage, td):
             "decomposition does not fit the source graph: %s" % (verdict.problems[0],)
         )
     gadgets = stage.gadgets
+    occ, tops = _occurrence_tops(td, source.graph.vertices)
+    top_single = {u: t[0] for u, t in tops.items()}
+    top_joint = _joint_tops(td, occ, source.graph.sorted_edges())
     out = td.copy(into=TreeDecomposition)
-    top_single = {u: out.topmost(u) for u in source.graph.sorted_vertices()}
-    top_joint = {
-        (u, w): _topmost_joint(out, u, w) for u, w in source.graph.sorted_edges()
-    }
     for u, w in source.graph.sorted_edges():
         cu = gadgets.edge_copy[(u, w)]
         cw = gadgets.edge_copy[(w, u)]
@@ -511,13 +556,13 @@ def _transform_pairs(stage, td):
             "decomposition does not fit the primal graph: %s" % (verdict.problems[0],)
         )
     gadgets = stage.gadgets
-    out = td.copy(into=TreeDecomposition)
     verts = source.graph.sorted_vertices()
     n = len(verts)
-    top_single = {u: out.topmost(u) for u in verts}
-    occurrences = {u: out.occurrences(u) for u in verts}
-    sorted_pairs = sorted(source.pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-    top_pair = {(a, b): _topmost_joint(out, a, b) for a, b in sorted_pairs}
+    occurrences, tops = _occurrence_tops(td, verts)
+    top_single = {u: t[0] for u, t in tops.items()}
+    sorted_pairs = sorted(source.pairs, key=edge_sort_key)
+    top_pair = _joint_tops(td, occurrences, sorted_pairs)
+    out = td.copy(into=TreeDecomposition)
     # every bag containing v also gets v_n and its forbidden twin
     for u in verts:
         last = gadgets.y_chain[u][n - 1]
@@ -585,7 +630,8 @@ def _transform_necessary(stage, td):
     n = len(verts)
     necessary = source.necessary
     open_set = sorted(u for u in verts if u not in necessary and u not in source.forbidden)
-    top_single = {u: out.topmost(u) for u in sorted(eligible)}
+    _occ, tops = _occurrence_tops(td, eligible)
+    top_single = {u: t[0] for u, t in tops.items()}
     chain_top = {}
     chain_bottom = {}
 
@@ -642,10 +688,10 @@ def _transform_forbidden(stage, td):
             "decomposition does not fit the source graph: %s" % (verdict.problems[0],)
         )
     gadgets = stage.gadgets
+    _occ, tops = _occurrence_tops(td, source.forbidden)
     out = td.copy(into=TreeDecomposition)
-    tops = {f: out.topmost(f) for f in sorted(source.forbidden)}
     for f in sorted(source.forbidden):
-        t = tops[f]
+        t = tops[f][0]
         base = frozenset(out.bag(t))
         hub = gadgets.fan_hub[f]
         leaves = gadgets.fan_leaves[f]
@@ -671,8 +717,6 @@ def td_to_lines(td):
 
 
 def td_from_lines(text):
-    from .graph import parse_vertex
-
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -707,6 +751,9 @@ def td_from_lines(text):
     for lineno, nid, parent, _ in rows:
         if parent is not None and parent not in seen:
             raise ValueError("line %d: unknown parent %d" % (lineno, parent))
+    for nid in td.nodes():
+        if td._parent[nid] is not None:
+            td._kids.setdefault(td._parent[nid], []).append(nid)
     return td
 
 

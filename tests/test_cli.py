@@ -398,6 +398,57 @@ class TestGen:
         assert isinstance(report, list) and len(report) == 4
 
 
+def _plain_payload():
+    return json.loads(instance_to_json(AllianceInstance(wheelish_graph(), k=2)))
+
+
+def _mmo_payload():
+    return json.loads(mmo_to_json(two_vertex_mmo()))
+
+
+def _set(payload, key, value):
+    payload[key] = value
+    return payload
+
+
+def _set_weight(payload, value):
+    payload["edges"][0][2] = value
+    return payload
+
+
+# (argv before the document, payload) of documents that must exit 2
+MALFORMED = {
+    "vertices-not-list": (["solve"], lambda: _set(_plain_payload(), "vertices", 5)),
+    "vertices-as-string": (["solve"], lambda: _set(_plain_payload(), "vertices", "abcde")),
+    "k-boolean": (["solve"], lambda: _set(_plain_payload(), "k", True)),
+    "forbidden-as-string": (["solve"], lambda: _set(_plain_payload(), "forbidden", "ab")),
+    "necessary-as-string": (["solve"], lambda: _set(_plain_payload(), "necessary", "ab")),
+    "weight-boolean": (
+        ["reduce", "--stage", "mmo-to-fnc"], lambda: _set_weight(_mmo_payload(), True)
+    ),
+    "r-boolean": (["reduce", "--stage", "mmo-to-fnc"], lambda: _set(_mmo_payload(), "r", True)),
+    "mmo-vertices-as-string": (
+        ["reduce", "--stage", "mmo-to-fnc"], lambda: _set(_mmo_payload(), "vertices", "ab")
+    ),
+    "mmo-edges-not-list": (
+        ["reduce", "--stage", "mmo-to-fnc"], lambda: _set(_mmo_payload(), "edges", 3)
+    ),
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("shape", sorted(MALFORMED))
+    def test_exits_two_without_traceback(self, capsys, tmp_path, shape):
+        argv, payload = MALFORMED[shape]
+        path = write(tmp_path, "doc.json", json.dumps(payload()))
+        code = cli.main(argv + [path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert cli.main([]) == 2

@@ -1,9 +1,13 @@
 import itertools
 import random
+import sys
 
 import pytest
 
+from alliancelib.alliance import primal_graph
 from alliancelib.graph import Graph, VertexId
+from alliancelib.mmo import MmoInstance
+from alliancelib.reductions import eliminate_pairs, mmo_to_alliance
 from alliancelib.treewidth import (
     NiceTreeDecomposition,
     TreeDecomposition,
@@ -13,11 +17,12 @@ from alliancelib.treewidth import (
     td_from_lines,
     td_to_dot,
     td_to_lines,
+    transform_td,
     treewidth_exact_small,
     validate_td,
 )
 
-from helpers import square_with_chord, square_with_chord_nice_td, v
+from helpers import square_with_chord, square_with_chord_nice_td, v, vs
 
 
 def path_graph(n):
@@ -81,6 +86,128 @@ class TestValidation:
         td.add_node(set())
         assert td.width() == -1
         assert validate_td(Graph([]), td)
+
+
+def _td(*rows, reparent=()):
+    """Decomposition from (bag names, parent id) rows added in order,
+    then set_parent(node, parent) for each pair of reparent."""
+    td = TreeDecomposition()
+    for names, parent in rows:
+        td.add_node(vs(names), parent=parent)
+    for n, p in reparent:
+        td.set_parent(n, p)
+    return td
+
+
+def _path(names):
+    verts = vs(names)
+    return Graph(verts, list(zip(verts, verts[1:])))
+
+
+# exact verdicts, messages and their order included
+BROKEN = {
+    "two roots": (
+        _td(("a b", None), ("b c", None)),
+        _path("a b c"),
+        ("expected exactly one root, found 2",),
+    ),
+    "unknown parent": (
+        _td(("a b", None), ("b c", 0), reparent=[(1, 7)]),
+        _path("a b c"),
+        ("node 1 has unknown parent 7",),
+    ),
+    "cycle": (
+        _td(("a b", None), ("b c", 0), reparent=[(0, 1)]),
+        _path("a b c"),
+        ("expected exactly one root, found 0",),
+    ),
+    "unreachable": (
+        _td(("a b", None), ("b c", 0), ("b", 1), reparent=[(2, 2)]),
+        _path("a b c"),
+        ("some nodes are not reachable from the root",),
+    ),
+    "foreign vertex": (
+        _td(("a b", None), ("b c zz", 0)),
+        _path("a b c"),
+        ("bag of node 1 contains foreign vertex zz",),
+    ),
+    "uncovered vertex": (
+        _td(("a b", None), ("b c", 0)),
+        Graph(vs("a b c d"), [(v("a"), v("b")), (v("b"), v("c"))]),
+        ("vertex d is in no bag",),
+    ),
+    "uncovered edge": (
+        _td(("a", None), ("b", 0), ("c", 1)),
+        _path("a b c"),
+        ("edge a--b is in no bag", "edge b--c is in no bag"),
+    ),
+    "disconnected": (
+        _td(("a b", None), ("b c", 0), ("a", 1)),
+        _path("a b c"),
+        ("occurrences of a are not connected",),
+    ),
+    "mixed": (
+        _td(("a zz", None), ("b c", 0), ("a", 1)),
+        _path("a b c d"),
+        (
+            "bag of node 0 contains foreign vertex zz",
+            "vertex d is in no bag",
+            "edge a--b is in no bag",
+            "edge c--d is in no bag",
+            "occurrences of a are not connected",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_broken_decomposition_verdict_is_pinned(case):
+    td, graph, problems = BROKEN[case]
+    verdict = validate_td(graph, td)
+    assert not verdict
+    assert verdict.problems == problems
+
+
+class TestStructure:
+    def test_children_follow_every_mutator(self):
+        td = TreeDecomposition()
+        root = td.add_node({v("a")})
+        x = td.add_node({v("a")}, parent=root)
+        y = td.add_node({v("a")}, parent=root)
+        assert td.children(root) == [x, y]
+        td.set_parent(x, y)
+        assert td.children(root) == [y]
+        assert td.children(y) == [x]
+        ids = td.splice_above(y, [{v("a")}, {v("a")}])
+        assert td.children(root) == [ids[-1]]
+        assert td.children(ids[0]) == [y]
+        assert td.children(ids[-1]) == [ids[0]]
+        td.set_parent(x, root)
+        assert td.children(root) == [x, ids[-1]]
+        assert td.children(y) == []
+        back = td_from_lines(td_to_lines(td))
+        copied = td.copy()
+        for n in td.nodes():
+            assert back.children(n) == copied.children(n) == td.children(n)
+
+    def test_path_between(self):
+        td = TreeDecomposition()
+        root = td.add_node(set())
+        left = [td.add_node(set(), parent=root)]
+        right = [td.add_node(set(), parent=root)]
+        for _ in range(4):
+            left.append(td.add_node(set(), parent=left[-1]))
+        right.append(td.add_node(set(), parent=right[-1]))
+        assert td.path_between(left[3], right[1]) == (
+            left[3::-1] + [root] + right[:2]
+        )
+        assert td.path_between(right[1], left[0]) == [right[1], right[0], root, left[0]]
+        assert td.path_between(left[4], left[1]) == left[4:0:-1]
+        assert td.path_between(root, left[2]) == [root] + left[:3]
+        assert td.path_between(left[2], left[2]) == [left[2]]
+        other = td.add_node(set())
+        with pytest.raises(ValueError, match="not in one tree"):
+            td.path_between(left[1], other)
 
 
 class TestExactTreewidth:
@@ -186,6 +313,85 @@ class TestMakeNice:
         nice = make_nice(td)
         assert nice.validate_nice(g)
         assert nice.width() == 2
+
+
+def _star_graph():
+    s = v("s")
+    leaves = [v(x) for x in "abcde"]
+    edges = [(s, x) for x in leaves] + [(leaves[0], leaves[1]), (leaves[2], leaves[3])]
+    return Graph([s] + leaves, edges)
+
+
+def _grid_graph():
+    g = {(i, j): v("g%d%d" % (i, j)) for i in range(3) for j in range(3)}
+    edges = [(g[i, j], g[i + 1, j]) for i in range(2) for j in range(3)]
+    edges += [(g[i, j], g[i, j + 1]) for i in range(3) for j in range(2)]
+    return Graph(list(g.values()), edges)
+
+
+# make_nice output of the min-fill decompositions of the two graphs
+# above, as the recursive construction numbered it
+GOLDEN_NICE = {
+    "star": (
+        _star_graph,
+        "0 1 leaf\n1 2 introduce a\n2 3 introduce a b\n3 4 introduce a b s\n"
+        "4 5 forget b s\n5 16 forget s\n6 7 leaf\n7 8 introduce c\n"
+        "8 9 introduce c d\n9 10 introduce c d s\n10 11 forget d s\n"
+        "11 16 forget s\n12 13 leaf\n13 14 introduce e\n14 15 introduce e s\n"
+        "15 17 forget s\n16 17 join s\n17 18 join s\n18 - forget\n",
+    ),
+    "grid": (
+        _grid_graph,
+        "0 1 leaf\n1 2 introduce g00\n2 3 introduce g00 g01\n"
+        "3 4 introduce g00 g01 g10\n4 5 forget g01 g10\n"
+        "5 6 introduce g01 g10 g11\n6 14 introduce g01 g10 g11 g12\n"
+        "7 8 leaf\n8 9 introduce g01\n9 10 introduce g01 g02\n"
+        "10 11 introduce g01 g02 g12\n11 12 forget g01 g12\n"
+        "12 13 introduce g01 g10 g12\n13 14 introduce g01 g10 g11 g12\n"
+        "14 15 join g01 g10 g11 g12\n15 16 forget g10 g11 g12\n"
+        "16 24 introduce g10 g11 g12 g21\n17 18 leaf\n18 19 introduce g10\n"
+        "19 20 introduce g10 g20\n20 21 introduce g10 g20 g21\n"
+        "21 22 forget g10 g21\n22 23 introduce g10 g11 g21\n"
+        "23 24 introduce g10 g11 g12 g21\n24 25 join g10 g11 g12 g21\n"
+        "25 26 forget g11 g12 g21\n26 27 forget g12 g21\n"
+        "27 28 introduce g12 g21 g22\n28 29 forget g21 g22\n29 30 forget g22\n"
+        "30 - forget\n",
+    ),
+}
+
+
+class TestDeepDecompositions:
+    """make_nice at the interpreter's default recursion limit."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_NICE))
+    def test_node_numbering_is_pinned(self, name):
+        build, expected = GOLDEN_NICE[name]
+        assert td_to_lines(make_nice(heuristic_td(build()))) == expected
+
+    def test_deep_path_decomposition(self):
+        depth = 5000
+        assert depth > sys.getrecursionlimit()
+        verts = [VertexId("p%d" % i) for i in range(depth + 1)]
+        g = Graph(verts, list(zip(verts, verts[1:])))
+        td = TreeDecomposition()
+        parent = None
+        for i in range(depth):
+            parent = td.add_node({verts[i], verts[i + 1]}, parent=parent)
+        nice = make_nice(td)
+        assert nice.validate_nice(g)
+        assert nice.width() == 1
+
+    def test_fnc_to_fn_decomposition_of_chain_target(self):
+        a, b = v("a"), v("b")
+        mmo = MmoInstance(Graph([a, b], [(a, b)]), {(a, b): 1}, r=5)
+        stage1 = mmo_to_alliance(mmo)
+        td1 = transform_td(stage1, heuristic_td(mmo.graph))
+        stage2 = eliminate_pairs(stage1.result)
+        td2 = transform_td(stage2, td1)
+        assert len(td2.nodes()) == 1776
+        nice = make_nice(td2)
+        assert nice.validate_nice(primal_graph(stage2.result))
+        assert nice.width() == td2.width()
 
 
 class TestPostorder:
