@@ -3,7 +3,7 @@
 Subcommands: verify, solve, reduce, decompose, roundtrip, gen. Every
 report is a JSON document on stdout; diagnostics go to stderr. Exit
 codes: 0 for yes or success, 1 for no, 2 for usage and parse trouble,
-3 when the enumeration budget is exceeded.
+3 when the search budget is exceeded.
 """
 
 import argparse

@@ -1,8 +1,9 @@
 """Seeded random instances for audits and benchmarks.
 
 Every generator takes a random.Random so corpora are reproducible from
-a single seed. The toy generators keep their outputs within the
-default solver budget after the matching reduction stage; the bound
+a single seed. The toy generators keep their outputs to at most
+FREE_VERTEX_LIMIT free vertices after the matching reduction stage, so
+that audits can enumerate every solution on both sides; the bound
 arithmetic mirrors the stage size formulas.
 """
 
@@ -57,7 +58,7 @@ def random_pair_toy(rng):
 
 def random_necessary_toy(rng):
     """Pair-free instance with a necessary core, sized so the output of
-    the necessary-elimination stage stays within the solver budget."""
+    the necessary-elimination stage stays within FREE_VERTEX_LIMIT."""
     while True:
         n = rng.randint(1, 3)
         verts = _vertices(n)
@@ -89,7 +90,7 @@ def random_necessary_toy(rng):
 
 def random_forbidden_toy(rng):
     """Forbidden-only (occasionally plain) instance whose fan gadgets
-    keep the eliminated form within the solver budget."""
+    keep the eliminated form within FREE_VERTEX_LIMIT."""
     while True:
         n = rng.randint(1, 4)
         k = rng.randint(1, 2)

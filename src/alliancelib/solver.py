@@ -1,33 +1,44 @@
-"""Exhaustive solver for alliance instances.
+"""Exact solver for alliance instances: propagate-and-branch search.
 
 Necessary vertices are fixed in, forbidden vertices are fixed out, and
 the determinations propagate through complementary pairs; what is left
-over are the free vertices. Each chained pair component collapses to a
-single binary choice (which of its two colour classes joins the
-solution), so gadget-heavy reduced instances enumerate in a handful of
-bits even when they have dozens of free vertices. Candidate evaluation
-is vectorised: membership vectors are an affine function of the choice
-bits and the defense counts come out of one matrix product per chunk.
+over are the free vertices. The search assigns them one at a time.
+Every vertex keeps counts of its closed neighbors inside the set and
+still undecided, and after each assignment these rules run to a
+fixpoint:
+
+- each complementary pair has exactly one endpoint in;
+- a member that cannot reach half of its closed neighborhood even with
+  every undecided neighbor is a dead end;
+- a member that needs every undecided neighbor forces them all in;
+- the set stays within k and, in exact mode, can still reach k.
+
+The search branches on an undecided neighbor of the member that is
+short of a majority with the least slack, or, with no member short, on
+the least undecided vertex, and tries in before out. It walks an
+explicit stack and undoes assignments from a trail, so no search depth
+reaches the recursion limit. decide stops at the first solution, which
+need not be the least one; minimum is branch-and-bound on the size;
+count and enumerate-all visit every solution. The budget caps the
+search at 2^budget nodes.
 """
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .alliance import AllianceInstance
+from .graph import VertexId
 
 GOALS = ("decide", "minimum", "enumerate-all", "count")
 
 DEFAULT_BUDGET = 22
 
-_CHUNK_CELLS = 1 << 22
-
 
 class BudgetExceededError(Exception):
     def __init__(self, free_count, budget):
         super().__init__(
-            "%d free vertices exceed the enumeration budget of %d"
+            "the search over %d free vertices passed its budget of 2^%d nodes"
             % (free_count, budget)
         )
         self.free_count = free_count
@@ -57,6 +68,8 @@ class SolveResult:
     solutions: tuple = None
     count: int = None
     free_count: int = 0
+    # search nodes visited: the root and every branch tried
+    nodes: int = 0
 
 
 def _set_key(members):
@@ -94,16 +107,18 @@ def _determine(instance, propagate):
             for p in partners.get(v, ()):
                 assign(p, not status[v])
 
-    for v in sorted(instance.necessary):
+    # sort_key once per vertex: comparing VertexIds calls it twice each time
+    for v in sorted(instance.necessary, key=VertexId.sort_key):
         assign(v, True)
-    for v in sorted(instance.forbidden):
+    for v in sorted(instance.forbidden, key=VertexId.sort_key):
         assign(v, False)
     drain()
     if propagate:
         changed = True
         while changed and not conflict:
             changed = False
-            for v in [u for u, value in sorted(status.items()) if value]:
+            members = [u for u, value in status.items() if value]
+            for v in sorted(members, key=VertexId.sort_key):
                 closed = instance.graph.closed_neighborhood(v)
                 inside = sum(1 for u in closed if status.get(u) is True)
                 undecided = [u for u in closed if u not in status]
@@ -121,47 +136,157 @@ def _determine(instance, propagate):
     return status, conflict
 
 
-def _choice_bits(instance, free):
-    """Group the free vertices into binary choices.
+class _Search:
+    """Partial assignment over int vertex ids with incremental counts.
 
-    Returns a list of (in-when-set, in-when-clear) vertex tuples, one
-    per bit, or None when some pair component has no exactly-one
-    assignment at all.
+    Vertex ids follow the sorted vertex order. The closed neighborhood
+    of v is adjacent[first[v]:first[v + 1]], in id order; two flat
+    arrays keep a stage-3 sized graph compact. state holds True (in),
+    False (out) or None (undecided). inside and undecided count, per
+    vertex, the closed neighbors in the set and still undecided; a
+    member needs ceil(|N[v]|/2) neighbors inside. short holds the
+    members below that need. Every assignment goes on the trail, and
+    undo reverts the counts by replaying it backwards. The search
+    starts from the forced assignments in status, applied with all
+    they force; consistent tells whether that worked out.
     """
-    free_set = set(free)
-    adj = {v: [] for v in free}
-    for x, y in instance.pairs:
-        if x in free_set and y in free_set:
-            adj[x].append(y)
-            adj[y].append(x)
-    bits = []
-    color = {}
-    for v in free:
-        if v in color:
-            continue
-        if not adj[v]:
-            color[v] = True
-            bits.append(((v,), ()))
-            continue
-        component = {v: True}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in component:
-                    if component[w] == component[u]:
-                        return None
-                else:
-                    component[w] = not component[u]
-                    stack.append(w)
-        color.update(component)
-        ins = tuple(sorted(u for u, side in component.items() if side))
-        outs = tuple(sorted(u for u, side in component.items() if not side))
-        bits.append((ins, outs))
-    return bits
+
+    def __init__(self, instance, status):
+        graph = instance.graph
+        # sort_key once per vertex: comparing VertexIds calls it twice each time
+        self.vertices = sorted(graph.vertices, key=VertexId.sort_key)
+        index = {v: i for i, v in enumerate(self.vertices)}
+        self.first = array("i", [0])
+        self.adjacent = array("i")
+        for i, v in enumerate(self.vertices):
+            self.adjacent.extend(sorted([i] + [index[u] for u in graph.neighbors(v)]))
+            self.first.append(len(self.adjacent))
+        self.partners = {}
+        for x, y in instance.pairs:
+            i, j = index[x], index[y]
+            self.partners.setdefault(i, []).append(j)
+            self.partners.setdefault(j, []).append(i)
+        n = len(self.vertices)
+        sizes = [self.first[i + 1] - self.first[i] for i in range(n)]
+        self.need = [(size + 1) // 2 for size in sizes]
+        self.undecided = sizes
+        self.inside = [0] * n
+        self.state = [None] * n
+        self.short = set()
+        self.trail = []
+        self.size = 0
+        self.open = n
+        self.k = instance.k
+        self.exact = instance.mode == "exact"
+        # largest size still worth reaching; minimum lowers it
+        self.cap = instance.k
+        self.consistent = all(
+            self.assign([(index[v], value)]) for v, value in status.items()
+        )
+
+    def assign(self, pending):
+        """Apply the (vertex, value) assignments in pending and all they
+        force; False as soon as the partial assignment is a dead end."""
+        state, first, adjacent, need = self.state, self.first, self.adjacent, self.need
+        inside, undecided, short = self.inside, self.undecided, self.short
+        while pending:
+            v, value = pending.pop()
+            current = state[v]
+            if current is not None:
+                if current != value:
+                    return False
+                continue
+            state[v] = value
+            self.trail.append(v)
+            self.open -= 1
+            for p in self.partners.get(v, ()):
+                pending.append((p, not value))
+            closed = adjacent[first[v]:first[v + 1]]
+            if value:
+                self.size += 1
+                for u in closed:
+                    inside[u] += 1
+                    undecided[u] -= 1
+                    if inside[u] == need[u]:
+                        short.discard(u)
+                if inside[v] < need[v]:
+                    short.add(v)
+                if self.size > self.cap:
+                    return False
+                # an in neighbor leaves the slack of other members as is
+                members = (v,)
+            else:
+                for u in closed:
+                    undecided[u] -= 1
+                if self.exact and self.size + self.open < self.k:
+                    return False
+                members = closed
+            for u in members:
+                if state[u]:
+                    slack = inside[u] + undecided[u] - need[u]
+                    if slack < 0:
+                        return False
+                    if slack == 0 and undecided[u]:
+                        pending.extend(
+                            (w, True)
+                            for w in adjacent[first[u]:first[u + 1]]
+                            if state[w] is None
+                        )
+        return True
+
+    def undo(self, mark):
+        """Revert every assignment made since the trail had mark entries."""
+        state, first, adjacent, need = self.state, self.first, self.adjacent, self.need
+        inside, undecided, short, trail = (
+            self.inside, self.undecided, self.short, self.trail,
+        )
+        while len(trail) > mark:
+            v = trail.pop()
+            value = state[v]
+            state[v] = None
+            self.open += 1
+            if value:
+                self.size -= 1
+                short.discard(v)
+                for u in adjacent[first[v]:first[v + 1]]:
+                    inside[u] -= 1
+                    undecided[u] += 1
+                    if state[u] and inside[u] < need[u]:
+                        short.add(u)
+            else:
+                for u in adjacent[first[v]:first[v + 1]]:
+                    undecided[u] += 1
+
+    def branch_vertex(self, cursor):
+        """The vertex to branch on, and the least undecided id, which is
+        at least cursor. A short member with the least slack lends its
+        least undecided neighbor; with none short, the least undecided
+        vertex is taken."""
+        state = self.state
+        if self.short:
+            inside, undecided, need = self.inside, self.undecided, self.need
+            member = min(
+                self.short, key=lambda u: (inside[u] + undecided[u] - need[u], u)
+            )
+            for w in self.adjacent[self.first[member]:self.first[member + 1]]:
+                if state[w] is None:
+                    break
+        else:
+            w = None
+        while state[cursor] is not None:
+            cursor += 1
+        return (cursor if w is None else w), cursor
+
+    def complete(self):
+        """Whether the full assignment is a solution: non-empty and, in
+        exact mode, of size k; the rules have checked everything else."""
+        return self.size > 0 and (not self.exact or self.size == self.k)
+
+    def members(self):
+        return [i for i, value in enumerate(self.state) if value]
 
 
-def _empty_result(goal, free_count):
+def _empty_result(goal, free_count, nodes):
     solutions = () if goal == "enumerate-all" else None
     count = 0 if goal in ("count", "enumerate-all") else None
     return SolveResult(
@@ -170,109 +295,78 @@ def _empty_result(goal, free_count):
         solutions=solutions,
         count=count,
         free_count=free_count,
+        nodes=nodes,
     )
 
 
 def solve(request):
-    """Exact enumeration over the free vertices of the instance."""
+    """Exact answer for the goal of the request by propagate-and-branch
+    search; raises BudgetExceededError past 2^budget search nodes."""
     instance = request.instance
     goal = request.goal
     status, conflict = _determine(instance, request.propagate)
-    free = sorted(v for v in instance.graph.vertices if v not in status)
+    free_count = len(instance.graph.vertices) - len(status)
     if conflict:
-        return _empty_result(goal, len(free))
-    if len(free) > request.budget:
-        raise BudgetExceededError(len(free), request.budget)
-    bits = _choice_bits(instance, free)
-    if bits is None:
-        return _empty_result(goal, len(free))
-
-    vertices = instance.graph.sorted_vertices()
-    index = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
-    closed = np.eye(n, dtype=np.float32)
-    for u, w in instance.graph.edges:
-        closed[index[u], index[w]] = 1.0
-        closed[index[w], index[u]] = 1.0
-    degrees = closed.sum(axis=1)
-
-    base = np.zeros(n, dtype=np.float32)
-    fixed_in = [v for v, value in status.items() if value]
-    for v in fixed_in:
-        base[index[v]] = 1.0
-    width = len(bits)
-    shift = np.zeros((n, width), dtype=np.float32)
-    for b, (ins, outs) in enumerate(bits):
-        for v in outs:
-            base[index[v]] += 1.0
-            shift[index[v], b] = -1.0
-        for v in ins:
-            shift[index[v], b] = 1.0
-    counts_base = closed @ base
-    counts_shift = closed @ shift
-
-    total = 1 << width
-    chunk = max(64, min(1 << 14, _CHUNK_CELLS // max(n, 1)))
-    fixed_members = sorted(fixed_in)
-    best_key = None
-    best_set = None
-    collected = []
+        return _empty_result(goal, free_count, 0)
+    search = _Search(instance, status)
+    # no search gets near 2^64 nodes, and a larger cap would only cost memory
+    limit = 1 << min(request.budget, 64)
+    nodes = 1
     count = 0
-    for lo in range(0, total, chunk):
-        masks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        t = (
-            (masks[None, :] >> np.arange(width, dtype=np.int64)[:, None]) & 1
-        ).astype(np.float32)
-        member = base[:, None] + shift @ t
-        defenders = counts_base[:, None] + counts_shift @ t
-        ok = (member < 0.5) | (2.0 * defenders >= degrees[:, None])
-        valid = ok.all(axis=0)
-        sizes = member.sum(axis=0).round().astype(np.int64)
-        if instance.mode == "exact":
-            valid &= sizes == instance.k
+    found = []  # (key, member ids); keys compare as _set_key does
+    # (vertex, trail mark, cursor) of each branch whose out side is untried
+    frames = []
+    cursor = 0
+    ok = search.consistent
+    while True:
+        if ok and search.open == 0:
+            ok = False
+            if search.complete():
+                count += 1
+                if goal != "count":
+                    members = search.members()
+                    key = (len(members), members)
+                    if goal == "enumerate-all":
+                        found.append(key)
+                    elif not found or key < found[0]:
+                        found[:] = [key]
+                        search.cap = len(members)
+                    if goal == "decide":
+                        break
+        if ok:
+            v, cursor = search.branch_vertex(cursor)
+            frames.append((v, len(search.trail), cursor))
+            ok = search.assign([(v, True)])
+        elif frames:
+            v, mark, cursor = frames.pop()
+            search.undo(mark)
+            ok = search.assign([(v, False)])
         else:
-            valid &= (sizes >= 1) & (sizes <= instance.k)
-        hits = np.nonzero(valid)[0]
-        count += len(hits)
-        if goal == "count":
-            continue
-        for j in hits:
-            mask = int(masks[j])
-            members = list(fixed_members)
-            for b, (ins, outs) in enumerate(bits):
-                members.extend(ins if mask >> b & 1 else outs)
-            candidate = frozenset(members)
-            key = _set_key(candidate)
-            if goal == "enumerate-all":
-                collected.append((key, candidate))
-            elif best_key is None or key < best_key:
-                best_key = key
-                best_set = candidate
+            break
+        nodes += 1
+        if nodes > limit:
+            raise BudgetExceededError(free_count, request.budget)
 
     if goal == "count":
         return SolveResult(
-            goal=goal, feasible=count > 0, count=count, free_count=len(free)
+            goal=goal, feasible=count > 0, count=count, free_count=free_count,
+            nodes=nodes,
         )
-    if goal == "enumerate-all":
-        collected.sort(key=lambda pair: pair[0])
-        solutions = tuple(s for _key, s in collected)
-        return SolveResult(
-            goal=goal,
-            feasible=bool(solutions),
-            witness=solutions[0] if solutions else None,
-            size=len(solutions[0]) if solutions else None,
-            solutions=solutions,
-            count=len(solutions),
-            free_count=len(free),
-        )
-    if best_set is None:
-        return _empty_result(goal, len(free))
+    if not found:
+        return _empty_result(goal, free_count, nodes)
+    found.sort()
+    solutions = tuple(
+        frozenset(search.vertices[i] for i in members) for _size, members in found
+    )
     return SolveResult(
         goal=goal,
         feasible=True,
-        witness=best_set,
-        size=len(best_set),
-        free_count=len(free),
+        witness=solutions[0],
+        size=len(solutions[0]),
+        solutions=solutions if goal == "enumerate-all" else None,
+        count=len(solutions) if goal == "enumerate-all" else None,
+        free_count=free_count,
+        nodes=nodes,
     )
 
 

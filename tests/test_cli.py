@@ -2,6 +2,9 @@
 0 yes/success, 1 no, 2 usage or parse trouble, 3 budget exceeded."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +17,7 @@ from alliancelib.alliance import (
 from alliancelib.graph import Graph
 from alliancelib.mmo import MmoInstance, mmo_to_json
 from alliancelib.reductions import eliminate_pairs, mmo_to_alliance
+from alliancelib.solver import SolveRequest, solve
 from alliancelib.treewidth import (
     heuristic_td,
     make_nice,
@@ -146,8 +150,15 @@ class TestSolve:
 
     def test_budget_exit_code(self, capsys, tmp_path):
         path = wheelish_file(tmp_path)
-        code, _report = run(capsys, ["solve", "--budget", "4", path])
+        instance = AllianceInstance(wheelish_graph(), k=2)
+        nodes = solve(SolveRequest(instance, "decide")).nodes
+        # the largest budget of 2^budget nodes that the search overruns
+        budget = (nodes - 1).bit_length() - 1
+        code = cli.main(["solve", "--budget", str(budget), path])
+        captured = capsys.readouterr()
         assert code == 3
+        assert captured.out == ""
+        assert "budget of 2^%d nodes" % budget in captured.err
 
     def test_connected_search(self, capsys, tmp_path):
         p, q, r, x, y, z = vs("p q r x y z")
@@ -461,3 +472,19 @@ class TestUsage:
     def test_missing_file(self, capsys):
         assert cli.main(["solve", "/nonexistent/x.json"]) == 2
         capsys.readouterr()
+
+
+def test_import_leaves_numpy_out():
+    # the package has no third-party runtime dependency; a stray numpy
+    # import costs every command-line process its import time and memory
+    root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = "import sys, alliancelib.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=root),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -1,15 +1,36 @@
-"""Oracles for the enumeration solver. Free-vertex counts, witnesses
-and solution counts below were worked out by hand before the solver
-existed."""
+"""Oracles for the exact solver. Free-vertex counts, witnesses and
+solution counts below were worked out by hand before the solver
+existed; the cross-checks compare every goal with brute force over
+is_solution."""
 
+import dataclasses
 import itertools
+import random
+import sys
 
 import pytest
 
 from alliancelib.alliance import AllianceInstance, is_solution
+from alliancelib.gen import (
+    random_forbidden_toy,
+    random_graph,
+    random_necessary_toy,
+    random_pair_toy,
+    random_plain_instance,
+)
 from alliancelib.graph import Graph
-from alliancelib.reductions import eliminate_pairs, mmo_to_alliance
+from alliancelib.mmo import MmoInstance, max_weighted_outdegree, solve_mmo
+from alliancelib.reductions import (
+    eliminate_forbidden,
+    eliminate_necessary_auto,
+    eliminate_pairs,
+    mmo_to_alliance,
+    project_solution,
+    solution_to_orientation,
+)
 from alliancelib.solver import (
+    DEFAULT_BUDGET,
+    GOALS,
     BudgetExceededError,
     SolveRequest,
     solve,
@@ -50,9 +71,15 @@ class TestRequestValidation:
 
     def test_budget_exceeded_reports_free_count(self):
         inst = AllianceInstance(wheelish_graph(), k=2)
-        with pytest.raises(BudgetExceededError, match="5") as err:
-            solve(SolveRequest(inst, "decide", budget=4))
+        nodes = solve(SolveRequest(inst, "decide")).nodes
+        assert nodes > 1
+        # the largest budget of 2^budget nodes that the search overruns
+        budget = (nodes - 1).bit_length() - 1
+        pattern = r"\b5 free vertices .* 2\^%d nodes" % budget
+        with pytest.raises(BudgetExceededError, match=pattern) as err:
+            solve(SolveRequest(inst, "decide", budget=budget))
         assert err.value.free_count == 5
+        assert err.value.budget == budget
 
 
 class TestPlainGoals:
@@ -115,9 +142,13 @@ class TestConstrainedInstances:
 
     def test_reduced_mmo_budget_boundary(self):
         stage = mmo_to_alliance(two_vertex_mmo())
-        assert solve(SolveRequest(stage.result, "decide", budget=6)).feasible
-        with pytest.raises(BudgetExceededError):
-            solve(SolveRequest(stage.result, "decide", budget=5))
+        nodes = solve(SolveRequest(stage.result, "decide")).nodes
+        budget = (nodes - 1).bit_length()  # ceil(log2(nodes))
+        assert budget >= 1
+        assert solve(SolveRequest(stage.result, "decide", budget=budget)).feasible
+        with pytest.raises(BudgetExceededError) as err:
+            solve(SolveRequest(stage.result, "decide", budget=budget - 1))
+        assert err.value.free_count == 6
 
     def test_reduced_solutions_have_exact_size(self):
         stage = mmo_to_alliance(two_vertex_mmo())
@@ -268,3 +299,145 @@ class TestConnectedPruned:
             pruned = solve_connected_pruned(inst, "minimum")
             assert full.feasible == pruned.feasible
             assert full.size == pruned.size
+
+
+def set_key(members):
+    return (len(members), sorted(members))
+
+
+def brute_within_k(instance):
+    """Every solution, from the candidates whose size is within k."""
+    verts = instance.graph.sorted_vertices()
+    sizes = [instance.k] if instance.mode == "exact" else range(1, instance.k + 1)
+    return [
+        frozenset(combo)
+        for size in sizes
+        for combo in itertools.combinations(verts, size)
+        if is_solution(instance, frozenset(combo))
+    ]
+
+
+def assert_goals_agree_with(instance, expected, propagate):
+    expected = sorted(expected, key=set_key)
+    results = {
+        goal: solve(SolveRequest(instance, goal, propagate=propagate))
+        for goal in GOALS
+    }
+    decide = results["decide"]
+    assert decide.feasible == bool(expected)
+    if expected:
+        assert is_solution(instance, decide.witness)
+    else:
+        assert decide.witness is None
+    minimum = results["minimum"]
+    assert minimum.feasible == bool(expected)
+    assert minimum.witness == (expected[0] if expected else None)
+    assert minimum.size == (len(expected[0]) if expected else None)
+    listed = results["enumerate-all"]
+    assert list(listed.solutions) == expected
+    assert listed.count == len(listed.solutions)
+    assert results["count"].count == len(listed.solutions)
+    assert results["count"].feasible == bool(expected)
+
+
+class TestEmptySet:
+    def test_k_zero_agrees_with_brute_force(self):
+        # the empty set is never a solution, so k = 0 admits none
+        a, b = vs("a b")
+        rng = random.Random(41)
+        cases = [AllianceInstance(Graph([a, b], [(a, b)]), k=0, mode="exact")]
+        cases.extend(
+            AllianceInstance(random_graph(rng, 6), k=0, mode="exact")
+            for _ in range(20)
+        )
+        cases.append(dataclasses.replace(constrained_instance(), k=0, mode="exact"))
+        for inst in cases:
+            for propagate in (False, True):
+                assert_goals_agree_with(inst, brute_solutions(inst), propagate)
+
+
+def cross_check_corpus():
+    """Seeded toys of every generator, and the stage outputs of the
+    toys that have at most 16 vertices, each in both modes."""
+    rng = random.Random(2024)
+    found = [random_plain_instance(rng, 9) for _ in range(25)]
+    for draw, build in (
+        (random_pair_toy, eliminate_pairs),
+        (random_necessary_toy, eliminate_necessary_auto),
+        (random_forbidden_toy, eliminate_forbidden),
+    ):
+        for _ in range(25):
+            toy = draw(rng)
+            found.append(toy)
+            out = build(toy).result
+            if len(out.graph.vertices) <= 16:
+                found.append(out)
+    for inst in found:
+        for mode in ("at-most", "exact"):
+            yield dataclasses.replace(inst, mode=mode)
+
+
+class TestBruteForceCrossCheck:
+    def test_every_goal_agrees_with_brute_force(self):
+        stage_outputs = 0
+        for inst in cross_check_corpus():
+            expected = brute_within_k(inst)
+            stage_outputs += any(
+                x.decoration != "original" for x in inst.graph.vertices
+            )
+            for propagate in (False, True):
+                assert_goals_agree_with(inst, expected, propagate)
+        # the corpus does reach the gadget-built stage outputs
+        assert stage_outputs >= 20
+
+
+def one_edge_target(weight, r):
+    a, b = vs("a b")
+    return MmoInstance(Graph([a, b], [(a, b)]), {(a, b): weight}, r)
+
+
+class TestChainOutputs:
+    """Decisions on the two-stage outputs of one-edge targets, checked
+    against solve_mmo."""
+
+    def decide_two_stages(self, weight, r):
+        mmo = one_edge_target(weight, r)
+        stages = [mmo_to_alliance(mmo)]
+        stages.append(eliminate_pairs(stages[0].result))
+        request = SolveRequest(stages[-1].result, "decide")
+        assert request.budget == DEFAULT_BUDGET
+        return mmo, stages, solve(request)
+
+    def test_feasible_target(self):
+        mmo, stages, res = self.decide_two_stages(1, 1)
+        assert len(stages[-1].result.graph.vertices) == 427
+        assert solve_mmo(mmo) is not None
+        assert res.feasible
+        assert is_solution(stages[-1].result, res.witness)
+        witness = res.witness
+        for stage in reversed(stages[1:]):
+            witness = project_solution(stage, witness)
+        orientation = solution_to_orientation(mmo, witness)
+        assert max_weighted_outdegree(mmo, orientation) <= mmo.r
+
+    def test_infeasible_target(self):
+        mmo, stages, res = self.decide_two_stages(2, 1)
+        assert len(stages[-1].result.graph.vertices) == 2181
+        assert solve_mmo(mmo) is None
+        assert not res.feasible
+        assert res.witness is None
+
+
+class TestDeepSearch:
+    def test_search_deeper_than_the_recursion_limit(self):
+        # exact mode with k = n leaves one candidate, the whole path, so
+        # the search branches once per vertex on a single path
+        depth = 2000
+        assert depth > sys.getrecursionlimit()
+        verts = [v("p%d" % i) for i in range(depth)]
+        g = Graph(verts, list(zip(verts, verts[1:])))
+        inst = AllianceInstance(g, k=depth, mode="exact")
+        res = solve(SolveRequest(inst, "decide"))
+        assert res.feasible
+        assert res.witness == frozenset(verts)
+        assert res.nodes > depth
