@@ -169,7 +169,7 @@ def instance_to_json(instance):
         "necessary": [str(u) for u in sorted(instance.necessary)],
         "pairs": [
             [str(a), str(b)]
-            for a, b in sorted(instance.pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+            for a, b in sorted(instance.pairs)
         ],
         "mode": instance.mode,
     }

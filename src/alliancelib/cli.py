@@ -27,7 +27,7 @@ from .gen import (
     random_pair_toy,
     random_plain_instance,
 )
-from .graph import graph_from_edgelist, graph_to_dot, parse_vertex
+from .graph import VertexId, graph_from_edgelist, graph_to_dot, parse_vertex
 from .mmo import (
     MmoInstance,
     Orientation,
@@ -303,16 +303,17 @@ def run_pipeline(
     }
 
 
+# a VertexId is a tuple too, so test for it before taking a tuple apart
 def _render_key(key):
-    if isinstance(key, tuple):
+    if isinstance(key, tuple) and not isinstance(key, VertexId):
         return "|".join(_render_key(part) for part in key)
     return str(key)
 
 
 def _render_value(value):
-    if isinstance(value, (tuple, list)):
-        return [str(x) for x in value]
-    return [str(value)]
+    if isinstance(value, VertexId):
+        return [str(value)]
+    return [str(x) for x in value]
 
 
 def _gadget_table(gadgets):

@@ -7,7 +7,7 @@ carry that reliably once constructions are stacked, hence VertexId.
 """
 
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 
 
 # role -> short tag used in the canonical string rendering
@@ -56,9 +56,12 @@ _NO_INDEX = frozenset(
     ["original", "triangle", "primed", "fan-hub", "g", "h", "g-forbidden", "h-forbidden"]
 )
 
-_DECORATION_RANK = {dec: i for i, dec in enumerate(["original"] + sorted(_TAGS))}
+_DECORATIONS = ["original"] + sorted(_TAGS)
+_DECORATION_RANK = {dec: i for i, dec in enumerate(_DECORATIONS)}
+_RANK_TAGS = [None] + [_TAGS[dec] for dec in _DECORATIONS[1:]]
 
 _PLAIN_NAME = re.compile(r"[^\s./{}#]+\Z")
+_SPACE = re.compile(r"\s")
 _TAIL = re.compile(r"([a-z]+)(\d+(?:_\d+)?)?\Z")
 
 
@@ -70,8 +73,7 @@ def _atom(name):
     return name if _is_plain(name) else "{" + name + "}"
 
 
-@dataclass(frozen=True)
-class VertexId:
+class VertexId(tuple):
     """Structured vertex name: base vertex, gadget role, indices, partner.
 
     base names the vertex this one was derived from; for stacked
@@ -79,70 +81,76 @@ class VertexId:
     partner is the second vertex of an edge or pair gadget. The
     canonical rendering is base[.partner]/TAGindex, with non-plain
     atoms wrapped in braces, e.g. a.b/ec1 or {b/y3}/a1.
+
+    A VertexId is an immutable tuple (base, decoration rank, partner or
+    "", indices), which is also its sort key, so hashing, equality and
+    ordering run as tuple operations. It therefore compares equal to a
+    plain tuple with the same contents; no code mixes the two. Format
+    one with "%s" % (v,), since "%s" % v reads it as an argument tuple.
     """
 
-    base: str
-    decoration: str = "original"
-    indices: tuple = ()
-    partner: str = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(self.indices))
-        if self.decoration != "original" and self.decoration not in _TAGS:
-            raise ValueError("unknown vertex decoration: %r" % (self.decoration,))
-        if not self.base or any(ch.isspace() for ch in self.base):
-            raise ValueError("bad vertex base name: %r" % (self.base,))
-        if self.base.count("{") != self.base.count("}"):
-            raise ValueError("unbalanced braces in vertex base: %r" % (self.base,))
-        if self.decoration == "original" and not _is_plain(self.base):
+    def __new__(cls, base, decoration="original", indices=(), partner=None):
+        indices = tuple(indices)
+        if decoration != "original" and decoration not in _TAGS:
+            raise ValueError("unknown vertex decoration: %r" % (decoration,))
+        if not base or _SPACE.search(base):
+            raise ValueError("bad vertex base name: %r" % (base,))
+        if base.count("{") != base.count("}"):
+            raise ValueError("unbalanced braces in vertex base: %r" % (base,))
+        if decoration == "original" and not _is_plain(base):
             raise ValueError(
-                "plain vertex name %r may not contain '.', '/', braces or '#'"
-                % (self.base,)
+                "plain vertex name %r may not contain '.', '/', braces or '#'" % (base,)
             )
-        if (self.partner is not None) != (self.decoration in _WITH_PARTNER):
+        if (partner is not None) != (decoration in _WITH_PARTNER):
             raise ValueError(
                 "decoration %r %s a partner vertex"
-                % (self.decoration, "requires" if self.partner is None else "forbids")
+                % (decoration, "requires" if partner is None else "forbids")
             )
-        if self.partner is not None and (
-            not self.partner or any(ch.isspace() for ch in self.partner)
-        ):
-            raise ValueError("bad partner name: %r" % (self.partner,))
-        if len(self.indices) > 2 or not all(
-            isinstance(i, int) and i >= 0 for i in self.indices
-        ):
+        if partner is not None and (not partner or _SPACE.search(partner)):
+            raise ValueError("bad partner name: %r" % (partner,))
+        if len(indices) > 2 or not all(isinstance(i, int) and i >= 0 for i in indices):
             raise ValueError("indices must be at most two non-negative ints")
-        if self.decoration in _ONE_INDEX and len(self.indices) != 1:
-            raise ValueError("decoration %r takes exactly one index" % (self.decoration,))
-        if self.decoration in _NO_INDEX and self.indices:
-            raise ValueError("decoration %r takes no index" % (self.decoration,))
+        if decoration in _ONE_INDEX and len(indices) != 1:
+            raise ValueError("decoration %r takes exactly one index" % (decoration,))
+        if decoration in _NO_INDEX and indices:
+            raise ValueError("decoration %r takes no index" % (decoration,))
+        return tuple.__new__(cls, (base, _DECORATION_RANK[decoration], partner or "", indices))
+
+    base = property(itemgetter(0))
+    indices = property(itemgetter(3))
+
+    @property
+    def decoration(self):
+        return _DECORATIONS[self[1]]
+
+    @property
+    def partner(self):
+        return self[2] or None
+
+    def __getnewargs__(self):
+        return (self.base, self.decoration, self.indices, self.partner)
+
+    def __repr__(self):
+        return "VertexId(base=%r, decoration=%r, indices=%r, partner=%r)" % (
+            self.__getnewargs__()
+        )
 
     def render(self):
-        if self.decoration == "original":
-            return self.base
-        left = _atom(self.base)
-        if self.partner is not None:
-            left += "." + _atom(self.partner)
-        tail = _TAGS[self.decoration] + "_".join(str(i) for i in self.indices)
-        return left + "/" + tail
+        base, rank, partner, indices = self
+        if not rank:
+            return base
+        left = _atom(base)
+        if partner:
+            left += "." + _atom(partner)
+        return left + "/" + _RANK_TAGS[rank] + "_".join(map(str, indices))
 
-    def __str__(self):
-        return self.render()
+    __str__ = render
 
     def sort_key(self):
-        return (self.base, _DECORATION_RANK[self.decoration], self.partner or "", self.indices)
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other):
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other):
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other):
-        return self.sort_key() >= other.sort_key()
+        """(base, decoration rank, partner or "", indices) as a plain tuple."""
+        return tuple(self)
 
 
 def _split_top_level(text, sep):
@@ -185,7 +193,7 @@ def is_integer(value):
 
 def parse_vertex(text):
     """Parse a canonical rendering back into a VertexId."""
-    if not text or any(ch.isspace() for ch in text):
+    if not text or _SPACE.search(text):
         raise ValueError("bad vertex name: %r" % (text,))
     pieces = _split_top_level(text, "/")
     if len(pieces) == 1:
@@ -212,36 +220,44 @@ def _parse_atom_plain_only(text):
     return text
 
 
-def edge_sort_key(edge):
-    """Order of canonical edges: by first endpoint, then second."""
-    return (edge[0].sort_key(), edge[1].sort_key())
-
-
 def edge_key(u, v):
     """Canonical unordered representation of an edge."""
     if u == v:
         raise ValueError("self loop at %s" % (u,))
-    return (u, v) if u.sort_key() < v.sort_key() else (v, u)
+    return (u, v) if u < v else (v, u)
 
 
 class Graph:
-    """Immutable undirected simple graph with deterministic iteration."""
+    """Immutable undirected simple graph with deterministic iteration.
+
+    Edges are canonical (u, v) pairs with u < v, so sorting edges orders
+    them by first endpoint, then second.
+    """
 
     def __init__(self, vertices, edges=()):
-        self.vertices = frozenset(vertices)
+        self.vertices = vertices = frozenset(vertices)
         es = set()
         for u, v in edges:
-            if u not in self.vertices:
+            if u not in vertices:
                 raise ValueError("edge endpoint %s is not a vertex" % (u,))
-            if v not in self.vertices:
+            if v not in vertices:
                 raise ValueError("edge endpoint %s is not a vertex" % (v,))
-            es.add(edge_key(u, v))
+            # edge_key inlined: an edge given as (smaller, larger) costs
+            # one comparison, and stage outputs have millions of edges
+            if u < v:
+                es.add((u, v))
+            elif v < u:
+                es.add((v, u))
+            else:
+                raise ValueError("self loop at %s" % (u,))
         self.edges = frozenset(es)
-        adj = {v: set() for v in self.vertices}
+        adj = {v: [] for v in vertices}
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+            adj[u].append(v)
+            adj[v].append(u)
+        for ns in adj.values():
+            ns.sort()
+        self._adj = {v: tuple(ns) for v, ns in adj.items()}
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -265,7 +281,7 @@ class Graph:
         return sorted(self.vertices)
 
     def sorted_edges(self):
-        return sorted(self.edges, key=edge_sort_key)
+        return sorted(self.edges)
 
     def neighbors(self, v):
         self._check(v)
@@ -344,7 +360,7 @@ def graph_from_edgelist(text):
 def graph_to_dot(g, name="G"):
     out = ["graph %s {" % name]
     for v in g.sorted_vertices():
-        out.append('  "%s";' % v)
+        out.append('  "%s";' % (v,))
     for u, v in g.sorted_edges():
         out.append('  "%s" -- "%s";' % (u, v))
     out.append("}")

@@ -39,7 +39,7 @@ class MmoInstance:
         return self.weights[edge_key(u, w)]
 
     def __hash__(self):
-        return hash((self.graph, tuple(sorted(self.weights.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()))), self.r))
+        return hash((self.graph, tuple(sorted(self.weights.items())), self.r))
 
 
 @dataclass(frozen=True, eq=True)

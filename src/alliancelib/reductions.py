@@ -90,20 +90,22 @@ def _oplus(u, u_forbidden, w, w_forbidden):
 def _mmo_gadgets(instance):
     helper = {}
     for u in instance.graph.sorted_vertices():
+        name = str(u)
         helper[u] = tuple(
-            VertexId(str(u), "helper-h", (i,)) for i in range(1, 2 * instance.r)
+            VertexId(name, "helper-h", (i,)) for i in range(1, 2 * instance.r)
         )
     edge_copy = {}
     edge_copy_forbidden = {}
     for u, w in instance.graph.sorted_edges():
         weight = instance.weights[(u, w)]
         for owner, other in ((u, w), (w, u)):
+            name, partner = str(owner), str(other)
             edge_copy[(owner, other)] = tuple(
-                VertexId(str(owner), "edge-copy", (i,), str(other))
+                VertexId(name, "edge-copy", (i,), partner)
                 for i in range(1, weight + 1)
             )
             edge_copy_forbidden[(owner, other)] = tuple(
-                VertexId(str(owner), "edge-copy-forbidden", (i,), str(other))
+                VertexId(name, "edge-copy-forbidden", (i,), partner)
                 for i in range(1, weight + 1)
             )
     return MmoGadgets(helper, edge_copy, edge_copy_forbidden)
@@ -199,11 +201,12 @@ def eliminate_pairs(instance):
     y_chain = {}
     y_chain_forbidden = {}
     for u in originals:
+        name = str(u)
         y_chain[u] = tuple(
-            VertexId(str(u), "chain-Y", (i,)) for i in range(1, n + 1)
+            VertexId(name, "chain-Y", (i,)) for i in range(1, n + 1)
         )
         y_chain_forbidden[u] = tuple(
-            VertexId(str(u), "chain-Y-forbidden", (i,)) for i in range(1, n + 1)
+            VertexId(name, "chain-Y-forbidden", (i,)) for i in range(1, n + 1)
         )
     pairs = sorted(instance.pairs)
     z_hub = {}
@@ -214,13 +217,14 @@ def eliminate_pairs(instance):
         triangle[(a, b)] = VertexId(str(a), "triangle", (), str(b))
         for x, other in ((a, b), (b, a)):
             key = ((a, b), x)
-            z_hub[key] = VertexId(str(x), "chain-Z", (), str(other))
+            name, partner = str(x), str(other)
+            z_hub[key] = VertexId(name, "chain-Z", (), partner)
             z_chain[key] = tuple(
-                VertexId(str(x), "chain-Z", (i,), str(other))
+                VertexId(name, "chain-Z", (i,), partner)
                 for i in range(1, m + 1)
             )
             z_chain_forbidden[key] = tuple(
-                VertexId(str(x), "chain-Z-forbidden", (i,), str(other))
+                VertexId(name, "chain-Z-forbidden", (i,), partner)
                 for i in range(1, m + 1)
             )
     gadgets = PairGadgets(
@@ -307,11 +311,12 @@ def eliminate_necessary(instance, ordering):
     a_chain = {}
     a_chain_forbidden = {}
     for x in members:
+        name = str(x)
         a_chain[x] = tuple(
-            VertexId(str(x), "A-chain", (i,)) for i in range(1, n + 2)
+            VertexId(name, "A-chain", (i,)) for i in range(1, n + 2)
         )
         a_chain_forbidden[x] = tuple(
-            VertexId(str(x), "A-chain-forbidden", (i,)) for i in range(1, n + 2)
+            VertexId(name, "A-chain-forbidden", (i,)) for i in range(1, n + 2)
         )
     g_vertex = {u: VertexId(str(u), "g") for u in open_vertices}
     h_vertex = {u: VertexId(str(u), "h") for u in open_vertices}
@@ -412,9 +417,10 @@ def eliminate_forbidden(instance):
     vertices = list(instance.graph.sorted_vertices())
     edges = list(instance.graph.sorted_edges())
     for f in sorted(instance.forbidden):
-        hub = VertexId(str(f), "fan-hub")
+        name = str(f)
+        hub = VertexId(name, "fan-hub")
         leaves = tuple(
-            VertexId(str(f), "fan-leaf", (i,)) for i in range(1, 2 * instance.k + 1)
+            VertexId(name, "fan-leaf", (i,)) for i in range(1, 2 * instance.k + 1)
         )
         fan_hub[f] = hub
         fan_leaves[f] = leaves

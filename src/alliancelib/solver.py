@@ -24,11 +24,11 @@ search at 2^budget nodes.
 """
 
 from array import array
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 
 from .alliance import AllianceInstance
-from .graph import VertexId
 
 GOALS = ("decide", "minimum", "enumerate-all", "count")
 
@@ -73,7 +73,7 @@ class SolveResult:
 
 
 def _set_key(members):
-    return (len(members), tuple(x.sort_key() for x in sorted(members)))
+    return (len(members), tuple(sorted(members)))
 
 
 def _determine(instance, propagate):
@@ -107,10 +107,9 @@ def _determine(instance, propagate):
             for p in partners.get(v, ()):
                 assign(p, not status[v])
 
-    # sort_key once per vertex: comparing VertexIds calls it twice each time
-    for v in sorted(instance.necessary, key=VertexId.sort_key):
+    for v in sorted(instance.necessary):
         assign(v, True)
-    for v in sorted(instance.forbidden, key=VertexId.sort_key):
+    for v in sorted(instance.forbidden):
         assign(v, False)
     drain()
     if propagate:
@@ -118,7 +117,7 @@ def _determine(instance, propagate):
         while changed and not conflict:
             changed = False
             members = [u for u, value in status.items() if value]
-            for v in sorted(members, key=VertexId.sort_key):
+            for v in sorted(members):
                 closed = instance.graph.closed_neighborhood(v)
                 inside = sum(1 for u in closed if status.get(u) is True)
                 undecided = [u for u in closed if u not in status]
@@ -153,13 +152,15 @@ class _Search:
 
     def __init__(self, instance, status):
         graph = instance.graph
-        # sort_key once per vertex: comparing VertexIds calls it twice each time
-        self.vertices = sorted(graph.vertices, key=VertexId.sort_key)
+        self.vertices = graph.sorted_vertices()
         index = {v: i for i, v in enumerate(self.vertices)}
         self.first = array("i", [0])
         self.adjacent = array("i")
         for i, v in enumerate(self.vertices):
-            self.adjacent.extend(sorted([i] + [index[u] for u in graph.neighbors(v)]))
+            # neighbors come sorted, and ids follow the sorted order
+            closed = [index[u] for u in graph.neighbors(v)]
+            insort(closed, i)
+            self.adjacent.extend(closed)
             self.first.append(len(self.adjacent))
         self.partners = {}
         for x, y in instance.pairs:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .alliance import primal_graph
-from .graph import edge_sort_key, parse_vertex
+from .graph import parse_vertex
 
 NICE_KINDS = ("leaf", "introduce", "forget", "join")
 
@@ -202,7 +202,7 @@ class TreeDecomposition:
             short, other = (u, w) if len(occ[u]) <= len(occ[w]) else (w, u)
             if not any(other in self._bags[n] for n in occ[short]):
                 uncovered.append((u, w))
-        for u, w in sorted(uncovered, key=edge_sort_key):
+        for u, w in sorted(uncovered):
             problems.append("edge %s--%s is in no bag" % (u, w))
         for u in sorted(u for u, nodes in tops.items() if len(nodes) > 1):
             problems.append("occurrences of %s are not connected" % (u,))
@@ -560,7 +560,7 @@ def _transform_pairs(stage, td):
     n = len(verts)
     occurrences, tops = _occurrence_tops(td, verts)
     top_single = {u: t[0] for u, t in tops.items()}
-    sorted_pairs = sorted(source.pairs, key=edge_sort_key)
+    sorted_pairs = sorted(source.pairs)
     top_pair = _joint_tops(td, occurrences, sorted_pairs)
     out = td.copy(into=TreeDecomposition)
     # every bag containing v also gets v_n and its forbidden twin

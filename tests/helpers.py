@@ -47,6 +47,12 @@ def two_vertex_mmo():
     return MmoInstance(g, {(a, b): 3}, r=3)
 
 
+def one_edge_target(weight, r):
+    """Two vertices joined by one edge of the given weight, target r."""
+    a, b = vs("a b")
+    return MmoInstance(Graph([a, b], [(a, b)]), {(a, b): weight}, r)
+
+
 def square_with_chord():
     a, b, c, d = (v(x) for x in "abcd")
     return Graph([a, b, c, d], [(a, b), (b, c), (c, d), (d, a), (a, c)])

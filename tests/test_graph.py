@@ -1,3 +1,7 @@
+import copy
+import pickle
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,10 +13,64 @@ from alliancelib.graph import (
     graph_to_edgelist,
     parse_vertex,
 )
+from alliancelib.reductions import eliminate_pairs, mmo_to_alliance
+
+from helpers import one_edge_target
 
 
 def v(name):
     return VertexId(name)
+
+
+# (decoration, indices, partner) for every decoration; chain-Z may
+# carry no index, one or two
+ROLES = [
+    ("original", (), None),
+    ("helper-h", (5,), None),
+    ("edge-copy", (1,), "b"),
+    ("edge-copy-forbidden", (2,), "a/h1"),
+    ("chain-Y", (3,), None),
+    ("chain-Y", (10,), None),
+    ("chain-Y-forbidden", (3,), None),
+    ("chain-Z", (), "b"),
+    ("chain-Z", (7,), "b"),
+    ("chain-Z", (1, 2), "{a.b/ec1}/y2"),
+    ("chain-Z-forbidden", (7,), "b"),
+    ("triangle", (), "b"),
+    ("primed", (), None),
+    ("fan-hub", (), None),
+    ("fan-leaf", (4,), None),
+    ("A-chain", (3,), None),
+    ("A-chain-forbidden", (3,), None),
+    ("g", (), None),
+    ("h", (), None),
+    ("g-forbidden", (), None),
+    ("h-forbidden", (), None),
+]
+# the order of decorations in the sort key: "original" first, then by name
+RANK = ["original"] + sorted({role for role, _, _ in ROLES} - {"original"})
+
+
+def field_key(vid):
+    """The sort key spelled out from the public fields."""
+    return (vid.base, RANK.index(vid.decoration), vid.partner or "", vid.indices)
+
+
+def role_samples():
+    """Every decoration on plain and nested bases, where allowed."""
+    out = []
+    for base in ["a", "b", "b/y3", "{b/y3}/a1", "a.b/z"]:
+        for decoration, indices, partner in ROLES:
+            if decoration == "original" and "/" in base:
+                continue
+            out.append(VertexId(base, decoration, indices, partner))
+    return out
+
+
+def chain_vertices():
+    """The 427 vertices of the two-stage output of a one-edge target."""
+    first = mmo_to_alliance(one_edge_target(1, 1)).result
+    return sorted(eliminate_pairs(first).result.graph.vertices)
 
 
 def fig_graph():
@@ -87,14 +145,26 @@ class TestVertexId:
                 VertexId(bad)
 
     def test_indices_and_partner_are_validated(self):
-        with pytest.raises(ValueError):
-            VertexId("a", "edge-copy", (1,))  # partner missing
-        with pytest.raises(ValueError):
-            VertexId("a", "helper-h")  # index missing
-        with pytest.raises(ValueError):
-            VertexId("a", "primed", (1,))  # no index allowed
-        with pytest.raises(ValueError):
-            VertexId("a", "no-such-role", (1,))
+        bad = [
+            ("a", "edge-copy", (1,), None),  # partner missing
+            ("a", "primed", (), "b"),  # partner not allowed
+            ("a", "edge-copy", (1,), ""),
+            ("a", "edge-copy", (1,), "b c"),
+            ("a", "helper-h", (), None),  # index missing
+            ("a", "helper-h", (1, 2), None),
+            ("a", "primed", (1,), None),  # no index allowed
+            ("a", "chain-Z", (1, 2, 3), "b"),
+            ("a", "chain-Z", (-1,), "b"),
+            ("a", "chain-Z", ("1",), "b"),
+            ("a", "no-such-role", (1,), None),
+            ("", "primed", (), None),
+            ("a\u00a0b", "primed", (), None),
+            ("{a", "primed", (), None),
+            ("a}", "helper-h", (1,), None),
+        ]
+        for base, decoration, indices, partner in bad:
+            with pytest.raises(ValueError):
+                VertexId(base, decoration, indices, partner)
 
     def test_total_order_is_deterministic(self):
         ids = [
@@ -115,6 +185,53 @@ class TestVertexId:
     def test_hashable_and_equal_by_value(self):
         assert VertexId("a", "chain-Y", (1,)) == VertexId("a", "chain-Y", (1,))
         assert len({v("a"), v("a"), v("b")}) == 2
+        samples = role_samples()
+        for vid in samples:
+            # equal fields built from distinct objects
+            twin = VertexId(
+                "".join(list(vid.base)), vid.decoration, list(vid.indices),
+                None if vid.partner is None else "".join(list(vid.partner)),
+            )
+            assert twin == vid and hash(twin) == hash(vid)
+            assert (vid.base, vid.decoration, vid.indices, vid.partner) == (
+                twin.base, twin.decoration, twin.indices, twin.partner,
+            )
+        assert len(set(samples)) == len(samples)
+
+    def test_order_matches_the_field_key(self):
+        samples = role_samples()
+        values = samples + chain_vertices()
+        random.Random(7).shuffle(values)
+        assert sorted(values) == sorted(values, key=field_key)
+        for x in samples:
+            for y in samples:
+                assert (x < y) == (field_key(x) < field_key(y))
+                assert (x <= y) == (field_key(x) <= field_key(y))
+        assert all(vid.sort_key() == field_key(vid) for vid in values)
+
+    def test_round_trips_preserve_the_value(self):
+        for vid in role_samples() + chain_vertices():
+            assert parse_vertex(str(vid)) == vid
+            assert eval(repr(vid)) == vid
+            copies = [copy.deepcopy(vid), copy.copy(vid)] + [
+                pickle.loads(pickle.dumps(vid, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+            ]
+            for other in copies:
+                assert type(other) is VertexId
+                assert other == vid and str(other) == str(vid)
+
+    def test_formats_as_one_argument(self):
+        vid = VertexId("{b/y3}/a1", "chain-Z", (2,), "b")
+        assert "%s" % (vid,) == str(vid) == "{{b/y3}/a1}.b/z2"
+        assert "%s--%s" % (vid, v("a")) == "{{b/y3}/a1}.b/z2--a"
+
+    def test_fields_are_read_only(self):
+        vid = VertexId("a", "edge-copy", (1,), "b")
+        for name in ["base", "decoration", "indices", "partner", "other"]:
+            with pytest.raises(AttributeError):
+                setattr(vid, name, "x")
+        assert vid == VertexId("a", "edge-copy", (1,), "b")
 
 
 class TestGraph:

@@ -19,7 +19,7 @@ from alliancelib.gen import (
     random_plain_instance,
 )
 from alliancelib.graph import Graph
-from alliancelib.mmo import MmoInstance, max_weighted_outdegree, solve_mmo
+from alliancelib.mmo import max_weighted_outdegree, solve_mmo
 from alliancelib.reductions import (
     eliminate_forbidden,
     eliminate_necessary_auto,
@@ -37,7 +37,14 @@ from alliancelib.solver import (
     solve_connected_pruned,
 )
 
-from helpers import constrained_instance, two_vertex_mmo, v, vs, wheelish_graph
+from helpers import (
+    constrained_instance,
+    one_edge_target,
+    two_vertex_mmo,
+    v,
+    vs,
+    wheelish_graph,
+)
 
 
 def brute_solutions(instance):
@@ -389,11 +396,6 @@ class TestBruteForceCrossCheck:
                 assert_goals_agree_with(inst, expected, propagate)
         # the corpus does reach the gadget-built stage outputs
         assert stage_outputs >= 20
-
-
-def one_edge_target(weight, r):
-    a, b = vs("a b")
-    return MmoInstance(Graph([a, b], [(a, b)]), {(a, b): weight}, r)
 
 
 class TestChainOutputs:
