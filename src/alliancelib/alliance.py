@@ -101,15 +101,25 @@ class AllianceInstance:
 def is_defensive_alliance(graph, candidate):
     """Check the counting condition at every member of candidate."""
     candidate = frozenset(candidate)
+    index, first, adjacent = graph.index, graph.first, graph.adjacent
+    members = []
     for u in candidate:
-        if u not in graph.vertices:
+        i = index.get(u)
+        if i is None:
             raise ValueError("candidate vertex %s is not in the graph" % (u,))
-    violators = set()
-    for u in candidate:
-        closed = graph.closed_neighborhood(u)
-        if 2 * len(closed & candidate) < len(closed):
-            violators.add(u)
-    return AllianceVerdict(not violators, frozenset(violators))
+        members.append(i)
+    inside = bytearray(len(index))
+    for i in members:
+        inside[i] = 1
+    violators = []
+    for i in members:
+        lo, hi = first[i], first[i + 1]
+        # the closed neighbourhood has hi - lo + 1 vertices, the member
+        # itself and the neighbours marked inside among them
+        if 2 * (1 + sum(map(inside.__getitem__, adjacent[lo:hi]))) < hi - lo + 1:
+            violators.append(graph.order[i])
+    violators = frozenset(violators)
+    return AllianceVerdict(not violators, violators)
 
 
 def construct_defense(graph, candidate, vertex):

@@ -7,6 +7,10 @@ carry that reliably once constructions are stacked, hence VertexId.
 """
 
 import re
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Set
+from itertools import groupby
 from operator import itemgetter
 
 
@@ -227,45 +231,115 @@ def edge_key(u, v):
     return (u, v) if u < v else (v, u)
 
 
+def _linked(first, adjacent, i, j):
+    """Whether id j is in the neighbourhood of id i."""
+    lo, hi = first[i], first[i + 1]
+    k = bisect_left(adjacent, j, lo, hi)
+    return k < hi and adjacent[k] == j
+
+
+class _Edges(Set):
+    """Read-only set of the canonical (u, v) pairs, u < v, of a graph.
+
+    It reads the graph's arrays and yields the pairs in sorted order.
+    It compares and hashes like the frozenset of the same pairs, and
+    set algebra with it returns frozensets. It holds the arrays rather
+    than the graph, so the two form no reference cycle.
+    """
+
+    def __init__(self, order, index, first, adjacent):
+        self._order, self._index = order, index
+        self._first, self._adjacent = first, adjacent
+
+    @classmethod
+    def _from_iterable(cls, iterable):
+        return frozenset(iterable)
+
+    __hash__ = Set._hash
+
+    def __len__(self):
+        return len(self._adjacent) // 2
+
+    def __contains__(self, pair):
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        i = self._index.get(pair[0])
+        j = self._index.get(pair[1])
+        return i is not None and j is not None and i < j and _linked(
+            self._first, self._adjacent, i, j
+        )
+
+    def __iter__(self):
+        order, first, adjacent = self._order, self._first, self._adjacent
+        for i, u in enumerate(order):
+            hi = first[i + 1]
+            for j in adjacent[bisect_right(adjacent, i, first[i], hi):hi]:
+                yield (u, order[j])
+
+
 class Graph:
     """Immutable undirected simple graph with deterministic iteration.
 
-    Edges are canonical (u, v) pairs with u < v, so sorting edges orders
-    them by first endpoint, then second.
+    Every vertex has an int id, and ids follow the sorted vertex order.
+    Read-only attributes:
+
+    - vertices: the frozenset of vertices;
+    - order: the sorted vertex list, so order[i] has id i;
+    - index: a dict from vertex to id;
+    - first, adjacent: array("i")s; the open neighbourhood of id i is
+      adjacent[first[i]:first[i + 1]], in id order.
+
+    edges is a read-only set view of the canonical (u, v) pairs with
+    u < v; it equals the frozenset of those pairs and iterates them in
+    sorted order.
     """
 
     def __init__(self, vertices, edges=()):
-        self.vertices = vertices = frozenset(vertices)
-        es = set()
+        # sorting the vertices as given gains from the runs in which the
+        # stages list them, which a frozenset would scatter
+        self.order = order = [v for v, _ in groupby(sorted(vertices))]
+        self.vertices = frozenset(order)
+        self.index = index = {v: i for i, v in enumerate(order)}
+        n = len(order)
+        keys = []
+        add = keys.append
         for u, v in edges:
-            if u not in vertices:
+            i = index.get(u)
+            if i is None:
                 raise ValueError("edge endpoint %s is not a vertex" % (u,))
-            if v not in vertices:
+            j = index.get(v)
+            if j is None:
                 raise ValueError("edge endpoint %s is not a vertex" % (v,))
-            # edge_key inlined: an edge given as (smaller, larger) costs
-            # one comparison, and stage outputs have millions of edges
-            if u < v:
-                es.add((u, v))
-            elif v < u:
-                es.add((v, u))
+            if i < j:
+                add(i * n + j)
+            elif j < i:
+                add(j * n + i)
             else:
                 raise ValueError("self loop at %s" % (u,))
-        self.edges = frozenset(es)
-        adj = {v: [] for v in vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for ns in adj.values():
-            ns.sort()
-        self._adj = {v: tuple(ns) for v, ns in adj.items()}
+        # sorting the keys gains from those runs too, and brings
+        # duplicates together
+        keys.sort()
+        arcs = [key for key, _ in groupby(keys)]
+        # both arcs a * n + b of each edge: sorted, the arcs out of a are
+        # contiguous and ordered by b
+        arcs += [(key % n) * n + key // n for key in arcs]
+        arcs.sort()
+        first = array("i", [bisect_left(arcs, i * n) for i in range(n + 1)])
+        adjacent = array("i", [arc % n for arc in arcs])
+        self.first, self.adjacent = first, adjacent
+        self.edges = _Edges(order, index, first, adjacent)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return (
+            self.vertices == other.vertices
+            and self.first == other.first
+            and self.adjacent == other.adjacent
+        )
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, self.adjacent.tobytes()))
 
     def __contains__(self, v):
         return v in self.vertices
@@ -273,22 +347,26 @@ class Graph:
     def __repr__(self):
         return "Graph(%d vertices, %d edges)" % (len(self.vertices), len(self.edges))
 
-    def _check(self, v):
-        if v not in self.vertices:
+    def _id(self, v):
+        i = self.index.get(v)
+        if i is None:
             raise ValueError("unknown vertex: %s" % (v,))
+        return i
 
     def sorted_vertices(self):
-        return sorted(self.vertices)
+        return list(self.order)
 
     def sorted_edges(self):
-        return sorted(self.edges)
+        return list(self.edges)
 
     def neighbors(self, v):
-        self._check(v)
-        return self._adj[v]
+        i = self._id(v)
+        ids = self.adjacent[self.first[i]:self.first[i + 1]]
+        return tuple(map(self.order.__getitem__, ids))
 
     def degree(self, v):
-        return len(self.neighbors(v))
+        i = self._id(v)
+        return self.first[i + 1] - self.first[i]
 
     def open_neighborhood(self, v):
         return frozenset(self.neighbors(v))
@@ -297,41 +375,50 @@ class Graph:
         return frozenset(self.neighbors(v)) | {v}
 
     def has_edge(self, u, v):
-        self._check(u)
-        self._check(v)
-        return edge_key(u, v) in self.edges
+        i, j = self._id(u), self._id(v)
+        if i == j:
+            raise ValueError("self loop at %s" % (u,))
+        return _linked(self.first, self.adjacent, i, j)
 
     def connected_components(self):
         """Partition of the vertices, ordered by least contained vertex."""
-        seen = set()
+        first, adjacent = self.first, self.adjacent
+        seen = bytearray(len(self.order))
         comps = []
-        for start in self.sorted_vertices():
-            if start in seen:
+        for start in range(len(self.order)):
+            if seen[start]:
                 continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                for w in self._adj[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
+            seen[start] = 1
+            comp = [start]
+            for i in comp:
+                for j in adjacent[first[i]:first[i + 1]]:
+                    if not seen[j]:
+                        seen[j] = 1
+                        comp.append(j)
+            comps.append(frozenset(map(self.order.__getitem__, comp)))
         return comps
 
     def induced(self, subset):
         subset = frozenset(subset)
-        for v in subset:
-            self._check(v)
-        edges = [e for e in self.edges if e[0] in subset and e[1] in subset]
+        ids = sorted(self._id(v) for v in subset)
+        inside = bytearray(len(self.order))
+        for i in ids:
+            inside[i] = 1
+        order, first, adjacent = self.order, self.first, self.adjacent
+        edges = [
+            (order[i], order[j])
+            for i in ids
+            for j in adjacent[first[i]:first[i + 1]]
+            if j > i and inside[j]
+        ]
         return Graph(subset, edges)
 
 
 def graph_to_edgelist(g):
     """One edge per line as 'u v'; isolated vertices on their own line."""
-    lines = ["%s %s" % (u, v) for u, v in g.sorted_edges()]
-    covered = {x for e in g.edges for x in e}
-    lines.extend(str(v) for v in g.sorted_vertices() if v not in covered)
+    lines = ["%s %s" % (u, v) for u, v in g.edges]
+    first = g.first
+    lines.extend(str(v) for i, v in enumerate(g.order) if first[i] == first[i + 1])
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -328,10 +328,11 @@ def eliminate_necessary(instance, ordering):
     )
     vertices = list(originals)
     edges = list(instance.graph.sorted_edges())
+    primed_vertices = set(primed.values())
     for x in members:
         chain = a_chain[x]
         twins = a_chain_forbidden[x]
-        if x in primed.values():
+        if x in primed_vertices:
             vertices.append(x)
         vertices.extend(chain)
         vertices.extend(twins)

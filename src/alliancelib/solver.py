@@ -24,7 +24,7 @@ search at 2^budget nodes.
 """
 
 from array import array
-from bisect import insort
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -107,9 +107,11 @@ def _determine(instance, propagate):
             for p in partners.get(v, ()):
                 assign(p, not status[v])
 
-    for v in sorted(instance.necessary):
+    # ids follow the sorted order, and ints sort faster than vertices
+    by_id = instance.graph.index.__getitem__
+    for v in sorted(instance.necessary, key=by_id):
         assign(v, True)
-    for v in sorted(instance.forbidden):
+    for v in sorted(instance.forbidden, key=by_id):
         assign(v, False)
     drain()
     if propagate:
@@ -138,36 +140,37 @@ def _determine(instance, propagate):
 class _Search:
     """Partial assignment over int vertex ids with incremental counts.
 
-    Vertex ids follow the sorted vertex order. The closed neighborhood
-    of v is adjacent[first[v]:first[v + 1]], in id order; two flat
-    arrays keep a stage-3 sized graph compact. state holds True (in),
-    False (out) or None (undecided). inside and undecided count, per
-    vertex, the closed neighbors in the set and still undecided; a
-    member needs ceil(|N[v]|/2) neighbors inside. short holds the
-    members below that need. Every assignment goes on the trail, and
-    undo reverts the counts by replaying it backwards. The search
-    starts from the forced assignments in status, applied with all
-    they force; consistent tells whether that worked out.
+    Vertex ids are the graph's, which follow the sorted vertex order.
+    The closed neighborhood of v is adjacent[first[v]:first[v + 1]], in
+    id order; two flat arrays keep a stage-3 sized graph compact. state
+    holds True (in), False (out) or None (undecided). inside and
+    undecided count, per vertex, the closed neighbors in the set and
+    still undecided; a member needs ceil(|N[v]|/2) neighbors inside.
+    short holds the members below that need. Every assignment goes on
+    the trail, and undo reverts the counts by replaying it backwards.
+    The search starts from the forced assignments in status, applied
+    with all they force; consistent tells whether that worked out.
     """
 
     def __init__(self, instance, status):
         graph = instance.graph
-        self.vertices = graph.sorted_vertices()
-        index = {v: i for i, v in enumerate(self.vertices)}
-        self.first = array("i", [0])
-        self.adjacent = array("i")
-        for i, v in enumerate(self.vertices):
-            # neighbors come sorted, and ids follow the sorted order
-            closed = [index[u] for u in graph.neighbors(v)]
-            insort(closed, i)
-            self.adjacent.extend(closed)
-            self.first.append(len(self.adjacent))
+        self.vertices, index = graph.order, graph.index
+        n = len(self.vertices)
+        # the graph's open neighbourhoods with each id spliced in
+        first, adjacent = graph.first, graph.adjacent
+        self.first = array("i", [first[i] + i for i in range(n + 1)])
+        self.adjacent = closed = array("i")
+        for i in range(n):
+            lo, hi = first[i], first[i + 1]
+            mid = bisect_left(adjacent, i, lo, hi)
+            closed += adjacent[lo:mid]
+            closed.append(i)
+            closed += adjacent[mid:hi]
         self.partners = {}
         for x, y in instance.pairs:
             i, j = index[x], index[y]
             self.partners.setdefault(i, []).append(j)
             self.partners.setdefault(j, []).append(i)
-        n = len(self.vertices)
         sizes = [self.first[i + 1] - self.first[i] for i in range(n)]
         self.need = [(size + 1) // 2 for size in sizes]
         self.undecided = sizes
@@ -375,8 +378,7 @@ def _connected_candidates(graph, limit):
     """Connected induced vertex sets of size at most limit, each one
     exactly once: sets are rooted at their least vertex and extended by
     larger neighbors, with skipped extensions barred from reuse."""
-    order = graph.sorted_vertices()
-    rank = {v: i for i, v in enumerate(order)}
+    order, rank = graph.order, graph.index
 
     def grow(members, frontier, barred):
         yield members

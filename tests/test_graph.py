@@ -1,6 +1,8 @@
 import copy
+import gc
 import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -366,3 +368,174 @@ def test_components_partition_vertices(g):
 @given(graphs())
 def test_edgelist_round_trip_property(g):
     assert graph_from_edgelist(graph_to_edgelist(g)) == g
+
+
+# ------------------------------------------------ frozenset reference model
+
+# plain names and gadget vertices, so that the sorted order, and with it
+# the ids, is not the order of first appearance
+POOL = [v(x) for x in "abcdefg"] + role_samples()[::7]
+
+
+class Model:
+    """The graph as plain sets: what Graph must agree with."""
+
+    def __init__(self, vertices, edges):
+        self.vertices = frozenset(vertices)
+        self.edges = frozenset((u, w) if u < w else (w, u) for u, w in edges)
+        self.adj = {x: set() for x in self.vertices}
+        for u, w in self.edges:
+            self.adj[u].add(w)
+            self.adj[w].add(u)
+
+    def components(self):
+        comps, seen = [], set()
+        for start in sorted(self.vertices):
+            if start in seen:
+                continue
+            comp, stack = {start}, [start]
+            while stack:
+                for w in self.adj[stack.pop()] - comp:
+                    comp.add(w)
+                    stack.append(w)
+            seen |= comp
+            comps.append(frozenset(comp))
+        return comps
+
+    def induced(self, subset):
+        return Model(subset, [e for e in self.edges if set(e) <= subset])
+
+
+@st.composite
+def vertex_edge_lists(draw):
+    """Vertex and edge lists with duplicate and reversed edges; vertices
+    that no edge touches stay isolated."""
+    vertices = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=12))
+    distinct = sorted(set(vertices))
+    pairs = st.tuples(st.sampled_from(distinct), st.sampled_from(distinct))
+    edges = [(u, w) for u, w in draw(st.lists(pairs, max_size=30)) if u != w]
+    edges += [(w, u) for u, w in edges[: draw(st.integers(0, len(edges)))]]
+    return vertices, draw(st.permutations(edges))
+
+
+def assert_agrees(g, m):
+    assert g.vertices == m.vertices
+    assert g.order == sorted(m.vertices)
+    assert all(g.index[x] == i for i, x in enumerate(g.order))
+    assert len(g.edges) == len(m.edges)
+    assert g.edges == m.edges and m.edges == g.edges
+    assert not (g.edges != m.edges)
+    assert hash(g.edges) == hash(m.edges) == hash(frozenset(g.edges))
+    assert list(g.edges) == g.sorted_edges() == sorted(m.edges)
+    assert g.sorted_vertices() == sorted(m.vertices)
+    for x in m.vertices:
+        assert g.neighbors(x) == tuple(sorted(m.adj[x]))
+        assert g.degree(x) == len(m.adj[x])
+        i = g.index[x]
+        ids = g.adjacent[g.first[i]:g.first[i + 1]]
+        assert list(ids) == sorted(g.index[w] for w in m.adj[x])
+        for w in m.vertices - {x}:
+            assert g.has_edge(x, w) == (w in m.adj[x])
+            assert ((x, w) in g.edges) == ((x, w) in m.edges)
+    assert g.connected_components() == m.components()
+
+
+@given(vertex_edge_lists(), st.data())
+def test_graph_agrees_with_the_set_model(lists, data):
+    vertices, edges = lists
+    g, m = Graph(vertices, edges), Model(vertices, edges)
+    assert_agrees(g, m)
+    subset = frozenset(data.draw(st.sets(st.sampled_from(sorted(m.vertices)))))
+    assert_agrees(g.induced(subset), m.induced(subset))
+    # equal graphs, however their edges were listed, are equal and hash
+    # alike; a graph with one edge more or less is not equal
+    again = Graph(reversed(vertices), [(w, u) for u, w in reversed(edges)])
+    assert again == g and hash(again) == hash(g)
+    if m.edges:
+        fewer = Graph(vertices, sorted(m.edges)[1:])
+        assert fewer != g and not (fewer == g)
+    assert Graph(vertices) == Graph(m.vertices, ())
+    assert (Graph(vertices) == g) == (not m.edges)
+
+
+@given(vertex_edge_lists(), st.sets(st.tuples(st.sampled_from(POOL), st.sampled_from(POOL))))
+def test_edge_view_set_algebra(lists, other):
+    g = Graph(*lists)
+    model = frozenset(g.edges)
+    other = frozenset(other)
+    for got, want in (
+        (g.edges | other, model | other),
+        (other | g.edges, model | other),
+        (g.edges & other, model & other),
+        (other & g.edges, model & other),
+        (g.edges - other, model - other),
+        (other - g.edges, other - model),
+        (g.edges ^ other, model ^ other),
+    ):
+        assert type(got) is frozenset
+        assert got == want
+    assert (g.edges <= model) and (model >= g.edges)
+    assert g.edges.isdisjoint(other) == model.isdisjoint(other)
+
+
+def test_edge_view_membership_of_non_pairs():
+    a, b, c, z = (v(x) for x in "abcz")
+    g = Graph([a, b, c], [(a, b), (c, b)])
+    assert (a, b) in g.edges and (b, c) in g.edges
+    # only canonical pairs of known vertices are members
+    for probe in [(b, a), (c, b), (a, c), (a, z), (z, a), (z, z), (a, a),
+                  (a,), (a, b, c), a, "ab", 3, None, [a, b]]:
+        assert probe not in g.edges
+    assert hash(g.edges) == hash(frozenset(g.edges))
+    assert hash(Graph([a]).edges) == hash(frozenset())
+
+
+def test_errors_keep_their_messages():
+    a, b, c = (v(x) for x in "abc")
+    with pytest.raises(ValueError, match=r"^edge endpoint b is not a vertex$"):
+        Graph([a], [(a, b)])
+    with pytest.raises(ValueError, match=r"^edge endpoint b is not a vertex$"):
+        Graph([a], [(b, a)])
+    # an unknown first endpoint is named before the second, and before a
+    # self loop
+    with pytest.raises(ValueError, match=r"^edge endpoint b is not a vertex$"):
+        Graph([a], [(b, c)])
+    with pytest.raises(ValueError, match=r"^edge endpoint b is not a vertex$"):
+        Graph([a], [(b, b)])
+    with pytest.raises(ValueError, match=r"^self loop at a$"):
+        Graph([a, b], [(a, b), (a, a)])
+    g = Graph([a, b], [(a, b)])
+    for call in (
+        lambda: g.neighbors(c),
+        lambda: g.degree(c),
+        lambda: g.closed_neighborhood(c),
+        lambda: g.has_edge(a, c),
+        lambda: g.has_edge(c, a),
+        lambda: g.induced([a, c]),
+    ):
+        with pytest.raises(ValueError, match=r"^unknown vertex: c$"):
+            call()
+    with pytest.raises(ValueError, match=r"^self loop at a$"):
+        g.has_edge(a, a)
+
+
+def test_a_deleted_graph_is_freed_without_the_collector():
+    a, b = v("a"), v("b")
+    gc.disable()
+    try:
+        g = Graph([a, b], [(a, b)])
+        assert (a, b) in g.edges
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_graph_survives_pickle_and_copy():
+    g = fig_graph()
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(g, protocol))
+        assert back == g and back.edges == g.edges
+        assert list(back.edges) == list(g.edges)
+    assert copy.deepcopy(g) == g and copy.copy(g) == g
