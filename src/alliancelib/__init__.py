@@ -18,6 +18,7 @@ from .alliance import (
     is_defensive_alliance,
     is_solution,
     primal_graph,
+    solution_problems,
 )
 from .graph import (
     Graph,
@@ -34,6 +35,7 @@ from .mmo import (
     max_weighted_outdegree,
     mmo_from_json,
     mmo_to_json,
+    orientations,
     solve_mmo,
 )
 from .reductions import (
@@ -110,10 +112,12 @@ __all__ = [
     "mmo_to_alliance",
     "mmo_to_json",
     "orientation_to_solution",
+    "orientations",
     "parse_vertex",
     "postorder_ordering",
     "primal_graph",
     "project_solution",
+    "solution_problems",
     "solution_to_orientation",
     "solve",
     "solve_connected_pruned",

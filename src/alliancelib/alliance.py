@@ -139,28 +139,42 @@ def construct_defense(graph, candidate, vertex):
     return Defense(vertex, dict(zip(attackers, defenders)))
 
 
+def solution_problems(instance, candidate):
+    """Why candidate is no solution, as a list of reasons: size, then
+    forbidden, necessary, pairs and outnumbered members. Empty exactly
+    when it is one; only the reasons found are sorted."""
+    candidate = frozenset(candidate)
+    verdict = is_defensive_alliance(instance.graph, candidate)
+    problems = []
+    size = len(candidate)
+    if instance.mode == "exact":
+        if size != instance.k:
+            problems.append("size %d is not exactly k=%d" % (size, instance.k))
+        elif not size:
+            problems.append("the empty set is not a solution")
+    elif not 1 <= size <= instance.k:
+        problems.append("size %d is outside 1..%d" % (size, instance.k))
+    hit = candidate & instance.forbidden
+    if hit:
+        problems.append(
+            "forbidden vertices selected: %s" % ", ".join(map(str, sorted(hit)))
+        )
+    missing = instance.necessary - candidate
+    if missing:
+        problems.append(
+            "necessary vertices missing: %s" % ", ".join(map(str, sorted(missing)))
+        )
+    unsplit = [(a, b) for a, b in instance.pairs if (a in candidate) == (b in candidate)]
+    for a, b in sorted(unsplit):
+        problems.append("pair %s/%s is not split" % (a, b))
+    for u in sorted(verdict.violators):
+        problems.append("vertex %s is outnumbered" % (u,))
+    return problems
+
+
 def is_solution(instance, candidate):
     """Solution test: size within budget, constraints met, alliance holds."""
-    candidate = frozenset(candidate)
-    for u in candidate:
-        if u not in instance.graph.vertices:
-            raise ValueError("candidate vertex %s is not in the graph" % (u,))
-    if instance.mode == "exact":
-        if len(candidate) != instance.k:
-            return False
-    else:
-        if not 1 <= len(candidate) <= instance.k:
-            return False
-    if not candidate:
-        return False
-    if candidate & instance.forbidden:
-        return False
-    if not instance.necessary <= candidate:
-        return False
-    for a, b in instance.pairs:
-        if (a in candidate) == (b in candidate):
-            return False
-    return bool(is_defensive_alliance(instance.graph, candidate))
+    return not solution_problems(instance, candidate)
 
 
 def primal_graph(instance):

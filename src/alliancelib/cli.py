@@ -19,6 +19,7 @@ from .alliance import (
     instance_to_json,
     is_defensive_alliance,
     primal_graph,
+    solution_problems,
 )
 from .gen import (
     random_forbidden_toy,
@@ -30,10 +31,10 @@ from .gen import (
 from .graph import VertexId, graph_from_edgelist, graph_to_dot, parse_vertex
 from .mmo import (
     MmoInstance,
-    Orientation,
     max_weighted_outdegree,
     mmo_from_json,
     mmo_to_json,
+    orientations,
     solve_mmo,
 )
 from .reductions import (
@@ -331,34 +332,15 @@ def _cmd_verify(args):
     members = frozenset(
         parse_vertex(part.strip()) for part in args.set.split(",") if part.strip()
     )
-    verdict = is_defensive_alliance(instance.graph, members)
-    problems = []
-    size = len(members)
-    if instance.mode == "exact":
-        if size != instance.k:
-            problems.append("size %d is not exactly k=%d" % (size, instance.k))
-    elif not 1 <= size <= instance.k:
-        problems.append("size %d is outside 1..%d" % (size, instance.k))
-    hit = sorted(members & instance.forbidden)
-    if hit:
-        problems.append("forbidden vertices selected: %s" % ", ".join(_names(hit)))
-    missing = sorted(instance.necessary - members)
-    if missing:
-        problems.append("necessary vertices missing: %s" % ", ".join(_names(missing)))
-    for a, b in sorted(instance.pairs):
-        if (a in members) == (b in members):
-            problems.append("pair %s/%s is not split" % (a, b))
-    for u in sorted(verdict.violators):
-        problems.append("vertex %s is outnumbered" % (u,))
-    ok = verdict.ok and not problems
+    problems = solution_problems(instance, members)
     report = {
         "command": "verify",
-        "solution": ok,
-        "size": size,
-        "violators": _names(verdict.violators),
+        "solution": not problems,
+        "size": len(members),
+        "violators": _names(is_defensive_alliance(instance.graph, members).violators),
         "problems": problems,
     }
-    return (0 if ok else 1), report
+    return (1 if problems else 0), report
 
 
 def _cmd_solve(args):
@@ -366,10 +348,7 @@ def _cmd_solve(args):
     if args.connected:
         result = solve_connected_pruned(instance, goal=args.goal)
     else:
-        request = SolveRequest(
-            instance, args.goal, budget=args.budget, propagate=args.propagate
-        )
-        result = solve(request)
+        result = solve(SolveRequest(instance, args.goal, budget=args.budget))
     report = {
         "command": "solve",
         "goal": args.goal,
@@ -452,17 +431,6 @@ def _cmd_decompose(args):
     return 0, report
 
 
-def _orientations(instance):
-    edges = instance.graph.sorted_edges()
-    for mask in range(1 << len(edges)):
-        yield Orientation(
-            {
-                e: (e[0], e[1]) if mask >> i & 1 == 0 else (e[1], e[0])
-                for i, e in enumerate(edges)
-            }
-        )
-
-
 def _cmd_roundtrip(args):
     parsed = parse_instance(_read(args.instance))
     checks = []
@@ -474,7 +442,7 @@ def _cmd_roundtrip(args):
         stage = mmo_to_alliance(parsed)
         feasible = [
             o
-            for o in _orientations(parsed)
+            for o in orientations(parsed)
             if max_weighted_outdegree(parsed, o) <= parsed.r
         ]
         for o in feasible:
@@ -572,7 +540,6 @@ def _build_parser():
         default="decide",
     )
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--propagate", action="store_true")
     p.add_argument("--connected", action="store_true",
                    help="prune to connected candidate sets")
     p.add_argument("--format", choices=("json", "edgelist"), default="json")

@@ -94,13 +94,26 @@ def solve_mmo(instance):
             if out[tail] > instance.r:
                 break
         else:
-            return Orientation(
-                {
-                    e: (e[0], e[1]) if mask >> i & 1 == 0 else (e[1], e[0])
-                    for i, e in enumerate(edges)
-                }
-            )
+            return _orientation(edges, mask)
     return None
+
+
+def orientations(instance):
+    """Every orientation of the instance, in the mask order of
+    solve_mmo."""
+    edges = instance.graph.sorted_edges()
+    for mask in range(1 << len(edges)):
+        yield _orientation(edges, mask)
+
+
+def _orientation(edges, mask):
+    """Bit i of mask reverses edges[i] from its canonical direction."""
+    return Orientation(
+        {
+            e: (e[0], e[1]) if mask >> i & 1 == 0 else (e[1], e[0])
+            for i, e in enumerate(edges)
+        }
+    )
 
 
 def mmo_to_json(instance):

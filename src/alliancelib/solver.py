@@ -1,17 +1,18 @@
 """Exact solver for alliance instances: propagate-and-branch search.
 
-Necessary vertices are fixed in, forbidden vertices are fixed out, and
-the determinations propagate through complementary pairs; what is left
-over are the free vertices. The search assigns them one at a time.
-Every vertex keeps counts of its closed neighbors inside the set and
-still undecided, and after each assignment these rules run to a
-fixpoint:
+Necessary vertices are fixed in and forbidden vertices out. Every
+vertex keeps counts of its closed neighbors inside the set and still
+undecided, and after each assignment these rules run to a fixpoint:
 
 - each complementary pair has exactly one endpoint in;
 - a member that cannot reach half of its closed neighborhood even with
   every undecided neighbor is a dead end;
 - a member that needs every undecided neighbor forces them all in;
 - the set stays within k and, in exact mode, can still reach k.
+
+The vertices that the root fixpoint leaves open are the free vertices
+(free_count), and the search assigns them one at a time. At the root
+the size bounds are checked only once the other rules are done.
 
 The search branches on an undecided neighbor of the member that is
 short of a majority with the least slack, or, with no member short, on
@@ -25,7 +26,6 @@ search at 2^budget nodes.
 
 from array import array
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 
 from .alliance import AllianceInstance
@@ -50,7 +50,6 @@ class SolveRequest:
     instance: AllianceInstance
     goal: str
     budget: int = DEFAULT_BUDGET
-    propagate: bool = False
 
     def __post_init__(self):
         if self.goal not in GOALS:
@@ -76,67 +75,6 @@ def _set_key(members):
     return (len(members), tuple(sorted(members)))
 
 
-def _determine(instance, propagate):
-    """Fixpoint of the forced assignments; True is in, False is out.
-
-    Pair propagation is always on. With propagate the defense counting
-    rules kick in as well: a vertex that is in and cannot spare any of
-    its undetermined neighbors forces them all in, and one that cannot
-    reach a majority even with all of them is a dead end.
-    """
-    partners = {}
-    for x, y in instance.pairs:
-        partners.setdefault(x, []).append(y)
-        partners.setdefault(y, []).append(x)
-    status = {}
-    queue = deque()
-    conflict = False
-
-    def assign(v, value):
-        nonlocal conflict
-        if v in status:
-            if status[v] != value:
-                conflict = True
-            return
-        status[v] = value
-        queue.append(v)
-
-    def drain():
-        while queue and not conflict:
-            v = queue.popleft()
-            for p in partners.get(v, ()):
-                assign(p, not status[v])
-
-    # ids follow the sorted order, and ints sort faster than vertices
-    by_id = instance.graph.index.__getitem__
-    for v in sorted(instance.necessary, key=by_id):
-        assign(v, True)
-    for v in sorted(instance.forbidden, key=by_id):
-        assign(v, False)
-    drain()
-    if propagate:
-        changed = True
-        while changed and not conflict:
-            changed = False
-            members = [u for u, value in status.items() if value]
-            for v in sorted(members):
-                closed = instance.graph.closed_neighborhood(v)
-                inside = sum(1 for u in closed if status.get(u) is True)
-                undecided = [u for u in closed if u not in status]
-                shortfall = max(0, (len(closed) - 2 * inside + 1) // 2)
-                if shortfall > len(undecided):
-                    conflict = True
-                    break
-                if undecided and shortfall == len(undecided):
-                    for u in undecided:
-                        assign(u, True)
-                    drain()
-                    changed = True
-                if conflict:
-                    break
-    return status, conflict
-
-
 class _Search:
     """Partial assignment over int vertex ids with incremental counts.
 
@@ -148,11 +86,13 @@ class _Search:
     still undecided; a member needs ceil(|N[v]|/2) neighbors inside.
     short holds the members below that need. Every assignment goes on
     the trail, and undo reverts the counts by replaying it backwards.
-    The search starts from the forced assignments in status, applied
-    with all they force; consistent tells whether that worked out.
+    The search starts from the root fixpoint: necessary vertices in,
+    forbidden ones out, and all the rules force from there with the
+    size bounds off; open then counts the free vertices, and consistent
+    tells whether the root is a dead end, the size bounds included.
     """
 
-    def __init__(self, instance, status):
+    def __init__(self, instance):
         graph = instance.graph
         self.vertices, index = graph.order, graph.index
         n = len(self.vertices)
@@ -181,11 +121,22 @@ class _Search:
         self.size = 0
         self.open = n
         self.k = instance.k
-        self.exact = instance.mode == "exact"
+        # size bounds off while the rules reach the root fixpoint; id
+        # order keeps where a conflict stops them free of the hash seed,
+        # and one call per vertex keeps no list of them all alive for
+        # the collector to promote
+        self.cap, self.exact = n, False
+        ids = index.__getitem__
+        consistent = all(
+            self.assign([(i, value)])
+            for value, group in ((True, instance.necessary), (False, instance.forbidden))
+            for i in sorted(map(ids, group))
+        )
         # largest size still worth reaching; minimum lowers it
         self.cap = instance.k
-        self.consistent = all(
-            self.assign([(index[v], value)]) for v, value in status.items()
+        self.exact = instance.mode == "exact"
+        self.consistent = consistent and self.size <= self.k and (
+            not self.exact or self.size + self.open >= self.k
         )
 
     def assign(self, pending):
@@ -306,13 +257,9 @@ def _empty_result(goal, free_count, nodes):
 def solve(request):
     """Exact answer for the goal of the request by propagate-and-branch
     search; raises BudgetExceededError past 2^budget search nodes."""
-    instance = request.instance
     goal = request.goal
-    status, conflict = _determine(instance, request.propagate)
-    free_count = len(instance.graph.vertices) - len(status)
-    if conflict:
-        return _empty_result(goal, free_count, 0)
-    search = _Search(instance, status)
+    search = _Search(request.instance)
+    free_count = search.open
     # no search gets near 2^64 nodes, and a larger cap would only cost memory
     limit = 1 << min(request.budget, 64)
     nodes = 1

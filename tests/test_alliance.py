@@ -11,6 +11,7 @@ from alliancelib.alliance import (
     is_defensive_alliance,
     is_solution,
     primal_graph,
+    solution_problems,
 )
 from alliancelib.graph import Graph, VertexId
 
@@ -168,6 +169,17 @@ class TestSolutionPredicate:
         exact = AllianceInstance(g, k=3, mode="exact")
         assert not is_solution(exact, vs("a b"))
         assert is_solution(exact, vs("a b c"))
+
+    def test_verdict_is_a_plain_bool_with_reasons_behind_it(self):
+        inst = constrained_instance()
+        assert is_solution(inst, vs("a b g")) is True
+        assert solution_problems(inst, vs("a b g")) == []
+        assert is_solution(inst, vs("a c g")) is False
+        assert solution_problems(inst, vs("a c g")) == ["vertex a is outnumbered"]
+
+    def test_unknown_candidate_vertex_is_rejected(self):
+        with pytest.raises(ValueError, match="not in the graph"):
+            solution_problems(constrained_instance(), vs("a z"))
 
     def test_adding_a_vertex_can_break_an_alliance(self):
         # path w - x - y - z: {w} defends itself, {w, y} leaves y outnumbered

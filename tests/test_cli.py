@@ -105,6 +105,55 @@ class TestParseInstance:
             cli.parse_instance(json.dumps(payload))
 
 
+def _wheelish_payload(k, mode="at-most"):
+    return json.loads(instance_to_json(AllianceInstance(wheelish_graph(), k=k, mode=mode)))
+
+
+def _path_payload(vertices, k, **fields):
+    """Vertices a, b, ... with the single edge a--b."""
+    payload = {"vertices": list(vertices), "edges": [["a", "b"]], "k": k}
+    payload.update(fields)
+    return payload
+
+
+# (payload, -S argument, problems) of vertex sets that are no solution
+VERIFY_REASONS = {
+    "size-outside-range": (lambda: _wheelish_payload(2), "a,b,c", ["size 3 is outside 1..2"]),
+    "exact-size": (
+        lambda: _wheelish_payload(3, "exact"), "a,b", ["size 2 is not exactly k=3"]
+    ),
+    "forbidden-selected": (
+        lambda: _path_payload("ab", 2, forbidden=["b"]), "a,b",
+        ["forbidden vertices selected: b"],
+    ),
+    "necessary-missing": (
+        lambda: _path_payload("abc", 2, necessary=["c"]), "a,b",
+        ["necessary vertices missing: c"],
+    ),
+    "pair-not-split": (
+        lambda: _path_payload("abcd", 2, pairs=[["c", "d"]]), "a,b",
+        ["pair c/d is not split"],
+    ),
+    "outnumbered": (lambda: _wheelish_payload(2), "a,d", ["vertex d is outnumbered"]),
+    "empty-set": (
+        lambda: _path_payload("ab", 0, mode="exact"), "",
+        ["the empty set is not a solution"],
+    ),
+    "every-reason-in-order": (
+        lambda: json.loads(instance_to_json(constrained_instance())),
+        "b,c,d,f",
+        [
+            "size 4 is outside 1..3",
+            "forbidden vertices selected: d, f",
+            "necessary vertices missing: a, g",
+            "pair b/c is not split",
+            "vertex b is outnumbered",
+            "vertex c is outnumbered",
+        ],
+    ),
+}
+
+
 class TestVerify:
     def test_accepts_solution(self, capsys, tmp_path):
         path = wheelish_file(tmp_path)
@@ -124,6 +173,15 @@ class TestVerify:
         path = wheelish_file(tmp_path)
         code, _report = run(capsys, ["verify", "-S", "a,??", path])
         assert code == 2
+
+    @pytest.mark.parametrize("reason", sorted(VERIFY_REASONS))
+    def test_reports_each_reason(self, capsys, tmp_path, reason):
+        payload, members, problems = VERIFY_REASONS[reason]
+        path = write(tmp_path, "doc.json", json.dumps(payload()))
+        code, report = run(capsys, ["verify", "-S", members, path])
+        assert code == 1
+        assert report["solution"] is False
+        assert report["problems"] == problems
 
 
 class TestSolve:

@@ -9,6 +9,7 @@ from alliancelib.mmo import (
     max_weighted_outdegree,
     mmo_from_json,
     mmo_to_json,
+    orientations,
     solve_mmo,
 )
 
@@ -147,6 +148,21 @@ class TestSolve:
                         }
                     )
                     assert max_weighted_outdegree(inst, cand) > inst.r
+
+    def test_orientations_in_mask_order(self):
+        inst = triangle_instance()
+        edges = inst.graph.sorted_edges()
+        listed = list(orientations(inst))
+        assert len(listed) == 8
+        assert len({tuple(sorted(o.direction.items())) for o in listed}) == 8
+        # bit i of the position reverses edge i
+        for mask, o in enumerate(listed):
+            for i, (x, y) in enumerate(edges):
+                assert o.tail(x, y) == (y if mask >> i & 1 else x)
+        for r in range(1, 7):
+            inst = triangle_instance(r=r)
+            feasible = [o for o in listed if max_weighted_outdegree(inst, o) <= r]
+            assert solve_mmo(inst) == (feasible[0] if feasible else None)
 
 
 class TestJson:

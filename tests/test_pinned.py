@@ -68,9 +68,9 @@ def corpus():
         yield "one-edge w=%d r=%d" % (weight, r), eliminate_pairs(first).result
 
 
-def solver_record(instance, goal, propagate):
+def solver_record(instance, goal):
     try:
-        res = solve(SolveRequest(instance, goal, propagate=propagate))
+        res = solve(SolveRequest(instance, goal))
     except BudgetExceededError as exc:
         return {"budget_exceeded": exc.free_count}
     return {
@@ -103,9 +103,7 @@ def record():
     pins = {}
     for label, inst in corpus():
         for goal in GOALS:
-            for propagate in (False, True):
-                key = "%s %s propagate=%s" % (label, goal, propagate)
-                pins[key] = solver_record(inst, goal, propagate)
+            pins["%s %s" % (label, goal)] = solver_record(inst, goal)
         if label.endswith("at-most") or label.startswith("one-edge"):
             pins["%s alliance" % label] = alliance_records(rng, inst.graph)
     return pins

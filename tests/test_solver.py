@@ -69,7 +69,6 @@ class TestRequestValidation:
     def test_defaults(self):
         req = SolveRequest(AllianceInstance(wheelish_graph(), k=2), "decide")
         assert req.budget == 22
-        assert req.propagate is False
 
     def test_rejects_unknown_goal(self):
         inst = AllianceInstance(wheelish_graph(), k=2)
@@ -180,28 +179,9 @@ class TestConstrainedInstances:
 
 
 class TestPropagation:
-    def cases(self):
-        yield AllianceInstance(wheelish_graph(), k=3)
-        yield constrained_instance()
-        yield mmo_to_alliance(two_vertex_mmo()).result
-        yield eliminate_pairs(
-            AllianceInstance(
-                Graph(list(vs("a b")), []), k=1, pairs=[tuple(vs("a b"))]
-            )
-        ).result
-
-    def test_propagation_is_observable_but_harmless(self):
-        for inst in self.cases():
-            plain = solve(SolveRequest(inst, "enumerate-all", budget=30))
-            prop = solve(
-                SolveRequest(inst, "enumerate-all", budget=30, propagate=True)
-            )
-            assert plain.solutions == prop.solutions
-            assert prop.free_count <= plain.free_count
-
     def test_forced_inclusion_shrinks_free_set(self):
         # x is the only undetermined neighbor of the necessary hub, and
-        # without it the hub is outnumbered, so propagation fixes x in
+        # without it the hub is outnumbered, so the root fixes x in
         hub, x, y = vs("hub x y")
         inst = AllianceInstance(
             Graph([hub, x, y], [(hub, x), (hub, y)]),
@@ -209,11 +189,9 @@ class TestPropagation:
             necessary=[hub],
             forbidden=[y],
         )
-        plain = solve(SolveRequest(inst, "count"))
-        prop = solve(SolveRequest(inst, "count", propagate=True))
-        assert plain.free_count == 1
-        assert prop.free_count == 0
-        assert plain.count == prop.count == 1
+        res = solve(SolveRequest(inst, "count"))
+        assert res.free_count == 0
+        assert res.count == 1
 
     def test_propagation_detects_dead_end(self):
         hub, x, y = vs("hub x y")
@@ -223,17 +201,32 @@ class TestPropagation:
             necessary=[hub],
             forbidden=[x, y],
         )
-        for flag in (False, True):
-            res = solve(SolveRequest(inst, "count", propagate=flag))
-            assert res.count == 0
+        res = solve(SolveRequest(inst, "count"))
+        assert res.count == 0
 
-    def test_minimum_agrees_under_propagation(self):
-        for inst in self.cases():
-            plain = solve(SolveRequest(inst, "minimum", budget=30))
-            prop = solve(SolveRequest(inst, "minimum", budget=30, propagate=True))
-            assert plain.feasible == prop.feasible
-            assert plain.size == prop.size
-            assert plain.witness == prop.witness
+    @pytest.mark.parametrize("goal", GOALS)
+    def test_inconsistent_root_counts_one_node(self, goal):
+        a, b, hub, x, y = vs("a b hub x y")
+        cases = [
+            # a pair joining two necessary vertices
+            AllianceInstance(
+                Graph([a, b], []), k=2, necessary=[a, b], pairs=[(a, b)]
+            ),
+            # a necessary hub whose neighbours are all forbidden
+            AllianceInstance(
+                Graph([hub, x, y], [(hub, x), (hub, y)]),
+                k=3,
+                necessary=[hub],
+                forbidden=[x, y],
+            ),
+        ]
+        for inst in cases:
+            res = solve(SolveRequest(inst, goal))
+            assert res.feasible is False
+            assert res.witness is None
+            assert res.nodes == 1
+            if goal in ("count", "enumerate-all"):
+                assert res.count == 0
 
 
 class TestConnectedPruned:
@@ -324,12 +317,9 @@ def brute_within_k(instance):
     ]
 
 
-def assert_goals_agree_with(instance, expected, propagate):
+def assert_goals_agree_with(instance, expected):
     expected = sorted(expected, key=set_key)
-    results = {
-        goal: solve(SolveRequest(instance, goal, propagate=propagate))
-        for goal in GOALS
-    }
+    results = {goal: solve(SolveRequest(instance, goal)) for goal in GOALS}
     decide = results["decide"]
     assert decide.feasible == bool(expected)
     if expected:
@@ -359,8 +349,7 @@ class TestEmptySet:
         )
         cases.append(dataclasses.replace(constrained_instance(), k=0, mode="exact"))
         for inst in cases:
-            for propagate in (False, True):
-                assert_goals_agree_with(inst, brute_solutions(inst), propagate)
+            assert_goals_agree_with(inst, brute_solutions(inst))
 
 
 def cross_check_corpus():
@@ -392,8 +381,7 @@ class TestBruteForceCrossCheck:
             stage_outputs += any(
                 x.decoration != "original" for x in inst.graph.vertices
             )
-            for propagate in (False, True):
-                assert_goals_agree_with(inst, expected, propagate)
+            assert_goals_agree_with(inst, expected)
         # the corpus does reach the gadget-built stage outputs
         assert stage_outputs >= 20
 
