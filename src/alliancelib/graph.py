@@ -157,6 +157,22 @@ class VertexId(tuple):
         return tuple(self)
 
 
+def _family(base, decoration, indices, partner=None):
+    """The VertexIds base[.partner]/TAGi, one per index tuple (i,) in
+    indices, which must count up from (1,) by one.
+
+    The first goes through the full constructor. The others differ
+    from it only by a positive int index, so every check it passed
+    holds for them too, and they are minted as bare tuples.
+    """
+    if not indices:
+        return ()
+    head = VertexId(base, decoration, indices[0], partner)
+    base, rank, partner, _ = head
+    new = tuple.__new__
+    return (head,) + tuple([new(VertexId, (base, rank, partner, i)) for i in indices[1:]])
+
+
 def _split_top_level(text, sep):
     """Split at sep occurrences that are not inside braces."""
     parts, depth, cur = [], 0, []
@@ -292,14 +308,18 @@ class Graph:
     edges is a read-only set view of the canonical (u, v) pairs with
     u < v; it equals the frozenset of those pairs and iterates them in
     sorted order.
+
+    Graph(vertices, edges) sorts the names and turns each edge into an
+    int key i * n + j over the ids. The reduction stages lay their
+    names out in sorted order themselves and emit such keys directly;
+    both reach the arrays through the same core.
     """
 
     def __init__(self, vertices, edges=()):
-        # sorting the vertices as given gains from the runs in which the
-        # stages list them, which a frozenset would scatter
-        self.order = order = [v for v, _ in groupby(sorted(vertices))]
-        self.vertices = frozenset(order)
-        self.index = index = {v: i for i, v in enumerate(order)}
+        # sorting the vertices as given gains from the runs in which
+        # callers list them, which a frozenset would scatter
+        order = [v for v, _ in groupby(sorted(vertices))]
+        index = {v: i for i, v in enumerate(order)}
         n = len(order)
         keys = []
         add = keys.append
@@ -310,20 +330,34 @@ class Graph:
             j = index.get(v)
             if j is None:
                 raise ValueError("edge endpoint %s is not a vertex" % (v,))
-            if i < j:
-                add(i * n + j)
-            elif j < i:
-                add(j * n + i)
-            else:
+            if i == j:
                 raise ValueError("self loop at %s" % (u,))
-        # sorting the keys gains from those runs too, and brings
-        # duplicates together
+            add(i * n + j)
+        self._build_arrays(order, index, keys)
+
+    @classmethod
+    def _from_keys(cls, order, keys):
+        """Graph on names already in strictly increasing order, with
+        each edge an int key i * len(order) + j over their ids, i != j.
+
+        Either orientation of an edge may appear, and more than once.
+        The list of keys is consumed. The caller vouches for the order
+        and the keys; nothing here checks them.
+        """
+        graph = cls.__new__(cls)
+        graph._build_arrays(order, {v: i for i, v in enumerate(order)}, keys)
+        return graph
+
+    def _build_arrays(self, order, index, keys):
+        self.order, self.index = order, index
+        self.vertices = frozenset(order)
+        n = len(order)
+        # both arcs a * n + b of each edge: sorted and with repeats
+        # dropped, the arcs out of a are contiguous and ordered by b
+        keys += [(key % n) * n + key // n for key in keys]
         keys.sort()
         arcs = [key for key, _ in groupby(keys)]
-        # both arcs a * n + b of each edge: sorted, the arcs out of a are
-        # contiguous and ordered by b
-        arcs += [(key % n) * n + key // n for key in arcs]
-        arcs.sort()
+        del keys[:]
         first = array("i", [bisect_left(arcs, i * n) for i in range(n + 1)])
         adjacent = array("i", [arc % n for arc in arcs])
         self.first, self.adjacent = first, adjacent

@@ -1,0 +1,165 @@
+"""Stage results are laid out by gadget family.
+
+Each stage gives its vertices ids by arithmetic over blocks of names
+and emits its edges as int keys. These tests pin what that layout must
+preserve: ids in sorted name order, ascending gadget tables, counts
+equal to the formulas the CLI projects with, and a clean rejection of
+input names that a stage's gadget names would collide with.
+"""
+
+import dataclasses
+import random
+import warnings
+
+import pytest
+
+from alliancelib import cli
+from alliancelib.alliance import AllianceInstance, instance_to_json
+from alliancelib.gen import (
+    random_forbidden_toy,
+    random_mmo,
+    random_necessary_toy,
+    random_pair_toy,
+)
+from alliancelib.graph import Graph, VertexId, parse_vertex
+from alliancelib.mmo import MmoInstance, mmo_to_json
+from alliancelib.reductions import (
+    STAGE_TAGS,
+    eliminate_forbidden,
+    eliminate_necessary_auto,
+    eliminate_pairs,
+    mmo_to_alliance,
+)
+from alliancelib.treewidth import heuristic_td, make_nice, transform_td
+
+from helpers import one_edge_target
+
+BUILDERS = {
+    "mmo-to-fnc": mmo_to_alliance,
+    "fnc-to-fn": eliminate_pairs,
+    "fn-to-f": eliminate_necessary_auto,
+    "f-to-plain": eliminate_forbidden,
+}
+
+
+def chain_stages(source, start=0):
+    """(source, stage) for each chain stage from STAGE_TAGS[start] on
+    that the CLI would build under its materialization cap."""
+    out = []
+    for tag in STAGE_TAGS[start:]:
+        if cli._predict_vertices(source, tag) > cli.MATERIALIZE_CAP:
+            break
+        stage = BUILDERS[tag](source)
+        out.append((source, stage))
+        source = stage.result
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Every stage of the generator corpora and the two-stage outputs
+    of one-edge targets."""
+    rng = random.Random(707)
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(40):
+            out.extend(chain_stages(random_pair_toy(rng), 1))
+            toy = random_necessary_toy(rng)
+            out.extend(chain_stages(toy, 2))
+            nice = make_nice(heuristic_td(toy.graph))
+            out.append((toy, eliminate_necessary_auto(toy, nice)))
+            out.extend(chain_stages(random_forbidden_toy(rng), 3))
+            out.extend(chain_stages(random_mmo(rng)))
+        for weight, r in ((1, 1), (2, 1), (1, 2), (3, 1)):
+            out.extend(chain_stages(one_edge_target(weight, r))[:2])
+    return out
+
+
+def test_corpus_covers_every_stage(corpus):
+    tags = {stage.tag for _source, stage in corpus}
+    assert tags == {"mmo-to-fnc", "fnc-to-fn", "fn-to-f", "f-to-plain"}
+
+
+def test_stage_results_are_laid_out_in_sorted_order(corpus):
+    for _source, stage in corpus:
+        graph = stage.result.graph
+        order = graph.order
+        assert all(a < b for a, b in zip(order, order[1:])), stage.tag
+        assert Graph(order, graph.edges) == graph, stage.tag
+        for field in dataclasses.fields(stage.gadgets):
+            for value in getattr(stage.gadgets, field.name).values():
+                if isinstance(value, VertexId):
+                    continue
+                assert all(a < b for a, b in zip(value, value[1:])), field.name
+
+
+def test_predicted_counts_equal_built_counts(corpus):
+    for source, stage in corpus:
+        if stage.tag == "mmo-to-fnc":
+            predicted = cli._mmo_projected_stats(source)
+        else:
+            predicted = cli._project_stats(cli._instance_stats(source), stage.tag)
+        built = cli._instance_stats(stage.result)
+        assert {key: built[key] for key in predicted} == predicted, stage.tag
+
+
+def test_stage_three_at_full_size():
+    """The 368,711-vertex stage 3 of the one-edge w=1 r=1 target, built
+    through the post-order ordering the decomposition gives."""
+    mmo = one_edge_target(1, 1)
+    first = mmo_to_alliance(mmo)
+    td = transform_td(first, heuristic_td(mmo.graph))
+    second = eliminate_pairs(first.result)
+    nice = make_nice(transform_td(second, td))
+    third = eliminate_necessary_auto(second.result, nice)
+    result = third.result
+    assert len(result.graph.vertices) == 368711
+    assert len(result.graph.edges) == 1103817
+    predicted = cli._project_stats(cli._instance_stats(second.result), "fn-to-f")
+    assert len(result.forbidden) == predicted["forbidden"]
+    assert result.k == predicted["k"]
+
+
+def _graph(names, edges):
+    p = parse_vertex
+    return Graph([p(x) for x in names], [(p(a), p(b)) for a, b in edges])
+
+
+def collision(tag):
+    """A source for the stage in which an input vertex carries the name
+    of one of the stage's gadget vertices, and that name."""
+    p = parse_vertex
+    if tag == "f-to-plain":
+        graph = _graph(["f", "f/fl1", "y"], [("f", "y"), ("f/fl1", "y")])
+        return AllianceInstance(graph, k=1, forbidden=[p("f")]), "f/fl1"
+    if tag == "fn-to-f":
+        graph = _graph(["x", "y", "x/a1"], [("x", "y")])
+        return AllianceInstance(graph, k=1, necessary=[p("x")]), "x/a1"
+    if tag == "fnc-to-fn":
+        graph = _graph(["x", "y", "x/y1"], [])
+        return AllianceInstance(graph, k=1, pairs=[(p("x"), p("y"))]), "x/y1"
+    graph = _graph(["a", "a/h1"], [("a", "a/h1")])
+    return MmoInstance(graph, {(p("a"), p("a/h1")): 1}, r=1), "a/h1"
+
+
+@pytest.mark.parametrize("tag", sorted(BUILDERS))
+def test_gadget_name_collision_is_rejected(tag):
+    source, name = collision(tag)
+    with pytest.raises(ValueError, match="vertex %s collides" % (name,)):
+        BUILDERS[tag](source)
+
+
+@pytest.mark.parametrize("tag", sorted(BUILDERS))
+def test_gadget_name_collision_exits_two(tag, tmp_path, capsys):
+    source, name = collision(tag)
+    if isinstance(source, MmoInstance):
+        text = mmo_to_json(source)
+    else:
+        text = instance_to_json(source)
+    path = tmp_path / "source.json"
+    path.write_text(text)
+    assert cli.main(["reduce", "--stage", tag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "vertex %s collides" % (name,) in captured.err
