@@ -391,6 +391,17 @@ class TestDecompose:
         parsed = td_from_lines("\n".join(report["lines"]))
         assert parsed.validate_nice(wheelish_graph()).ok
 
+    def test_vertex_named_like_a_kind_round_trips(self, capsys, tmp_path):
+        text = json.dumps({"vertices": ["join"], "edges": [], "k": 1})
+        path = write(tmp_path, "join.json", text)
+        code, report = run(capsys, ["decompose", path])
+        assert code == 0
+        assert report["lines"] == ["0 - join"]
+        td_path = write(tmp_path, "join.td", "\n".join(report["lines"]) + "\n")
+        code, report = run(capsys, ["reduce", "--stage", "f-to-plain", "--td", td_path, path])
+        assert code == 0
+        assert report["width_out"] == 0
+
     def test_primal_graph_is_decomposed(self, capsys, tmp_path):
         path = pair_toy_file(tmp_path)
         code, report = run(capsys, ["decompose", path])

@@ -30,7 +30,7 @@ from alliancelib.reductions import (
     eliminate_pairs,
     mmo_to_alliance,
 )
-from alliancelib.treewidth import heuristic_td, make_nice, transform_td
+from alliancelib.treewidth import heuristic_td, make_nice
 
 from helpers import one_edge_target
 
@@ -104,19 +104,13 @@ def test_predicted_counts_equal_built_counts(corpus):
         assert {key: built[key] for key in predicted} == predicted, stage.tag
 
 
-def test_stage_three_at_full_size():
+def test_stage_three_at_full_size(stage_three):
     """The 368,711-vertex stage 3 of the one-edge w=1 r=1 target, built
     through the post-order ordering the decomposition gives."""
-    mmo = one_edge_target(1, 1)
-    first = mmo_to_alliance(mmo)
-    td = transform_td(first, heuristic_td(mmo.graph))
-    second = eliminate_pairs(first.result)
-    nice = make_nice(transform_td(second, td))
-    third = eliminate_necessary_auto(second.result, nice)
-    result = third.result
+    result = stage_three.third.result
     assert len(result.graph.vertices) == 368711
     assert len(result.graph.edges) == 1103817
-    predicted = cli._project_stats(cli._instance_stats(second.result), "fn-to-f")
+    predicted = cli._project_stats(cli._instance_stats(stage_three.second.result), "fn-to-f")
     assert len(result.forbidden) == predicted["forbidden"]
     assert result.k == predicted["k"]
 

@@ -3,12 +3,14 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alliancelib.alliance import primal_graph
 from alliancelib.graph import Graph, VertexId
 from alliancelib.mmo import MmoInstance
 from alliancelib.reductions import eliminate_pairs, mmo_to_alliance
 from alliancelib.treewidth import (
+    NICE_KINDS,
     NiceTreeDecomposition,
     TreeDecomposition,
     heuristic_td,
@@ -99,6 +101,14 @@ def _td(*rows, reparent=()):
     return td
 
 
+def _unknown_parent():
+    """set_parent refuses an unknown parent, so the link is written
+    directly: validate still diagnoses a tree assembled another way."""
+    td = _td(("a b", None), ("b c", 0))
+    td._parent[1] = 7
+    return td
+
+
 def _path(names):
     verts = vs(names)
     return Graph(verts, list(zip(verts, verts[1:])))
@@ -112,7 +122,7 @@ BROKEN = {
         ("expected exactly one root, found 2",),
     ),
     "unknown parent": (
-        _td(("a b", None), ("b c", 0), reparent=[(1, 7)]),
+        _unknown_parent(),
         _path("a b c"),
         ("node 1 has unknown parent 7",),
     ),
@@ -122,7 +132,8 @@ BROKEN = {
         ("expected exactly one root, found 0",),
     ),
     "unreachable": (
-        _td(("a b", None), ("b c", 0), ("b", 1), reparent=[(2, 2)]),
+        # nodes 2 and 3 are each other's parent, off the root's tree
+        _td(("a b", None), ("b c", 0), ("b", 1), ("b", 2), reparent=[(2, 3)]),
         _path("a b c"),
         ("some nodes are not reachable from the root",),
     ),
@@ -190,6 +201,40 @@ class TestStructure:
         for n in td.nodes():
             assert back.children(n) == copied.children(n) == td.children(n)
 
+    def test_set_parent_rejects_an_unknown_parent(self):
+        td = TreeDecomposition()
+        root = td.add_node({v("a")})
+        child = td.add_node({v("a")}, parent=root)
+        with pytest.raises(ValueError, match="unknown parent node 99"):
+            td.set_parent(child, 99)
+        with pytest.raises(ValueError, match="unknown node 99"):
+            td.set_parent(99, root)
+        assert td.parent(child) == root
+        assert td.children(99) == []
+        assert td.children(root) == [child]
+
+    def test_set_parent_rejects_the_node_itself(self):
+        td = TreeDecomposition()
+        root = td.add_node({v("a")})
+        with pytest.raises(ValueError, match="own parent"):
+            td.set_parent(root, root)
+        assert td.parent(root) is None
+        assert td.children(root) == []
+
+    def test_bag_is_a_read_only_view_of_names(self):
+        g = square_with_chord()
+        td = heuristic_td(g)
+        n = td.nodes()[0]
+        bag = td.bag(n)
+        assert isinstance(bag, frozenset)
+        td.add_to_bag(n, {v("zz")})
+        assert v("zz") not in bag
+        assert v("zz") in td.bag(n)
+        # a name new to the graph's table gives td a private table
+        assert v("zz") not in g.index and len(g.order) == 4
+        assert not validate_td(g, td)
+        assert heuristic_td(g).validate(g)
+
     def test_path_between(self):
         td = TreeDecomposition()
         root = td.add_node(set())
@@ -208,6 +253,12 @@ class TestStructure:
         other = td.add_node(set())
         with pytest.raises(ValueError, match="not in one tree"):
             td.path_between(left[1], other)
+
+    @pytest.mark.parametrize("cycle", ["1 1 a\n", "1 2 a\n2 1 a\n"])
+    def test_path_between_stops_on_a_cycle_of_parent_links(self, cycle):
+        td = td_from_lines("0 - a\n" + cycle)
+        with pytest.raises(ValueError, match="not in one tree"):
+            td.path_between(1, 0)
 
 
 class TestExactTreewidth:
@@ -435,6 +486,19 @@ class TestSerialization:
         assert back.validate_nice(square_with_chord())
         assert td_to_lines(back) == text
 
+    def test_bag_named_like_a_kind_stays_plain(self):
+        text = "0 - join\n"
+        back = td_from_lines(text)
+        assert not isinstance(back, NiceTreeDecomposition)
+        assert back.bag(0) == {v("join")}
+        assert td_to_lines(back) == text
+
+    def test_declared_kinds_must_match_the_tree(self):
+        # every line starts with a kind name, but node 0 is no join
+        back = td_from_lines("0 - join a\n1 0 leaf a\n")
+        assert not isinstance(back, NiceTreeDecomposition)
+        assert back.bag(0) == {v("join"), v("a")}
+
     def test_parse_error_names_line(self):
         with pytest.raises(ValueError, match="line 1"):
             td_from_lines("not a node line\n")
@@ -453,3 +517,28 @@ class TestEmptyBagKinds:
         assert kinds[2] == "join"
         assert sum(1 for k in kinds.values() if k == "leaf") == 2
         assert sum(1 for k in kinds.values() if k == "join") == 1
+
+
+KIND_NAMED = ["a", "b", "c"] + list(NICE_KINDS)
+
+
+@st.composite
+def decompositions(draw):
+    """A tree of up to eight nodes over vertices, some named like node
+    kinds; parents come before children, so it has a single root."""
+    size = draw(st.integers(1, 8))
+    names = st.sets(st.sampled_from(KIND_NAMED), max_size=4)
+    td = TreeDecomposition()
+    for i in range(size):
+        parent = draw(st.integers(0, i - 1)) if i else None
+        td.add_node(vs(" ".join(sorted(draw(names)))), parent=parent)
+    return td
+
+
+@settings(max_examples=150, deadline=None)
+@given(decompositions(), st.booleans())
+def test_lines_round_trip(td, nice):
+    if nice:
+        td = make_nice(td)
+    text = td_to_lines(td)
+    assert td_to_lines(td_from_lines(text)) == text
