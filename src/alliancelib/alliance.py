@@ -178,10 +178,15 @@ def is_solution(instance, candidate):
 
 
 def primal_graph(instance):
-    """Instance graph with every complementary pair added as an edge."""
-    return Graph(
-        instance.graph.vertices, list(instance.graph.edges) + list(instance.pairs)
-    )
+    """Instance graph with every complementary pair added as an edge;
+    the instance graph itself when there are no pairs."""
+    graph = instance.graph
+    if not instance.pairs:
+        return graph
+    n, index, first, adjacent = len(graph.order), graph.index, graph.first, graph.adjacent
+    keys = [i * n + j for i in range(n) for j in adjacent[first[i]:first[i + 1]] if j > i]
+    keys += [index[a] * n + index[b] for a, b in instance.pairs]
+    return Graph._from_keys(graph.order, keys)
 
 
 def instance_to_json(instance):

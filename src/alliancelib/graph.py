@@ -10,7 +10,7 @@ import re
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Set
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import itemgetter
 
 
@@ -63,6 +63,9 @@ _NO_INDEX = frozenset(
 _DECORATIONS = ["original"] + sorted(_TAGS)
 _DECORATION_RANK = {dec: i for i, dec in enumerate(_DECORATIONS)}
 _RANK_TAGS = [None] + [_TAGS[dec] for dec in _DECORATIONS[1:]]
+
+# keys are reoriented a slice of this many at a time
+_CHUNK = 1 << 16
 
 _PLAIN_NAME = re.compile(r"[^\s./{}#]+\Z")
 _SPACE = re.compile(r"\s")
@@ -312,7 +315,10 @@ class Graph:
     Graph(vertices, edges) sorts the names and turns each edge into an
     int key i * n + j over the ids. The reduction stages lay their
     names out in sorted order themselves and emit such keys directly;
-    both reach the arrays through the same core.
+    both reach the arrays through the same core. At its peak the core
+    holds the list of keys, turned in place to i < j a slice at a
+    time, the two arrays and one write position per vertex: it never
+    holds both orientations of the edges as ints, nor a list of arcs.
     """
 
     def __init__(self, vertices, edges=()):
@@ -352,14 +358,48 @@ class Graph:
         self.order, self.index = order, index
         self.vertices = frozenset(order)
         n = len(order)
-        # both arcs a * n + b of each edge: sorted and with repeats
-        # dropped, the arcs out of a are contiguous and ordered by b
-        keys += [(key % n) * n + key // n for key in keys]
+        # each key turned to i * n + j with i < j a slice at a time, so
+        # the list never holds both orientations; sorted, each edge's
+        # repeats are adjacent and the edges come by i, then j
+        for lo in range(0, len(keys), _CHUNK):
+            keys[lo:lo + _CHUNK] = [
+                key if key % n > key // n else (key % n) * n + key // n
+                for key in keys[lo:lo + _CHUNK]
+            ]
         keys.sort()
-        arcs = [key for key, _ in groupby(keys)]
+        # a row's first key finds i by a division, the rest by comparison
+        degree = [0] * n
+        last = end = -1
+        for key in keys:
+            if key != last:
+                last = key
+                if key >= end:
+                    i = key // n
+                    start = i * n
+                    end = start + n
+                degree[i] += 1
+                degree[key - start] += 1
+        first = array("i", accumulate(degree, initial=0))
+        del degree
+        # in that order, row j gets each i < j while the rows before it
+        # are walked, then its own j's as it is: each row comes out sorted
+        adjacent = array("i", [0]) * first[n]
+        free = first.tolist()
+        last = end = -1
+        for key in keys:
+            if key != last:
+                last = key
+                if key >= end:
+                    i = key // n
+                    start = i * n
+                    end = start + n
+                    at = free[i]
+                j = key - start
+                adjacent[at] = j
+                at += 1
+                adjacent[free[j]] = i
+                free[j] += 1
         del keys[:]
-        first = array("i", [bisect_left(arcs, i * n) for i in range(n + 1)])
-        adjacent = array("i", [arc % n for arc in arcs])
         self.first, self.adjacent = first, adjacent
         self.edges = _Edges(order, index, first, adjacent)
 

@@ -2,7 +2,9 @@
 
 Necessary vertices are fixed in and forbidden vertices out. Every
 vertex keeps counts of its closed neighbors inside the set and still
-undecided, and after each assignment these rules run to a fixpoint:
+undecided; the closed neighborhood is the graph's own open slice plus
+the vertex itself, and no copy of the adjacency is made. After each
+assignment these rules run to a fixpoint:
 
 - each complementary pair has exactly one endpoint in;
 - a member that cannot reach half of its closed neighborhood even with
@@ -25,7 +27,6 @@ search at 2^budget nodes.
 """
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .alliance import AllianceInstance
@@ -78,14 +79,20 @@ def _set_key(members):
 class _Search:
     """Partial assignment over int vertex ids with incremental counts.
 
-    Vertex ids are the graph's, which follow the sorted vertex order.
-    The closed neighborhood of v is adjacent[first[v]:first[v + 1]], in
-    id order; two flat arrays keep a stage-3 sized graph compact. state
-    holds True (in), False (out) or None (undecided). inside and
-    undecided count, per vertex, the closed neighbors in the set and
-    still undecided; a member needs ceil(|N[v]|/2) neighbors inside.
+    Vertex ids are the graph's, which follow the sorted vertex order,
+    and first and adjacent are the graph's own arrays: the closed
+    neighborhood of v is its open slice adjacent[first[v]:first[v + 1]]
+    plus v itself, whose own counts assign and undo change by hand.
+    Each loop whose order matters (forcing a member's undecided
+    neighbors, checking members after an out-assignment, branch_vertex)
+    walks the neighborhood of a vertex that is decided by then, so
+    leaving that vertex out of the walk changes nothing. state holds
+    True (in), False (out) or None (undecided). inside and undecided
+    count, per vertex, the closed neighbors in the set and still
+    undecided; a member needs ceil(|N[v]|/2) neighbors inside.
     short holds the members below that need. Every assignment goes on
-    the trail, and undo reverts the counts by replaying it backwards.
+    the trail, an int array that keeps no int objects alive at a
+    stage-3 depth, and undo reverts the counts by replaying it backwards.
     The search starts from the root fixpoint: necessary vertices in,
     forbidden ones out, and all the rules force from there with the
     size bounds off; open then counts the free vertices, and consistent
@@ -96,28 +103,20 @@ class _Search:
         graph = instance.graph
         self.vertices, index = graph.order, graph.index
         n = len(self.vertices)
-        # the graph's open neighbourhoods with each id spliced in
-        first, adjacent = graph.first, graph.adjacent
-        self.first = array("i", [first[i] + i for i in range(n + 1)])
-        self.adjacent = closed = array("i")
-        for i in range(n):
-            lo, hi = first[i], first[i + 1]
-            mid = bisect_left(adjacent, i, lo, hi)
-            closed += adjacent[lo:mid]
-            closed.append(i)
-            closed += adjacent[mid:hi]
+        first = self.first = graph.first
+        self.adjacent = graph.adjacent
         self.partners = {}
         for x, y in instance.pairs:
             i, j = index[x], index[y]
             self.partners.setdefault(i, []).append(j)
             self.partners.setdefault(j, []).append(i)
-        sizes = [self.first[i + 1] - self.first[i] for i in range(n)]
+        sizes = [first[i + 1] - first[i] + 1 for i in range(n)]
         self.need = [(size + 1) // 2 for size in sizes]
         self.undecided = sizes
         self.inside = [0] * n
         self.state = [None] * n
         self.short = set()
-        self.trail = []
+        self.trail = array("i")
         self.size = 0
         self.open = n
         self.k = instance.k
@@ -156,10 +155,12 @@ class _Search:
             self.open -= 1
             for p in self.partners.get(v, ()):
                 pending.append((p, not value))
-            closed = adjacent[first[v]:first[v + 1]]
+            neighbors = adjacent[first[v]:first[v + 1]]
+            undecided[v] -= 1
             if value:
                 self.size += 1
-                for u in closed:
+                inside[v] += 1
+                for u in neighbors:
                     inside[u] += 1
                     undecided[u] -= 1
                     if inside[u] == need[u]:
@@ -171,11 +172,11 @@ class _Search:
                 # an in neighbor leaves the slack of other members as is
                 members = (v,)
             else:
-                for u in closed:
+                for u in neighbors:
                     undecided[u] -= 1
                 if self.exact and self.size + self.open < self.k:
                     return False
-                members = closed
+                members = neighbors
             for u in members:
                 if state[u]:
                     slack = inside[u] + undecided[u] - need[u]
@@ -200,8 +201,10 @@ class _Search:
             value = state[v]
             state[v] = None
             self.open += 1
+            undecided[v] += 1
             if value:
                 self.size -= 1
+                inside[v] -= 1
                 short.discard(v)
                 for u in adjacent[first[v]:first[v + 1]]:
                     inside[u] -= 1

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,9 +14,11 @@ from alliancelib.alliance import (
     primal_graph,
     solution_problems,
 )
+from alliancelib.gen import random_mmo, random_pair_toy
 from alliancelib.graph import Graph, VertexId
+from alliancelib.reductions import mmo_to_alliance
 
-from helpers import constrained_instance, v, vs, wheelish_graph
+from helpers import constrained_instance, one_edge_target, v, vs, wheelish_graph
 
 
 class TestPredicate:
@@ -214,6 +217,24 @@ class TestPrimalGraph:
         with pytest.warns(UserWarning):
             inst = AllianceInstance(g, k=2, pairs={(v("a"), v("b"))})
         assert primal_graph(inst).edges == g.edges
+
+    def test_without_pairs_it_is_the_graph_itself(self):
+        inst = AllianceInstance(wheelish_graph(), k=2)
+        assert primal_graph(inst) is inst.graph
+
+    def test_agrees_with_the_graph_of_edges_and_pairs(self):
+        rng = random.Random(3)
+        instances = [constrained_instance()]
+        instances += [random_pair_toy(rng) for _ in range(10)]
+        instances += [mmo_to_alliance(random_mmo(rng)).result for _ in range(30)]
+        instances += [mmo_to_alliance(one_edge_target(w, r)).result for w, r in ((1, 1), (2, 3))]
+        assert sum(1 for inst in instances if inst.pairs) > 30
+        for inst in instances:
+            g = inst.graph
+            want = Graph(g.vertices, list(g.edges) + list(inst.pairs))
+            got = primal_graph(inst)
+            assert got == want and got.order == want.order
+            assert got.edges == want.edges and list(got.edges) == list(want.edges)
 
 
 class TestJson:

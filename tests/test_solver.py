@@ -4,6 +4,7 @@ existed; the cross-checks compare every goal with brute force over
 is_solution."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 import sys
@@ -33,6 +34,7 @@ from alliancelib.solver import (
     GOALS,
     BudgetExceededError,
     SolveRequest,
+    _Search,
     solve,
     solve_connected_pruned,
 )
@@ -416,6 +418,26 @@ class TestChainOutputs:
         assert solve_mmo(mmo) is None
         assert not res.feasible
         assert res.witness is None
+
+
+def test_stage_three_decision_is_unchanged(stage_three):
+    # the figures and witness digest of the search over the closed
+    # copy of the adjacency that the search used to make
+    instance = stage_three.third.result
+    res = solve(SolveRequest(instance, "decide"))
+    assert res.feasible
+    assert (res.free_count, res.nodes, len(res.witness)) == (184465, 84292, 142325)
+    names = "\n".join(sorted(map(str, res.witness)))
+    assert hashlib.sha256(names.encode()).hexdigest() == (
+        "3ae1bbfc2210dbfefe4a5dcf821ccdfa09b4d310dd946555615ff98da0b1ec9c"
+    )
+
+
+def test_the_search_reads_the_graph_arrays_in_place():
+    instance = constrained_instance()
+    search = _Search(instance)
+    assert search.first is instance.graph.first
+    assert search.adjacent is instance.graph.adjacent
 
 
 class TestDeepSearch:
