@@ -10,9 +10,10 @@ complementary pair contributes exactly one endpoint.
 
 import json
 import warnings
+from array import array
 from dataclasses import dataclass
 
-from .graph import Graph, edge_key, is_integer, parse_vertex
+from .graph import Graph, VertexSet, _holds, _linked, edge_key, is_integer, parse_vertex
 
 MODES = ("at-most", "exact")
 
@@ -43,8 +44,37 @@ class Defense:
             raise ValueError("defense assignment must be injective")
 
 
+def _vertex_set(graph, group, what):
+    """group as a VertexSet over the graph's table. A VertexSet over
+    that table is checked by its id range, any other group name by
+    name."""
+    table = graph.order
+    if isinstance(group, VertexSet) and group.table is table:
+        ids = group.ids
+        if ids and not (ids[0] >= 0 and ids[-1] < len(table)):
+            raise ValueError("%s vertex ids fall outside the graph" % (what,))
+        return group
+    ids = set()
+    for u in group:
+        i = table.find(u)
+        if i is None:
+            raise ValueError("%s vertex %s is not in the graph" % (what, u))
+        ids.add(i)
+    return VertexSet(table, array("i", sorted(ids)))
+
+
+def _pair(a, b):
+    if a == b:
+        raise ValueError("pair %s/%s has equal endpoints" % (a, b))
+    return edge_key(a, b)
+
+
 @dataclass(frozen=True)
 class AllianceInstance:
+    """An alliance problem. forbidden and necessary may be given as any
+    collections of vertices; they are kept as VertexSets over the
+    graph's table, which compare and hash like frozensets."""
+
     graph: Graph
     k: int
     forbidden: frozenset = frozenset()
@@ -53,35 +83,38 @@ class AllianceInstance:
     mode: str = "at-most"
 
     def __post_init__(self):
-        object.__setattr__(self, "forbidden", frozenset(self.forbidden))
-        object.__setattr__(self, "necessary", frozenset(self.necessary))
-        object.__setattr__(self, "pairs", frozenset(edge_key(a, b) for a, b in self.pairs))
+        object.__setattr__(self, "pairs", frozenset(_pair(a, b) for a, b in self.pairs))
         if self.mode not in MODES:
             raise ValueError("mode must be one of %s" % (MODES,))
         if not is_integer(self.k) or self.k < 0:
             raise ValueError("k must be a non-negative integer")
         if self.k == 0 and self.mode == "at-most":
             raise ValueError("k = 0 leaves no room for a nonempty set in at-most mode")
-        for name, group in (("forbidden", self.forbidden), ("necessary", self.necessary)):
-            for u in group:
-                if u not in self.graph.vertices:
-                    raise ValueError("%s vertex %s is not in the graph" % (name, u))
-        overlap = self.forbidden & self.necessary
-        if overlap:
+        for name in ("forbidden", "necessary"):
+            object.__setattr__(self, name, _vertex_set(self.graph, getattr(self, name), name))
+        # the first shared id in id order names the least shared vertex
+        small, large = sorted((self.forbidden.ids, self.necessary.ids), key=len)
+        both = next((i for i in small if _holds(large, i)), None)
+        if both is not None:
             raise ValueError(
-                "vertex %s is both forbidden and necessary" % (sorted(overlap)[0],)
+                "vertex %s is both forbidden and necessary" % (self.graph.order[both],)
             )
-        for a, b in self.pairs:
-            for u in (a, b):
-                if u not in self.graph.vertices:
+        graph = self.graph
+        shared = 0
+        for pair in self.pairs:
+            ids = []
+            for u in pair:
+                i = graph.order.find(u)
+                if i is None:
                     raise ValueError("pair vertex %s is not in the graph" % (u,))
-                if u in self.forbidden:
+                if _holds(self.forbidden.ids, i):
                     raise ValueError("pair vertex %s is forbidden" % (u,))
-        shared = self.pairs & self.graph.edges
+                ids.append(i)
+            shared += _linked(graph.first, graph.adjacent, *ids)
         if shared:
             warnings.warn(
                 "%d complementary pair(s) coincide with graph edges; they are "
-                "kept and collapse in the primal graph" % (len(shared),),
+                "kept and collapse in the primal graph" % (shared,),
                 stacklevel=2,
             )
 
@@ -98,19 +131,28 @@ class AllianceInstance:
         return "plain"
 
 
-def is_defensive_alliance(graph, candidate):
-    """Check the counting condition at every member of candidate."""
-    candidate = frozenset(candidate)
-    index, first, adjacent = graph.index, graph.first, graph.adjacent
-    members = []
-    for u in candidate:
-        i = index.get(u)
-        if i is None:
-            raise ValueError("candidate vertex %s is not in the graph" % (u,))
-        members.append(i)
-    inside = bytearray(len(index))
+def _members(graph, candidate):
+    """The ids of the candidate's vertices, and a bytearray over the ids
+    that marks them. A VertexSet over the graph's table gives its own
+    ids; any other candidate is looked up name by name."""
+    if isinstance(candidate, VertexSet) and candidate.table is graph.order:
+        members = candidate.ids
+    else:
+        find = graph.order.find
+        members = []
+        for u in frozenset(candidate):
+            i = find(u)
+            if i is None:
+                raise ValueError("candidate vertex %s is not in the graph" % (u,))
+            members.append(i)
+    inside = bytearray(len(graph.order))
     for i in members:
         inside[i] = 1
+    return members, inside
+
+
+def _verdict(graph, members, inside):
+    first, adjacent = graph.first, graph.adjacent
     violators = []
     for i in members:
         lo, hi = first[i], first[i + 1]
@@ -120,6 +162,11 @@ def is_defensive_alliance(graph, candidate):
             violators.append(graph.order[i])
     violators = frozenset(violators)
     return AllianceVerdict(not violators, violators)
+
+
+def is_defensive_alliance(graph, candidate):
+    """Check the counting condition at every member of candidate."""
+    return _verdict(graph, *_members(graph, candidate))
 
 
 def construct_defense(graph, candidate, vertex):
@@ -143,10 +190,11 @@ def solution_problems(instance, candidate):
     """Why candidate is no solution, as a list of reasons: size, then
     forbidden, necessary, pairs and outnumbered members. Empty exactly
     when it is one; only the reasons found are sorted."""
-    candidate = frozenset(candidate)
-    verdict = is_defensive_alliance(instance.graph, candidate)
+    graph = instance.graph
+    members, inside = _members(graph, candidate)
+    verdict = _verdict(graph, members, inside)
     problems = []
-    size = len(candidate)
+    size = len(members)
     if instance.mode == "exact":
         if size != instance.k:
             problems.append("size %d is not exactly k=%d" % (size, instance.k))
@@ -154,17 +202,16 @@ def solution_problems(instance, candidate):
             problems.append("the empty set is not a solution")
     elif not 1 <= size <= instance.k:
         problems.append("size %d is outside 1..%d" % (size, instance.k))
-    hit = candidate & instance.forbidden
+    # ids follow name order, so these come out sorted
+    order = graph.order
+    hit = [order[i] for i in instance.forbidden.ids if inside[i]]
     if hit:
-        problems.append(
-            "forbidden vertices selected: %s" % ", ".join(map(str, sorted(hit)))
-        )
-    missing = instance.necessary - candidate
+        problems.append("forbidden vertices selected: %s" % ", ".join(map(str, hit)))
+    missing = [order[i] for i in instance.necessary.ids if not inside[i]]
     if missing:
-        problems.append(
-            "necessary vertices missing: %s" % ", ".join(map(str, sorted(missing)))
-        )
-    unsplit = [(a, b) for a, b in instance.pairs if (a in candidate) == (b in candidate)]
+        problems.append("necessary vertices missing: %s" % ", ".join(map(str, missing)))
+    find = order.find
+    unsplit = [(a, b) for a, b in instance.pairs if inside[find(a)] == inside[find(b)]]
     for a, b in sorted(unsplit):
         problems.append("pair %s/%s is not split" % (a, b))
     for u in sorted(verdict.violators):
@@ -183,9 +230,9 @@ def primal_graph(instance):
     graph = instance.graph
     if not instance.pairs:
         return graph
-    n, index, first, adjacent = len(graph.order), graph.index, graph.first, graph.adjacent
+    n, find, first, adjacent = len(graph.order), graph.order.find, graph.first, graph.adjacent
     keys = [i * n + j for i in range(n) for j in adjacent[first[i]:first[i + 1]] if j > i]
-    keys += [index[a] * n + index[b] for a, b in instance.pairs]
+    keys += [find(a) * n + find(b) for a, b in instance.pairs]
     return Graph._from_keys(graph.order, keys)
 
 

@@ -9,9 +9,10 @@ carry that reliably once constructions are stacked, hence VertexId.
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Set
-from itertools import accumulate, groupby
-from operator import itemgetter
+from collections.abc import Mapping, Sequence, Set
+from functools import partial
+from itertools import accumulate, chain, groupby, repeat
+from operator import eq, itemgetter
 
 
 # role -> short tag used in the canonical string rendering
@@ -160,22 +161,6 @@ class VertexId(tuple):
         return tuple(self)
 
 
-def _family(base, decoration, indices, partner=None):
-    """The VertexIds base[.partner]/TAGi, one per index tuple (i,) in
-    indices, which must count up from (1,) by one.
-
-    The first goes through the full constructor. The others differ
-    from it only by a positive int index, so every check it passed
-    holds for them too, and they are minted as bare tuples.
-    """
-    if not indices:
-        return ()
-    head = VertexId(base, decoration, indices[0], partner)
-    base, rank, partner, _ = head
-    new = tuple.__new__
-    return (head,) + tuple([new(VertexId, (base, rank, partner, i)) for i in indices[1:]])
-
-
 def _split_top_level(text, sep):
     """Split at sep occurrences that are not inside braces."""
     parts, depth, cur = [], 0, []
@@ -257,6 +242,251 @@ def _linked(first, adjacent, i, j):
     return k < hi and adjacent[k] == j
 
 
+def _holds(ids, i):
+    """Whether i is in ids, a sorted sequence of ints."""
+    k = bisect_left(ids, i)
+    return k < len(ids) and ids[k] == i
+
+
+class Block(Sequence):
+    """A run of vertex names that take consecutive ids from start on.
+
+    A block holds explicit names, or stands for the family
+    base[.partner]/TAG1 .. TAGcount: key is then the (base, decoration
+    rank, partner or "") that its names share, and a name is made only
+    when it is asked for. ids is the range of the block's ids once a
+    VertexTable has placed it. A block equals the tuple of its names.
+    """
+
+    __slots__ = ("names", "key", "count", "start")
+
+    def __init__(self, names=None, key=None, count=0):
+        self.names, self.key, self.start = names, key, 0
+        self.count = count if names is None else len(names)
+
+    @classmethod
+    def family(cls, base, decoration, count, partner=None):
+        # the first name goes through every VertexId check; the others
+        # differ from it only by a positive int index
+        return cls(key=VertexId(base, decoration, (1,), partner)[:3], count=count)
+
+    @property
+    def ids(self):
+        return range(self.start, self.start + self.count)
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, t):
+        if self.names is not None:
+            return self.names[t]
+        if isinstance(t, slice):
+            return tuple(map(self.__getitem__, range(*t.indices(self.count))))
+        if t < 0:
+            t += self.count
+        if not 0 <= t < self.count:
+            raise IndexError("block index out of range")
+        return _mint(self.key + ((t + 1,),))
+
+    def __iter__(self):
+        if self.names is not None:
+            return iter(self.names)
+        # the (base, rank, partner, (t,)) tuples are zipped in C
+        base, rank, partner = self.key
+        count = self.count
+        return map(_mint, zip(
+            repeat(base, count), repeat(rank), repeat(partner), zip(range(1, count + 1))
+        ))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, Block)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return "Block(%s)" % ", ".join(map(str, self))
+
+    def __reduce__(self):
+        return (Block, (self.names, self.key, self.count))
+
+
+# a VertexId from its four fields, which the caller vouches for
+_mint = partial(tuple.__new__, VertexId)
+
+
+class VertexTable(Sequence):
+    """The vertex names of a graph in id order: a read-only sequence
+    over Blocks, whose names increase strictly from block to block.
+
+    table[i] finds the block of id i by bisection, so a family name is
+    made only when it is asked for. find(name) gives the id of a name,
+    or None: an explicit name by one dict lookup, a family name by one
+    lookup of its (base, rank, partner) and its index. Every id it
+    gives is an int of the one shared list ids, so the holders of an id
+    hold the same int object. A table equals a list or a tuple of the
+    same names.
+    """
+
+    __slots__ = ("blocks", "ids", "_starts", "_named", "_families")
+
+    def __init__(self, blocks):
+        """Table over blocks, which it places: each gets its start.
+        Empty blocks are left out."""
+        self.blocks = [block for block in blocks if block.count]
+        self._starts = list(accumulate((b.count for b in self.blocks), initial=0))
+        ids = self.ids = list(range(self._starts.pop()))
+        self._named, self._families = {}, {}
+        for block, start in zip(self.blocks, self._starts):
+            block.start = start
+            if block.names is None:
+                self._families[block.key] = block
+            else:
+                self._named.update(zip(block.names, ids[start:start + block.count]))
+
+    def find(self, name):
+        """The id of name, or None when the table lacks it."""
+        i = self._named.get(name)
+        if i is not None:
+            return i
+        if self._families and isinstance(name, tuple) and len(name) == 4:
+            block = self._families.get(name[:3])
+            # a family name has one index t, 1 <= t <= count
+            t = name[3]
+            if (
+                block is not None and isinstance(t, tuple) and len(t) == 1
+                and isinstance(t[0], int) and 0 < t[0] <= block.count
+            ):
+                i = self.ids[block.start + t[0] - 1]
+        return i
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        n = len(self.ids)
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(n))]
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("vertex id out of range")
+        b = bisect_right(self._starts, i) - 1
+        return self.blocks[b][i - self._starts[b]]
+
+    def __iter__(self):
+        return chain.from_iterable(self.blocks)
+
+    def names(self, ids):
+        """The names of ids, a sorted sequence of ids of the table, in
+        id order; each block is found once, not once per id."""
+        starts, blocks = self._starts, self.blocks
+        end = 0
+        for i in ids:
+            if i >= end:
+                b = bisect_right(starts, i) - 1
+                block, start = blocks[b], starts[b]
+                end = start + block.count
+            yield block[i - start]
+
+    def __contains__(self, name):
+        return self.find(name) is not None
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if isinstance(other, (list, tuple, VertexTable)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "VertexTable(%d names in %d blocks)" % (len(self), len(self.blocks))
+
+    def __reduce__(self):
+        return (VertexTable, (self.blocks,))
+
+
+class _Index(Mapping):
+    """Read-only mapping from the names of a table to their ids."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table):
+        self._table = table
+
+    def __getitem__(self, name):
+        i = self._table.find(name)
+        if i is None:
+            raise KeyError(name)
+        return i
+
+    def get(self, name, default=None):
+        i = self._table.find(name)
+        return default if i is None else i
+
+    def __contains__(self, name):
+        return self._table.find(name) is not None
+
+    def __len__(self):
+        return len(self._table)
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __reduce__(self):
+        return (_Index, (self._table,))
+
+
+class VertexSet(Set):
+    """Read-only set of the names of a table with the given ids, a
+    sorted sequence of distinct ints (a range or an array).
+
+    Membership is a lookup in the table and a bisection of ids, and
+    iteration makes the names in id order, which is name order. It
+    compares and hashes like the frozenset of the same names, and set
+    algebra with it returns frozensets; two sets over one table compare
+    by their ids, without making names.
+    """
+
+    __slots__ = ("table", "ids")
+
+    def __init__(self, table, ids):
+        self.table, self.ids = table, ids
+
+    @classmethod
+    def _from_iterable(cls, iterable):
+        return frozenset(iterable)
+
+    __hash__ = Set._hash
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __iter__(self):
+        if len(self.ids) == len(self.table):
+            return iter(self.table)
+        return self.table.names(self.ids)
+
+    def __contains__(self, name):
+        i = self.table.find(name)
+        return i is not None and _holds(self.ids, i)
+
+    def __eq__(self, other):
+        if isinstance(other, VertexSet) and other.table is self.table:
+            return len(self.ids) == len(other.ids) and all(map(eq, self.ids, other.ids))
+        return Set.__eq__(self, other)
+
+    def __repr__(self):
+        return "VertexSet(%d of %d vertices)" % (len(self.ids), len(self.table))
+
+    def __reduce__(self):
+        return (VertexSet, (self.table, self.ids))
+
+
 class _Edges(Set):
     """Read-only set of the canonical (u, v) pairs, u < v, of a graph.
 
@@ -266,9 +496,8 @@ class _Edges(Set):
     than the graph, so the two form no reference cycle.
     """
 
-    def __init__(self, order, index, first, adjacent):
-        self._order, self._index = order, index
-        self._first, self._adjacent = first, adjacent
+    def __init__(self, order, first, adjacent):
+        self._order, self._first, self._adjacent = order, first, adjacent
 
     @classmethod
     def _from_iterable(cls, iterable):
@@ -282,8 +511,8 @@ class _Edges(Set):
     def __contains__(self, pair):
         if not isinstance(pair, tuple) or len(pair) != 2:
             return False
-        i = self._index.get(pair[0])
-        j = self._index.get(pair[1])
+        i = self._order.find(pair[0])
+        j = self._order.find(pair[1])
         return i is not None and j is not None and i < j and _linked(
             self._first, self._adjacent, i, j
         )
@@ -302,9 +531,12 @@ class Graph:
     Every vertex has an int id, and ids follow the sorted vertex order.
     Read-only attributes:
 
-    - vertices: the frozenset of vertices;
-    - order: the sorted vertex list, so order[i] has id i;
-    - index: a dict from vertex to id;
+    - order: the VertexTable of the names in id order, so order[i] has
+      id i; a stage output's table is laid out in gadget families,
+      whose names are made only when asked for;
+    - index: a read-only mapping from vertex to id over that table;
+    - vertices: the VertexSet of all of them, which equals and hashes
+      like the frozenset of the vertices;
     - first, adjacent: array("i")s; the open neighbourhood of id i is
       adjacent[first[i]:first[i + 1]], in id order.
 
@@ -312,52 +544,56 @@ class Graph:
     u < v; it equals the frozenset of those pairs and iterates them in
     sorted order.
 
-    Graph(vertices, edges) sorts the names and turns each edge into an
-    int key i * n + j over the ids. The reduction stages lay their
-    names out in sorted order themselves and emit such keys directly;
-    both reach the arrays through the same core. At its peak the core
-    holds the list of keys, turned in place to i < j a slice at a
-    time, the two arrays and one write position per vertex: it never
-    holds both orientations of the edges as ints, nor a list of arcs.
+    Graph(vertices, edges) sorts the names into a table of one explicit
+    block and turns each edge into an int key i * n + j over the ids.
+    The reduction stages lay their tables out in blocks themselves and
+    emit such keys directly; both reach the arrays through the same
+    core. At its peak the core holds the list of keys, turned in place
+    to i < j a slice at a time, the two arrays and one write position
+    per vertex: it never holds both orientations of the edges as ints,
+    nor a list of arcs.
     """
 
     def __init__(self, vertices, edges=()):
         # sorting the vertices as given gains from the runs in which
         # callers list them, which a frozenset would scatter
-        order = [v for v, _ in groupby(sorted(vertices))]
-        index = {v: i for i, v in enumerate(order)}
+        order = VertexTable([Block(tuple(v for v, _ in groupby(sorted(vertices))))])
+        find = order.find
         n = len(order)
         keys = []
         add = keys.append
         for u, v in edges:
-            i = index.get(u)
+            i = find(u)
             if i is None:
                 raise ValueError("edge endpoint %s is not a vertex" % (u,))
-            j = index.get(v)
+            j = find(v)
             if j is None:
                 raise ValueError("edge endpoint %s is not a vertex" % (v,))
             if i == j:
                 raise ValueError("self loop at %s" % (u,))
             add(i * n + j)
-        self._build_arrays(order, index, keys)
+        self._build_arrays(order, keys)
 
     @classmethod
     def _from_keys(cls, order, keys):
-        """Graph on names already in strictly increasing order, with
-        each edge an int key i * len(order) + j over their ids, i != j.
+        """Graph on a VertexTable, or on names already in strictly
+        increasing order, with each edge an int key i * len(order) + j
+        over their ids, i != j.
 
         Either orientation of an edge may appear, and more than once.
         The list of keys is consumed. The caller vouches for the order
         and the keys; nothing here checks them.
         """
+        if not isinstance(order, VertexTable):
+            order = VertexTable([Block(tuple(order))])
         graph = cls.__new__(cls)
-        graph._build_arrays(order, {v: i for i, v in enumerate(order)}, keys)
+        graph._build_arrays(order, keys)
         return graph
 
-    def _build_arrays(self, order, index, keys):
-        self.order, self.index = order, index
-        self.vertices = frozenset(order)
+    def _build_arrays(self, order, keys):
         n = len(order)
+        self.order, self.index = order, _Index(order)
+        self.vertices = VertexSet(order, range(n))
         # each key turned to i * n + j with i < j a slice at a time, so
         # the list never holds both orientations; sorted, each edge's
         # repeats are adjacent and the edges come by i, then j
@@ -401,28 +637,31 @@ class Graph:
                 free[j] += 1
         del keys[:]
         self.first, self.adjacent = first, adjacent
-        self.edges = _Edges(order, index, first, adjacent)
+        self.edges = _Edges(order, first, adjacent)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
+        # two graphs over one table compare no names
         return (
-            self.vertices == other.vertices
-            and self.first == other.first
+            self.first == other.first
             and self.adjacent == other.adjacent
+            and (self.order is other.order or self.vertices == other.vertices)
         )
 
     def __hash__(self):
-        return hash((self.vertices, self.adjacent.tobytes()))
+        # equal graphs have equal arrays; the names are left out, so
+        # that hashing makes none
+        return hash((self.first.tobytes(), self.adjacent.tobytes()))
 
     def __contains__(self, v):
         return v in self.vertices
 
     def __repr__(self):
-        return "Graph(%d vertices, %d edges)" % (len(self.vertices), len(self.edges))
+        return "Graph(%d vertices, %d edges)" % (len(self.order), len(self.edges))
 
     def _id(self, v):
-        i = self.index.get(v)
+        i = self.order.find(v)
         if i is None:
             raise ValueError("unknown vertex: %s" % (v,))
         return i

@@ -10,20 +10,25 @@ stage records its gadget vertices so solutions can be lifted forward
 and projected back without re-deriving names, and its size function
 maps solution sizes across the stage.
 
-A stage builds its output from a layout (_Layout): one block of names
+A stage builds its output from a layout (_Layout): one Block of names
 per input vertex or singleton gadget, and one per gadget family, the
 names that share base, decoration and partner with indices 1..m.
 Sorted by their first names, the blocks give each vertex its id by
-arithmetic, the gadget tables are the blocks' name tuples, and every
-edge is emitted as an int key i * n + j over those ids; runs of
-chain edges are ranges. An input vertex whose name a gadget of the
-stage would also take is rejected rather than merged.
+arithmetic, and every edge is emitted as an int key i * n + j over
+those ids; runs of chain edges are ranges. The result's vertex table
+is the blocks themselves, so a family's names are made only when asked
+for: the gadget tables hold the family blocks, which read as name
+sequences and give their id range, and the forbidden and necessary
+sets are VertexSets over the table's ids. An input vertex whose name a
+gadget of the stage would also take is rejected rather than merged.
 """
 
+from array import array
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from .alliance import AllianceInstance, is_solution
-from .graph import Graph, VertexId, _family
+from .graph import Block, Graph, VertexId, VertexSet, VertexTable
 from .mmo import Orientation
 from .treewidth import postorder_ordering
 
@@ -85,84 +90,75 @@ def _affine(scale, shift):
     return size
 
 
-class _Block:
-    """A run of names of a stage result, in sorted order; start is the
-    id of its first name once the layout is placed."""
-
-    __slots__ = ("names", "start")
-
-    def __init__(self, names):
-        self.names = names
-        self.start = 0
-
-
-def _first_name(block):
-    return block.names[0]
+def _ends(block):
+    """The first and last names of a block, a family's as plain tuples,
+    which order like the VertexIds."""
+    if block.names is not None:
+        return block.names[0], block.names[-1]
+    return block.key + ((1,),), block.key + ((block.count,),)
 
 
 class _Layout:
-    """The vertex names of a stage result, laid out in blocks so that
+    """The vertex names of a stage result, laid out in Blocks so that
     every id follows by arithmetic.
 
     A block is one input vertex, one singleton gadget, or one gadget
     family: the names with the same base, decoration and partner and
-    indices 1..m. place() sorts the blocks by their first names and
-    checks that each block's last name sorts strictly below the next
-    block's first. That proves the concatenated order sorted, and it
-    rejects an input name that equals a gadget name, which Graph would
-    otherwise merge into one vertex. The name at position t of a block
-    then has id block.start + t.
+    indices 1..m, made only when asked for. place() sorts the blocks by
+    their first names and checks that each block's last name sorts
+    strictly below the next block's first. That proves the concatenated
+    order sorted, and it rejects an input name that equals a gadget
+    name, which Graph would otherwise merge into one vertex. The
+    VertexTable over the blocks then gives the name at position t of a
+    block the id block.start + t.
     """
 
     def __init__(self, tag):
         self.tag = tag
         self.blocks = []
         self.order = None
-        self._indices = []
 
-    def _add(self, names):
-        block = _Block(names)
+    def _add(self, block):
         self.blocks.append(block)
         return block
 
     def vertex(self, name):
-        return self._add((name,))
+        return self._add(Block((name,)))
 
     def inputs(self, graph):
         """One block per vertex of graph, in its id order."""
-        return [self._add((u,)) for u in graph.order]
+        return [self._add(Block((u,))) for u in graph.order]
 
     def family(self, base, decoration, count, partner=None):
-        # the families share their index tuples (1,), (2,), ...
-        indices = self._indices
-        indices.extend((i,) for i in range(len(indices) + 1, count + 1))
-        return self._add(_family(base, decoration, indices[:count], partner))
+        return self._add(Block.family(base, decoration, count, partner))
 
     def place(self):
-        """Sort the blocks, check them and set their starts; returns
-        the number of vertices."""
-        order = []
+        """Sort the blocks, check them and build the table; returns the
+        number of vertices."""
+        ends = sorted(((_ends(b), b) for b in self.blocks if b.count), key=itemgetter(0))
         last = None
-        for block in sorted((b for b in self.blocks if b.names), key=_first_name):
-            names = block.names
-            if last is not None and not last < names[0]:
+        for (first, end), block in ends:
+            if last is not None and not last < first:
                 raise ValueError(
                     "vertex %s collides with the gadget vertex names of stage %s"
-                    % (names[0], self.tag)
+                    % (block[0], self.tag)
                 )
-            block.start = len(order)
-            order += names
-            last = names[-1]
-        self.order = order
-        return len(order)
-
-
-def _names(blocks):
-    return {key: block.names for key, block in blocks.items()}
+            last = end
+        self.order = VertexTable([block for _ends, block in ends])
+        return len(self.order)
 
 
 def _name(blocks):
-    return {key: block.names[0] for key, block in blocks.items()}
+    return {key: block[0] for key, block in blocks.items()}
+
+
+def _id_set(table, blocks):
+    """The VertexSet of the names of blocks of table, which must not
+    overlap."""
+    ids = array("i")
+    for block in sorted(blocks, key=attrgetter("start")):
+        ids.extend(block.ids)
+    return VertexSet(table, ids)
 
 
 def _source_keys(graph, inputs, n):
@@ -203,7 +199,7 @@ def _oplus(n, u, u_forbidden, w, w_forbidden):
 def _chain(n, chain, twins):
     """Keys of the _oplus couplings of consecutive members of a chain
     block and of its block of forbidden twins."""
-    length = len(chain.names)
+    length = chain.count
     if length < 2:
         return []
     a, f = chain.start, twins.start
@@ -216,8 +212,10 @@ def _chain(n, chain, twins):
 
 
 def _mmo_layout(instance):
-    """Layout of the orientation stage: the input blocks, and blocks
-    of helpers, edge copies and their twins, with the gadget tables."""
+    """Layout of the orientation stage, not yet placed: the input
+    blocks, and blocks of helpers, edge copies and their twins, with
+    the gadget tables. The orientation converters read only names, so
+    only mmo_to_alliance places it."""
     graph = instance.graph
     layout = _Layout("mmo-to-fnc")
     inputs = layout.inputs(graph)
@@ -232,8 +230,7 @@ def _mmo_layout(instance):
             twins[(owner, other)] = layout.family(
                 name, "edge-copy-forbidden", weight, partner
             )
-    layout.place()
-    gadgets = MmoGadgets(_names(helper), _names(copies), _names(twins))
+    gadgets = MmoGadgets(helper, copies, twins)
     return layout, inputs, helper, copies, twins, gadgets
 
 
@@ -243,14 +240,15 @@ def mmo_to_alliance(instance, mode="at-most"):
     modes accept the same solution sets."""
     layout, inputs, helper, copies, twins, gadgets = _mmo_layout(instance)
     graph = instance.graph
-    n = len(layout.order)
+    n = layout.place()
+    table = layout.order
     keys = []
     for u, block in zip(graph.order, inputs):
         helpers = helper[u]
-        keys += _fan(n, block.start, helpers.start, len(helpers.names))
+        keys += _fan(n, block.start, helpers.start, helpers.count)
     for edge, block in copies.items():
         owner = inputs[graph.index[edge[0]]].start
-        weight = len(block.names)
+        weight = block.count
         keys += _fan(n, owner, block.start, weight)
         keys += _fan(n, owner, twins[edge].start, weight)
     pairs = []
@@ -259,15 +257,12 @@ def mmo_to_alliance(instance, mode="at-most"):
         theirs = gadgets.edge_copy[(w, u)]
         pairs.extend(zip(mine, theirs))
         pairs.extend(zip(theirs, mine[1:]))
-    necessary = list(graph.order)
-    for block in helper.values():
-        necessary += block.names
-    forbidden = [x for group in gadgets.edge_copy_forbidden.values() for x in group]
+    necessary = _id_set(table, inputs + list(helper.values()))
     k = len(necessary) + sum(instance.weights.values())
     result = AllianceInstance(
-        graph=Graph._from_keys(layout.order, keys),
+        graph=Graph._from_keys(table, keys),
         k=k,
-        forbidden=forbidden,
+        forbidden=_id_set(table, twins.values()),
         necessary=necessary,
         pairs=pairs,
         mode=mode,
@@ -358,20 +353,18 @@ def eliminate_pairs(instance):
             )
             keys += _chain(total, zs, zf)
     gadgets = PairGadgets(
-        _names(y_chain), _names(y_twins), _name(z_hub),
-        _names(z_chain), _names(z_twins), _name(triangle),
+        y_chain, y_twins, _name(z_hub), z_chain, z_twins, _name(triangle)
     )
-    forbidden = list(instance.forbidden)
-    for group in (y_twins, z_twins):
-        for block in group.values():
-            forbidden += block.names
-    necessary = list(instance.necessary) + list(gadgets.triangle.values())
+    table = layout.order
+    forbidden = [inputs[i] for i in instance.forbidden.ids]
+    forbidden += [*y_twins.values(), *z_twins.values()]
+    necessary = [inputs[i] for i in instance.necessary.ids] + list(triangle.values())
     size_fn = _affine(n + 1, len(pairs) * (m + 2))
     result = AllianceInstance(
-        graph=Graph._from_keys(layout.order, keys),
+        graph=Graph._from_keys(table, keys),
         k=size_fn(instance.k),
-        forbidden=forbidden,
-        necessary=necessary,
+        forbidden=_id_set(table, forbidden),
+        necessary=_id_set(table, necessary),
         mode=instance.mode,
     )
     return ReductionStage(
@@ -414,7 +407,7 @@ def eliminate_necessary(instance, ordering):
     members = [
         (x, inputs[source.index[x]])
         for x in sorted(instance.necessary) + open_vertices
-    ] + [(block.names[0], block) for block in primed.values()]
+    ] + [(block[0], block) for block in primed.values()]
     a_chain = {x: layout.family(str(x), "A-chain", n + 1) for x, _ in members}
     a_twins = {x: layout.family(str(x), "A-chain-forbidden", n + 1) for x, _ in members}
     g, h, g_twin, h_twin = (
@@ -438,7 +431,7 @@ def eliminate_necessary(instance, ordering):
             gu * total + h_twin[u].start,
         ]
     images = [
-        u if u in instance.necessary else primed[u].names[0] for u in ordering
+        u if u in instance.necessary else primed[u][0] for u in ordering
     ]
     for left, right in zip(images, images[1:]):
         keys += _oplus(
@@ -449,21 +442,18 @@ def eliminate_necessary(instance, ordering):
             a_twins[right].start,
         )
     gadgets = NecessaryGadgets(
-        _names(a_chain), _names(a_twins), _name(primed),
-        _name(g), _name(h), _name(g_twin), _name(h_twin),
+        a_chain, a_twins, _name(primed), _name(g), _name(h), _name(g_twin), _name(h_twin),
     )
-    forbidden = list(instance.forbidden)
-    for block in a_twins.values():
-        forbidden += block.names
-    for u in open_vertices:
-        forbidden += [g_twin[u].names[0], h_twin[u].names[0]]
+    table = layout.order
+    forbidden = [inputs[i] for i in instance.forbidden.ids] + list(a_twins.values())
+    forbidden += [*g_twin.values(), *h_twin.values()]
     size_fn = _affine(
         n + 3, (n + 3) * len(open_vertices) - len(instance.necessary)
     )
     result = AllianceInstance(
-        graph=Graph._from_keys(layout.order, keys),
+        graph=Graph._from_keys(table, keys),
         k=size_fn(instance.k),
-        forbidden=forbidden,
+        forbidden=_id_set(table, forbidden),
         mode=instance.mode,
     )
     return ReductionStage(
@@ -523,57 +513,63 @@ def eliminate_forbidden(instance):
         tag="f-to-plain",
         source=instance,
         result=result,
-        gadgets=ForbiddenGadgets(_name(fan_hub), _names(fan_leaves)),
+        gadgets=ForbiddenGadgets(_name(fan_hub), fan_leaves),
         size_fn=_identity,
     )
 
 
 def _lift_pairs(stage, solution):
-    out = set(solution)
-    for u in solution:
-        out.update(stage.gadgets.y_chain[u])
+    """The names and the gadget family blocks that a solution of the
+    stage source lifts to."""
+    gadgets = stage.gadgets
+    names = list(solution)
+    blocks = [gadgets.y_chain[u] for u in names]
     for pair in sorted(stage.source.pairs):
-        chosen = [x for x in pair if x in solution]
-        x = chosen[0]
-        out.add(stage.gadgets.triangle[pair])
-        out.add(stage.gadgets.z_hub[(pair, x)])
-        out.update(stage.gadgets.z_chain[(pair, x)])
-    return out
+        x = pair[0] if pair[0] in solution else pair[1]
+        names += [gadgets.triangle[pair], gadgets.z_hub[(pair, x)]]
+        blocks.append(gadgets.z_chain[(pair, x)])
+    return names, blocks
 
 
 def _lift_necessary(stage, solution):
-    out = set(solution)
-    for u in solution:
-        out.update(stage.gadgets.a_chain[u])
-    for u, prime in stage.gadgets.primed.items():
-        out.add(prime)
-        out.add(stage.gadgets.h_vertex[u])
-        out.update(stage.gadgets.a_chain[prime])
+    gadgets = stage.gadgets
+    names = list(solution)
+    blocks = [gadgets.a_chain[u] for u in names]
+    for u, prime in gadgets.primed.items():
+        names += [prime, gadgets.h_vertex[u]]
+        blocks.append(gadgets.a_chain[prime])
         if u in solution:
-            out.add(stage.gadgets.g_vertex[u])
-    return out
+            names.append(gadgets.g_vertex[u])
+    return names, blocks
 
 
 def lift_solution(stage, solution):
     """Map a solution of the stage source to the matching solution of
-    the stage result."""
+    the stage result, a VertexSet over the result's table."""
     if stage.tag == "mmo-to-fnc":
         raise ValueError(
             "the first stage starts from an orientation; use "
             "orientation_to_solution"
         )
-    solution = frozenset(solution)
+    if not isinstance(solution, VertexSet):
+        solution = frozenset(solution)
     if not is_solution(stage.source, solution):
         raise ValueError("the given set is not a solution of the stage source")
     if stage.tag == "fnc-to-fn":
-        out = _lift_pairs(stage, solution)
+        names, blocks = _lift_pairs(stage, solution)
     elif stage.tag == "fn-to-f":
-        out = _lift_necessary(stage, solution)
+        names, blocks = _lift_necessary(stage, solution)
     elif stage.tag == "f-to-plain":
-        out = set(solution)
+        names, blocks = list(solution), []
     else:
         raise ValueError("unknown reduction stage tag %r" % (stage.tag,))
-    out = frozenset(out)
+    # the names are inputs and singleton gadgets, one dict lookup each;
+    # the families give their id ranges without making a name
+    table = stage.result.graph.order
+    ids = set(map(table.find, names))
+    for block in blocks:
+        ids.update(block.ids)
+    out = VertexSet(table, array("i", sorted(ids)))
     if not is_solution(stage.result, out):
         raise RuntimeError("lifted set fails verification on the stage result")
     return out
@@ -581,16 +577,21 @@ def lift_solution(stage, solution):
 
 def project_solution(stage, solution):
     """Map a solution of the stage result back to the stage source by
-    restriction to the source vertices."""
+    restriction to the source vertices, as a VertexSet over the
+    source's table."""
     if stage.tag == "mmo-to-fnc":
         raise ValueError(
             "the first stage projects to an orientation; use "
             "solution_to_orientation"
         )
-    solution = frozenset(solution)
+    if not isinstance(solution, VertexSet):
+        solution = frozenset(solution)
     if not is_solution(stage.result, solution):
         raise ValueError("the given set is not a solution of the stage result")
-    out = solution & stage.source.graph.vertices
+    # the source vertices are the stage's input blocks, which the
+    # result's table looks up by one dict lookup each
+    source = stage.source.graph.order
+    out = VertexSet(source, array("i", [i for i, u in enumerate(source) if u in solution]))
     if not is_solution(stage.source, out):
         raise RuntimeError("projected set fails verification on the stage source")
     return out

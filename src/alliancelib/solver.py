@@ -30,6 +30,7 @@ from array import array
 from dataclasses import dataclass
 
 from .alliance import AllianceInstance
+from .graph import VertexSet
 
 GOALS = ("decide", "minimum", "enumerate-all", "count")
 
@@ -61,6 +62,10 @@ class SolveRequest:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The answer to a request. solve gives the witness and solutions
+    as VertexSets over the instance graph's table, which compare and
+    hash like frozensets and make their names only when read."""
+
     goal: str
     feasible: bool
     witness: frozenset = None
@@ -101,13 +106,13 @@ class _Search:
 
     def __init__(self, instance):
         graph = instance.graph
-        self.vertices, index = graph.order, graph.index
-        n = len(self.vertices)
+        self.table = graph.order
+        n = len(self.table)
         first = self.first = graph.first
         self.adjacent = graph.adjacent
         self.partners = {}
         for x, y in instance.pairs:
-            i, j = index[x], index[y]
+            i, j = self.table.find(x), self.table.find(y)
             self.partners.setdefault(i, []).append(j)
             self.partners.setdefault(j, []).append(i)
         sizes = [first[i + 1] - first[i] + 1 for i in range(n)]
@@ -120,16 +125,16 @@ class _Search:
         self.size = 0
         self.open = n
         self.k = instance.k
-        # size bounds off while the rules reach the root fixpoint; id
-        # order keeps where a conflict stops them free of the hash seed,
-        # and one call per vertex keeps no list of them all alive for
-        # the collector to promote
+        # size bounds off while the rules reach the root fixpoint; the
+        # constraint sets hold their ids in id order, which keeps where a
+        # conflict stops them free of the hash seed, and one call per
+        # vertex keeps no list of them all alive for the collector to
+        # promote
         self.cap, self.exact = n, False
-        ids = index.__getitem__
         consistent = all(
             self.assign([(i, value)])
             for value, group in ((True, instance.necessary), (False, instance.forbidden))
-            for i in sorted(map(ids, group))
+            for i in group.ids
         )
         # largest size still worth reaching; minimum lowers it
         self.cap = instance.k
@@ -309,8 +314,9 @@ def solve(request):
     if not found:
         return _empty_result(goal, free_count, nodes)
     found.sort()
+    # VertexSets over the graph's table: no names are made until read
     solutions = tuple(
-        frozenset(search.vertices[i] for i in members) for _size, members in found
+        VertexSet(search.table, array("i", members)) for _size, members in found
     )
     return SolveResult(
         goal=goal,

@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .alliance import primal_graph
-from .graph import parse_vertex
+from .graph import VertexTable, parse_vertex
 
 NICE_KINDS = ("leaf", "introduce", "forget", "join")
 
@@ -29,14 +29,16 @@ class TdVerdict:
 class TreeDecomposition:
     """Mutable rooted tree of bags with integer node ids.
 
-    Bags hold the ids of a vertex table: order, a list of names in
-    which order[i] has id i, and index, the dict from name to id.
+    Bags hold the ids of a vertex table: order, a sequence of names in
+    which order[i] has id i, and index, the mapping from name to id.
     TreeDecomposition(graph), as heuristic_td and transform_td build
-    it, shares the graph's order and index as its table and never
-    writes to them, so its ids are the graph's. A decomposition read
-    by td_from_lines or built by hand owns a private table, which the
-    mutators extend with the new names they are given; a name missing
-    from a shared table first gives the decomposition a private copy.
+    it, shares the graph's order and index (a VertexTable, whose ids
+    follow name order, and its mapping) as its table and never writes
+    to them, so its ids are the graph's. A decomposition read by
+    td_from_lines or built by hand owns a private table, a list and a
+    dict, which the mutators extend with the new names they are given;
+    a name missing from a shared table first gives the decomposition a
+    private copy.
 
     Each bag is a sorted tuple of the table's own int objects, and each
     node's children are a tuple of node ids in id order that the
@@ -85,7 +87,10 @@ class TreeDecomposition:
         return tuple(sorted(ids))
 
     def _name_order(self, ids):
-        """ids sorted by their names, the order callers see."""
+        """ids sorted by their names, the order callers see: their own
+        order over a graph's table."""
+        if isinstance(self._order, VertexTable):
+            return sorted(ids)
         return sorted(ids, key=self._order.__getitem__)
 
     def _check_node(self, n):
@@ -299,8 +304,11 @@ class TreeDecomposition:
             problems.append("some nodes are not reachable from the root")
         if problems:
             return TdVerdict(False, tuple(problems))
-        order, known = self._order, graph.index
-        foreign = {u for u, name in enumerate(order) if name not in known}
+        order, known, names = self._order, graph.index, graph.order
+        # a shared table holds no foreign vertex and gives each graph
+        # vertex its own id: then no name is looked up or made
+        shared = order is names
+        foreign = () if shared else {u for u, name in enumerate(order) if name not in known}
         if foreign:
             for n in self.nodes():
                 for u in self._name_order(u for u in bags[n] if u in foreign):
@@ -308,9 +316,9 @@ class TreeDecomposition:
                         "bag of node %d contains foreign vertex %s" % (n, order[u])
                     )
         tops = first, more = _tops(self)
-        names, index = graph.order, self._index
         # the table id of each graph vertex, in the graph's (name) order
-        local = [index.get(name) for name in names]
+        index = self._index
+        local = range(len(names)) if shared else [index.get(name) for name in names]
         uncovered = []
         start, adjacent = graph.first, graph.adjacent
         for i, u in enumerate(local):
@@ -330,7 +338,7 @@ class TreeDecomposition:
                 if not covered:
                     uncovered.append("edge %s--%s is in no bag" % (names[i], names[j]))
         problems += uncovered
-        for name in sorted(order[u] for u in more if order[u] in known):
+        for name in sorted(order[u] for u in more if shared or order[u] in known):
             problems.append("occurrences of %s are not connected" % (name,))
         return TdVerdict(not problems, tuple(problems))
 
@@ -655,8 +663,9 @@ def _carry(td, graph):
     return out
 
 
-def _ids(index, names):
-    return [index[x] for x in names]
+def _ids(table, block):
+    """The ids of a block of table, as the table's own ints."""
+    return table.ids[block.start:block.start + block.count]
 
 
 def _with(base, *ids):
@@ -672,13 +681,13 @@ def _transform_mmo(stage, td):
             "decomposition does not fit the source graph: %s" % (verdict.problems[0],)
         )
     gadgets = stage.gadgets
-    index = stage.result.graph.index
+    table, index = stage.result.graph.order, stage.result.graph.index
     out = _carry(td, stage.result.graph)
     bags = out._bags
     tops = first, _more = _tops(out)
     for u, w in source.graph.sorted_edges():
-        cu = _ids(index, gadgets.edge_copy[(u, w)])
-        cw = _ids(index, gadgets.edge_copy[(w, u)])
+        cu = _ids(table, gadgets.edge_copy[(u, w)])
+        cw = _ids(table, gadgets.edge_copy[(w, u)])
         weight = len(cu)
         t = _joint_top(out, tops, index[u], index[w])
         base = bags[t]
@@ -693,14 +702,14 @@ def _transform_mmo(stage, td):
             anchor = first[index[owner]]
             anchor_bag = bags[anchor]
             prev = anchor
-            for x in side:
-                prev = out._add(_with(anchor_bag, index[x]), prev)
+            for x in _ids(table, side):
+                prev = out._add(_with(anchor_bag, x), prev)
     for u in source.graph.sorted_vertices():
         anchor = first[index[u]]
         anchor_bag = bags[anchor]
         prev = anchor
-        for x in gadgets.helper[u]:
-            prev = out._add(_with(anchor_bag, index[x]), prev)
+        for x in _ids(table, gadgets.helper[u]):
+            prev = out._add(_with(anchor_bag, x), prev)
     return out
 
 
@@ -713,7 +722,7 @@ def _transform_pairs(stage, td):
             "decomposition does not fit the primal graph: %s" % (verdict.problems[0],)
         )
     gadgets = stage.gadgets
-    index = stage.result.graph.index
+    table, index = stage.result.graph.order, stage.result.graph.index
     verts = source.graph.sorted_vertices()
     n = len(verts)
     out = _carry(td, stage.result.graph)
@@ -721,8 +730,8 @@ def _transform_pairs(stage, td):
     tops = first, _more = _tops(out)
     sorted_pairs = sorted(source.pairs)
     top_pair = {(a, b): _joint_top(out, tops, index[a], index[b]) for a, b in sorted_pairs}
-    ys = {u: _ids(index, gadgets.y_chain[u]) for u in verts}
-    yfs = {u: _ids(index, gadgets.y_chain_forbidden[u]) for u in verts}
+    ys = {u: _ids(table, gadgets.y_chain[u]) for u in verts}
+    yfs = {u: _ids(table, gadgets.y_chain_forbidden[u]) for u in verts}
     # every bag containing v also gets v_n and its forbidden twin
     last = {index[u]: (ys[u][n - 1], yfs[u][n - 1]) for u in verts}
     for node, bag in list(bags.items()):
@@ -742,10 +751,10 @@ def _transform_pairs(stage, td):
         carry = last[index[b]]
         hub_a = index[gadgets.z_hub[((a, b), a)]]
         hub_b = index[gadgets.z_hub[((a, b), b)]]
-        za = _ids(index, gadgets.z_chain[((a, b), a)])
-        zfa = _ids(index, gadgets.z_chain_forbidden[((a, b), a)])
-        zb = _ids(index, gadgets.z_chain[((a, b), b)])
-        zfb = _ids(index, gadgets.z_chain_forbidden[((a, b), b)])
+        za = _ids(table, gadgets.z_chain[((a, b), a)])
+        zfa = _ids(table, gadgets.z_chain_forbidden[((a, b), a)])
+        zb = _ids(table, gadgets.z_chain[((a, b), b)])
+        zfb = _ids(table, gadgets.z_chain_forbidden[((a, b), b)])
         prev = out._add(_with(carry, *last[index[a]], hub_a, za[0], zfa[0]), t)
         for i in range(1, m):
             prev = out._add(_with(carry, hub_a, za[i - 1], zfa[i - 1], za[i], zfa[i]), prev)
@@ -771,7 +780,7 @@ def _transform_necessary(stage, td):
             "stage ordering is not the post-order ordering of this decomposition"
         )
     gadgets = stage.gadgets
-    index = stage.result.graph.index
+    table, index = stage.result.graph.order, stage.result.graph.index
     out = _carry(td, stage.result.graph)
     bags = out._bags
     n = len(source.graph.vertices)
@@ -782,8 +791,8 @@ def _transform_necessary(stage, td):
 
     def grow_chain(anchor, base, member):
         """Replace anchor with the member's chain; bags stack above it."""
-        ac = _ids(index, gadgets.a_chain[member])
-        af = _ids(index, gadgets.a_chain_forbidden[member])
+        ac = _ids(table, gadgets.a_chain[member])
+        af = _ids(table, gadgets.a_chain_forbidden[member])
         bags[anchor] = _with(base, ac[0], af[0], ac[1], af[1])
         chain_bottom[member] = anchor
         top = anchor
@@ -808,8 +817,8 @@ def _transform_necessary(stage, td):
             )
             top = grow_chain(anchor, base, u)
             primed = gadgets.primed[u]
-            pc = _ids(index, gadgets.a_chain[primed])
-            pf = _ids(index, gadgets.a_chain_forbidden[primed])
+            pc = _ids(table, gadgets.a_chain[primed])
+            pf = _ids(table, gadgets.a_chain_forbidden[primed])
             mbags = [_with(base, pc[i - 1], pf[i - 1], pc[i], pf[i]) for i in range(1, n + 1)]
             spliced = out._splice(top, mbags)
             chain_bottom[primed] = spliced[0]
@@ -818,8 +827,9 @@ def _transform_necessary(stage, td):
     # first, so that a bag on several paths is rebuilt once
     threads = {}
     images = [u if u in necessary else gadgets.primed[u] for u in stage.ordering]
+    ids = table.ids
     for left, right in zip(images, images[1:]):
-        thread = (index[gadgets.a_chain[right][0]], index[gadgets.a_chain_forbidden[right][0]])
+        thread = (ids[gadgets.a_chain[right].start], ids[gadgets.a_chain_forbidden[right].start])
         for node in out.path_between(chain_top[left], chain_bottom[right]):
             threads[node] = threads.get(node, ()) + thread
     for node, thread in threads.items():
@@ -835,7 +845,7 @@ def _transform_forbidden(stage, td):
             "decomposition does not fit the source graph: %s" % (verdict.problems[0],)
         )
     gadgets = stage.gadgets
-    index = stage.result.graph.index
+    table, index = stage.result.graph.order, stage.result.graph.index
     out = _carry(td, stage.result.graph)
     bags = out._bags
     first, _more = _tops(out)
@@ -843,7 +853,7 @@ def _transform_forbidden(stage, td):
         t = first[index[f]]
         base = bags[t]
         hub = index[gadgets.fan_hub[f]]
-        leaves = _ids(index, gadgets.fan_leaves[f])
+        leaves = _ids(table, gadgets.fan_leaves[f])
         if leaves:
             out._splice(t, [_with(base, hub, leaf) for leaf in leaves])
         else:
@@ -857,7 +867,7 @@ def _bag_labels(td):
     order, bags = td._order, td._bags
     labels = {u: str(order[u]) for u in set().union(*bags.values())}
     for n in td.nodes():
-        yield n, map(labels.__getitem__, sorted(bags[n], key=order.__getitem__))
+        yield n, map(labels.__getitem__, td._name_order(bags[n]))
 
 
 def td_to_lines(td):

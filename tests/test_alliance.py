@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,7 @@ from alliancelib.alliance import (
     solution_problems,
 )
 from alliancelib.gen import random_mmo, random_pair_toy
-from alliancelib.graph import Graph, VertexId
+from alliancelib.graph import Graph, VertexId, VertexSet
 from alliancelib.reductions import mmo_to_alliance
 
 from helpers import constrained_instance, one_edge_target, v, vs, wheelish_graph
@@ -113,6 +114,23 @@ class TestInstanceValidation:
     def test_pair_with_itself_rejected(self):
         with pytest.raises(ValueError):
             AllianceInstance(wheelish_graph(), k=2, pairs={(v("b"), v("b"))})
+
+    def test_constraint_views_are_checked_by_id_range(self):
+        g = wheelish_graph()
+        view = VertexSet(g.order, array("i", [1, 3]))
+        inst = AllianceInstance(g, k=2, forbidden=view)
+        assert inst.forbidden is view and inst.forbidden == {v("b"), v("d")}
+        for ids in ([3, 5], [-1, 2]):
+            with pytest.raises(ValueError, match=r"^necessary vertex ids fall outside the graph$"):
+                AllianceInstance(g, k=2, necessary=VertexSet(g.order, array("i", ids)))
+        # a view over another table is taken name by name
+        other = AllianceInstance(wheelish_graph(), k=2, forbidden=view)
+        assert other.forbidden == view and other.forbidden.table is not g.order
+
+    def test_pair_with_equal_endpoints_is_named_as_a_pair(self):
+        # not as the "self loop" of an edge
+        with pytest.raises(ValueError, match=r"^pair b/b has equal endpoints$"):
+            AllianceInstance(wheelish_graph(), k=2, pairs=[(v("a"), v("c")), (v("b"), v("b"))])
 
     def test_pairs_are_stored_unordered(self):
         g = wheelish_graph()

@@ -218,6 +218,17 @@ class TestSolve:
         assert captured.out == ""
         assert "budget of 2^%d nodes" % budget in captured.err
 
+    def test_pair_with_equal_endpoints_exits_two(self, capsys, tmp_path):
+        path = write(tmp_path, "loop.json", json.dumps(
+            {"vertices": ["a", "b"], "edges": [["a", "b"]], "k": 1, "pairs": [["a", "a"]]}
+        ))
+        code = cli.main(["solve", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "pair a/a has equal endpoints" in captured.err
+        assert "self loop" not in captured.err
+
     def test_connected_search(self, capsys, tmp_path):
         p, q, r, x, y, z = vs("p q r x y z")
         g = Graph(

@@ -11,8 +11,10 @@ from hypothesis import example, given, strategies as st
 
 from alliancelib.graph import (
     _CHUNK,
+    Block,
     Graph,
     VertexId,
+    VertexTable,
     graph_from_edgelist,
     graph_to_dot,
     graph_to_edgelist,
@@ -533,6 +535,28 @@ def test_a_deleted_graph_is_freed_without_the_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_graphs_over_one_table_compare_and_hash_without_names(monkeypatch):
+    g = eliminate_pairs(mmo_to_alliance(one_edge_target(1, 2)).result).result.graph
+    n = len(g.order)
+    # one key per edge; the build consumes the list it is given
+    keys = [i * n + j for i in range(n) for j in g.adjacent[g.first[i]:g.first[i + 1]] if i < j]
+    same, fewer = Graph._from_keys(g.order, keys[:]), Graph._from_keys(g.order, keys[1:])
+    assert len(fewer.edges) == len(g.edges) - 1
+    twin = Graph(list(g.order), g.edges)
+
+    def refuse(*args):
+        raise AssertionError("a vertex name was made or looked up")
+
+    with monkeypatch.context() as patched:
+        for cls, method in ((VertexTable, "find"), (VertexTable, "__getitem__"),
+                            (VertexTable, "__iter__"), (Block, "__getitem__"),
+                            (Block, "__iter__")):
+            patched.setattr(cls, method, refuse)
+        assert same == g and hash(same) == hash(g) and fewer != g
+    # a graph over another table with the same names is equal too
+    assert twin.order is not g.order and twin == g and hash(twin) == hash(g)
 
 
 def test_a_graph_survives_pickle_and_copy():

@@ -2,8 +2,9 @@
 
 The digests pin td_to_lines byte for byte, node numbering and bag
 order included. The stage-3 decomposition is also validated against
-the stage-3 graph, and building it must leave the cyclic collector
-next to nothing new to track.
+the stage-3 graph, whose table it shares, without a name being made
+or looked up, and building it must leave the cyclic collector next to
+nothing new to track.
 """
 
 import gc
@@ -11,6 +12,7 @@ import hashlib
 
 import pytest
 
+from alliancelib.graph import Block, VertexTable
 from alliancelib.reductions import eliminate_pairs, mmo_to_alliance
 from alliancelib.treewidth import heuristic_td, make_nice, td_to_lines, transform_td, validate_td
 
@@ -80,3 +82,26 @@ def test_fn_to_f_output_shares_the_graph_table(stage_three, fn_to_f):
     assert td._order is graph.order and td._index is graph.index
     index, order = graph.index, graph.order
     assert all(u is index[order[u]] for bag in td._bags.values() for u in bag)
+
+
+def test_validating_over_the_shared_table_makes_and_looks_up_no_names(
+    stage_three, fn_to_f, monkeypatch
+):
+    td, _tracked = fn_to_f
+    graph = stage_three.third.result.graph
+
+    def refuse(*args):
+        raise AssertionError("validate made or looked up a vertex name")
+
+    # every name lookup goes through find, and every name is made by a
+    # table or a block
+    for cls, method in (
+        (VertexTable, "find"),
+        (VertexTable, "__getitem__"),
+        (VertexTable, "__iter__"),
+        (VertexTable, "names"),
+        (Block, "__getitem__"),
+        (Block, "__iter__"),
+    ):
+        monkeypatch.setattr(cls, method, refuse)
+    assert validate_td(graph, td).ok
