@@ -79,15 +79,16 @@ class ReductionStage:
     ordering: tuple = None
 
 
-def _identity(x):
-    return x
+@dataclass(frozen=True)
+class Affine:
+    """A stage's size_fn: solution size x maps to scale * x + shift.
+    Plain data, so that a stage pickles."""
 
+    scale: int
+    shift: int
 
-def _affine(scale, shift):
-    def size(x):
-        return scale * x + shift
-
-    return size
+    def __call__(self, x):
+        return self.scale * x + self.shift
 
 
 def _ends(block):
@@ -272,7 +273,7 @@ def mmo_to_alliance(instance, mode="at-most"):
         source=instance,
         result=result,
         gadgets=gadgets,
-        size_fn=_identity,
+        size_fn=Affine(1, 0),
     )
 
 
@@ -359,7 +360,7 @@ def eliminate_pairs(instance):
     forbidden = [inputs[i] for i in instance.forbidden.ids]
     forbidden += [*y_twins.values(), *z_twins.values()]
     necessary = [inputs[i] for i in instance.necessary.ids] + list(triangle.values())
-    size_fn = _affine(n + 1, len(pairs) * (m + 2))
+    size_fn = Affine(n + 1, len(pairs) * (m + 2))
     result = AllianceInstance(
         graph=Graph._from_keys(table, keys),
         k=size_fn(instance.k),
@@ -447,7 +448,7 @@ def eliminate_necessary(instance, ordering):
     table = layout.order
     forbidden = [inputs[i] for i in instance.forbidden.ids] + list(a_twins.values())
     forbidden += [*g_twin.values(), *h_twin.values()]
-    size_fn = _affine(
+    size_fn = Affine(
         n + 3, (n + 3) * len(open_vertices) - len(instance.necessary)
     )
     result = AllianceInstance(
@@ -514,7 +515,7 @@ def eliminate_forbidden(instance):
         source=instance,
         result=result,
         gadgets=ForbiddenGadgets(_name(fan_hub), fan_leaves),
-        size_fn=_identity,
+        size_fn=Affine(1, 0),
     )
 
 

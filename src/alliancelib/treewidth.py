@@ -8,7 +8,8 @@ deterministic.
 """
 
 import itertools
-from bisect import bisect_left, bisect_right
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .alliance import primal_graph
@@ -40,16 +41,22 @@ class TreeDecomposition:
     a name missing from a shared table first gives the decomposition a
     private copy.
 
-    Each bag is a sorted tuple of the table's own int objects, and each
-    node's children are a tuple of node ids in id order that the
-    mutators keep up to date, so no traversal rescans the parent map.
-    Tuples that hold only ints are untracked by the cyclic garbage
-    collector at its first pass over them, so a large decomposition
-    adds no work to later collections. Names appear only at the edge:
-    add_node, set_bag, add_to_bag and splice_above take names, bag()
-    returns a read-only frozenset of names, and any order visible
-    outside (written bags, make_nice numbering, messages) is the name
-    order.
+    Node ids are 0..N-1 in creation order, and every per-node table is
+    indexed by them: _bags is a list of bags, each a sorted tuple of the
+    table's own int objects, and three array("i")s hold the tree, with
+    -1 for none: _parent, _last_child (the child with the largest id)
+    and _prev_sibling (the sibling with the next smaller id). Beside
+    its bag a node costs one list slot and three 4-byte entries, about
+    20 B with the tables' spare room, where dicts of bags, parents and
+    child tuples keyed by node cost about 237 B. A new node has the
+    largest id, so it joins its parent's children at the head of their
+    list in constant time. Tuples that hold only ints are untracked by
+    the cyclic garbage collector at its first pass over them, and arrays
+    are never tracked, so a large decomposition adds no work to later
+    collections. Names appear only at the edge: add_node, set_bag,
+    add_to_bag and splice_above take names, bag() returns a read-only
+    frozenset of names, and any order visible outside (written bags,
+    make_nice numbering, messages) is the name order.
     """
 
     def __init__(self, graph=None):
@@ -57,10 +64,10 @@ class TreeDecomposition:
             self._order, self._index, self._owns_table = [], {}, True
         else:
             self._order, self._index, self._owns_table = graph.order, graph.index, False
-        self._bags = {}
-        self._parent = {}
-        self._kids = {}
-        self._next_id = 0
+        self._bags = []
+        self._parent = array("i")
+        self._last_child = array("i")
+        self._prev_sibling = array("i")
 
     @classmethod
     def _over(cls, td):
@@ -93,30 +100,32 @@ class TreeDecomposition:
             return sorted(ids)
         return sorted(ids, key=self._order.__getitem__)
 
+    def _is_node(self, n):
+        return isinstance(n, int) and 0 <= n < len(self._bags)
+
     def _check_node(self, n):
-        if n not in self._bags:
+        if not self._is_node(n):
             raise ValueError("unknown node %r" % (n,))
 
-    def _add(self, bag, parent=None):
+    def _add(self, bag, parent=-1):
         """New node with bag, a sorted id tuple, under a known parent."""
-        nid = self._next_id
-        self._next_id = nid + 1
-        self._bags[nid] = bag
-        self._parent[nid] = parent
-        if parent is not None:
-            # nid is the largest id so far, so the tuple stays in id order
-            self._kids[parent] = self._kids.get(parent, ()) + (nid,)
+        nid = len(self._bags)
+        self._bags.append(bag)
+        for table in self._parent, self._last_child, self._prev_sibling:
+            table.append(-1)
+        self._link(nid, parent)
         return nid
 
     def add_node(self, bag, parent=None):
-        if parent is not None and parent not in self._bags:
+        if parent is not None and not self._is_node(parent):
             raise ValueError("unknown parent node %r" % (parent,))
-        return self._add(self._vertex_ids(bag), parent)
+        return self._add(self._vertex_ids(bag), -1 if parent is None else parent)
 
     def nodes(self):
-        return sorted(self._bags)
+        return list(range(len(self._bags)))
 
     def bag(self, n):
+        self._check_node(n)
         return frozenset(map(self._order.__getitem__, self._bags[n]))
 
     def set_bag(self, n, bag):
@@ -134,74 +143,105 @@ class TreeDecomposition:
             self._bags[n] = tuple(sorted(bag + tuple(new)))
 
     def parent(self, n):
-        return self._parent[n]
+        self._check_node(n)
+        p = self._parent[n]
+        return None if p < 0 else p
 
     def set_parent(self, n, parent):
         self._check_node(n)
         if parent == n:
             raise ValueError("node %r cannot be its own parent" % (n,))
-        if parent is not None and parent not in self._bags:
+        if parent is not None and not self._is_node(parent):
             raise ValueError("unknown parent node %r" % (parent,))
-        self._relink(n, parent)
+        self._relink(n, -1 if parent is None else parent)
 
     def _relink(self, n, parent):
-        kids = self._kids
-        old = self._parent[n]
-        if old is not None:
-            rest = tuple(c for c in kids[old] if c != n)
-            if rest:
-                kids[old] = rest
-            else:
-                del kids[old]
+        self._unlink(n)
+        self._link(n, parent)
+
+    def _unlink(self, n):
+        """Take n out of its parent's children; its parent entry stays."""
+        p = self._parent[n]
+        if p < 0:
+            return
+        last, prev = self._last_child, self._prev_sibling
+        if last[p] == n:
+            last[p] = prev[n]
+        else:
+            c = last[p]
+            while prev[c] != n:
+                c = prev[c]
+            prev[c] = prev[n]
+        prev[n] = -1
+
+    def _link(self, n, parent):
+        """Make n, which is in no child list, a child of parent (or a
+        root for -1), in id order among its siblings."""
         self._parent[n] = parent
-        if parent is not None:
-            siblings = kids.get(parent, ())
-            at = bisect_left(siblings, n)
-            kids[parent] = siblings[:at] + (n,) + siblings[at:]
+        if parent < 0:
+            return
+        last, prev = self._last_child, self._prev_sibling
+        c = last[parent]
+        if c < n:
+            prev[n], last[parent] = c, n
+            return
+        while prev[c] > n:
+            c = prev[c]
+        prev[n], prev[c] = prev[c], n
 
     def _index_children(self):
-        """Child tuples rebuilt from the parent map in one pass."""
-        kids = {}
-        for n in self.nodes():
-            p = self._parent[n]
-            if p is not None:
-                kids.setdefault(p, []).append(n)
-        self._kids = {p: tuple(c) for p, c in kids.items()}
+        """Child links rebuilt from the parent table in one pass."""
+        n = len(self._parent)
+        last = self._last_child = array("i", [-1]) * n
+        prev = self._prev_sibling = array("i", [-1]) * n
+        for c, p in enumerate(self._parent):
+            if p >= 0:
+                prev[c], last[p] = last[p], c
 
     def children(self, n):
-        return list(self._kids.get(n, ()))
+        out = []
+        if self._is_node(n):
+            c = self._last_child[n]
+            while c >= 0:
+                out.append(c)
+                c = self._prev_sibling[c]
+        out.reverse()
+        return out
 
     def root(self):
-        roots = [n for n, p in self._parent.items() if p is None]
-        if len(roots) != 1:
-            raise ValueError("decomposition must have exactly one root, found %d" % len(roots))
-        return roots[0]
+        roots = self._parent.count(-1)
+        if roots != 1:
+            raise ValueError("decomposition must have exactly one root, found %d" % roots)
+        return self._parent.index(-1)
 
     def width(self):
         if not self._bags:
             return -1
-        return max(map(len, self._bags.values())) - 1
+        return max(map(len, self._bags)) - 1
 
     def copy(self, into=None):
-        """Copy over the same table; bags and child tuples are shared,
-        being immutable."""
+        """Copy over the same table; bags are shared, being immutable."""
         out = (into or type(self))._over(self)
-        out._bags = dict(self._bags)
-        out._parent = dict(self._parent)
-        out._kids = dict(self._kids)
-        out._next_id = self._next_id
+        out._bags = self._bags[:]
+        out._parent = self._parent[:]
+        out._last_child = self._last_child[:]
+        out._prev_sibling = self._prev_sibling[:]
         return out
 
     def postorder(self):
         """Node ids, children before parents, children in id order:
         the reverse of a preorder that takes children last to first."""
-        kids = self._kids
+        last, prev = self._last_child, self._prev_sibling
         out = []
         stack = [self.root()]
         while stack:
             node = stack.pop()
             out.append(node)
-            stack.extend(kids.get(node, ()))
+            # node's subtree is walked before its next smaller sibling
+            if prev[node] >= 0:
+                stack.append(prev[node])
+            if last[node] >= 0:
+                stack.append(last[node])
         out.reverse()
         return out
 
@@ -212,33 +252,32 @@ class TreeDecomposition:
         adjacent to the old parent (or becomes the root). Returns the
         new ids bottom to top.
         """
+        self._check_node(n)
         return self._splice(n, [self._vertex_ids(b) for b in bags])
 
     def _splice(self, n, bags):
-        """splice_above for bags that are sorted id tuples."""
-        parent, kids = self._parent, self._kids
-        old_parent = parent[n]
-        ids = []
-        prev = n
-        for bag in bags:
-            nid = self._next_id
-            self._next_id = nid + 1
-            self._bags[nid] = bag
-            parent[prev] = nid
-            kids[nid] = (prev,)
-            ids.append(nid)
-            prev = nid
-        if not ids:
-            return ids
-        parent[prev] = old_parent
-        if old_parent is not None:
-            # prev is the largest id so far, so it goes last
-            kids[old_parent] = tuple(c for c in kids[old_parent] if c != n) + (prev,)
-        return ids
+        """splice_above for a list of bags that are sorted id tuples."""
+        if not bags:
+            return []
+        start = len(self._bags)
+        top = start + len(bags) - 1
+        old_parent = self._parent[n]
+        self._unlink(n)
+        self._bags += bags
+        # node start + i has the one child start + i - 1, and start has n
+        self._parent.extend(range(start + 1, top + 1))
+        self._parent.append(-1)
+        self._last_child.append(n)
+        self._last_child.extend(range(start, top))
+        self._prev_sibling.extend(itertools.repeat(-1, len(bags)))
+        self._parent[n] = start
+        # top is the largest id so far, so it heads old_parent's children
+        self._link(top, old_parent)
+        return list(range(start, top + 1))
 
     def occurrences(self, v):
         i = self._index.get(v)
-        return [n for n in self.nodes() if i in self._bags[n]]
+        return [n for n, bag in enumerate(self._bags) if i in bag]
 
     def topmost(self, v):
         """The unique occurrence of v whose parent bag lacks v."""
@@ -257,23 +296,25 @@ class TreeDecomposition:
         passed, which is their lowest common ancestor; the cost is the
         length of the path, not the depth of the tree.
         """
+        self._check_node(a)
+        self._check_node(b)
         parent = self._parent
         up_a, up_b = [a], [b]
         seen_a, seen_b = {a: 0}, {b: 0}
         x, y = a, b
         while x not in seen_b and y not in seen_a:
             px, py = parent[x], parent[y]
-            if px is None and py is None:
+            if px < 0 and py < 0:
                 raise ValueError("nodes %r and %r are not in one tree" % (a, b))
             # td_from_lines accepts parent links that close a cycle,
             # which a climb would otherwise follow forever
             if px in seen_a or py in seen_b:
                 raise ValueError("nodes %r and %r are not in one tree" % (a, b))
-            if px is not None:
+            if px >= 0:
                 seen_a[px] = len(up_a)
                 up_a.append(px)
                 x = px
-            if py is not None:
+            if py >= 0:
                 seen_b[py] = len(up_b)
                 up_b.append(py)
                 y = py
@@ -292,12 +333,15 @@ class TreeDecomposition:
         bags, parent = self._bags, self._parent
         if not bags:
             return TdVerdict(False, ("decomposition has no nodes",))
-        roots = [n for n, p in parent.items() if p is None]
-        if len(roots) != 1:
-            problems.append("expected exactly one root, found %d" % (len(roots),))
-        for n, p in parent.items():
-            if p is not None and p not in bags:
-                problems.append("node %d has unknown parent %d" % (n, p))
+        roots = parent.count(-1)
+        if roots != 1:
+            problems.append("expected exactly one root, found %d" % (roots,))
+        if min(parent) < -1 or max(parent) >= len(bags):
+            problems += [
+                "node %d has unknown parent %d" % (n, p)
+                for n, p in enumerate(parent)
+                if not -1 <= p < len(bags)
+            ]
         # with one root and known parents, a node off the root's tree
         # lies on a cycle of parent links
         if not problems and len(self.postorder()) != len(bags):
@@ -310,8 +354,8 @@ class TreeDecomposition:
         shared = order is names
         foreign = () if shared else {u for u, name in enumerate(order) if name not in known}
         if foreign:
-            for n in self.nodes():
-                for u in self._name_order(u for u in bags[n] if u in foreign):
+            for n, bag in enumerate(bags):
+                for u in self._name_order(u for u in bag if u in foreign):
                     problems.append(
                         "bag of node %d contains foreign vertex %s" % (n, order[u])
                     )
@@ -325,7 +369,7 @@ class TreeDecomposition:
             top = None if u is None else first[u]
             if top is None:
                 problems.append("vertex %s is in no bag" % (names[i],))
-            bag, end = bags.get(top, ()), start[i + 1]
+            bag, end = () if top is None else bags[top], start[i + 1]
             # the neighbours j > i, so that each edge is seen once
             for j in adjacent[bisect_right(adjacent, i, start[i], end):end]:
                 w = local[j]
@@ -350,13 +394,12 @@ def _tops(td):
     maps a vertex with several tops to all of them, in node order. A
     vertex with one top has connected occurrences, and that top is its
     topmost node."""
-    bags, parent = td._bags, td._parent
+    bags = td._bags
     first = [None] * len(td._order)
     more = {}
-    for n in td.nodes():
-        p = parent[n]
+    for n, p in enumerate(td._parent):
         bag = bags[n]
-        for u in bag if p is None else set(bag).difference(bags[p]):
+        for u in bag if p < 0 else set(bag).difference(bags[p]):
             if first[u] is None:
                 first[u] = n
             else:
@@ -392,12 +435,15 @@ def _joint_top(td, tops, u, w):
 
 
 def _kind(td, n):
-    ch = td._kids.get(n, ())
-    if not ch:
+    # c and d: the children with the largest and next smaller ids
+    prev = td._prev_sibling
+    c = td._last_child[n]
+    if c < 0:
         return "leaf"
     bags = td._bags
-    if len(ch) == 1:
-        b, cb = bags[n], bags[ch[0]]
+    d = prev[c]
+    if d < 0:
+        b, cb = bags[n], bags[c]
         if len(b) == len(cb) + 1 and set(cb).issubset(b):
             return "introduce"
         if len(b) == len(cb) - 1 and set(b).issubset(cb):
@@ -405,11 +451,11 @@ def _kind(td, n):
         raise ValueError(
             "node %d must differ from its child by exactly one vertex" % (n,)
         )
-    if len(ch) == 2:
-        if all(bags[c] == bags[n] for c in ch):
+    if prev[d] < 0:
+        if bags[c] == bags[n] == bags[d]:
             return "join"
         raise ValueError("join node %d must repeat its children's bag" % (n,))
-    raise ValueError("node %d has %d children" % (n, len(ch)))
+    raise ValueError("node %d has %d children" % (n, len(td.children(n))))
 
 
 def _shape_problems(td):
@@ -433,6 +479,7 @@ class NiceTreeDecomposition(TreeDecomposition):
     children, so fan-out is at most two everywhere."""
 
     def kind(self, n):
+        self._check_node(n)
         return _kind(self, n)
 
     def validate_nice(self, graph):
@@ -656,10 +703,10 @@ def _carry(td, graph):
     a graph whose vertices are all in graph."""
     out = TreeDecomposition(graph)
     local = list(map(graph.index.get, td._order))
-    out._bags = {
-        n: tuple(sorted(map(local.__getitem__, bag))) for n, bag in td._bags.items()
-    }
-    out._parent, out._kids, out._next_id = dict(td._parent), dict(td._kids), td._next_id
+    out._bags = [tuple(sorted(map(local.__getitem__, bag))) for bag in td._bags]
+    out._parent = td._parent[:]
+    out._last_child = td._last_child[:]
+    out._prev_sibling = td._prev_sibling[:]
     return out
 
 
@@ -734,7 +781,7 @@ def _transform_pairs(stage, td):
     yfs = {u: _ids(table, gadgets.y_chain_forbidden[u]) for u in verts}
     # every bag containing v also gets v_n and its forbidden twin
     last = {index[u]: (ys[u][n - 1], yfs[u][n - 1]) for u in verts}
-    for node, bag in list(bags.items()):
+    for node, bag in enumerate(bags):
         extra = ()
         for u in bag:
             extra += last[u]
@@ -825,15 +872,16 @@ def _transform_necessary(stage, td):
             chain_top[primed] = spliced[-1]
     # each bag on a thread's path gets the thread's pair; collected
     # first, so that a bag on several paths is rebuilt once
-    threads = {}
+    threads = [()] * len(bags)
     images = [u if u in necessary else gadgets.primed[u] for u in stage.ordering]
     ids = table.ids
     for left, right in zip(images, images[1:]):
         thread = (ids[gadgets.a_chain[right].start], ids[gadgets.a_chain_forbidden[right].start])
         for node in out.path_between(chain_top[left], chain_bottom[right]):
-            threads[node] = threads.get(node, ()) + thread
-    for node, thread in threads.items():
-        out._merge(node, thread)
+            threads[node] += thread
+    for node, thread in enumerate(threads):
+        if thread:
+            out._merge(node, thread)
     return out
 
 
@@ -865,7 +913,7 @@ def _bag_labels(td):
     """Node ids in order, each with its bag's names rendered in name
     order; a name is rendered once however many bags hold it."""
     order, bags = td._order, td._bags
-    labels = {u: str(order[u]) for u in set().union(*bags.values())}
+    labels = {u: str(order[u]) for u in set().union(*bags)}
     for n in td.nodes():
         yield n, map(labels.__getitem__, td._name_order(bags[n]))
 
@@ -877,7 +925,7 @@ def td_to_lines(td):
     lines = []
     for n, labels in _bag_labels(td):
         p = td._parent[n]
-        parts = [str(n), "-" if p is None else str(p)]
+        parts = [str(n), "-" if p < 0 else str(p)]
         if is_nice:
             parts.append(_kind(td, n))
         parts.extend(labels)
@@ -922,11 +970,18 @@ def _declared_kind_holds(td, n, kind):
 
 def _td_from_rows(td, rows, skip):
     """td filled from parsed rows, each bag from its fields after the
-    first skip."""
+    first skip. The node ids of n rows must be 0..n-1, so that they
+    index the node tables."""
     parsed = {}
     seen = set()
     named = []
+    size = len(rows)
     for lineno, nid, _parent, rest in rows:
+        if not 0 <= nid < size:
+            raise ValueError(
+                "line %d: node id %d is not in 0..%d (one id per node, counted from 0)"
+                % (lineno, nid, size - 1)
+            )
         if nid in seen:
             raise ValueError("line %d: duplicate node id %d" % (lineno, nid))
         seen.add(nid)
@@ -940,15 +995,17 @@ def _td_from_rows(td, rows, skip):
                     raise ValueError("line %d: %s" % (lineno, exc)) from None
             bag.add(vertex)
         named.append(bag)
+    for lineno, _nid, parent, _ in rows:
+        if parent is not None and not 0 <= parent < size:
+            raise ValueError("line %d: unknown parent %d" % (lineno, parent))
     td._order = sorted(set().union(*named))
     td._index = index = {v: i for i, v in enumerate(td._order)}
+    td._bags = [None] * size
+    td._parent = array("i", [-1]) * size
     for (_, nid, parent, _), bag in zip(rows, named):
         td._bags[nid] = tuple(sorted(map(index.__getitem__, bag)))
-        td._parent[nid] = parent
-    td._next_id = max(seen) + 1
-    for lineno, _nid, parent, _ in rows:
-        if parent is not None and parent not in seen:
-            raise ValueError("line %d: unknown parent %d" % (lineno, parent))
+        if parent is not None:
+            td._parent[nid] = parent
     td._index_children()
     return td
 

@@ -80,3 +80,14 @@ def square_with_chord_nice_td():
     n11 = t.add_node({v("d")}, parent=n10)
     t.add_node(set(), parent=n11)
     return t
+
+
+# node ids outside 0..n-1 for n lines: a negative one, a gap and one too
+# large to allocate tables for; then parents outside the nodes
+BAD_NODE_IDS = {
+    "negative": ("0 - a\n-1 0 a\n", "line 2: node id -1 is not in 0..1"),
+    "gap": ("0 - a\n2 0 a\n", "line 2: node id 2 is not in 0..1"),
+    "huge": ("%d - a\n0 %d a\n" % (10**12, 10**12), "line 1: node id %d is not in 0..1" % 10**12),
+    "negative parent": ("0 - a\n1 -1 a\n", "line 2: unknown parent -1"),
+    "huge parent": ("0 - a\n1 %d a\n" % 10**12, "line 2: unknown parent %d" % 10**12),
+}

@@ -26,7 +26,7 @@ from alliancelib.treewidth import (
     treewidth_exact_small,
 )
 
-from helpers import constrained_instance, two_vertex_mmo, v, vs, wheelish_graph
+from helpers import BAD_NODE_IDS, constrained_instance, two_vertex_mmo, v, vs, wheelish_graph
 
 
 def run(capsys, argv):
@@ -538,6 +538,19 @@ class TestMalformedDocuments:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NODE_IDS))
+def test_reduce_refuses_decompositions_with_bad_node_ids(capsys, tmp_path, case):
+    text, message = BAD_NODE_IDS[case]
+    path = write(tmp_path, "doc.json", json.dumps(_plain_payload()))
+    td_path = write(tmp_path, "doc.td", text)
+    code = cli.main(["reduce", "--stage", "f-to-plain", "--td", td_path, path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
 
 
 class TestUsage:

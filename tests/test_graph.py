@@ -1,14 +1,17 @@
 import copy
 import gc
+import os
 import pickle
 import random
-import tracemalloc
+import subprocess
+import sys
 import weakref
 from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import alliancelib
 from alliancelib.graph import (
     _CHUNK,
     Block,
@@ -625,29 +628,50 @@ def test_repeats_of_an_edge_in_different_slices_count_once():
     assert_built_from_keys(n, keys)
 
 
+# a million-edge build in a fresh process: it prints the arc count and
+# how far the build raises the peak resident size (VmHWM) over the
+# resident size just before it (VmRSS). Not ru_maxrss: on Linux a
+# process started by exec inherits the resident peak of the process
+# that started it, which for a test run may be hundreds of MB
+MILLION_EDGE_BUILD = """
+from alliancelib.graph import Graph, VertexId
+
+def status(field):
+    with open("/proc/self/status") as lines:
+        for line in lines:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) * 1024
+
+n, width = 20_000, 50
+order = [VertexId("x%05d" % i) for i in range(n)]
+# i joins i + d (mod n) for d up to width, every other edge given reversed
+keys = [
+    i * n + (i + d) % n if d % 2 else (i + d) % n * n + i
+    for i in range(n)
+    for d in range(1, width + 1)
+]
+before = status("VmRSS")
+graph = Graph._from_keys(order, keys)
+print(len(graph.adjacent), status("VmHWM") - before)
+"""
+
+
 def test_building_a_million_edges_holds_little_beside_the_arrays():
     """The build reorients the keys in place and writes each arc into
-    the adjacency array: its traced peak over the keys it is given is
-    the 4-byte arcs, the vertex tables and a few per-vertex lists (the
-    build that held both orientations as ints peaked at 66 B per arc)."""
-    n, width = 20_000, 50
-    order = [v("x%05d" % i) for i in range(n)]
-    tracemalloc.start()
-    try:
-        # i joins i + d (mod n) for d up to width, every other edge given
-        # reversed; the keys are made while traced, so that the ints the
-        # build puts in their place count against the ones it frees
-        keys = [
-            i * n + (i + d) % n if d % 2 else (i + d) % n * n + i
-            for i in range(n)
-            for d in range(1, width + 1)
-        ]
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        graph = Graph._from_keys(order, keys)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    arcs = len(graph.adjacent)
-    assert arcs == 2 * n * width
-    assert peak / arcs < 8, "%.1f bytes per arc" % (peak / arcs)
+    the adjacency array: its resident growth over the keys it is given
+    is the 4-byte arcs, the vertex tables and a few per-vertex lists,
+    about 5.1 B per arc (the build that held both orientations as ints
+    grew by 76 B per arc). Resident sizes, not tracemalloc, because
+    tracing the build takes about 25 s against 1 s untraced."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(alliancelib.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", MILLION_EDGE_BUILD],
+        env=dict(os.environ, PYTHONPATH=root),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    arcs, growth = map(int, done.stdout.split())
+    assert arcs == 2 * 20_000 * 50
+    assert growth / arcs < 8, "%.1f bytes per arc" % (growth / arcs)

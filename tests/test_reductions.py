@@ -3,6 +3,7 @@ transformations. Counts and memberships below were derived by hand from
 the gadget definitions before the implementation existed."""
 
 import itertools
+import pickle
 
 import pytest
 
@@ -29,7 +30,7 @@ from alliancelib.treewidth import (
     validate_td,
 )
 
-from helpers import two_vertex_mmo, v, vs
+from helpers import one_edge_target, two_vertex_mmo, v, vs
 
 
 def names(vertices):
@@ -616,3 +617,23 @@ class TestDecompositionTransforms:
         broken = dataclasses.replace(stage, tag="sideways")
         with pytest.raises(ValueError, match="sideways"):
             transform_td(broken, heuristic_td(f_toy().graph))
+
+
+def test_every_chain_stage_pickles_with_its_size_map(stage_three):
+    # the stages of the one-edge w=1 r=1 chain up to stage 3 and an
+    # f-to-plain stage (stage 4 of that chain is too large to build)
+    stages = [
+        mmo_to_alliance(one_edge_target(1, 1)),
+        stage_three.second,
+        stage_three.third,
+        eliminate_forbidden(f_toy()),
+    ]
+    for stage in stages:
+        back = pickle.loads(pickle.dumps(stage))
+        assert back.tag == stage.tag
+        for k in (0, 1, stage.result.k):
+            assert back.size_fn(k) == stage.size_fn(k)
+        # the arrays, not the names, which stage 3 would make by the 100,000
+        graph, copied = stage.result.graph, back.result.graph
+        assert (copied.first, copied.adjacent) == (graph.first, graph.adjacent)
+        assert back.result.k == stage.result.k

@@ -81,7 +81,7 @@ def test_fn_to_f_output_shares_the_graph_table(stage_three, fn_to_f):
     graph = stage_three.third.result.graph
     assert td._order is graph.order and td._index is graph.index
     index, order = graph.index, graph.order
-    assert all(u is index[order[u]] for bag in td._bags.values() for u in bag)
+    assert all(u is index[order[u]] for bag in td._bags for u in bag)
 
 
 def test_validating_over_the_shared_table_makes_and_looks_up_no_names(

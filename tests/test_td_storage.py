@@ -1,0 +1,169 @@
+"""The node tables of TreeDecomposition against a reference model.
+
+The model keeps a decomposition the plain way, in dicts keyed by node
+id, and derives children, paths and orders from the parent map alone.
+Random sequences of the public mutators, copies among them, must leave
+the decomposition and the model in agreement, and every copy taken
+along the way must stay as it was while the copy is mutated.
+"""
+
+import copy
+import tracemalloc
+
+from hypothesis import given, settings, strategies as st
+
+from alliancelib.treewidth import TreeDecomposition, td_to_lines
+
+from helpers import vs
+
+NAMES = vs("a b c d e f")
+
+
+class Model:
+    """Bags as frozensets of names and parents by node id."""
+
+    def __init__(self):
+        self.bags = {}
+        self.parent = {}
+
+    def add(self, bag, parent):
+        n = len(self.bags)
+        self.bags[n] = frozenset(bag)
+        self.parent[n] = parent
+        return n
+
+    def splice(self, n, bags):
+        old, below, ids = self.parent[n], n, []
+        for bag in bags:
+            nid = self.add(bag, None)
+            self.parent[below] = nid
+            below = nid
+            ids.append(nid)
+        if ids:
+            self.parent[below] = old
+        return ids
+
+    def children(self, n):
+        return sorted(c for c, p in self.parent.items() if p == n)
+
+    def root(self):
+        (root,) = [n for n, p in self.parent.items() if p is None]
+        return root
+
+    def postorder(self):
+        def walk(n):
+            for c in self.children(n):
+                yield from walk(c)
+            yield n
+
+        return list(walk(self.root()))
+
+    def subtree(self, n):
+        out = {n}
+        for c in self.children(n):
+            out |= self.subtree(c)
+        return out
+
+    def ancestors(self, n):
+        out = [n]
+        while self.parent[out[-1]] is not None:
+            out.append(self.parent[out[-1]])
+        return out
+
+    def path(self, a, b):
+        up_a, up_b = self.ancestors(a), self.ancestors(b)
+        meet = next(x for x in up_a if x in up_b)
+        return up_a[: up_a.index(meet) + 1] + up_b[: up_b.index(meet)][::-1]
+
+    def width(self):
+        return max(map(len, self.bags.values())) - 1
+
+    def lines(self):
+        out = []
+        for n in sorted(self.bags):
+            p = self.parent[n]
+            row = [str(n), "-" if p is None else str(p)]
+            out.append(" ".join(row + [str(x) for x in sorted(self.bags[n])]) + "\n")
+        return "".join(out)
+
+
+def assert_agrees(td, model):
+    nodes = sorted(model.bags)
+    assert td.nodes() == nodes
+    for n in nodes:
+        assert td.parent(n) == model.parent[n]
+        assert td.children(n) == model.children(n)
+        assert td.bag(n) == model.bags[n]
+    assert td.root() == model.root()
+    assert td.postorder() == model.postorder()
+    for a in nodes:
+        for b in {nodes[0], nodes[-1], nodes[a // 2]}:
+            assert td.path_between(a, b) == model.path(a, b)
+    assert td.width() == model.width()
+    assert td_to_lines(td) == model.lines()
+
+
+OPS = ("add_node", "set_bag", "add_to_bag", "set_parent", "splice_above", "copy")
+bags = st.frozensets(st.sampled_from(NAMES), max_size=4)
+steps = st.lists(
+    st.tuples(
+        st.sampled_from(OPS), st.integers(0, 63), st.integers(0, 63), bags,
+        st.lists(bags, max_size=3),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bags, steps)
+def test_mutators_agree_with_the_dict_model(first, steps):
+    td, model = TreeDecomposition(), Model()
+    assert td.add_node(first) == model.add(first, None)
+    # every copy taken, with the model as it was then
+    frozen = []
+    for op, i, j, bag, more in steps:
+        nodes = sorted(model.bags)
+        n = nodes[i % len(nodes)]
+        if op == "add_node":
+            p = nodes[j % len(nodes)]
+            assert td.add_node(bag, parent=p) == model.add(bag, p)
+        elif op == "set_bag":
+            td.set_bag(n, bag)
+            model.bags[n] = bag
+        elif op == "add_to_bag":
+            td.add_to_bag(n, bag)
+            model.bags[n] |= bag
+        elif op == "set_parent":
+            # any node outside n's subtree keeps a tree, the old parent too
+            allowed = sorted(set(nodes) - model.subtree(n))
+            if model.parent[n] is None or not allowed:
+                continue
+            p = allowed[j % len(allowed)]
+            td.set_parent(n, p)
+            model.parent[n] = p
+        elif op == "splice_above":
+            assert td.splice_above(n, more) == model.splice(n, more)
+        else:
+            frozen.append((td, copy.deepcopy(model)))
+            td = td.copy()
+        assert_agrees(td, model)
+    for old, then in frozen:
+        assert_agrees(old, then)
+
+
+def test_a_node_costs_under_32_bytes_beside_its_bag():
+    # empty bags are all the one empty tuple, so what the splice leaves
+    # behind is the node tables alone; per-node dicts of bags and
+    # parents with a child tuple each cost about 250 B a node
+    td = TreeDecomposition()
+    root = td.add_node(())
+    count = 100_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        td.splice_above(root, [()] * count)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(td.nodes()) == count + 1
+    assert held / count < 32, "%.1f bytes per node" % (held / count)

@@ -24,7 +24,7 @@ from alliancelib.treewidth import (
     validate_td,
 )
 
-from helpers import square_with_chord, square_with_chord_nice_td, v, vs
+from helpers import BAD_NODE_IDS, square_with_chord, square_with_chord_nice_td, v, vs
 
 
 def path_graph(n):
@@ -502,6 +502,19 @@ class TestSerialization:
     def test_parse_error_names_line(self):
         with pytest.raises(ValueError, match="line 1"):
             td_from_lines("not a node line\n")
+
+    def test_node_ids_may_come_in_any_order(self):
+        back = td_from_lines("1 2 b\n2 - a\n0 2 c\n")
+        assert back.root() == 2
+        assert back.children(2) == [0, 1]
+        assert back.bag(1) == {v("b")}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NODE_IDS))
+def test_node_ids_must_number_the_lines_from_zero(case):
+    text, message = BAD_NODE_IDS[case]
+    with pytest.raises(ValueError, match="^%s" % message):
+        td_from_lines(text)
 
     def test_dot_smoke(self):
         dot = td_to_dot(square_with_chord_nice_td())
