@@ -153,11 +153,8 @@ class TreeDecomposition:
             raise ValueError("node %r cannot be its own parent" % (n,))
         if parent is not None and not self._is_node(parent):
             raise ValueError("unknown parent node %r" % (parent,))
-        self._relink(n, -1 if parent is None else parent)
-
-    def _relink(self, n, parent):
         self._unlink(n)
-        self._link(n, parent)
+        self._link(n, -1 if parent is None else parent)
 
     def _unlink(self, n):
         """Take n out of its parent's children; its parent entry stays."""
@@ -184,10 +181,10 @@ class TreeDecomposition:
         c = last[parent]
         if c < n:
             prev[n], last[parent] = c, n
-            return
-        while prev[c] > n:
-            c = prev[c]
-        prev[n], prev[c] = prev[c], n
+        else:
+            while prev[c] > n:
+                c = prev[c]
+            prev[n], prev[c] = prev[c], n
 
     def _index_children(self):
         """Child links rebuilt from the parent table in one pass."""
@@ -336,12 +333,11 @@ class TreeDecomposition:
         roots = parent.count(-1)
         if roots != 1:
             problems.append("expected exactly one root, found %d" % (roots,))
-        if min(parent) < -1 or max(parent) >= len(bags):
-            problems += [
-                "node %d has unknown parent %d" % (n, p)
-                for n, p in enumerate(parent)
-                if not -1 <= p < len(bags)
-            ]
+        problems += [
+            "node %d has unknown parent %d" % (n, p)
+            for n, p in enumerate(parent)
+            if not -1 <= p < len(bags)
+        ]
         # with one root and known parents, a node off the root's tree
         # lies on a cycle of parent links
         if not problems and len(self.postorder()) != len(bags):
@@ -538,8 +534,8 @@ def make_nice(td):
         top = tops[0]
         for other in tops[1:]:
             join = out._add(target)
-            out._relink(top, join)
-            out._relink(other, join)
+            out._link(top, join)
+            out._link(other, join)
             top = join
         return top
 
@@ -701,12 +697,10 @@ def transform_td(stage, td):
 def _carry(td, graph):
     """Copy of td over graph's vertex table, for a td validated against
     a graph whose vertices are all in graph."""
-    out = TreeDecomposition(graph)
+    out = td.copy(into=TreeDecomposition)
+    out._order, out._index = graph.order, graph.index
     local = list(map(graph.index.get, td._order))
     out._bags = [tuple(sorted(map(local.__getitem__, bag))) for bag in td._bags]
-    out._parent = td._parent[:]
-    out._last_child = td._last_child[:]
-    out._prev_sibling = td._prev_sibling[:]
     return out
 
 
