@@ -233,12 +233,12 @@ class TreeDecomposition:
         stack = [self.root()]
         while stack:
             node = stack.pop()
-            out.append(node)
-            # node's subtree is walked before its next smaller sibling
-            if prev[node] >= 0:
-                stack.append(prev[node])
-            if last[node] >= 0:
-                stack.append(last[node])
+            # down the last children, leaving each smaller sibling for later
+            while node >= 0:
+                out.append(node)
+                if prev[node] >= 0:
+                    stack.append(prev[node])
+                node = last[node]
         out.reverse()
         return out
 
@@ -333,10 +333,11 @@ class TreeDecomposition:
         roots = parent.count(-1)
         if roots != 1:
             problems.append("expected exactly one root, found %d" % (roots,))
+        size = len(bags)
         problems += [
             "node %d has unknown parent %d" % (n, p)
             for n, p in enumerate(parent)
-            if not -1 <= p < len(bags)
+            if not -1 <= p < size
         ]
         # with one root and known parents, a node off the root's tree
         # lies on a cycle of parent links

@@ -213,6 +213,23 @@ class TestStructure:
         assert td.children(99) == []
         assert td.children(root) == [child]
 
+    @pytest.mark.parametrize("node", [-1, 2, 10**12])
+    def test_ids_outside_the_tables_are_unknown_nodes(self, node):
+        # -1 would otherwise read the last entry of a node table
+        td = TreeDecomposition()
+        root = td.add_node({v("a")})
+        td.add_node({v("b")}, parent=root)
+        for call in (
+            td.bag,
+            td.parent,
+            lambda n: td.path_between(n, root),
+            lambda n: td.splice_above(n, [set()]),
+        ):
+            with pytest.raises(ValueError, match="unknown node"):
+                call(node)
+        assert td.children(node) == []
+        assert td.nodes() == [0, 1]
+
     def test_set_parent_rejects_the_node_itself(self):
         td = TreeDecomposition()
         root = td.add_node({v("a")})
