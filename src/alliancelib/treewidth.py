@@ -109,12 +109,25 @@ class TreeDecomposition:
 
     def _add(self, bag, parent=-1):
         """New node with bag, a sorted id tuple, under a known parent."""
-        nid = len(self._bags)
-        self._bags.append(bag)
-        for table in self._parent, self._last_child, self._prev_sibling:
-            table.append(-1)
-        self._link(nid, parent)
-        return nid
+        return self._hang(parent, [bag])
+
+    def _hang(self, parent, bags):
+        """A chain of new nodes with bags, sorted id tuples, below a known
+        parent (-1 makes the first a root): each is the only child of the
+        one before. Returns the last new id, or parent for no bags."""
+        start = len(self._bags)
+        last = start + len(bags) - 1
+        if last < start:
+            return parent
+        self._bags += bags
+        # node start + i sits under start + i - 1; _link below places start
+        self._parent.append(-1)
+        self._parent.extend(range(start, last))
+        self._last_child.extend(range(start + 1, last + 1))
+        self._last_child.append(-1)
+        self._prev_sibling.extend(itertools.repeat(-1, len(bags)))
+        self._link(start, parent)
+        return last
 
     def add_node(self, bag, parent=None):
         if parent is not None and not self._is_node(parent):
@@ -196,12 +209,15 @@ class TreeDecomposition:
                 prev[c], last[p] = last[p], c
 
     def children(self, n):
+        return self._children(n) if self._is_node(n) else []
+
+    def _children(self, n):
+        """The children of node n, in id order."""
         out = []
-        if self._is_node(n):
-            c = self._last_child[n]
-            while c >= 0:
-                out.append(c)
-                c = self._prev_sibling[c]
+        c = self._last_child[n]
+        while c >= 0:
+            out.append(c)
+            c = self._prev_sibling[c]
         out.reverse()
         return out
 
@@ -250,41 +266,29 @@ class TreeDecomposition:
         new ids bottom to top.
         """
         self._check_node(n)
-        return self._splice(n, [self._vertex_ids(b) for b in bags])
+        return list(self._splice(n, [self._vertex_ids(b) for b in bags]))
 
     def _splice(self, n, bags):
-        """splice_above for a list of bags that are sorted id tuples."""
-        if not bags:
-            return []
+        """splice_above for a list of bags that are sorted id tuples; the
+        new ids as a range."""
         start = len(self._bags)
+        if not bags:
+            return range(start, start)
         top = start + len(bags) - 1
         old_parent = self._parent[n]
-        self._unlink(n)
+        if old_parent >= 0:
+            self._unlink(n)
         self._bags += bags
-        # node start + i has the one child start + i - 1, and start has n
-        self._parent.extend(range(start + 1, top + 1))
-        self._parent.append(-1)
-        self._last_child.append(n)
-        self._last_child.extend(range(start, top))
-        self._prev_sibling.extend(itertools.repeat(-1, len(bags)))
+        # node start + i has the one child start + i - 1, and start has n;
+        # _link below gives top its parent
         self._parent[n] = start
+        self._parent.extend(range(start + 1, top + 2))
+        self._last_child.extend(range(start - 1, top))
+        self._last_child[start] = n
+        self._prev_sibling.extend(itertools.repeat(-1, len(bags)))
         # top is the largest id so far, so it heads old_parent's children
         self._link(top, old_parent)
-        return list(range(start, top + 1))
-
-    def occurrences(self, v):
-        i = self._index.get(v)
-        return [n for n, bag in enumerate(self._bags) if i in bag]
-
-    def topmost(self, v):
-        """The unique occurrence of v whose parent bag lacks v."""
-        i = self._index.get(v)
-        tops = [] if i is None else _tops_of(_tops(self), i)
-        if len(tops) != 1:
-            raise ValueError(
-                "vertex %s occurs in %d occurrence components" % (v, len(tops))
-            )
-        return tops[0]
+        return range(start, top + 1)
 
     def path_between(self, a, b):
         """Node ids on the tree path from a to b, both inclusive.
@@ -334,11 +338,12 @@ class TreeDecomposition:
         if roots != 1:
             problems.append("expected exactly one root, found %d" % (roots,))
         size = len(bags)
-        problems += [
-            "node %d has unknown parent %d" % (n, p)
-            for n, p in enumerate(parent)
-            if not -1 <= p < size
-        ]
+        if min(parent) < -1 or max(parent) >= size:
+            problems += [
+                "node %d has unknown parent %d" % (n, p)
+                for n, p in enumerate(parent)
+                if not -1 <= p < size
+            ]
         # with one root and known parents, a node off the root's tree
         # lies on a cycle of parent links
         if not problems and len(self.postorder()) != len(bags):
@@ -542,12 +547,12 @@ def make_nice(td):
 
     # frames: (node, its children not yet built, tops of those built)
     root = td.root()
-    stack = [(root, iter(td.children(root)), [])]
+    stack = [(root, iter(td._children(root)), [])]
     while True:
         node, pending, tops = stack[-1]
         child = next(pending, None)
         if child is not None:
-            stack.append((child, iter(td.children(child)), []))
+            stack.append((child, iter(td._children(child)), []))
             continue
         top = finish(node, tops)
         stack.pop()
@@ -736,22 +741,14 @@ def _transform_mmo(stage, td):
         if weight == 1:
             out._add(_with(base, cu[0], cw[0]), t)
         else:
-            prev = t
-            for i in range(1, weight):
-                prev = out._add(_with(base, cu[i - 1], cu[i], cw[i - 1], cw[i]), prev)
+            out._hang(t, [_with(base, cu[i - 1], cu[i], cw[i - 1], cw[i]) for i in range(1, weight)])
         for side, owner in ((gadgets.edge_copy_forbidden[(u, w)], u),
                             (gadgets.edge_copy_forbidden[(w, u)], w)):
             anchor = first[index[owner]]
-            anchor_bag = bags[anchor]
-            prev = anchor
-            for x in _ids(table, side):
-                prev = out._add(_with(anchor_bag, x), prev)
+            out._hang(anchor, [_with(bags[anchor], x) for x in _ids(table, side)])
     for u in source.graph.sorted_vertices():
         anchor = first[index[u]]
-        anchor_bag = bags[anchor]
-        prev = anchor
-        for x in _ids(table, gadgets.helper[u]):
-            prev = out._add(_with(anchor_bag, x), prev)
+        out._hang(anchor, [_with(bags[anchor], x) for x in _ids(table, gadgets.helper[u])])
     return out
 
 
@@ -784,9 +781,10 @@ def _transform_pairs(stage, td):
     # descending chain below the topmost bag of v keeps v_n adjacent
     for u in verts:
         y, yf = ys[u], yfs[u]
-        prev = first[index[u]]
-        for i in range(n - 1, 0, -1):
-            prev = out._add(_with((index[u],), y[i - 1], yf[i - 1], y[i], yf[i]), prev)
+        out._hang(
+            first[index[u]],
+            [_with((index[u],), y[i - 1], yf[i - 1], y[i], yf[i]) for i in range(n - 1, 0, -1)],
+        )
     m = n * n + n
     for a, b in sorted_pairs:
         t = top_pair[(a, b)]
@@ -797,13 +795,13 @@ def _transform_pairs(stage, td):
         zfa = _ids(table, gadgets.z_chain_forbidden[((a, b), a)])
         zb = _ids(table, gadgets.z_chain[((a, b), b)])
         zfb = _ids(table, gadgets.z_chain_forbidden[((a, b), b)])
-        prev = out._add(_with(carry, *last[index[a]], hub_a, za[0], zfa[0]), t)
-        for i in range(1, m):
-            prev = out._add(_with(carry, hub_a, za[i - 1], zfa[i - 1], za[i], zfa[i]), prev)
-        prev = out._add(_with(carry, hub_a, hub_b, index[gadgets.triangle[(a, b)]]), prev)
-        for i in range(m - 1, 0, -1):
-            prev = out._add(_with(carry, hub_b, zb[i - 1], zfb[i - 1], zb[i], zfb[i]), prev)
-        out._add(_with(carry, hub_b, zb[0], zfb[0]), prev)
+        # down from t: a's chain, the triangle, then b's chain back up
+        chain = [_with(carry, *last[index[a]], hub_a, za[0], zfa[0])]
+        chain += [_with(carry, hub_a, za[i - 1], zfa[i - 1], za[i], zfa[i]) for i in range(1, m)]
+        chain.append(_with(carry, hub_a, hub_b, index[gadgets.triangle[(a, b)]]))
+        chain += [_with(carry, hub_b, zb[i - 1], zfb[i - 1], zb[i], zfb[i]) for i in range(m - 1, 0, -1)]
+        chain.append(_with(carry, hub_b, zb[0], zfb[0]))
+        out._hang(t, chain)
     return out
 
 
