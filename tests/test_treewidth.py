@@ -526,17 +526,17 @@ class TestSerialization:
         assert back.children(2) == [0, 1]
         assert back.bag(1) == {v("b")}
 
+    def test_dot_smoke(self):
+        dot = td_to_dot(square_with_chord_nice_td())
+        assert dot.startswith("graph ")
+        assert "a,c" in dot.replace(" ", "") or "a, c" in dot
+
 
 @pytest.mark.parametrize("case", sorted(BAD_NODE_IDS))
 def test_node_ids_must_number_the_lines_from_zero(case):
     text, message = BAD_NODE_IDS[case]
     with pytest.raises(ValueError, match="^%s" % message):
         td_from_lines(text)
-
-    def test_dot_smoke(self):
-        dot = td_to_dot(square_with_chord_nice_td())
-        assert dot.startswith("graph ")
-        assert "a,c" in dot.replace(" ", "") or "a, c" in dot
 
 
 class TestEmptyBagKinds:
