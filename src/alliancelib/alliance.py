@@ -17,6 +17,11 @@ from .graph import Graph, VertexSet, _holds, _linked, edge_key, is_integer, pars
 
 MODES = ("at-most", "exact")
 
+# the reduction chain's stages in chain order; kept here, beside the
+# instances they produce, so that the command-line parser can offer them
+# without loading the reductions
+STAGE_TAGS = ("mmo-to-fnc", "fnc-to-fn", "fn-to-f", "f-to-plain")
+
 
 @dataclass(frozen=True)
 class AllianceVerdict:
@@ -267,19 +272,15 @@ def _parse_vertex_list(raw, field, item):
     return [_parse_vertex_field(x, "%s %d" % (item, i)) for i, x in enumerate(raw)]
 
 
-def _parse_vertex_pairs(raw, what):
+def _parse_vertex_pairs(raw, field, item):
     if not isinstance(raw, list):
-        raise ValueError("field %r must be a list" % (what,))
+        raise ValueError("field %r must be a list" % (field,))
     out = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, list) or len(item) != 2:
-            raise ValueError("%s %d must be a [u, v] pair" % (what, i))
-        out.append(
-            (
-                _parse_vertex_field(item[0], "%s %d" % (what, i)),
-                _parse_vertex_field(item[1], "%s %d" % (what, i)),
-            )
-        )
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ValueError("%s %d must be a [u, v] pair" % (item, i))
+        context = "%s %d" % (item, i)
+        out.append(tuple(_parse_vertex_field(x, context) for x in entry))
     return out
 
 
@@ -294,14 +295,14 @@ def instance_from_json(text):
         if required not in payload:
             raise ValueError("missing field: %s" % (required,))
     vertices = _parse_vertex_list(payload["vertices"], "vertices", "vertex")
-    edges = _parse_vertex_pairs(payload["edges"], "edge")
+    edges = _parse_vertex_pairs(payload["edges"], "edges", "edge")
     k = payload["k"]
     if not is_integer(k):
         raise ValueError("field 'k' must be an integer")
     graph = Graph(vertices, edges)
     forbidden = _parse_vertex_list(payload.get("forbidden", []), "forbidden", "forbidden")
     necessary = _parse_vertex_list(payload.get("necessary", []), "necessary", "necessary")
-    pairs = _parse_vertex_pairs(payload.get("pairs", []), "pair")
+    pairs = _parse_vertex_pairs(payload.get("pairs", []), "pairs", "pair")
     mode = payload.get("mode", "at-most")
     return AllianceInstance(
         graph,

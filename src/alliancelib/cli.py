@@ -10,10 +10,13 @@ import argparse
 import dataclasses
 import json
 import os
-import random
 import sys
 
+# only what the parser, verify and solve need; every other subcommand
+# imports its modules when it runs, so a request compiles no code it
+# does not use
 from .alliance import (
+    STAGE_TAGS,
     AllianceInstance,
     instance_from_json,
     instance_to_json,
@@ -21,49 +24,13 @@ from .alliance import (
     primal_graph,
     solution_problems,
 )
-from .gen import (
-    random_forbidden_toy,
-    random_mmo,
-    random_necessary_toy,
-    random_pair_toy,
-    random_plain_instance,
-)
 from .graph import VertexId, graph_from_edgelist, graph_to_dot, parse_vertex
-from .mmo import (
-    MmoInstance,
-    max_weighted_outdegree,
-    mmo_from_json,
-    mmo_to_json,
-    orientations,
-    solve_mmo,
-)
-from .reductions import (
-    STAGE_TAGS,
-    eliminate_forbidden,
-    eliminate_necessary_auto,
-    eliminate_pairs,
-    lift_solution,
-    mmo_to_alliance,
-    orientation_to_solution,
-    project_solution,
-    solution_to_orientation,
-)
 from .solver import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     SolveRequest,
     solve,
     solve_connected_pruned,
-)
-from .treewidth import (
-    NiceTreeDecomposition,
-    heuristic_td,
-    make_nice,
-    td_from_lines,
-    td_to_dot,
-    td_to_lines,
-    transform_td,
-    treewidth_exact_small,
 )
 
 # reduction chains grow instances by orders of magnitude per stage;
@@ -84,6 +51,8 @@ def parse_instance(text, fmt="json", k=None, mode="at-most"):
         except json.JSONDecodeError as exc:
             raise ValueError("invalid JSON: %s" % (exc,)) from None
         if isinstance(payload, dict) and "r" in payload:
+            from .mmo import mmo_from_json
+
             return mmo_from_json(text)
         return instance_from_json(text)
     if fmt == "edgelist":
@@ -112,196 +81,13 @@ def _load_alliance(args):
         getattr(args, "k", None),
         getattr(args, "mode", None) or "at-most",
     )
-    if isinstance(parsed, MmoInstance):
+    if not isinstance(parsed, AllianceInstance):
         raise ValueError(
             "this command reads an alliance instance, not an orientation target"
         )
     if getattr(args, "mode", None) and parsed.mode != args.mode:
         parsed = dataclasses.replace(parsed, mode=args.mode)
     return parsed
-
-
-def _instance_stats(instance):
-    return {
-        "vertices": len(instance.graph.vertices),
-        "edges": len(instance.graph.edges),
-        "pairs": len(instance.pairs),
-        "forbidden": len(instance.forbidden),
-        "necessary": len(instance.necessary),
-        "k": instance.k,
-        "variant": instance.variant,
-    }
-
-
-def _mmo_projected_stats(instance):
-    n = len(instance.graph.vertices)
-    total = sum(instance.weights.values())
-    return {
-        "vertices": 2 * n * instance.r + 4 * total,
-        "pairs": 2 * total - len(instance.graph.edges),
-        "forbidden": 2 * total,
-        "necessary": 2 * n * instance.r,
-        "k": 2 * n * instance.r + total,
-        "variant": "FNC",
-    }
-
-
-def _project_stats(stats, tag):
-    """Statistics of a stage result from its source statistics alone,
-    for stages too large to build. Mirrors the gadget counts."""
-    n = stats["vertices"]
-    if tag == "fnc-to-fn":
-        m = n * n + n
-        pairs = stats["pairs"]
-        return {
-            "vertices": n + 2 * n * n + pairs * (3 + 4 * m),
-            "pairs": 0,
-            "forbidden": stats["forbidden"] + n * n + pairs * 2 * m,
-            "necessary": stats["necessary"] + pairs,
-            "k": stats["k"] * (n + 1) + pairs * (m + 2),
-            "variant": "FN",
-        }
-    if tag == "fn-to-f":
-        open_count = n - stats["forbidden"] - stats["necessary"]
-        members = stats["necessary"] + 2 * open_count
-        forbidden = stats["forbidden"] + members * (n + 1) + 2 * open_count
-        return {
-            "vertices": n + 5 * open_count + 2 * members * (n + 1),
-            "pairs": 0,
-            "forbidden": forbidden,
-            "necessary": 0,
-            "k": (n + 3) * (stats["k"] + open_count) - stats["necessary"],
-            "variant": "F" if forbidden else "plain",
-        }
-    if tag == "f-to-plain":
-        return {
-            "vertices": n + stats["forbidden"] * (2 * stats["k"] + 1),
-            "pairs": 0,
-            "forbidden": 0,
-            "necessary": 0,
-            "k": stats["k"],
-            "variant": "plain",
-        }
-    raise ValueError("unknown reduction stage tag %r" % (tag,))
-
-
-def _predict_vertices(source, tag):
-    if tag == "mmo-to-fnc":
-        return _mmo_projected_stats(source)["vertices"]
-    return _project_stats(_instance_stats(source), tag)["vertices"]
-
-
-def _build_stage(tag, instance, decomposition=None):
-    if tag == "mmo-to-fnc":
-        if not isinstance(instance, MmoInstance):
-            raise ValueError("stage mmo-to-fnc starts from an orientation target")
-        return mmo_to_alliance(instance)
-    if isinstance(instance, MmoInstance):
-        raise ValueError("stage %s starts from an alliance instance" % (tag,))
-    if tag == "fnc-to-fn":
-        return eliminate_pairs(instance)
-    if tag == "fn-to-f":
-        return eliminate_necessary_auto(instance, decomposition)
-    if tag == "f-to-plain":
-        return eliminate_forbidden(instance)
-    raise ValueError("unknown reduction stage tag %r" % (tag,))
-
-
-def run_pipeline(
-    mmo,
-    stages,
-    decomposition=None,
-    budget=DEFAULT_BUDGET,
-    max_vertices=MATERIALIZE_CAP,
-):
-    """Run a prefix of the reduction chain and report per-stage sizes.
-
-    Stages past the materialization cap are only projected: their
-    budgets and instance sizes come from the counting formulas, no
-    graph is built. The decision is attempted on the final instance
-    when every stage was materialized; a witness is projected back
-    stage by stage and read out as an orientation.
-    """
-    stages = list(stages)
-    if not stages or tuple(stages) != STAGE_TAGS[: len(stages)]:
-        raise ValueError(
-            "stages must be a nonempty prefix of %s" % (", ".join(STAGE_TAGS),)
-        )
-    if not isinstance(mmo, MmoInstance):
-        raise ValueError("the chain starts from an orientation target")
-    report_stages = []
-    flags = []
-    built = []
-    current = mmo
-    stats = None
-    td = decomposition
-    projected = False
-    for tag in stages:
-        if not projected and _predict_vertices(current, tag) > max_vertices:
-            projected = True
-            flags.append("size-cap")
-            stats = (
-                _mmo_projected_stats(current)
-                if isinstance(current, MmoInstance)
-                else _instance_stats(current)
-            )
-            stats = None if tag == "mmo-to-fnc" else stats
-        if projected:
-            stats = (
-                _mmo_projected_stats(current) if stats is None else _project_stats(stats, tag)
-            )
-            entry = {"tag": tag, "projected": True, "width": None, "edges": None}
-            entry.update(stats)
-            report_stages.append(entry)
-            continue
-        if tag == "fn-to-f" and td is not None:
-            td = make_nice(td)
-        stage = _build_stage(tag, current, td)
-        width = None
-        if td is not None:
-            td = transform_td(stage, td)
-            width = td.width()
-        built.append(stage)
-        current = stage.result
-        entry = {"tag": tag, "projected": False, "width": width}
-        entry.update(_instance_stats(current))
-        report_stages.append(entry)
-
-    decision = None
-    witness_size = None
-    orientation_payload = None
-    if not projected:
-        try:
-            outcome = solve(SolveRequest(built[-1].result, "decide", budget=budget))
-        except BudgetExceededError as exc:
-            flags.append("budget-exceeded")
-            flags.append(str(exc))
-        else:
-            decision = outcome.feasible
-            if outcome.feasible:
-                witness_size = len(outcome.witness)
-                witness = outcome.witness
-                for stage in reversed(built[1:]):
-                    witness = project_solution(stage, witness)
-                orientation = solution_to_orientation(mmo, witness)
-                orientation_payload = {
-                    "%s--%s" % edge: [str(tail), str(head)]
-                    for edge, (tail, head) in sorted(orientation.direction.items())
-                }
-
-    mmo_decision = None
-    if len(mmo.graph.edges) <= 25:
-        mmo_decision = solve_mmo(mmo) is not None
-    return {
-        "command": "reduce",
-        "chain": True,
-        "stages": report_stages,
-        "flags": flags,
-        "decision": decision,
-        "witness_size": witness_size,
-        "orientation": orientation_payload,
-        "mmo_decision": mmo_decision,
-    }
 
 
 # a VertexId is a tuple too, so test for it before taking a tuple apart
@@ -364,6 +150,9 @@ def _cmd_solve(args):
 
 
 def _cmd_reduce(args):
+    from .reductions import _build_stage, _instance_stats, run_pipeline
+    from .treewidth import make_nice, td_from_lines, td_to_dot, td_to_lines, transform_td
+
     text = _read(args.instance)
     decomposition = td_from_lines(_read(args.td)) if args.td else None
     if args.chain:
@@ -406,10 +195,19 @@ def _cmd_reduce(args):
 
 
 def _cmd_decompose(args):
+    from .treewidth import (
+        NiceTreeDecomposition,
+        heuristic_td,
+        make_nice,
+        td_to_dot,
+        td_to_lines,
+        treewidth_exact_small,
+    )
+
     parsed = parse_instance(
         _read(args.instance), args.format, getattr(args, "k", None)
     )
-    graph = parsed.graph if isinstance(parsed, MmoInstance) else primal_graph(parsed)
+    graph = primal_graph(parsed) if isinstance(parsed, AllianceInstance) else parsed.graph
     td = heuristic_td(graph)
     if args.nice:
         td = make_nice(td)
@@ -432,10 +230,20 @@ def _cmd_decompose(args):
 
 
 def _cmd_roundtrip(args):
+    from .mmo import max_weighted_outdegree, orientations
+    from .reductions import (
+        _build_stage,
+        lift_solution,
+        mmo_to_alliance,
+        orientation_to_solution,
+        project_solution,
+        solution_to_orientation,
+    )
+
     parsed = parse_instance(_read(args.instance))
     checks = []
     if args.stage == "mmo-to-fnc":
-        if not isinstance(parsed, MmoInstance):
+        if isinstance(parsed, AllianceInstance):
             raise ValueError("stage mmo-to-fnc starts from an orientation target")
         if len(parsed.graph.edges) > 12:
             raise ValueError("the orientation audit is limited to 12 edges")
@@ -484,18 +292,24 @@ def _cmd_roundtrip(args):
     return (0 if verified else 1), report
 
 
+# each gen kind and the alliancelib.gen function that draws it
 _GEN_KINDS = {
-    "mmo": random_mmo,
-    "fnc": random_pair_toy,
-    "fn": random_necessary_toy,
-    "f": random_forbidden_toy,
-    "plain": random_plain_instance,
+    "mmo": "random_mmo",
+    "fnc": "random_pair_toy",
+    "fn": "random_necessary_toy",
+    "f": "random_forbidden_toy",
+    "plain": "random_plain_instance",
 }
 
 
 def _cmd_gen(args):
+    import random
+
+    from . import gen
+    from .mmo import mmo_to_json
+
     rng = random.Random(args.seed)
-    factory = _GEN_KINDS[args.kind]
+    factory = getattr(gen, _GEN_KINDS[args.kind])
     docs = []
     for _ in range(args.count):
         drawn = factory(rng)
@@ -586,6 +400,17 @@ def _build_parser():
     return parser
 
 
+def _check_limits(args):
+    """Refuse a negative search budget, vertex cap or draw count before
+    any work is done."""
+    for option in ("budget", "max_vertices", "count"):
+        value = getattr(args, option, 0)
+        if value < 0:
+            raise ValueError(
+                "--%s must be non-negative, got %d" % (option.replace("_", "-"), value)
+            )
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -593,6 +418,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_limits(args)
         code, report = args.handler(args)
     except BudgetExceededError as exc:
         print("budget exceeded: %s" % (exc,), file=sys.stderr)

@@ -21,18 +21,21 @@ for: the gadget tables hold the family blocks, which read as name
 sequences and give their id range, and the forbidden and necessary
 sets are VertexSets over the table's ids. An input vertex whose name a
 gadget of the stage would also take is rejected rather than merged.
+
+run_pipeline runs a prefix of the chain from an orientation target: it
+builds stages up to a vertex cap, projects the rest by the counting
+formulas, and decides the last stage when every stage was built.
 """
 
 from array import array
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
-from .alliance import AllianceInstance, is_solution
+from .alliance import STAGE_TAGS, AllianceInstance, is_solution
 from .graph import Block, Graph, VertexId, VertexSet, VertexTable
-from .mmo import Orientation
-from .treewidth import postorder_ordering
-
-STAGE_TAGS = ("mmo-to-fnc", "fnc-to-fn", "fn-to-f", "f-to-plain")
+from .mmo import MmoInstance, Orientation, solve_mmo
+from .solver import DEFAULT_BUDGET, BudgetExceededError, SolveRequest, solve
+from .treewidth import make_nice, postorder_ordering, transform_td
 
 
 @dataclass(frozen=True, eq=False)
@@ -596,3 +599,186 @@ def project_solution(stage, solution):
     if not is_solution(stage.source, out):
         raise RuntimeError("projected set fails verification on the stage source")
     return out
+
+
+def _instance_stats(instance):
+    return {
+        "vertices": len(instance.graph.vertices),
+        "edges": len(instance.graph.edges),
+        "pairs": len(instance.pairs),
+        "forbidden": len(instance.forbidden),
+        "necessary": len(instance.necessary),
+        "k": instance.k,
+        "variant": instance.variant,
+    }
+
+
+def _mmo_projected_stats(instance):
+    n = len(instance.graph.vertices)
+    total = sum(instance.weights.values())
+    return {
+        "vertices": 2 * n * instance.r + 4 * total,
+        "pairs": 2 * total - len(instance.graph.edges),
+        "forbidden": 2 * total,
+        "necessary": 2 * n * instance.r,
+        "k": 2 * n * instance.r + total,
+        "variant": "FNC",
+    }
+
+
+def _project_stats(stats, tag):
+    """Statistics of a stage result from its source statistics alone,
+    for stages too large to build. Mirrors the gadget counts."""
+    n = stats["vertices"]
+    if tag == "fnc-to-fn":
+        m = n * n + n
+        pairs = stats["pairs"]
+        return {
+            "vertices": n + 2 * n * n + pairs * (3 + 4 * m),
+            "pairs": 0,
+            "forbidden": stats["forbidden"] + n * n + pairs * 2 * m,
+            "necessary": stats["necessary"] + pairs,
+            "k": stats["k"] * (n + 1) + pairs * (m + 2),
+            "variant": "FN",
+        }
+    if tag == "fn-to-f":
+        open_count = n - stats["forbidden"] - stats["necessary"]
+        members = stats["necessary"] + 2 * open_count
+        forbidden = stats["forbidden"] + members * (n + 1) + 2 * open_count
+        return {
+            "vertices": n + 5 * open_count + 2 * members * (n + 1),
+            "pairs": 0,
+            "forbidden": forbidden,
+            "necessary": 0,
+            "k": (n + 3) * (stats["k"] + open_count) - stats["necessary"],
+            "variant": "F" if forbidden else "plain",
+        }
+    if tag == "f-to-plain":
+        return {
+            "vertices": n + stats["forbidden"] * (2 * stats["k"] + 1),
+            "pairs": 0,
+            "forbidden": 0,
+            "necessary": 0,
+            "k": stats["k"],
+            "variant": "plain",
+        }
+    raise ValueError("unknown reduction stage tag %r" % (tag,))
+
+
+def _predict_vertices(source, tag):
+    if tag == "mmo-to-fnc":
+        return _mmo_projected_stats(source)["vertices"]
+    return _project_stats(_instance_stats(source), tag)["vertices"]
+
+
+def _build_stage(tag, instance, decomposition=None):
+    if tag == "mmo-to-fnc":
+        if not isinstance(instance, MmoInstance):
+            raise ValueError("stage mmo-to-fnc starts from an orientation target")
+        return mmo_to_alliance(instance)
+    if isinstance(instance, MmoInstance):
+        raise ValueError("stage %s starts from an alliance instance" % (tag,))
+    if tag == "fnc-to-fn":
+        return eliminate_pairs(instance)
+    if tag == "fn-to-f":
+        return eliminate_necessary_auto(instance, decomposition)
+    if tag == "f-to-plain":
+        return eliminate_forbidden(instance)
+    raise ValueError("unknown reduction stage tag %r" % (tag,))
+
+
+def run_pipeline(
+    mmo,
+    stages,
+    decomposition=None,
+    budget=DEFAULT_BUDGET,
+    max_vertices=float("inf"),
+):
+    """Run a prefix of the reduction chain and report per-stage sizes.
+
+    Stages past the materialization cap max_vertices (by default none)
+    are only projected: their budgets and instance sizes come from the
+    counting formulas, no graph is built. The decision is attempted on
+    the final instance when every stage was materialized; a witness is
+    projected back stage by stage and read out as an orientation.
+    """
+    stages = list(stages)
+    if not stages or tuple(stages) != STAGE_TAGS[: len(stages)]:
+        raise ValueError(
+            "stages must be a nonempty prefix of %s" % (", ".join(STAGE_TAGS),)
+        )
+    if not isinstance(mmo, MmoInstance):
+        raise ValueError("the chain starts from an orientation target")
+    report_stages = []
+    flags = []
+    built = []
+    current = mmo
+    stats = None
+    td = decomposition
+    projected = False
+    for tag in stages:
+        if not projected and _predict_vertices(current, tag) > max_vertices:
+            projected = True
+            flags.append("size-cap")
+            stats = (
+                _mmo_projected_stats(current)
+                if isinstance(current, MmoInstance)
+                else _instance_stats(current)
+            )
+            stats = None if tag == "mmo-to-fnc" else stats
+        if projected:
+            stats = (
+                _mmo_projected_stats(current) if stats is None else _project_stats(stats, tag)
+            )
+            entry = {"tag": tag, "projected": True, "width": None, "edges": None}
+            entry.update(stats)
+            report_stages.append(entry)
+            continue
+        if tag == "fn-to-f" and td is not None:
+            td = make_nice(td)
+        stage = _build_stage(tag, current, td)
+        width = None
+        if td is not None:
+            td = transform_td(stage, td)
+            width = td.width()
+        built.append(stage)
+        current = stage.result
+        entry = {"tag": tag, "projected": False, "width": width}
+        entry.update(_instance_stats(current))
+        report_stages.append(entry)
+
+    decision = None
+    witness_size = None
+    orientation_payload = None
+    if not projected:
+        try:
+            outcome = solve(SolveRequest(built[-1].result, "decide", budget=budget))
+        except BudgetExceededError as exc:
+            flags.append("budget-exceeded")
+            flags.append(str(exc))
+        else:
+            decision = outcome.feasible
+            if outcome.feasible:
+                witness_size = len(outcome.witness)
+                witness = outcome.witness
+                for stage in reversed(built[1:]):
+                    witness = project_solution(stage, witness)
+                orientation = solution_to_orientation(mmo, witness)
+                orientation_payload = {
+                    "%s--%s" % edge: [str(tail), str(head)]
+                    for edge, (tail, head) in sorted(orientation.direction.items())
+                }
+
+    mmo_decision = None
+    if len(mmo.graph.edges) <= 25:
+        mmo_decision = solve_mmo(mmo) is not None
+    return {
+        "command": "reduce",
+        "chain": True,
+        "stages": report_stages,
+        "flags": flags,
+        "decision": decision,
+        "witness_size": witness_size,
+        "orientation": orientation_payload,
+        "mmo_decision": mmo_decision,
+    }

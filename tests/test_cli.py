@@ -1,14 +1,19 @@
 """Command surface tests. Reports are JSON on stdout; exit codes are
 0 yes/success, 1 no, 2 usage or parse trouble, 3 budget exceeded."""
 
+import contextlib
+import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from alliancelib import cli
+from alliancelib import cli, reductions
 from alliancelib.alliance import (
     AllianceInstance,
     instance_from_json,
@@ -374,7 +379,7 @@ class TestReduceChain:
 
     def test_run_pipeline_rejects_non_prefix(self):
         with pytest.raises(ValueError, match="prefix"):
-            cli.run_pipeline(two_vertex_mmo(), ["fnc-to-fn"])
+            reductions.run_pipeline(two_vertex_mmo(), ["fnc-to-fn"])
 
 
 class TestDecompose:
@@ -540,6 +545,16 @@ class TestMalformedDocuments:
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [(_plain_payload, f) for f in ("vertices", "edges", "forbidden", "necessary", "pairs")]
+    + [(_mmo_payload, f) for f in ("vertices", "edges")],
+)
+def test_list_field_errors_name_the_document_field(payload, field):
+    with pytest.raises(ValueError, match="^field '%s' must be a list$" % (field,)):
+        cli.parse_instance(json.dumps(_set(payload(), field, "ab")))
+
+
 @pytest.mark.parametrize("case", sorted(BAD_NODE_IDS))
 def test_reduce_refuses_decompositions_with_bad_node_ids(capsys, tmp_path, case):
     text, message = BAD_NODE_IDS[case]
@@ -551,6 +566,36 @@ def test_reduce_refuses_decompositions_with_bad_node_ids(capsys, tmp_path, case)
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert "Traceback" not in captured.err
+
+
+# requests with a negative count or limit, refused before any work: the
+# one-edge target's fourth stage passes the default vertex cap, its first
+# does not
+BAD_LIMITS = {
+    "chain-budget-projected": (["reduce", "--chain", "--budget", "-1"], "--budget"),
+    "chain-budget-built": (["reduce", "--chain", "--stages", "1", "--budget", "-1"], "--budget"),
+    "chain-max-vertices": (["reduce", "--chain", "--max-vertices", "-5"], "--max-vertices"),
+    "gen-count": (["gen", "--kind", "plain", "--seed", "1", "--count", "-1"], "--count"),
+    "solve-budget": (["solve", "--budget", "-1"], "--budget"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LIMITS))
+def test_negative_limits_exit_two(capsys, tmp_path, case):
+    argv, option = BAD_LIMITS[case]
+    value = argv[argv.index(option) + 1]
+    if argv[0] == "reduce":
+        argv = argv + [write(tmp_path, "doc.json", mmo_to_json(one_edge_mmo()))]
+    elif argv[0] == "solve":
+        argv = argv + [write(tmp_path, "doc.json", json.dumps(_plain_payload()))]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: %s must be non-negative, got %s\n" % (option, value)
+
+
+def test_zero_count_draws_nothing(capsys):
+    assert run(capsys, ["gen", "--kind", "plain", "--seed", "1", "--count", "0"]) == (0, [])
 
 
 class TestUsage:
@@ -567,17 +612,210 @@ class TestUsage:
         capsys.readouterr()
 
 
-def test_import_leaves_numpy_out():
-    # the package has no third-party runtime dependency; a stray numpy
-    # import costs every command-line process its import time and memory
+# imports alliancelib.cli, then runs requests in-process, and prints the
+# codes and the alliancelib submodules (and numpy) loaded after each step
+MODULE_PROBE = """
+import contextlib, io, json, sys
+from alliancelib import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("alliancelib.") or m == "numpy")
+
+path = sys.argv[1]
+steps, codes = {"import": loaded()}, []
+for step, requests in (
+    ("solve+verify", (["solve", path], ["verify", "-S", "a", path])),
+    ("decompose", (["decompose", path],)),
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes += [cli.main(argv) for argv in requests]
+    steps[step] = loaded()
+print(json.dumps({"codes": codes, "steps": steps}))
+"""
+
+
+def test_import_leaves_numpy_out(tmp_path):
+    # the package has no third-party runtime dependency, and a request
+    # loads only the modules its subcommand runs: every other module
+    # costs a command-line process its compile time and memory
     root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    probe = "import sys, alliancelib.cli; print('numpy' in sys.modules)"
+    path = wheelish_file(tmp_path)
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", MODULE_PROBE, path],
         env=dict(os.environ, PYTHONPATH=root),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    probe = json.loads(done.stdout)
+    assert probe["codes"] == [0, 1, 0]
+    chain = {"alliancelib.%s" % name for name in ("treewidth", "reductions", "gen", "mmo")}
+    for step in ("import", "solve+verify"):
+        assert not (chain | {"numpy"}) & set(probe["steps"][step]), step
+    decompose = set(probe["steps"]["decompose"])
+    assert "alliancelib.treewidth" in decompose
+    assert not {"alliancelib.reductions", "alliancelib.gen", "numpy"} & decompose
+
+
+def test_package_names_resolve_to_the_submodule_objects():
+    import alliancelib
+
+    modules = [
+        importlib.import_module("alliancelib." + name)
+        for name in ("alliance", "graph", "mmo", "reductions", "solver", "treewidth")
+    ]
+    listed = dir(alliancelib)
+    for name in alliancelib.__all__:
+        value = getattr(alliancelib, name)
+        owners = [module for module in modules if hasattr(module, name)]
+        assert owners, name
+        assert all(getattr(module, name) is value for module in owners), name
+        assert name in listed
+    namespace = {}
+    exec("from alliancelib import *", namespace)
+    assert set(alliancelib.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="nope"):
+        alliancelib.nope
+
+
+_NOT_A_LIST = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_NOT_AN_INT = st.one_of(
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+)
+_BAD_NAME = st.one_of(
+    st.sampled_from(["", "a b", "a/unknown", "a.b.c/x"]), st.integers(), st.none()
+)
+_UNKNOWN = st.sampled_from(["f", "zz", "q7"])
+
+
+def _without(payload, field):
+    del payload[field]
+    return payload
+
+
+# instance documents over the wheelish graph (a..e), each wrong in one way
+_BAD_ALLIANCE = st.one_of(
+    st.sampled_from(["vertices", "edges", "k"]).map(lambda f: _without(_plain_payload(), f)),
+    st.tuples(
+        st.sampled_from(["vertices", "edges", "forbidden", "necessary", "pairs"]), _NOT_A_LIST
+    ).map(lambda fv: _set(_plain_payload(), *fv)),
+    _NOT_AN_INT.map(lambda k: _set(_plain_payload(), "k", k)),
+    st.integers(max_value=0).map(lambda k: _set(_plain_payload(), "k", k)),
+    _BAD_NAME.map(lambda u: _set(_plain_payload(), "vertices", ["a", "b", u])),
+    _BAD_NAME.map(lambda u: _set(_plain_payload(), "edges", [["a", u]])),
+    _UNKNOWN.map(lambda u: _set(_plain_payload(), "edges", [["a", u]])),
+    _UNKNOWN.map(lambda u: _set(_plain_payload(), "forbidden", [u])),
+    _UNKNOWN.map(lambda u: _set(_plain_payload(), "necessary", [u])),
+    _UNKNOWN.map(lambda u: _set(_plain_payload(), "pairs", [["a", u]])),
+    st.sampled_from([["a"], ["a", "b", "c"], "ab", 3, ["a", "a"]]).map(
+        lambda e: _set(_plain_payload(), "edges", [e])
+    ),
+    st.sampled_from([["a"], "ab", ["a", "a"]]).map(
+        lambda p: _set(_plain_payload(), "pairs", [p])
+    ),
+    st.sampled_from([("necessary", ["a"]), ("pairs", [["a", "b"]])]).map(
+        lambda fv: _set(_set(_plain_payload(), "forbidden", ["a"]), *fv)
+    ),
+    st.text(max_size=5).filter(lambda m: m not in ("at-most", "exact"))
+    .map(lambda m: _set(_plain_payload(), "mode", m)),
+).map(lambda payload: ("alliance", json.dumps(payload)))
+
+# orientation targets over one edge a--b, each wrong in one way
+_BAD_MMO = st.one_of(
+    st.sampled_from(["vertices", "edges"]).map(lambda f: _without(_mmo_payload(), f)),
+    st.tuples(st.sampled_from(["vertices", "edges"]), _NOT_A_LIST)
+    .map(lambda fv: _set(_mmo_payload(), *fv)),
+    _NOT_AN_INT.map(lambda r: _set(_mmo_payload(), "r", r)),
+    st.integers(max_value=0).map(lambda r: _set(_mmo_payload(), "r", r)),
+    st.one_of(_NOT_AN_INT, st.integers(max_value=0), st.integers(min_value=10**6 + 1))
+    .map(lambda w: _set_weight(_mmo_payload(), w)),
+    st.sampled_from([["a", "b"], ["a", "b", 1, 1], "ab", 3, ["a", "a", 1]]).map(
+        lambda e: _set(_mmo_payload(), "edges", [e])
+    ),
+    _BAD_NAME.map(lambda u: _set(_mmo_payload(), "vertices", ["a", "b", u])),
+    _UNKNOWN.map(lambda u: _set(_mmo_payload(), "edges", [["a", u, 1]])),
+).map(lambda payload: ("mmo", json.dumps(payload)))
+
+# a document that is not an instance at all: not JSON, or no object
+_NOT_A_DOCUMENT = st.one_of(
+    st.integers(min_value=0, max_value=40).map(lambda cut: json.dumps(_plain_payload())[:cut]),
+    st.one_of(
+        st.lists(st.integers(), max_size=2), st.integers(), st.text(max_size=4), st.none()
+    ).map(json.dumps),
+).map(lambda text: ("any", text))
+
+_COMMANDS = {
+    "alliance": [["verify", "-S", "a"], ["solve"], ["decompose"]]
+    + [["reduce", "--stage", tag] for tag in reductions.STAGE_TAGS[1:]]
+    + [["roundtrip", "--stage", tag] for tag in reductions.STAGE_TAGS[1:]],
+    "mmo": [
+        ["reduce", "--stage", "mmo-to-fnc"],
+        ["reduce", "--chain", "--stages", "2"],
+        ["roundtrip", "--stage", "mmo-to-fnc"],
+        ["decompose"],
+    ],
+}
+_COMMANDS["any"] = _COMMANDS["alliance"] + _COMMANDS["mmo"]
+
+# decomposition documents that td_from_lines refuses; three rows make ids 0..2
+_TD = "0 - a b\n1 0 b c\n"
+_OUT_OF_RANGE = st.integers(-10**12, 10**12).filter(lambda n: not 0 <= n <= 2)
+_BAD_TD = st.one_of(
+    st.sampled_from(["", "# nothing\n", "\n  \n"]),
+    st.integers().map(lambda n: _TD + "%d\n" % n),
+    _OUT_OF_RANGE.map(lambda n: _TD + "%d 0 a\n" % n),
+    st.sampled_from([0, 1]).map(lambda n: _TD + "%d 0 a\n" % n),
+    st.text(alphabet="abxyz", min_size=1, max_size=3).map(lambda t: _TD + "%s 0 a\n" % t),
+    _OUT_OF_RANGE.map(lambda n: _TD + "2 %d a\n" % n),
+    st.sampled_from(["a/unknown", "a.b.c/x"]).map(lambda u: _TD + "2 0 %s\n" % u),
+)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed")
+
+
+def _main_exits_two(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main(argv)
+    assert (code, out.getvalue()) == (2, ""), (argv, code, err.getvalue())
+    assert err.getvalue().startswith("error: "), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(document=st.one_of(_BAD_ALLIANCE, _BAD_MMO, _NOT_A_DOCUMENT), data=st.data())
+def test_malformed_documents_exit_two(scratch, document, data):
+    kind, text = document
+    path = scratch / "doc.json"
+    path.write_text(text)
+    _main_exits_two(data.draw(st.sampled_from(_COMMANDS[kind])) + [str(path)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(td=_BAD_TD, chain=st.booleans())
+def test_malformed_decompositions_exit_two(scratch, td, chain):
+    td_path = scratch / "doc.td"
+    td_path.write_text(td)
+    if chain:
+        argv, payload = ["reduce", "--chain", "--stages", "2"], _mmo_payload()
+    else:
+        argv, payload = ["reduce", "--stage", "fnc-to-fn"], _plain_payload()
+    path = scratch / "source.json"
+    path.write_text(json.dumps(payload))
+    _main_exits_two(argv + ["--td", str(td_path), str(path)])

@@ -22,7 +22,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alliancelib import cli
+from alliancelib import cli, reductions
 from alliancelib.alliance import AllianceInstance, instance_to_json
 from alliancelib.gen import (
     random_forbidden_toy,
@@ -56,7 +56,7 @@ def chain_stages(source, start=0):
     that the CLI would build under its materialization cap."""
     out = []
     for tag in STAGE_TAGS[start:]:
-        if cli._predict_vertices(source, tag) > cli.MATERIALIZE_CAP:
+        if reductions._predict_vertices(source, tag) > cli.MATERIALIZE_CAP:
             break
         stage = BUILDERS[tag](source)
         out.append((source, stage))
@@ -106,10 +106,11 @@ def test_stage_results_are_laid_out_in_sorted_order(corpus):
 def test_predicted_counts_equal_built_counts(corpus):
     for source, stage in corpus:
         if stage.tag == "mmo-to-fnc":
-            predicted = cli._mmo_projected_stats(source)
+            predicted = reductions._mmo_projected_stats(source)
         else:
-            predicted = cli._project_stats(cli._instance_stats(source), stage.tag)
-        built = cli._instance_stats(stage.result)
+            stats = reductions._instance_stats(source)
+            predicted = reductions._project_stats(stats, stage.tag)
+        built = reductions._instance_stats(stage.result)
         assert {key: built[key] for key in predicted} == predicted, stage.tag
 
 
@@ -119,7 +120,8 @@ def test_stage_three_at_full_size(stage_three):
     result = stage_three.third.result
     assert len(result.graph.vertices) == 368711
     assert len(result.graph.edges) == 1103817
-    predicted = cli._project_stats(cli._instance_stats(stage_three.second.result), "fn-to-f")
+    stats = reductions._instance_stats(stage_three.second.result)
+    predicted = reductions._project_stats(stats, "fn-to-f")
     assert len(result.forbidden) == predicted["forbidden"]
     assert result.k == predicted["k"]
 
