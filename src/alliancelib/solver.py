@@ -13,17 +13,27 @@ assignment these rules run to a fixpoint:
 - the set stays within k and, in exact mode, can still reach k.
 
 The vertices that the root fixpoint leaves open are the free vertices
-(free_count), and the search assigns them one at a time. At the root
-the size bounds are checked only once the other rules are done.
+(free_count), and the search assigns them one at a time. The root takes
+one pass: a single loop sets every forbidden vertex out, which forces
+nothing, since a forbidden vertex is never necessary nor in a pair and
+no vertex is in yet; then one propagation puts the necessary vertices
+in and runs the rules to the fixpoint. At the root the size bounds are
+checked only once the other rules are done. A dead-end root is one
+search node, and its free_count counts the vertices still open where
+the conflict was found.
 
 The search branches on an undecided neighbor of the member that is
 short of a majority with the least slack, or, with no member short, on
-the least undecided vertex, and tries in before out. It walks an
-explicit stack and undoes assignments from a trail, so no search depth
-reaches the recursion limit. decide stops at the first solution, which
-need not be the least one; minimum is branch-and-bound on the size;
-count and enumerate-all visit every solution. The budget caps the
-search at 2^budget nodes.
+the least undecided vertex, and tries in before out. An in-branch that
+would fail at the branch vertex itself, because the set is at its cap
+or the vertex cannot reach a majority even with every undecided
+neighbor, is refused without being assigned; it still counts as a
+node, so nodes counts the root and every branch tried, as before. The
+search walks an explicit stack and undoes assignments from a trail, so
+no search depth reaches the recursion limit. decide stops at the first
+solution, which need not be the least one; minimum is branch-and-bound
+on the size; count and enumerate-all visit every solution. The budget
+caps the search at 2^budget nodes.
 """
 
 from array import array
@@ -95,13 +105,17 @@ class _Search:
     True (in), False (out) or None (undecided). inside and undecided
     count, per vertex, the closed neighbors in the set and still
     undecided; a member needs ceil(|N[v]|/2) neighbors inside.
-    short holds the members below that need. Every assignment goes on
-    the trail, an int array that keeps no int objects alive at a
-    stage-3 depth, and undo reverts the counts by replaying it backwards.
-    The search starts from the root fixpoint: necessary vertices in,
-    forbidden ones out, and all the rules force from there with the
-    size bounds off; open then counts the free vertices, and consistent
-    tells whether the root is a dead end, the size bounds included.
+    short holds the members below that need. assign takes a queue of
+    signed ints, v to put v in and ~v to put it out, so no tuple is made
+    per forced vertex. Every assignment below the root goes on the
+    trail, an int array that keeps no int objects alive at a stage-3
+    depth, and undo reverts the counts by replaying it backwards.
+    The search starts from the root fixpoint: forbidden vertices out in
+    one loop, then necessary ones in, and all the rules force from there
+    with the size bounds off; open then counts the free vertices, and
+    consistent tells whether the root is a dead end, the size bounds
+    included. The root leaves the trail empty, as the search never
+    undoes below it.
     """
 
     def __init__(self, instance):
@@ -109,7 +123,7 @@ class _Search:
         self.table = graph.order
         n = len(self.table)
         first = self.first = graph.first
-        self.adjacent = graph.adjacent
+        adjacent = self.adjacent = graph.adjacent
         self.partners = {}
         for x, y in instance.pairs:
             i, j = self.table.find(x), self.table.find(y)
@@ -117,25 +131,30 @@ class _Search:
             self.partners.setdefault(j, []).append(i)
         sizes = [first[i + 1] - first[i] + 1 for i in range(n)]
         self.need = [(size + 1) // 2 for size in sizes]
-        self.undecided = sizes
+        undecided = self.undecided = sizes
         self.inside = [0] * n
-        self.state = [None] * n
+        state = self.state = [None] * n
         self.short = set()
         self.trail = array("i")
         self.size = 0
-        self.open = n
         self.k = instance.k
+        # a forbidden vertex is never necessary nor in a pair, and no
+        # vertex is in yet, so setting the forbidden ones out forces
+        # nothing and checks no member
+        forbidden = instance.forbidden.ids
+        for i in forbidden:
+            state[i] = False
+            undecided[i] -= 1
+            for u in adjacent[first[i]:first[i + 1]]:
+                undecided[u] -= 1
+        self.open = n - len(forbidden)
         # size bounds off while the rules reach the root fixpoint; the
-        # constraint sets hold their ids in id order, which keeps where a
-        # conflict stops them free of the hash seed, and one call per
-        # vertex keeps no list of them all alive for the collector to
-        # promote
+        # necessary ids come in id order, which keeps where a conflict
+        # stops free of the hash seed
         self.cap, self.exact = n, False
-        consistent = all(
-            self.assign([(i, value)])
-            for value, group in ((True, instance.necessary), (False, instance.forbidden))
-            for i in group.ids
-        )
+        consistent = self.assign(instance.necessary.ids.tolist())
+        # the search never undoes below the root
+        del self.trail[:]
         # largest size still worth reaching; minimum lowers it
         self.cap = instance.k
         self.exact = instance.mode == "exact"
@@ -144,56 +163,66 @@ class _Search:
         )
 
     def assign(self, pending):
-        """Apply the (vertex, value) assignments in pending and all they
-        force; False as soon as the partial assignment is a dead end."""
+        """Apply the assignments in pending, v to put v in and ~v to put
+        it out, and all they force; False as soon as the partial
+        assignment is a dead end."""
         state, first, adjacent, need = self.state, self.first, self.adjacent, self.need
         inside, undecided, short = self.inside, self.undecided, self.short
-        while pending:
-            v, value = pending.pop()
-            current = state[v]
-            if current is not None:
-                if current != value:
-                    return False
-                continue
-            state[v] = value
-            self.trail.append(v)
-            self.open -= 1
-            for p in self.partners.get(v, ()):
-                pending.append((p, not value))
-            neighbors = adjacent[first[v]:first[v + 1]]
-            undecided[v] -= 1
-            if value:
-                self.size += 1
-                inside[v] += 1
-                for u in neighbors:
-                    inside[u] += 1
-                    undecided[u] -= 1
-                    if inside[u] == need[u]:
-                        short.discard(u)
-                if inside[v] < need[v]:
-                    short.add(v)
-                if self.size > self.cap:
-                    return False
-                # an in neighbor leaves the slack of other members as is
-                members = (v,)
-            else:
-                for u in neighbors:
-                    undecided[u] -= 1
-                if self.exact and self.size + self.open < self.k:
-                    return False
-                members = neighbors
-            for u in members:
-                if state[u]:
-                    slack = inside[u] + undecided[u] - need[u]
-                    if slack < 0:
+        trail, partners, cap = self.trail, self.partners, self.cap
+        size, open_ = self.size, self.open
+        try:
+            while pending:
+                v = pending.pop()
+                value = v >= 0
+                if not value:
+                    v = ~v
+                current = state[v]
+                if current is not None:
+                    if current != value:
                         return False
-                    if slack == 0 and undecided[u]:
-                        pending.extend(
-                            (w, True)
-                            for w in adjacent[first[u]:first[u + 1]]
-                            if state[w] is None
-                        )
-        return True
+                    continue
+                state[v] = value
+                trail.append(v)
+                open_ -= 1
+                if partners:
+                    for p in partners.get(v, ()):
+                        pending.append(~p if value else p)
+                neighbors = adjacent[first[v]:first[v + 1]]
+                undecided[v] -= 1
+                if value:
+                    size += 1
+                    inside[v] += 1
+                    for u in neighbors:
+                        inside[u] += 1
+                        undecided[u] -= 1
+                        if inside[u] == need[u]:
+                            short.discard(u)
+                    if inside[v] < need[v]:
+                        short.add(v)
+                    if size > cap:
+                        return False
+                    # an in neighbor leaves the slack of other members as is
+                    members = (v,)
+                else:
+                    for u in neighbors:
+                        undecided[u] -= 1
+                    if self.exact and size + open_ < self.k:
+                        return False
+                    members = neighbors
+                for u in members:
+                    if state[u]:
+                        slack = inside[u] + undecided[u] - need[u]
+                        if slack < 0:
+                            return False
+                        if slack == 0 and undecided[u]:
+                            pending += [
+                                w
+                                for w in adjacent[first[u]:first[u + 1]]
+                                if state[w] is None
+                            ]
+            return True
+        finally:
+            self.size, self.open = size, open_
 
     def undo(self, mark):
         """Revert every assignment made since the trail had mark entries."""
@@ -267,6 +296,7 @@ def solve(request):
     search; raises BudgetExceededError past 2^budget search nodes."""
     goal = request.goal
     search = _Search(request.instance)
+    inside, undecided, need = search.inside, search.undecided, search.need
     free_count = search.open
     # no search gets near 2^64 nodes, and a larger cap would only cost memory
     limit = 1 << min(request.budget, 64)
@@ -295,11 +325,17 @@ def solve(request):
         if ok:
             v, cursor = search.branch_vertex(cursor)
             frames.append((v, len(search.trail), cursor))
-            ok = search.assign([(v, True)])
+            # in fails at v itself, unassigned, when the set is full or v
+            # cannot reach a majority even with every undecided neighbor
+            ok = (
+                search.size < search.cap
+                and inside[v] + undecided[v] >= need[v]
+                and search.assign([v])
+            )
         elif frames:
             v, mark, cursor = frames.pop()
             search.undo(mark)
-            ok = search.assign([(v, False)])
+            ok = search.assign([~v])
         else:
             break
         nodes += 1

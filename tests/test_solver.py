@@ -208,7 +208,7 @@ class TestPropagation:
 
     @pytest.mark.parametrize("goal", GOALS)
     def test_inconsistent_root_counts_one_node(self, goal):
-        a, b, hub, x, y = vs("a b hub x y")
+        a, b, c, f, hub, m, n, p, q, x, y = vs("a b c f hub m n p q x y")
         cases = [
             # a pair joining two necessary vertices
             AllianceInstance(
@@ -221,6 +221,23 @@ class TestPropagation:
                 necessary=[hub],
                 forbidden=[x, y],
             ),
+            # exact mode, and the forbidden vertex leaves two open for k = 3
+            AllianceInstance(
+                Graph([a, b, c], [(a, b), (b, c)]),
+                k=3,
+                mode="exact",
+                forbidden=[c],
+            ),
+            # m and n each see the forbidden f and one pair endpoint, so
+            # whichever comes first is at zero slack and forces its
+            # endpoint in; the partner goes out and outnumbers the other
+            AllianceInstance(
+                Graph([f, m, n, p, q], [(m, f), (m, p), (n, f), (n, q)]),
+                k=5,
+                necessary=[m, n],
+                forbidden=[f],
+                pairs=[(p, q)],
+            ),
         ]
         for inst in cases:
             res = solve(SolveRequest(inst, goal))
@@ -229,6 +246,48 @@ class TestPropagation:
             assert res.nodes == 1
             if goal in ("count", "enumerate-all"):
                 assert res.count == 0
+
+
+class TestRefusedInBranches:
+    """Nodes and witnesses, recorded before in-branches that fail at the
+    branch vertex itself were refused unassigned: w1 and w2 see three
+    forbidden vertices and can never reach a majority, and at k = 4 the
+    set is full once the hub has its majority."""
+
+    @staticmethod
+    def instance(k):
+        names = "hub f a b c x y z w1 w2 g1 g2 g3"
+        hub, f, a, b, c, x, y, z, w1, w2, g1, g2, g3 = vs(names)
+        edges = [(hub, u) for u in (f, a, b, c, w1, w2)]
+        edges += [(a, x), (b, y), (c, z)]
+        edges += [(w, g) for w in (w1, w2) for g in (g1, g2, g3)]
+        return AllianceInstance(
+            Graph(vs(names), edges),
+            k=k,
+            necessary=[hub],
+            forbidden=[f, g1, g2, g3],
+        )
+
+    @pytest.mark.parametrize(
+        "k, goal, nodes, witness, count",
+        [
+            (4, "decide", 14, "a b c hub", None),
+            (4, "minimum", 29, "a b c hub", None),
+            (4, "enumerate-all", 29, "a b c hub", 1),
+            (4, "count", 29, None, 1),
+            (8, "decide", 11, "a b c hub x y z", None),
+            (8, "minimum", 37, "a b c hub", None),
+            (8, "enumerate-all", 37, "a b c hub", 8),
+            (8, "count", 37, None, 8),
+        ],
+    )
+    def test_nodes_and_witness_are_unchanged(self, k, goal, nodes, witness, count):
+        res = solve(SolveRequest(self.instance(k), goal))
+        assert res.feasible
+        assert res.free_count == 8
+        assert res.nodes == nodes
+        assert res.witness == (frozenset(vs(witness)) if witness else None)
+        assert res.count == count
 
 
 class TestConnectedPruned:
