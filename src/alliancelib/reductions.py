@@ -28,6 +28,7 @@ formulas, and decides the last stage when every stage was built.
 """
 
 from array import array
+from collections.abc import Set
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
@@ -215,35 +216,36 @@ def _chain(n, chain, twins):
     ]
 
 
-def _mmo_layout(instance):
-    """Layout of the orientation stage, not yet placed: the input
-    blocks, and blocks of helpers, edge copies and their twins, with
-    the gadget tables. The orientation converters read only names, so
-    only mmo_to_alliance places it."""
-    graph = instance.graph
-    layout = _Layout("mmo-to-fnc")
-    inputs = layout.inputs(graph)
-    helper = {u: layout.family(str(u), "helper-h", 2 * instance.r - 1) for u in graph.order}
-    copies = {}
-    twins = {}
-    for u, w in graph.edges:
+def _mmo_helpers(instance):
+    """The helper family of each vertex of an orientation instance.
+    This and _mmo_copies name the families of mmo_to_alliance; the
+    orientation converters make through them only the ones they read,
+    with no layout."""
+    return {u: Block.family(str(u), "helper-h", 2 * instance.r - 1) for u in instance.graph.order}
+
+
+def _mmo_copies(instance, decoration):
+    """The family with decoration of each edge end (owner, other) of an
+    orientation instance, named after both ends."""
+    out = {}
+    for u, w in instance.graph.edges:
         weight = instance.weights[(u, w)]
         for owner, other in ((u, w), (w, u)):
-            name, partner = str(owner), str(other)
-            copies[(owner, other)] = layout.family(name, "edge-copy", weight, partner)
-            twins[(owner, other)] = layout.family(
-                name, "edge-copy-forbidden", weight, partner
-            )
-    gadgets = MmoGadgets(helper, copies, twins)
-    return layout, inputs, helper, copies, twins, gadgets
+            out[(owner, other)] = Block.family(str(owner), decoration, weight, str(other))
+    return out
 
 
 def mmo_to_alliance(instance, mode="at-most"):
     """Encode an orientation problem as a pair-constrained alliance
     instance. Every solution of the result has size exactly k, so both
     modes accept the same solution sets."""
-    layout, inputs, helper, copies, twins, gadgets = _mmo_layout(instance)
     graph = instance.graph
+    layout = _Layout("mmo-to-fnc")
+    inputs = layout.inputs(graph)
+    helper = _mmo_helpers(instance)
+    copies = _mmo_copies(instance, "edge-copy")
+    twins = _mmo_copies(instance, "edge-copy-forbidden")
+    layout.blocks += [*helper.values(), *copies.values(), *twins.values()]
     n = layout.place()
     table = layout.order
     keys = []
@@ -257,8 +259,8 @@ def mmo_to_alliance(instance, mode="at-most"):
         keys += _fan(n, owner, twins[edge].start, weight)
     pairs = []
     for u, w in graph.edges:
-        mine = gadgets.edge_copy[(u, w)]
-        theirs = gadgets.edge_copy[(w, u)]
+        mine = copies[(u, w)]
+        theirs = copies[(w, u)]
         pairs.extend(zip(mine, theirs))
         pairs.extend(zip(theirs, mine[1:]))
     necessary = _id_set(table, inputs + list(helper.values()))
@@ -275,7 +277,7 @@ def mmo_to_alliance(instance, mode="at-most"):
         tag="mmo-to-fnc",
         source=instance,
         result=result,
-        gadgets=gadgets,
+        gadgets=MmoGadgets(helper, copies, twins),
         size_fn=Affine(1, 0),
     )
 
@@ -285,26 +287,28 @@ def orientation_to_solution(instance, orientation):
     head of each edge keeps its copies in the set."""
     if set(orientation.direction) != set(instance.graph.edges):
         raise ValueError("orientation must orient exactly the instance edges")
-    gadgets = _mmo_layout(instance)[-1]
+    copies = _mmo_copies(instance, "edge-copy")
     out = set(instance.graph.vertices)
-    for u in instance.graph.sorted_vertices():
-        out.update(gadgets.helper[u])
+    for block in _mmo_helpers(instance).values():
+        out.update(block)
     for _edge, (tail, head) in orientation.direction.items():
-        out.update(gadgets.edge_copy[(head, tail)])
+        out.update(copies[(head, tail)])
     return frozenset(out)
 
 
 def solution_to_orientation(instance, solution):
-    """Read the edge directions back out of a reduced-instance solution."""
-    gadgets = _mmo_layout(instance)[-1]
-    solution = frozenset(solution)
+    """Read the edge directions back out of a reduced-instance solution,
+    a set of names (any other iterable is read into one first)."""
+    copies = _mmo_copies(instance, "edge-copy")
+    if not isinstance(solution, Set):
+        solution = frozenset(solution)
     direction = {}
     for u, w in instance.graph.sorted_edges():
-        mine = set(gadgets.edge_copy[(u, w)])
-        theirs = set(gadgets.edge_copy[(w, u)])
-        if theirs <= solution and not mine & solution:
+        mine = [x in solution for x in copies[(u, w)]]
+        theirs = [x in solution for x in copies[(w, u)]]
+        if all(theirs) and not any(mine):
             direction[(u, w)] = (u, w)
-        elif mine <= solution and not theirs & solution:
+        elif all(mine) and not any(theirs):
             direction[(u, w)] = (w, u)
         else:
             raise ValueError(

@@ -9,7 +9,7 @@ deterministic.
 
 import itertools
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .alliance import primal_graph
@@ -496,14 +496,6 @@ def validate_td(graph, td):
     return td.validate(graph)
 
 
-def _has_nice_shape(td):
-    try:
-        td.root()
-    except ValueError:
-        return False
-    return next(_shape_problems(td), None) is None
-
-
 def make_nice(td):
     """Nice decomposition with the same bags and width, over the same
     vertex table.
@@ -511,56 +503,64 @@ def make_nice(td):
     An input that already has nice shape is returned unchanged (as a
     copy); anything else is rebuilt with forget/introduce transitions
     between the original bags, one vertex at a time in name order, and
-    left-folded binary joins. The input tree is walked depth first with
-    an explicit stack, children in id order, so depth is not limited by
-    the interpreter's recursion.
+    left-folded binary joins, in one pass over the input's post-order,
+    so depth is not limited by the interpreter's recursion. A node is
+    made above its children, so its links are written as it is made.
     """
-    if _has_nice_shape(td):
+    order = td.postorder()
+    if len(order) != len(td._bags):
+        raise ValueError("some nodes are not reachable from the root")
+    if next(_shape_problems(td), None) is None:
         return td.copy(into=NiceTreeDecomposition)
-    out = NiceTreeDecomposition._over(td)
+    src, up, name_order = td._bags, td._parent, td._name_order
+    bags, parent, last, prev = [], [], [], []
 
-    def transition(top, frm, to):
-        """New root above top, one vertex forgotten, then introduced,
-        at a time, from bag frm to bag to."""
-        cur = set(frm)
-        bags = []
-        for x in td._name_order(cur.difference(to)):
-            cur.discard(x)
-            bags.append(tuple(sorted(cur)))
-        for x in td._name_order(set(to).difference(frm)):
-            cur.add(x)
-            bags.append(tuple(sorted(cur)))
-        return out._splice(top, bags)[-1] if bags else top
+    def make(bag, child):
+        """New node with bag above child, the top of its subtree or -1."""
+        n = len(bags)
+        bags.append(bag)
+        parent.append(-1)
+        last.append(child)
+        prev.append(-1)
+        if child >= 0:
+            parent[child] = n
+        return n
 
-    def finish(node, tops):
-        """Top of node's rebuilt subtree, given its children's tops."""
-        target = td._bags[node]
-        if not tops:
-            return transition(out._add(()), (), target)
-        top = tops[0]
-        for other in tops[1:]:
-            join = out._add(target)
-            out._link(top, join)
-            out._link(other, join)
-            top = join
+    def transition(top, cur, to):
+        """Nodes above top, one vertex forgotten, then introduced, at a
+        time, from bag cur to bag to; their top."""
+        for x in name_order(set(cur).difference(to)):
+            i = cur.index(x)
+            top = make(cur := cur[:i] + cur[i + 1:], top)
+        for x in name_order(set(to).difference(cur)):
+            i = bisect_left(cur, x)
+            top = make(cur := cur[:i] + (x,) + cur[i:], top)
         return top
 
-    # frames: (node, its children not yet built, tops of those built)
-    root = td.root()
-    stack = [(root, iter(td._children(root)), [])]
-    while True:
-        node, pending, tops = stack[-1]
-        child = next(pending, None)
-        if child is not None:
-            stack.append((child, iter(td._children(child)), []))
-            continue
-        top = finish(node, tops)
-        stack.pop()
-        if not stack:
-            break
-        above = stack[-1][0]
-        stack[-1][2].append(transition(top, td._bags[node], td._bags[above]))
-    transition(top, td._bags[root], ())
+    tops = {}
+    for node in order:
+        target = src[node]
+        below = tops.pop(node, None)
+        if below is None:
+            top = transition(make((), -1), (), target)
+        else:
+            top = below[0]
+            for other in below[1:]:
+                # the first join takes two subtree tops, each later one
+                # the join below it, which is newer than its other child
+                a, b = sorted((top, other))
+                prev[b] = a
+                top = make(target, b)
+                parent[a] = top
+        p = up[node]
+        top = transition(top, target, () if p < 0 else src[p])
+        if p >= 0:
+            tops.setdefault(p, []).append(top)
+    out = NiceTreeDecomposition._over(td)
+    out._bags = bags
+    out._parent, out._last_child, out._prev_sibling = (
+        array("i", t) for t in (parent, last, prev)
+    )
     return out
 
 

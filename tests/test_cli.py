@@ -568,6 +568,20 @@ def test_reduce_refuses_decompositions_with_bad_node_ids(capsys, tmp_path, case)
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("root", ["a b c", "a b"])
+def test_necessary_stage_refuses_nodes_off_the_root_tree(capsys, tmp_path, root):
+    # nodes 1 and 2 are each other's parent, so make_nice never reaches them
+    payload = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]],
+               "k": 2, "necessary": ["a"]}
+    path = write(tmp_path, "doc.json", json.dumps(payload))
+    td_path = write(tmp_path, "doc.td", "0 - %s\n1 2 b c\n2 1 b c\n" % root)
+    code = cli.main(["reduce", "--stage", "fn-to-f", "--td", td_path, path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: some nodes are not reachable from the root\n"
+
+
 # requests with a negative count or limit, refused before any work: the
 # one-edge target's fourth stage passes the default vertex cap, its first
 # does not

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -460,6 +461,120 @@ class TestDeepDecompositions:
         nice = make_nice(td2)
         assert nice.validate_nice(primal_graph(stage2.result))
         assert nice.width() == td2.width()
+
+
+def _random_tree(seed):
+    """Up to 30 nodes with random bags of up to five of at most twelve
+    names, which enter the private table in shuffled order, hung under
+    one another in shuffled node order; no decomposition conditions
+    hold."""
+    rng = random.Random(seed)
+    names = [v("x%d" % i) for i in range(rng.randint(1, 12))]
+    rng.shuffle(names)
+    size = rng.randint(1, 30)
+    td = TreeDecomposition()
+    for _ in range(size):
+        td.add_node(rng.sample(names, rng.randint(0, min(5, len(names)))))
+    nodes = list(range(size))
+    rng.shuffle(nodes)
+    for i in range(1, size):
+        td.set_parent(nodes[i], nodes[rng.randrange(i)])
+    return td
+
+
+def _three_way_join():
+    """Names added out of name order; the root has three children, one
+    with an empty bag and one repeating the root's bag."""
+    a, b, c, d = vs("a b c d")
+    td = TreeDecomposition()
+    root = td.add_node([c, a])
+    left = td.add_node([b, c], parent=root)
+    td.add_node([], parent=root)
+    right = td.add_node([a, c], parent=root)
+    td.add_node([d, a, b], parent=right)
+    td.add_node([d], parent=left)
+    return td
+
+
+# make_nice output of _three_way_join and the SHA-256 digests of its
+# td_to_lines over _random_tree(0..39), as the explicit-stack walk made them
+THREE_WAY_JOIN_NICE = (
+    "0 1 leaf\n1 2 introduce d\n2 3 forget\n3 4 introduce b\n4 5 introduce b c\n"
+    "5 6 forget c\n6 17 introduce a c\n7 8 leaf\n8 9 introduce a\n9 17 introduce a c\n"
+    "10 11 leaf\n11 12 introduce a\n12 13 introduce a b\n13 14 introduce a b d\n"
+    "14 15 forget a d\n15 16 forget a\n16 18 introduce a c\n17 18 join a c\n"
+    "18 19 join a c\n19 20 forget c\n20 - forget\n"
+)
+RANDOM_TREE_NICE = [
+    "768a2610c18051f6c7c775dfed1fb2d3d186af703d8c7639f504187609618b1c",
+    "f69207921a9a2b108738fb7cf3e7a7538bded4f89f8a29e71cb0beba945b73bd",
+    "956ce8fbede48d3889f38e3ac2aa75eea82238529ab39ade018701af0c7141e5",
+    "d0873238db0549d07db496353fb797f1f347c3205b5f6e2a652167cdeef83ae4",
+    "da309d6590207af786332d96df15055caf1658c6aff442b700463b91f59faf46",
+    "a4916d6d0a5367eab4471231e6d452fedebe899545204ba9498ba85f5a67d5f9",
+    "12bfd7c8b7efd1e1703e7a1e53f5ae49681f27816b5b34165f33a9a38b90de91",
+    "3beef77afd579ee1e5c0b3b528362cda2490a12156102e6c4c8512d029eafb8d",
+    "b87834da48a3b44528f74f2ad69304cb76157a22503dd8ea40b2ddd2a23289e1",
+    "ff9e1eee83ee5ffe122ba0939a163c5cb7c5f7a52bce9984df9820035c0b8bac",
+    "80c6259b1eb832ae66434591729616385f1ca58ac6e382dfb716ce71914a0e2a",
+    "121e831112ddf0915788e24925673c903ec101b824d57952807a10121263af7e",
+    "9aab7142987b778da16f8269d605986bf5ec2d916a3d8175ca5e9e0dcf93f9ff",
+    "7ba22372675037f575926de2c0ff8118f3af75cb5686b4157bdd8c68814f99d6",
+    "d657cc78a723a4509181eb84e409ff7d0d1df5728d4188efc3c753f9de1ad3e8",
+    "e182852675f7e730b17f62b252102f09615f1ed98e6a47a661af04023d887345",
+    "6bfdf91153aa9e4a1a7adad33120306a710971976c4e69296612943f5170328b",
+    "b8f2da7c62bb0e9272667b4257e135f7c983276a785cf28d068cfc55b8465c4f",
+    "80a9f7b54056ee19f4d163592b663b18c4f4e84bfc1b9f32c4e3d19676814f22",
+    "b09263c4007c5bb915f575ccf9ba6b2660d1edbf71149aa7110b55babe1ae1da",
+    "51a9ae55251dcfffa8e24e5305307da4953b0d9593972727da5920dec7e1677a",
+    "1a67a15db9fc19a724b7d4df96cde4eb21888042f7ede0c49c2994ff93929b14",
+    "62c7742648f63429e78a13c060470ca1161005171bb330a2bbcd681f52e93281",
+    "bc33776de24cde65958f46962d704c81f510669aa6bb11d73ee7d683399977c1",
+    "c9f6131b66ca7384a103e1ad78be94a04ba25319801281b90839f776017f6f68",
+    "642ee63d0fc0283c65f3314946a6921f53069ea6db218fcb96ee20245f48fba0",
+    "1fe9958cbc5821ec9b9f24b84374c143d11e7e53be61f0408172b65dc15c8f85",
+    "ca47fc99301e40ab236f23b6f4d58efed6cabf8b63b6f4a9c0fda80bcef80cad",
+    "00cf0e053bb223136daa94e8df75f45f4add3eb25f5cd33c9843d60406b6de62",
+    "eff3053e395075a81e51ddb0473cc2c697824d0f3a4ab06cfef6cf9c42b122aa",
+    "4c9de28dbd1eda6a08c5c3e1cae74c46915f1259fa0a0bb49f04846c463c8002",
+    "d5384598382f2fa9965d3559456cbe7be497b5f299e8feddb5db164543dc9fdb",
+    "aa131f918851a04f51fcbd9e1b3e58365f44be15f09d3bee9d0d41a7c1639dcc",
+    "00a6d8ed45e4625d7985a80f494ab429d481d03928776c8e9bd41160396adea2",
+    "341c1204ae0c27f19b22310888fbdc948085952697dae548c41881352b066617",
+    "1bb11affed99a9833e8a867b27e394d4b80da260960e6e9bf45871073b2ea4d6",
+    "e4625b8ef47a6890588ebf01e0191bde79f3956380e6eef4350ebf60e0fb37f5",
+    "4e4bc5f05df5408f05d2c55cd94b4218942d191c532e7d9870bef99bda235ca5",
+    "0866bfe491b68e112822e0fb3cc533bce6f8543714452b3816aa44f603ddf064",
+    "072e0c51f1c60608012ef882f8e5cf68d6b83d6349a709faf6fdd7ebec4d6af5",
+]
+
+
+class TestNicePins:
+    def test_three_way_join_is_pinned(self):
+        assert td_to_lines(make_nice(_three_way_join())) == THREE_WAY_JOIN_NICE
+
+    @pytest.mark.parametrize("seed", range(len(RANDOM_TREE_NICE)))
+    def test_random_tree_is_pinned(self, seed):
+        lines = td_to_lines(make_nice(_random_tree(seed)))
+        assert hashlib.sha256(lines.encode()).hexdigest() == RANDOM_TREE_NICE[seed]
+
+    @pytest.mark.parametrize("seed", range(len(RANDOM_TREE_NICE)))
+    def test_child_links_match_the_parent_table(self, seed):
+        nice = make_nice(_random_tree(seed))
+        rebuilt = nice.copy()
+        rebuilt._index_children()
+        assert nice._last_child == rebuilt._last_child
+        assert nice._prev_sibling == rebuilt._prev_sibling
+
+    @pytest.mark.parametrize("text", [
+        "0 - a b c\n1 2 b c\n2 1 b c\n",
+        # nice in shape, so that no rebuild would meet the cycle
+        "0 - leaf\n1 2 introduce b\n2 1 forget\n",
+    ])
+    def test_nodes_off_the_root_tree_are_refused(self, text):
+        td = td_from_lines(text)
+        with pytest.raises(ValueError, match="^some nodes are not reachable from the root$"):
+            make_nice(td)
 
 
 class TestPostorder:
