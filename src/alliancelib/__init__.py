@@ -34,10 +34,10 @@ _SOURCES = {
             "mmo_to_json", "orientations", "solve_mmo",
         ),
         "reductions": (
-            "ReductionStage", "eliminate_forbidden", "eliminate_necessary",
-            "eliminate_necessary_auto", "eliminate_pairs", "lift_solution",
-            "mmo_to_alliance", "orientation_to_solution", "project_solution",
-            "solution_to_orientation",
+            "ReductionStage", "audit_stage", "build_stage", "eliminate_forbidden",
+            "eliminate_necessary", "eliminate_necessary_auto", "eliminate_pairs",
+            "lift_solution", "mmo_to_alliance", "orientation_to_solution",
+            "project_solution", "solution_to_orientation",
         ),
         "solver": (
             "DEFAULT_BUDGET", "BudgetExceededError", "SolveRequest", "SolveResult",

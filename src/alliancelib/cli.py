@@ -150,8 +150,8 @@ def _cmd_solve(args):
 
 
 def _cmd_reduce(args):
-    from .reductions import _build_stage, _instance_stats, run_pipeline
-    from .treewidth import make_nice, td_from_lines, td_to_dot, td_to_lines, transform_td
+    from .reductions import _instance_stats, build_stage, run_pipeline
+    from .treewidth import td_from_lines, td_to_dot, td_to_lines
 
     text = _read(args.instance)
     decomposition = td_from_lines(_read(args.td)) if args.td else None
@@ -172,9 +172,7 @@ def _cmd_reduce(args):
     if not args.stage:
         raise ValueError("pick a stage with --stage or run the whole chain with --chain")
     parsed = parse_instance(text)
-    if args.stage == "fn-to-f" and decomposition is not None:
-        decomposition = make_nice(decomposition)
-    stage = _build_stage(args.stage, parsed, decomposition)
+    stage, transformed = build_stage(args.stage, parsed, decomposition)
     report = {
         "command": "reduce",
         "stage": stage.tag,
@@ -185,7 +183,7 @@ def _cmd_reduce(args):
     if isinstance(parsed, AllianceInstance):
         report["size_map"] = {"input_k": parsed.k, "output_k": stage.size_fn(parsed.k)}
     if decomposition is not None:
-        transformed = transform_td(stage, decomposition)
+        # making a decomposition nice keeps its width
         report["width_in"] = decomposition.width()
         report["width_out"] = transformed.width()
         report["decomposition"] = td_to_lines(transformed).splitlines()
@@ -230,66 +228,12 @@ def _cmd_decompose(args):
 
 
 def _cmd_roundtrip(args):
-    from .mmo import max_weighted_outdegree, orientations
-    from .reductions import (
-        _build_stage,
-        lift_solution,
-        mmo_to_alliance,
-        orientation_to_solution,
-        project_solution,
-        solution_to_orientation,
-    )
+    from .reductions import audit_stage, build_stage
 
-    parsed = parse_instance(_read(args.instance))
-    checks = []
-    if args.stage == "mmo-to-fnc":
-        if isinstance(parsed, AllianceInstance):
-            raise ValueError("stage mmo-to-fnc starts from an orientation target")
-        if len(parsed.graph.edges) > 12:
-            raise ValueError("the orientation audit is limited to 12 edges")
-        stage = mmo_to_alliance(parsed)
-        feasible = [
-            o
-            for o in orientations(parsed)
-            if max_weighted_outdegree(parsed, o) <= parsed.r
-        ]
-        for o in feasible:
-            lifted = orientation_to_solution(parsed, o)
-            checks.append(solution_to_orientation(parsed, lifted) == o)
-            checks.append(len(lifted) == stage.result.k)
-        outcome = solve(
-            SolveRequest(stage.result, "enumerate-all", budget=args.budget)
-        )
-        solutions = outcome.solutions or ()
-        for s in solutions:
-            back = solution_to_orientation(parsed, s)
-            checks.append(max_weighted_outdegree(parsed, back) <= parsed.r)
-            checks.append(orientation_to_solution(parsed, back) == s)
-        input_count = len(feasible)
-    else:
-        stage = _build_stage(args.stage, parsed)
-        inputs = solve(SolveRequest(parsed, "enumerate-all", budget=args.budget))
-        outcome = solve(
-            SolveRequest(stage.result, "enumerate-all", budget=args.budget)
-        )
-        solutions = outcome.solutions or ()
-        for s in inputs.solutions or ():
-            lifted = lift_solution(stage, s)
-            checks.append(len(lifted) == stage.size_fn(len(s)))
-            checks.append(project_solution(stage, lifted) == s)
-        for s in solutions:
-            checks.append(lift_solution(stage, project_solution(stage, s)) == s)
-        input_count = len(inputs.solutions or ())
-    verified = all(checks) and input_count == len(solutions)
-    report = {
-        "command": "roundtrip",
-        "stage": args.stage,
-        "input_solutions": input_count,
-        "output_solutions": len(solutions),
-        "checks": len(checks),
-        "verified": verified,
-    }
-    return (0 if verified else 1), report
+    stage, _td = build_stage(args.stage, parse_instance(_read(args.instance)))
+    report = {"command": "roundtrip", "stage": args.stage}
+    report.update(audit_stage(stage, budget=args.budget))
+    return (0 if report["verified"] else 1), report
 
 
 # each gen kind and the alliancelib.gen function that draws it

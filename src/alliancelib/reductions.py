@@ -10,6 +10,10 @@ stage records its gadget vertices so solutions can be lifted forward
 and projected back without re-deriving names, and its size function
 maps solution sizes across the stage.
 
+Each stage has one record, a StageKind in STAGE_KINDS: its build, the
+exact counts of its result, its lift of a solution, and its
+decomposition transform, which sits next to the builder it mirrors.
+
 A stage builds its output from a layout (_Layout): one Block of names
 per input vertex or singleton gadget, and one per gadget family, the
 names that share base, decoration and partner with indices 1..m.
@@ -30,13 +34,23 @@ formulas, and decides the last stage when every stage was built.
 from array import array
 from collections.abc import Set
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter, itemgetter
 
-from .alliance import STAGE_TAGS, AllianceInstance, is_solution
+from .alliance import STAGE_TAGS, AllianceInstance, is_solution, primal_graph
 from .graph import Block, Graph, VertexId, VertexSet, VertexTable
-from .mmo import MmoInstance, Orientation, solve_mmo
+from .mmo import MmoInstance, Orientation, max_weighted_outdegree, orientations, solve_mmo
 from .solver import DEFAULT_BUDGET, BudgetExceededError, SolveRequest, solve
-from .treewidth import make_nice, postorder_ordering, transform_td
+from .treewidth import (
+    NiceTreeDecomposition,
+    TreeDecomposition,
+    _ids,
+    _joint_top,
+    _tops,
+    _with,
+    make_nice,
+    postorder_ordering,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +95,11 @@ class ReductionStage:
     gadgets: object
     size_fn: object
     ordering: tuple = None
+
+    @property
+    def kind(self):
+        """The StageKind of the tag; not a field, so a stage pickles as data."""
+        return stage_kind(self.tag)
 
 
 @dataclass(frozen=True)
@@ -216,6 +235,22 @@ def _chain(n, chain, twins):
     ]
 
 
+def _carry(stage, td, verdict, graph="source"):
+    """Copy of td over the vertex table of the stage result, once
+    verdict, td checked against the stage source's graph or primal
+    graph, holds."""
+    if not verdict:
+        raise ValueError(
+            "decomposition does not fit the %s graph: %s" % (graph, verdict.problems[0])
+        )
+    result = stage.result.graph
+    out = td.copy(into=TreeDecomposition)
+    out._order, out._index = result.order, result.index
+    local = list(map(result.index.get, td._order))
+    out._bags = [tuple(sorted(map(local.__getitem__, bag))) for bag in td._bags]
+    return out
+
+
 def _mmo_helpers(instance):
     """The helper family of each vertex of an orientation instance.
     This and _mmo_copies name the families of mmo_to_alliance; the
@@ -280,6 +315,45 @@ def mmo_to_alliance(instance, mode="at-most"):
         gadgets=MmoGadgets(helper, copies, twins),
         size_fn=Affine(1, 0),
     )
+
+
+def _transform_mmo(stage, td):
+    source = stage.source
+    gadgets = stage.gadgets
+    out = _carry(stage, td, td.validate(source.graph))
+    table, index, bags = out._order, out._index, out._bags
+    tops = first, _more = _tops(out)
+    for u, w in source.graph.sorted_edges():
+        cu = _ids(table, gadgets.edge_copy[(u, w)])
+        cw = _ids(table, gadgets.edge_copy[(w, u)])
+        weight = len(cu)
+        t = _joint_top(out, tops, index[u], index[w])
+        base = bags[t]
+        if weight == 1:
+            out._add(_with(base, cu[0], cw[0]), t)
+        else:
+            out._hang(t, [_with(base, cu[i - 1], cu[i], cw[i - 1], cw[i]) for i in range(1, weight)])
+        for side, owner in ((gadgets.edge_copy_forbidden[(u, w)], u),
+                            (gadgets.edge_copy_forbidden[(w, u)], w)):
+            anchor = first[index[owner]]
+            out._hang(anchor, [_with(bags[anchor], x) for x in _ids(table, side)])
+    for u in source.graph.sorted_vertices():
+        anchor = first[index[u]]
+        out._hang(anchor, [_with(bags[anchor], x) for x in _ids(table, gadgets.helper[u])])
+    return out
+
+
+def _mmo_counts(stats):
+    """The counts of mmo_to_alliance's result from _orientation_stats."""
+    n, r, total = stats["vertices"], stats["r"], stats["weight"]
+    return {
+        "vertices": 2 * n * r + 4 * total,
+        "pairs": 2 * total - stats["edges"],
+        "forbidden": 2 * total,
+        "necessary": 2 * n * r,
+        "k": 2 * n * r + total,
+        "variant": "FNC",
+    }
 
 
 def orientation_to_solution(instance, orientation):
@@ -382,6 +456,79 @@ def eliminate_pairs(instance):
         gadgets=gadgets,
         size_fn=size_fn,
     )
+
+
+def _transform_pairs(stage, td):
+    source = stage.source
+    gadgets = stage.gadgets
+    out = _carry(stage, td, td.validate(primal_graph(source)), "primal")
+    table, index, bags = out._order, out._index, out._bags
+    verts = source.graph.sorted_vertices()
+    n = len(verts)
+    tops = first, _more = _tops(out)
+    sorted_pairs = sorted(source.pairs)
+    top_pair = {(a, b): _joint_top(out, tops, index[a], index[b]) for a, b in sorted_pairs}
+    ys = {u: _ids(table, gadgets.y_chain[u]) for u in verts}
+    yfs = {u: _ids(table, gadgets.y_chain_forbidden[u]) for u in verts}
+    # every bag containing v also gets v_n and its forbidden twin
+    last = {index[u]: (ys[u][n - 1], yfs[u][n - 1]) for u in verts}
+    for node, bag in enumerate(bags):
+        extra = ()
+        for u in bag:
+            extra += last[u]
+        bags[node] = _with(bag, *extra)
+    # descending chain below the topmost bag of v keeps v_n adjacent
+    for u in verts:
+        y, yf = ys[u], yfs[u]
+        out._hang(
+            first[index[u]],
+            [_with((index[u],), y[i - 1], yf[i - 1], y[i], yf[i]) for i in range(n - 1, 0, -1)],
+        )
+    m = n * n + n
+    for a, b in sorted_pairs:
+        t = top_pair[(a, b)]
+        carry = last[index[b]]
+        hub_a = index[gadgets.z_hub[((a, b), a)]]
+        hub_b = index[gadgets.z_hub[((a, b), b)]]
+        za = _ids(table, gadgets.z_chain[((a, b), a)])
+        zfa = _ids(table, gadgets.z_chain_forbidden[((a, b), a)])
+        zb = _ids(table, gadgets.z_chain[((a, b), b)])
+        zfb = _ids(table, gadgets.z_chain_forbidden[((a, b), b)])
+        # down from t: a's chain, the triangle, then b's chain back up
+        chain = [_with(carry, *last[index[a]], hub_a, za[0], zfa[0])]
+        chain += [_with(carry, hub_a, za[i - 1], zfa[i - 1], za[i], zfa[i]) for i in range(1, m)]
+        chain.append(_with(carry, hub_a, hub_b, index[gadgets.triangle[(a, b)]]))
+        chain += [_with(carry, hub_b, zb[i - 1], zfb[i - 1], zb[i], zfb[i]) for i in range(m - 1, 0, -1)]
+        chain.append(_with(carry, hub_b, zb[0], zfb[0]))
+        out._hang(t, chain)
+    return out
+
+
+def _lift_pairs(stage, solution):
+    """The names and the gadget family blocks that a solution of the
+    stage source lifts to."""
+    gadgets = stage.gadgets
+    names = list(solution)
+    blocks = [gadgets.y_chain[u] for u in names]
+    for pair in sorted(stage.source.pairs):
+        x = pair[0] if pair[0] in solution else pair[1]
+        names += [gadgets.triangle[pair], gadgets.z_hub[(pair, x)]]
+        blocks.append(gadgets.z_chain[(pair, x)])
+    return names, blocks
+
+
+def _pair_counts(stats):
+    n = stats["vertices"]
+    m = n * n + n
+    pairs = stats["pairs"]
+    return {
+        "vertices": n + 2 * n * n + pairs * (3 + 4 * m),
+        "pairs": 0,
+        "forbidden": stats["forbidden"] + n * n + pairs * 2 * m,
+        "necessary": stats["necessary"] + pairs,
+        "k": stats["k"] * (n + 1) + pairs * (m + 2),
+        "variant": "FN",
+    }
 
 
 def eliminate_necessary(instance, ordering):
@@ -488,6 +635,100 @@ def eliminate_necessary_auto(instance, decomposition=None):
     return eliminate_necessary(instance, ordering)
 
 
+def _transform_necessary(stage, td):
+    source = stage.source
+    if not isinstance(td, NiceTreeDecomposition):
+        raise ValueError("this stage transformation needs a nice decomposition")
+    out = _carry(stage, td, td.validate_nice(source.graph))
+    eligible = frozenset(stage.ordering)
+    if postorder_ordering(td, eligible) != tuple(stage.ordering):
+        raise ValueError(
+            "stage ordering is not the post-order ordering of this decomposition"
+        )
+    gadgets = stage.gadgets
+    table, index, bags = out._order, out._index, out._bags
+    n = len(source.graph.vertices)
+    necessary = source.necessary
+    first, _more = _tops(out)
+    chain_top = {}
+    chain_bottom = {}
+
+    def grow_chain(anchor, base, member):
+        """Replace anchor with the member's chain; bags stack above it."""
+        ac = _ids(table, gadgets.a_chain[member])
+        af = _ids(table, gadgets.a_chain_forbidden[member])
+        bags[anchor] = _with(base, ac[0], af[0], ac[1], af[1])
+        chain_bottom[member] = anchor
+        top = anchor
+        extra = [_with(base, ac[i - 1], af[i - 1], ac[i], af[i]) for i in range(2, n + 1)]
+        if extra:
+            top = out._splice(anchor, extra)[-1]
+        chain_top[member] = top
+        return top
+
+    for u in sorted(eligible):
+        anchor = first[index[u]]
+        if u in necessary:
+            grow_chain(anchor, bags[anchor], u)
+        else:
+            base = _with(
+                bags[anchor],
+                index[gadgets.primed[u]],
+                index[gadgets.g_vertex[u]],
+                index[gadgets.h_vertex[u]],
+                index[gadgets.g_forbidden[u]],
+                index[gadgets.h_forbidden[u]],
+            )
+            top = grow_chain(anchor, base, u)
+            primed = gadgets.primed[u]
+            pc = _ids(table, gadgets.a_chain[primed])
+            pf = _ids(table, gadgets.a_chain_forbidden[primed])
+            mbags = [_with(base, pc[i - 1], pf[i - 1], pc[i], pf[i]) for i in range(1, n + 1)]
+            spliced = out._splice(top, mbags)
+            chain_bottom[primed] = spliced[0]
+            chain_top[primed] = spliced[-1]
+    # each bag on a thread's path gets the thread's pair; collected
+    # first, so that a bag on several paths is rebuilt once
+    threads = [()] * len(bags)
+    images = [u if u in necessary else gadgets.primed[u] for u in stage.ordering]
+    ids = table.ids
+    for left, right in zip(images, images[1:]):
+        thread = (ids[gadgets.a_chain[right].start], ids[gadgets.a_chain_forbidden[right].start])
+        for node in out.path_between(chain_top[left], chain_bottom[right]):
+            threads[node] += thread
+    for node, thread in enumerate(threads):
+        if thread:
+            out._merge(node, thread)
+    return out
+
+
+def _lift_necessary(stage, solution):
+    gadgets = stage.gadgets
+    names = list(solution)
+    blocks = [gadgets.a_chain[u] for u in names]
+    for u, prime in gadgets.primed.items():
+        names += [prime, gadgets.h_vertex[u]]
+        blocks.append(gadgets.a_chain[prime])
+        if u in solution:
+            names.append(gadgets.g_vertex[u])
+    return names, blocks
+
+
+def _necessary_counts(stats):
+    n = stats["vertices"]
+    open_count = n - stats["forbidden"] - stats["necessary"]
+    members = stats["necessary"] + 2 * open_count
+    forbidden = stats["forbidden"] + members * (n + 1) + 2 * open_count
+    return {
+        "vertices": n + 5 * open_count + 2 * members * (n + 1),
+        "pairs": 0,
+        "forbidden": forbidden,
+        "necessary": 0,
+        "k": (n + 3) * (stats["k"] + open_count) - stats["necessary"],
+        "variant": "F" if forbidden else "plain",
+    }
+
+
 def eliminate_forbidden(instance):
     """Attach a 2k-leaf fan to each forbidden vertex; defending the
     vertex would then take more than k members, so the marker becomes
@@ -526,51 +767,105 @@ def eliminate_forbidden(instance):
     )
 
 
-def _lift_pairs(stage, solution):
-    """The names and the gadget family blocks that a solution of the
-    stage source lifts to."""
+def _transform_forbidden(stage, td):
+    source = stage.source
     gadgets = stage.gadgets
-    names = list(solution)
-    blocks = [gadgets.y_chain[u] for u in names]
-    for pair in sorted(stage.source.pairs):
-        x = pair[0] if pair[0] in solution else pair[1]
-        names += [gadgets.triangle[pair], gadgets.z_hub[(pair, x)]]
-        blocks.append(gadgets.z_chain[(pair, x)])
-    return names, blocks
+    out = _carry(stage, td, td.validate(source.graph))
+    table, index, bags = out._order, out._index, out._bags
+    first, _more = _tops(out)
+    for f in sorted(source.forbidden):
+        t = first[index[f]]
+        base = bags[t]
+        hub = index[gadgets.fan_hub[f]]
+        leaves = _ids(table, gadgets.fan_leaves[f])
+        if leaves:
+            out._splice(t, [_with(base, hub, leaf) for leaf in leaves])
+        else:
+            out._splice(t, [_with(base, hub)])
+    return out
 
 
-def _lift_necessary(stage, solution):
-    gadgets = stage.gadgets
-    names = list(solution)
-    blocks = [gadgets.a_chain[u] for u in names]
-    for u, prime in gadgets.primed.items():
-        names += [prime, gadgets.h_vertex[u]]
-        blocks.append(gadgets.a_chain[prime])
-        if u in solution:
-            names.append(gadgets.g_vertex[u])
-    return names, blocks
+def _forbidden_counts(stats):
+    return {
+        "vertices": stats["vertices"] + stats["forbidden"] * (2 * stats["k"] + 1),
+        "pairs": 0,
+        "forbidden": 0,
+        "necessary": 0,
+        "k": stats["k"],
+        "variant": "plain",
+    }
+
+
+@dataclass(frozen=True)
+class StageKind:
+    """What the chain does with one stage: build(source, td) makes the
+    ReductionStage from a source of type starts_from and a decomposition
+    of it or None, made nice first if needs_nice; counts(stats) gives
+    the result's exact counts from the source's; lift(stage, solution)
+    gives the names and family blocks a source solution lifts to, and
+    is None for the first stage, read through the orientation
+    converters; transform(stage, td) carries a decomposition along."""
+
+    tag: str
+    starts_from: type
+    build: object
+    counts: object
+    lift: object
+    transform: object
+    needs_nice: bool = False
+
+
+# in the order of STAGE_TAGS
+STAGE_KINDS = {
+    kind.tag: kind
+    for kind in (
+        StageKind("mmo-to-fnc", MmoInstance, lambda source, _td: mmo_to_alliance(source),
+                  _mmo_counts, None, _transform_mmo),
+        StageKind("fnc-to-fn", AllianceInstance, lambda source, _td: eliminate_pairs(source),
+                  _pair_counts, _lift_pairs, _transform_pairs),
+        StageKind("fn-to-f", AllianceInstance, eliminate_necessary_auto,
+                  _necessary_counts, _lift_necessary, _transform_necessary, needs_nice=True),
+        StageKind("f-to-plain", AllianceInstance, lambda source, _td: eliminate_forbidden(source),
+                  _forbidden_counts, lambda _stage, solution: (list(solution), []),
+                  _transform_forbidden),
+    )
+}
+
+_SOURCE_NAMES = {MmoInstance: "an orientation target", AllianceInstance: "an alliance instance"}
+
+
+def stage_kind(tag):
+    """The StageKind of a stage tag."""
+    kind = STAGE_KINDS.get(tag)
+    if kind is None:
+        raise ValueError("unknown reduction stage tag %r" % (tag,))
+    return kind
+
+
+def build_stage(tag, source, td=None):
+    """Build stage tag from source and carry td, a decomposition of the
+    source, along: returns the stage and the decomposition of its
+    result, or None without td."""
+    kind = stage_kind(tag)
+    if td is not None and kind.needs_nice:
+        td = make_nice(td)
+    if not isinstance(source, kind.starts_from):
+        raise ValueError("stage %s starts from %s" % (tag, _SOURCE_NAMES[kind.starts_from]))
+    stage = kind.build(source, td)
+    return stage, (None if td is None else kind.transform(stage, td))
 
 
 def lift_solution(stage, solution):
     """Map a solution of the stage source to the matching solution of
     the stage result, a VertexSet over the result's table."""
-    if stage.tag == "mmo-to-fnc":
-        raise ValueError(
-            "the first stage starts from an orientation; use "
-            "orientation_to_solution"
-        )
+    lift = stage.kind.lift
+    if lift is None:
+        raise ValueError("the first stage starts from an orientation; use orientation_to_solution")
     if not isinstance(solution, VertexSet):
         solution = frozenset(solution)
     if not is_solution(stage.source, solution):
         raise ValueError("the given set is not a solution of the stage source")
-    if stage.tag == "fnc-to-fn":
-        names, blocks = _lift_pairs(stage, solution)
-    elif stage.tag == "fn-to-f":
-        names, blocks = _lift_necessary(stage, solution)
-    elif stage.tag == "f-to-plain":
-        names, blocks = list(solution), []
-    else:
-        raise ValueError("unknown reduction stage tag %r" % (stage.tag,))
+    names, blocks = lift(stage, solution)
     # the names are inputs and singleton gadgets, one dict lookup each;
     # the families give their id ranges without making a name
     table = stage.result.graph.order
@@ -587,11 +882,8 @@ def project_solution(stage, solution):
     """Map a solution of the stage result back to the stage source by
     restriction to the source vertices, as a VertexSet over the
     source's table."""
-    if stage.tag == "mmo-to-fnc":
-        raise ValueError(
-            "the first stage projects to an orientation; use "
-            "solution_to_orientation"
-        )
+    if stage.kind.lift is None:
+        raise ValueError("the first stage projects to an orientation; use solution_to_orientation")
     if not isinstance(solution, VertexSet):
         solution = frozenset(solution)
     if not is_solution(stage.result, solution):
@@ -603,6 +895,44 @@ def project_solution(stage, solution):
     if not is_solution(stage.source, out):
         raise RuntimeError("projected set fails verification on the stage source")
     return out
+
+
+def audit_stage(stage, budget=DEFAULT_BUDGET):
+    """Check the solution bijection of a stage: each source solution
+    lifts to one of the mapped size and projects back, and each result
+    solution projects and lifts back. The first stage's source
+    solutions are the feasible orientations, through the orientation
+    converters. Returns both sides' solution counts, the number of
+    checks and whether all held with equal counts."""
+    source, result = stage.source, stage.result
+    orienting = stage.kind.lift is None
+    if orienting:
+        if len(source.graph.edges) > 12:
+            raise ValueError("the orientation audit is limited to 12 edges")
+        inputs = [o for o in orientations(source) if max_weighted_outdegree(source, o) <= source.r]
+        lift = partial(orientation_to_solution, source)
+        project = partial(solution_to_orientation, source)
+    else:
+        inputs = solve(SolveRequest(source, "enumerate-all", budget=budget)).solutions or ()
+        lift = partial(lift_solution, stage)
+        project = partial(project_solution, stage)
+    outputs = solve(SolveRequest(result, "enumerate-all", budget=budget)).solutions or ()
+    checks = []
+    for s in inputs:
+        lifted = lift(s)
+        size = result.k if orienting else stage.size_fn(len(s))
+        checks += [len(lifted) == size, project(lifted) == s]
+    for s in outputs:
+        back = project(s)
+        checks.append(lift(back) == s)
+        if orienting:
+            checks.append(max_weighted_outdegree(source, back) <= source.r)
+    return {
+        "input_solutions": len(inputs),
+        "output_solutions": len(outputs),
+        "checks": len(checks),
+        "verified": all(checks) and len(inputs) == len(outputs),
+    }
 
 
 def _instance_stats(instance):
@@ -617,78 +947,14 @@ def _instance_stats(instance):
     }
 
 
-def _mmo_projected_stats(instance):
-    n = len(instance.graph.vertices)
-    total = sum(instance.weights.values())
+def _orientation_stats(instance):
+    """The counts of an orientation target that _mmo_counts reads."""
     return {
-        "vertices": 2 * n * instance.r + 4 * total,
-        "pairs": 2 * total - len(instance.graph.edges),
-        "forbidden": 2 * total,
-        "necessary": 2 * n * instance.r,
-        "k": 2 * n * instance.r + total,
-        "variant": "FNC",
+        "vertices": len(instance.graph.vertices),
+        "edges": len(instance.graph.edges),
+        "weight": sum(instance.weights.values()),
+        "r": instance.r,
     }
-
-
-def _project_stats(stats, tag):
-    """Statistics of a stage result from its source statistics alone,
-    for stages too large to build. Mirrors the gadget counts."""
-    n = stats["vertices"]
-    if tag == "fnc-to-fn":
-        m = n * n + n
-        pairs = stats["pairs"]
-        return {
-            "vertices": n + 2 * n * n + pairs * (3 + 4 * m),
-            "pairs": 0,
-            "forbidden": stats["forbidden"] + n * n + pairs * 2 * m,
-            "necessary": stats["necessary"] + pairs,
-            "k": stats["k"] * (n + 1) + pairs * (m + 2),
-            "variant": "FN",
-        }
-    if tag == "fn-to-f":
-        open_count = n - stats["forbidden"] - stats["necessary"]
-        members = stats["necessary"] + 2 * open_count
-        forbidden = stats["forbidden"] + members * (n + 1) + 2 * open_count
-        return {
-            "vertices": n + 5 * open_count + 2 * members * (n + 1),
-            "pairs": 0,
-            "forbidden": forbidden,
-            "necessary": 0,
-            "k": (n + 3) * (stats["k"] + open_count) - stats["necessary"],
-            "variant": "F" if forbidden else "plain",
-        }
-    if tag == "f-to-plain":
-        return {
-            "vertices": n + stats["forbidden"] * (2 * stats["k"] + 1),
-            "pairs": 0,
-            "forbidden": 0,
-            "necessary": 0,
-            "k": stats["k"],
-            "variant": "plain",
-        }
-    raise ValueError("unknown reduction stage tag %r" % (tag,))
-
-
-def _predict_vertices(source, tag):
-    if tag == "mmo-to-fnc":
-        return _mmo_projected_stats(source)["vertices"]
-    return _project_stats(_instance_stats(source), tag)["vertices"]
-
-
-def _build_stage(tag, instance, decomposition=None):
-    if tag == "mmo-to-fnc":
-        if not isinstance(instance, MmoInstance):
-            raise ValueError("stage mmo-to-fnc starts from an orientation target")
-        return mmo_to_alliance(instance)
-    if isinstance(instance, MmoInstance):
-        raise ValueError("stage %s starts from an alliance instance" % (tag,))
-    if tag == "fnc-to-fn":
-        return eliminate_pairs(instance)
-    if tag == "fn-to-f":
-        return eliminate_necessary_auto(instance, decomposition)
-    if tag == "f-to-plain":
-        return eliminate_forbidden(instance)
-    raise ValueError("unknown reduction stage tag %r" % (tag,))
 
 
 def run_pipeline(
@@ -717,38 +983,25 @@ def run_pipeline(
     flags = []
     built = []
     current = mmo
-    stats = None
+    stats = _orientation_stats(mmo)
     td = decomposition
     projected = False
     for tag in stages:
-        if not projected and _predict_vertices(current, tag) > max_vertices:
+        counted = stage_kind(tag).counts(stats)
+        if not projected and counted["vertices"] > max_vertices:
             projected = True
             flags.append("size-cap")
-            stats = (
-                _mmo_projected_stats(current)
-                if isinstance(current, MmoInstance)
-                else _instance_stats(current)
-            )
-            stats = None if tag == "mmo-to-fnc" else stats
+        entry = {"tag": tag, "projected": projected, "width": None}
         if projected:
-            stats = (
-                _mmo_projected_stats(current) if stats is None else _project_stats(stats, tag)
-            )
-            entry = {"tag": tag, "projected": True, "width": None, "edges": None}
-            entry.update(stats)
-            report_stages.append(entry)
-            continue
-        if tag == "fn-to-f" and td is not None:
-            td = make_nice(td)
-        stage = _build_stage(tag, current, td)
-        width = None
-        if td is not None:
-            td = transform_td(stage, td)
-            width = td.width()
-        built.append(stage)
-        current = stage.result
-        entry = {"tag": tag, "projected": False, "width": width}
-        entry.update(_instance_stats(current))
+            stats = counted
+            entry["edges"] = None
+        else:
+            stage, td = build_stage(tag, current, td)
+            built.append(stage)
+            current = stage.result
+            stats = _instance_stats(current)
+            entry["width"] = None if td is None else td.width()
+        entry.update(stats)
         report_stages.append(entry)
 
     decision = None

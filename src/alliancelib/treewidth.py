@@ -1,5 +1,6 @@
-"""Tree decompositions: validation, construction, nice form, and the
-decomposition transformations that accompany each instance reduction.
+"""Tree decompositions: validation, construction, nice form, and
+transform_td, which carries one along a reduction stage by the
+transform in the stage's record, beside its builder in reductions.
 
 A decomposition is a rooted tree of bags. Width is the largest bag
 size minus one; a single empty bag therefore has width -1. Children
@@ -12,7 +13,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .alliance import primal_graph
 from .graph import VertexTable, parse_vertex
 
 NICE_KINDS = ("leaf", "introduce", "forget", "join")
@@ -675,39 +675,21 @@ def postorder_ordering(td, eligible):
         if i is None or first[i] is None:
             raise ValueError("vertex %s is in no bag" % (u,))
         closing.setdefault(first[i], []).append(u)
+    order = td.postorder()
+    if len(order) != len(td._bags):
+        raise ValueError("some nodes are not reachable from the root")
     out = []
-    for n in td.postorder():
+    for n in order:
         out.extend(closing.get(n, ()))
     return tuple(out)
 
 
 def transform_td(stage, td):
     """Decomposition of the stage output built from one of its input,
-    over the vertex table of the output graph.
-
-    Dispatches on the stage tag; each branch mirrors the corresponding
-    gadget construction and keeps the width within the documented
-    additive or multiplicative bound.
-    """
-    handlers = {
-        "mmo-to-fnc": _transform_mmo,
-        "fnc-to-fn": _transform_pairs,
-        "fn-to-f": _transform_necessary,
-        "f-to-plain": _transform_forbidden,
-    }
-    if stage.tag not in handlers:
-        raise ValueError("unknown reduction stage tag %r" % (stage.tag,))
-    return handlers[stage.tag](stage, td)
-
-
-def _carry(td, graph):
-    """Copy of td over graph's vertex table, for a td validated against
-    a graph whose vertices are all in graph."""
-    out = td.copy(into=TreeDecomposition)
-    out._order, out._index = graph.order, graph.index
-    local = list(map(graph.index.get, td._order))
-    out._bags = [tuple(sorted(map(local.__getitem__, bag))) for bag in td._bags]
-    return out
+    over the vertex table of the output graph. The stage's own record
+    holds the transform, which mirrors its gadget construction and keeps
+    the width within the documented additive or multiplicative bound."""
+    return stage.kind.transform(stage, td)
 
 
 def _ids(table, block):
@@ -718,188 +700,6 @@ def _ids(table, block):
 def _with(base, *ids):
     """Bag base with ids added; none of them may be in base already."""
     return tuple(sorted(base + ids))
-
-
-def _transform_mmo(stage, td):
-    source = stage.source
-    verdict = td.validate(source.graph)
-    if not verdict:
-        raise ValueError(
-            "decomposition does not fit the source graph: %s" % (verdict.problems[0],)
-        )
-    gadgets = stage.gadgets
-    table, index = stage.result.graph.order, stage.result.graph.index
-    out = _carry(td, stage.result.graph)
-    bags = out._bags
-    tops = first, _more = _tops(out)
-    for u, w in source.graph.sorted_edges():
-        cu = _ids(table, gadgets.edge_copy[(u, w)])
-        cw = _ids(table, gadgets.edge_copy[(w, u)])
-        weight = len(cu)
-        t = _joint_top(out, tops, index[u], index[w])
-        base = bags[t]
-        if weight == 1:
-            out._add(_with(base, cu[0], cw[0]), t)
-        else:
-            out._hang(t, [_with(base, cu[i - 1], cu[i], cw[i - 1], cw[i]) for i in range(1, weight)])
-        for side, owner in ((gadgets.edge_copy_forbidden[(u, w)], u),
-                            (gadgets.edge_copy_forbidden[(w, u)], w)):
-            anchor = first[index[owner]]
-            out._hang(anchor, [_with(bags[anchor], x) for x in _ids(table, side)])
-    for u in source.graph.sorted_vertices():
-        anchor = first[index[u]]
-        out._hang(anchor, [_with(bags[anchor], x) for x in _ids(table, gadgets.helper[u])])
-    return out
-
-
-def _transform_pairs(stage, td):
-    source = stage.source
-    primal = primal_graph(source)
-    verdict = td.validate(primal)
-    if not verdict:
-        raise ValueError(
-            "decomposition does not fit the primal graph: %s" % (verdict.problems[0],)
-        )
-    gadgets = stage.gadgets
-    table, index = stage.result.graph.order, stage.result.graph.index
-    verts = source.graph.sorted_vertices()
-    n = len(verts)
-    out = _carry(td, stage.result.graph)
-    bags = out._bags
-    tops = first, _more = _tops(out)
-    sorted_pairs = sorted(source.pairs)
-    top_pair = {(a, b): _joint_top(out, tops, index[a], index[b]) for a, b in sorted_pairs}
-    ys = {u: _ids(table, gadgets.y_chain[u]) for u in verts}
-    yfs = {u: _ids(table, gadgets.y_chain_forbidden[u]) for u in verts}
-    # every bag containing v also gets v_n and its forbidden twin
-    last = {index[u]: (ys[u][n - 1], yfs[u][n - 1]) for u in verts}
-    for node, bag in enumerate(bags):
-        extra = ()
-        for u in bag:
-            extra += last[u]
-        bags[node] = _with(bag, *extra)
-    # descending chain below the topmost bag of v keeps v_n adjacent
-    for u in verts:
-        y, yf = ys[u], yfs[u]
-        out._hang(
-            first[index[u]],
-            [_with((index[u],), y[i - 1], yf[i - 1], y[i], yf[i]) for i in range(n - 1, 0, -1)],
-        )
-    m = n * n + n
-    for a, b in sorted_pairs:
-        t = top_pair[(a, b)]
-        carry = last[index[b]]
-        hub_a = index[gadgets.z_hub[((a, b), a)]]
-        hub_b = index[gadgets.z_hub[((a, b), b)]]
-        za = _ids(table, gadgets.z_chain[((a, b), a)])
-        zfa = _ids(table, gadgets.z_chain_forbidden[((a, b), a)])
-        zb = _ids(table, gadgets.z_chain[((a, b), b)])
-        zfb = _ids(table, gadgets.z_chain_forbidden[((a, b), b)])
-        # down from t: a's chain, the triangle, then b's chain back up
-        chain = [_with(carry, *last[index[a]], hub_a, za[0], zfa[0])]
-        chain += [_with(carry, hub_a, za[i - 1], zfa[i - 1], za[i], zfa[i]) for i in range(1, m)]
-        chain.append(_with(carry, hub_a, hub_b, index[gadgets.triangle[(a, b)]]))
-        chain += [_with(carry, hub_b, zb[i - 1], zfb[i - 1], zb[i], zfb[i]) for i in range(m - 1, 0, -1)]
-        chain.append(_with(carry, hub_b, zb[0], zfb[0]))
-        out._hang(t, chain)
-    return out
-
-
-def _transform_necessary(stage, td):
-    source = stage.source
-    if not isinstance(td, NiceTreeDecomposition):
-        raise ValueError("this stage transformation needs a nice decomposition")
-    verdict = td.validate_nice(source.graph)
-    if not verdict:
-        raise ValueError(
-            "decomposition does not fit the source graph: %s" % (verdict.problems[0],)
-        )
-    eligible = frozenset(stage.ordering)
-    if postorder_ordering(td, eligible) != tuple(stage.ordering):
-        raise ValueError(
-            "stage ordering is not the post-order ordering of this decomposition"
-        )
-    gadgets = stage.gadgets
-    table, index = stage.result.graph.order, stage.result.graph.index
-    out = _carry(td, stage.result.graph)
-    bags = out._bags
-    n = len(source.graph.vertices)
-    necessary = source.necessary
-    first, _more = _tops(out)
-    chain_top = {}
-    chain_bottom = {}
-
-    def grow_chain(anchor, base, member):
-        """Replace anchor with the member's chain; bags stack above it."""
-        ac = _ids(table, gadgets.a_chain[member])
-        af = _ids(table, gadgets.a_chain_forbidden[member])
-        bags[anchor] = _with(base, ac[0], af[0], ac[1], af[1])
-        chain_bottom[member] = anchor
-        top = anchor
-        extra = [_with(base, ac[i - 1], af[i - 1], ac[i], af[i]) for i in range(2, n + 1)]
-        if extra:
-            top = out._splice(anchor, extra)[-1]
-        chain_top[member] = top
-        return top
-
-    for u in sorted(eligible):
-        anchor = first[index[u]]
-        if u in necessary:
-            grow_chain(anchor, bags[anchor], u)
-        else:
-            base = _with(
-                bags[anchor],
-                index[gadgets.primed[u]],
-                index[gadgets.g_vertex[u]],
-                index[gadgets.h_vertex[u]],
-                index[gadgets.g_forbidden[u]],
-                index[gadgets.h_forbidden[u]],
-            )
-            top = grow_chain(anchor, base, u)
-            primed = gadgets.primed[u]
-            pc = _ids(table, gadgets.a_chain[primed])
-            pf = _ids(table, gadgets.a_chain_forbidden[primed])
-            mbags = [_with(base, pc[i - 1], pf[i - 1], pc[i], pf[i]) for i in range(1, n + 1)]
-            spliced = out._splice(top, mbags)
-            chain_bottom[primed] = spliced[0]
-            chain_top[primed] = spliced[-1]
-    # each bag on a thread's path gets the thread's pair; collected
-    # first, so that a bag on several paths is rebuilt once
-    threads = [()] * len(bags)
-    images = [u if u in necessary else gadgets.primed[u] for u in stage.ordering]
-    ids = table.ids
-    for left, right in zip(images, images[1:]):
-        thread = (ids[gadgets.a_chain[right].start], ids[gadgets.a_chain_forbidden[right].start])
-        for node in out.path_between(chain_top[left], chain_bottom[right]):
-            threads[node] += thread
-    for node, thread in enumerate(threads):
-        if thread:
-            out._merge(node, thread)
-    return out
-
-
-def _transform_forbidden(stage, td):
-    source = stage.source
-    verdict = td.validate(source.graph)
-    if not verdict:
-        raise ValueError(
-            "decomposition does not fit the source graph: %s" % (verdict.problems[0],)
-        )
-    gadgets = stage.gadgets
-    table, index = stage.result.graph.order, stage.result.graph.index
-    out = _carry(td, stage.result.graph)
-    bags = out._bags
-    first, _more = _tops(out)
-    for f in sorted(source.forbidden):
-        t = first[index[f]]
-        base = bags[t]
-        hub = index[gadgets.fan_hub[f]]
-        leaves = _ids(table, gadgets.fan_leaves[f])
-        if leaves:
-            out._splice(t, [_with(base, hub, leaf) for leaf in leaves])
-        else:
-            out._splice(t, [_with(base, hub)])
-    return out
 
 
 def _bag_labels(td):

@@ -2,6 +2,7 @@
 0 yes/success, 1 no, 2 usage or parse trouble, 3 budget exceeded."""
 
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -462,6 +463,20 @@ class TestRoundtrip:
         assert code == 0
         assert report["verified"] is True
         assert report["input_solutions"] == 3
+
+    def test_a_broken_size_map_fails_the_audit(self, capsys, tmp_path, monkeypatch):
+        build = reductions.build_stage
+
+        def tampered(tag, source, td=None):
+            stage, td = build(tag, source, td)
+            return dataclasses.replace(stage, size_fn=reductions.Affine(1, 1)), td
+
+        monkeypatch.setattr(reductions, "build_stage", tampered)
+        path = pair_toy_file(tmp_path)
+        code, report = run(capsys, ["roundtrip", "--stage", "fnc-to-fn", path])
+        assert code == 1
+        assert report["verified"] is False
+        assert report["input_solutions"] == report["output_solutions"] == 2
 
 
 class TestGen:

@@ -51,12 +51,20 @@ BUILDERS = {
 }
 
 
+def source_stats(source):
+    """The counts a stage record's counts() reads from its source."""
+    if isinstance(source, MmoInstance):
+        return reductions._orientation_stats(source)
+    return reductions._instance_stats(source)
+
+
 def chain_stages(source, start=0):
     """(source, stage) for each chain stage from STAGE_TAGS[start] on
     that the CLI would build under its materialization cap."""
     out = []
     for tag in STAGE_TAGS[start:]:
-        if reductions._predict_vertices(source, tag) > cli.MATERIALIZE_CAP:
+        predicted = reductions.STAGE_KINDS[tag].counts(source_stats(source))
+        if predicted["vertices"] > cli.MATERIALIZE_CAP:
             break
         stage = BUILDERS[tag](source)
         out.append((source, stage))
@@ -105,11 +113,7 @@ def test_stage_results_are_laid_out_in_sorted_order(corpus):
 
 def test_predicted_counts_equal_built_counts(corpus):
     for source, stage in corpus:
-        if stage.tag == "mmo-to-fnc":
-            predicted = reductions._mmo_projected_stats(source)
-        else:
-            stats = reductions._instance_stats(source)
-            predicted = reductions._project_stats(stats, stage.tag)
+        predicted = stage.kind.counts(source_stats(source))
         built = reductions._instance_stats(stage.result)
         assert {key: built[key] for key in predicted} == predicted, stage.tag
 
@@ -120,8 +124,7 @@ def test_stage_three_at_full_size(stage_three):
     result = stage_three.third.result
     assert len(result.graph.vertices) == 368711
     assert len(result.graph.edges) == 1103817
-    stats = reductions._instance_stats(stage_three.second.result)
-    predicted = reductions._project_stats(stats, "fn-to-f")
+    predicted = stage_three.third.kind.counts(source_stats(stage_three.second.result))
     assert len(result.forbidden) == predicted["forbidden"]
     assert result.k == predicted["k"]
 

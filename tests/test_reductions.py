@@ -2,16 +2,21 @@
 transformations. Counts and memberships below were derived by hand from
 the gadget definitions before the implementation existed."""
 
+import dataclasses
 import itertools
 import pickle
 
 import pytest
 
-from alliancelib.alliance import AllianceInstance, is_solution, primal_graph
+from alliancelib.alliance import STAGE_TAGS, AllianceInstance, is_solution, primal_graph
 from alliancelib.graph import Graph, VertexId, parse_vertex
 from alliancelib.mmo import MmoInstance, Orientation, max_weighted_outdegree
 from alliancelib.reductions import (
+    STAGE_KINDS,
+    Affine,
     ReductionStage,
+    audit_stage,
+    build_stage,
     eliminate_forbidden,
     eliminate_necessary,
     eliminate_necessary_auto,
@@ -26,6 +31,8 @@ from alliancelib.treewidth import (
     heuristic_td,
     make_nice,
     postorder_ordering,
+    td_from_lines,
+    td_to_lines,
     transform_td,
     validate_td,
 )
@@ -337,6 +344,17 @@ class TestNecessaryElimination:
         with pytest.raises(ValueError, match="ordering"):
             eliminate_necessary(toy, (v("a"), v("zz")))
 
+    def test_auto_ordering_refuses_nodes_off_the_root_tree(self):
+        # c's topmost bag, node 1, and node 2 are each other's parent; b
+        # is forbidden, so every eligible vertex has a top
+        a, b, c = vs("a b c")
+        toy = AllianceInstance(
+            graph=Graph([a, b, c], [(b, c)]), k=2, forbidden=[b], necessary=[a]
+        )
+        td = td_from_lines("0 - a\n1 2 b c\n2 1 b\n")
+        with pytest.raises(ValueError, match="^some nodes are not reachable from the root$"):
+            eliminate_necessary_auto(toy, td)
+
     def test_size_function_frozen(self):
         stage = eliminate_necessary(fn_toy(k=2), tuple(vs("a b")))
         assert stage.size_fn(2) == 14
@@ -617,6 +635,52 @@ class TestDecompositionTransforms:
         broken = dataclasses.replace(stage, tag="sideways")
         with pytest.raises(ValueError, match="sideways"):
             transform_td(broken, heuristic_td(f_toy().graph))
+
+
+class TestStageRecords:
+    def test_records_follow_the_chain(self):
+        assert tuple(STAGE_KINDS) == STAGE_TAGS
+        for tag, kind in STAGE_KINDS.items():
+            assert kind.tag == tag
+
+    def test_built_stages_find_their_record(self):
+        stage = eliminate_forbidden(f_toy())
+        assert stage.kind is STAGE_KINDS["f-to-plain"]
+        assert "kind" not in {field.name for field in dataclasses.fields(stage)}
+
+    @pytest.mark.parametrize("call", [
+        lambda stage: lift_solution(stage, set(vs("a b"))),
+        lambda stage: project_solution(stage, set(vs("a b"))),
+        lambda stage: build_stage(stage.tag, f_toy()),
+    ])
+    def test_unknown_tag_is_named(self, call):
+        broken = dataclasses.replace(eliminate_forbidden(f_toy()), tag="sideways")
+        with pytest.raises(ValueError, match="^unknown reduction stage tag 'sideways'$"):
+            call(broken)
+
+    def test_build_carries_the_decomposition(self):
+        toy = fn_toy()
+        td = heuristic_td(toy.graph)
+        stage, out = build_stage("fn-to-f", toy, td)
+        nice = make_nice(td)
+        assert stage.ordering == postorder_ordering(nice, vs("a b"))
+        assert td_to_lines(out) == td_to_lines(transform_td(stage, nice))
+        assert build_stage("fn-to-f", toy)[1] is None
+
+    def test_audit_counts_both_sides(self):
+        stage = eliminate_pairs(pair_toy())
+        audit = audit_stage(stage)
+        assert audit == {
+            "input_solutions": 2, "output_solutions": 2, "checks": 6, "verified": True,
+        }
+        mmo = audit_stage(mmo_to_alliance(two_vertex_mmo()))
+        assert mmo["verified"] and mmo["input_solutions"] == mmo["output_solutions"] == 2
+
+    def test_audit_fails_on_a_broken_size_map(self):
+        stage = eliminate_pairs(pair_toy())
+        audit = audit_stage(dataclasses.replace(stage, size_fn=Affine(1, 1)))
+        assert audit["verified"] is False
+        assert audit["checks"] == 6
 
 
 def test_every_chain_stage_pickles_with_its_size_map(stage_three):

@@ -592,6 +592,12 @@ class TestPostorder:
         with pytest.raises(ValueError, match="zz"):
             postorder_ordering(td, {v("zz")})
 
+    def test_nodes_off_the_root_tree_are_refused(self):
+        # c's topmost bag, node 1, and node 2 are each other's parent
+        td = td_from_lines("0 - a\n1 2 b c\n2 1 b\n")
+        with pytest.raises(ValueError, match="^some nodes are not reachable from the root$"):
+            postorder_ordering(td, vs("a c"))
+
     def test_is_permutation_on_random_inputs(self):
         rng = random.Random(31)
         for _ in range(30):
