@@ -636,6 +636,19 @@ def eliminate_necessary_auto(instance, decomposition=None):
 
 
 def _transform_necessary(stage, td):
+    """The fn-to-f decomposition, within width + 13 of the nice td.
+
+    Each eligible u grows its chains above its anchor, the topmost node
+    holding u: there the gadget base adds 5 vertices (none for a
+    necessary u) and each chain bag its 4 link vertices. Threads join
+    consecutive chains along the tree; as the ordering is post-order,
+    they walk each tree edge at most once down and once up, so a unary
+    node lies on at most 2 of them, 4 vertices, and a join on 3, 6.
+    An anchor that is a join gets a copy of its bag spliced directly
+    above it, and the chains grow from the copy, a unary node: no bag
+    holds both the gadget and a join's threads, and none exceeds
+    5 + 4 + 4 = 13 vertices beyond its input bag.
+    """
     source = stage.source
     if not isinstance(td, NiceTreeDecomposition):
         raise ValueError("this stage transformation needs a nice decomposition")
@@ -668,6 +681,8 @@ def _transform_necessary(stage, td):
 
     for u in sorted(eligible):
         anchor = first[index[u]]
+        if td.kind(anchor) == "join":
+            anchor = out._splice(anchor, [bags[anchor]])[0]
         if u in necessary:
             grow_chain(anchor, bags[anchor], u)
         else:

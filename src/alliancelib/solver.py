@@ -369,31 +369,38 @@ def solve(request):
 def _connected_candidates(graph, limit):
     """Connected induced vertex sets of size at most limit, each one
     exactly once: sets are rooted at their least vertex and extended by
-    larger neighbors, with skipped extensions barred from reuse."""
-    order, rank = graph.order, graph.index
-
-    def grow(members, frontier, barred):
-        yield members
-        if len(members) == limit:
-            return
-        local_barred = set(barred)
-        for i, u in enumerate(frontier):
+    larger neighbors, with skipped extensions barred from reuse. Depth
+    first, on an explicit stack, so a set may have any number of
+    members."""
+    rank = graph.index
+    for v in graph.order:
+        low = rank[v]
+        yield (v,)
+        if limit == 1:
+            continue
+        frontier = [w for w in graph.neighbors(v) if rank[w] > low]
+        # a frame: members, its frontier, its barred set, and the
+        # frontier's positions not yet tried
+        stack = [((v,), frontier, set(), enumerate(frontier))]
+        while stack:
+            members, frontier, barred, steps = stack[-1]
+            step = next(steps, None)
+            if step is None:
+                stack.pop()
+                continue
+            i, u = step
+            rest = frontier[i + 1:]
             extra = [
                 w
                 for w in graph.neighbors(u)
-                if rank[w] > rank[members[0]]
-                and w not in members
-                and w not in local_barred
-                and w not in frontier[i + 1:]
+                if rank[w] > low and w not in members and w not in barred and w not in rest
             ]
-            yield from grow(
-                members + (u,), frontier[i + 1:] + extra, local_barred
-            )
-            local_barred.add(u)
-
-    for v in order:
-        frontier = [w for w in graph.neighbors(v) if rank[w] > rank[v]]
-        yield from grow((v,), frontier, set())
+            grown = members + (u,)
+            yield grown
+            if len(grown) != limit:
+                frontier = rest + extra
+                stack.append((grown, frontier, set(barred), enumerate(frontier)))
+            barred.add(u)
 
 
 def solve_connected_pruned(instance, goal="minimum"):

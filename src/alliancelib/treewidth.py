@@ -43,20 +43,21 @@ class TreeDecomposition:
 
     Node ids are 0..N-1 in creation order, and every per-node table is
     indexed by them: _bags is a list of bags, each a sorted tuple of the
-    table's own int objects, and three array("i")s hold the tree, with
-    -1 for none: _parent, _last_child (the child with the largest id)
-    and _prev_sibling (the sibling with the next smaller id). Beside
-    its bag a node costs one list slot and three 4-byte entries, about
-    20 B with the tables' spare room, where dicts of bags, parents and
-    child tuples keyed by node cost about 237 B. A new node has the
-    largest id, so it joins its parent's children at the head of their
-    list in constant time. Tuples that hold only ints are untracked by
-    the cyclic garbage collector at its first pass over them, and arrays
-    are never tracked, so a large decomposition adds no work to later
-    collections. Names appear only at the edge: add_node, set_bag,
-    add_to_bag and splice_above take names, bag() returns a read-only
-    frozenset of names, and any order visible outside (written bags,
-    make_nice numbering, messages) is the name order.
+    table's own int objects, and the tree is one array("i"), _parent,
+    with -1 for none. Beside its bag a node costs one list slot and one
+    4-byte entry, about 12 B with the tables' spare room, where dicts of
+    bags, parents and child tuples keyed by node cost about 237 B. Child
+    lists are derived from _parent when a traversal first reads them
+    (see _child_index) and dropped by every later parent write, so
+    reads between writes share one O(N) index; a loop that alternates
+    writes with child reads would rebuild it each time. Tuples that hold
+    only ints are untracked by the cyclic garbage collector at its first
+    pass over them, and arrays are never tracked, so a large
+    decomposition adds no work to later collections. Names appear only
+    at the edge: add_node, set_bag, add_to_bag and splice_above take
+    names, bag() returns a read-only frozenset of names, and any order
+    visible outside (written bags, make_nice numbering, messages) is
+    the name order.
     """
 
     def __init__(self, graph=None):
@@ -66,8 +67,7 @@ class TreeDecomposition:
             self._order, self._index, self._owns_table = graph.order, graph.index, False
         self._bags = []
         self._parent = array("i")
-        self._last_child = array("i")
-        self._prev_sibling = array("i")
+        self._kids = None
 
     @classmethod
     def _over(cls, td):
@@ -120,13 +120,10 @@ class TreeDecomposition:
         if last < start:
             return parent
         self._bags += bags
-        # node start + i sits under start + i - 1; _link below places start
-        self._parent.append(-1)
+        # node start + i sits under start + i - 1
+        self._parent.append(parent)
         self._parent.extend(range(start, last))
-        self._last_child.extend(range(start + 1, last + 1))
-        self._last_child.append(-1)
-        self._prev_sibling.extend(itertools.repeat(-1, len(bags)))
-        self._link(start, parent)
+        self._kids = None
         return last
 
     def add_node(self, bag, parent=None):
@@ -166,60 +163,32 @@ class TreeDecomposition:
             raise ValueError("node %r cannot be its own parent" % (n,))
         if parent is not None and not self._is_node(parent):
             raise ValueError("unknown parent node %r" % (parent,))
-        self._unlink(n)
-        self._link(n, -1 if parent is None else parent)
+        self._parent[n] = -1 if parent is None else parent
+        self._kids = None
 
-    def _unlink(self, n):
-        """Take n out of its parent's children; its parent entry stays."""
-        p = self._parent[n]
-        if p < 0:
-            return
-        last, prev = self._last_child, self._prev_sibling
-        if last[p] == n:
-            last[p] = prev[n]
-        else:
-            c = last[p]
-            while prev[c] != n:
-                c = prev[c]
-            prev[c] = prev[n]
-        prev[n] = -1
-
-    def _link(self, n, parent):
-        """Make n, which is in no child list, a child of parent (or a
-        root for -1), in id order among its siblings."""
-        self._parent[n] = parent
-        if parent < 0:
-            return
-        last, prev = self._last_child, self._prev_sibling
-        c = last[parent]
-        if c < n:
-            prev[n], last[parent] = c, n
-        else:
-            while prev[c] > n:
-                c = prev[c]
-            prev[n], prev[c] = prev[c], n
-
-    def _index_children(self):
-        """Child links rebuilt from the parent table in one pass."""
-        n = len(self._parent)
-        last = self._last_child = array("i", [-1]) * n
-        prev = self._prev_sibling = array("i", [-1]) * n
-        for c, p in enumerate(self._parent):
-            if p >= 0:
-                prev[c], last[p] = last[p], c
+    def _child_index(self):
+        """(first, kids), the children of every node n in id order as
+        kids[first[n]:first[n + 1]], derived from _parent on the first
+        read after a write. _hang, _splice and set_parent drop it;
+        heuristic_td, _td_from_rows and make_nice write _parent directly
+        only before anything reads it. The roots, whose parent -1 sorts
+        first, fill kids[:first[0]]."""
+        if self._kids is None:
+            parent = self._parent
+            count = [0] * (len(parent) + 1)
+            for p in parent:
+                count[p + 1] += 1
+            self._kids = (
+                array("i", itertools.accumulate(count)),
+                array("i", sorted(range(len(parent)), key=parent.__getitem__)),
+            )
+        return self._kids
 
     def children(self, n):
-        return self._children(n) if self._is_node(n) else []
-
-    def _children(self, n):
-        """The children of node n, in id order."""
-        out = []
-        c = self._last_child[n]
-        while c >= 0:
-            out.append(c)
-            c = self._prev_sibling[c]
-        out.reverse()
-        return out
+        if not self._is_node(n):
+            return []
+        first, kids = self._child_index()
+        return kids[first[n]:first[n + 1]].tolist()
 
     def root(self):
         roots = self._parent.count(-1)
@@ -237,24 +206,18 @@ class TreeDecomposition:
         out = (into or type(self))._over(self)
         out._bags = self._bags[:]
         out._parent = self._parent[:]
-        out._last_child = self._last_child[:]
-        out._prev_sibling = self._prev_sibling[:]
         return out
 
     def postorder(self):
         """Node ids, children before parents, children in id order:
         the reverse of a preorder that takes children last to first."""
-        last, prev = self._last_child, self._prev_sibling
+        first, kids = self._child_index()
         out = []
         stack = [self.root()]
         while stack:
             node = stack.pop()
-            # down the last children, leaving each smaller sibling for later
-            while node >= 0:
-                out.append(node)
-                if prev[node] >= 0:
-                    stack.append(prev[node])
-                node = last[node]
+            out.append(node)
+            stack += kids[first[node]:first[node + 1]]
         out.reverse()
         return out
 
@@ -275,19 +238,13 @@ class TreeDecomposition:
         if not bags:
             return range(start, start)
         top = start + len(bags) - 1
-        old_parent = self._parent[n]
-        if old_parent >= 0:
-            self._unlink(n)
         self._bags += bags
-        # node start + i has the one child start + i - 1, and start has n;
-        # _link below gives top its parent
+        # node start + i sits under start + i + 1, n under start, and top
+        # under n's old parent
+        self._parent.extend(range(start + 1, top + 1))
+        self._parent.append(self._parent[n])
         self._parent[n] = start
-        self._parent.extend(range(start + 1, top + 2))
-        self._last_child.extend(range(start - 1, top))
-        self._last_child[start] = n
-        self._prev_sibling.extend(itertools.repeat(-1, len(bags)))
-        # top is the largest id so far, so it heads old_parent's children
-        self._link(top, old_parent)
+        self._kids = None
         return range(start, top + 1)
 
     def path_between(self, a, b):
@@ -437,15 +394,13 @@ def _joint_top(td, tops, u, w):
 
 
 def _kind(td, n):
-    # c and d: the children with the largest and next smaller ids
-    prev = td._prev_sibling
-    c = td._last_child[n]
-    if c < 0:
+    first, kids = td._child_index()
+    below = kids[first[n]:first[n + 1]]
+    if not below:
         return "leaf"
     bags = td._bags
-    d = prev[c]
-    if d < 0:
-        b, cb = bags[n], bags[c]
+    if len(below) == 1:
+        b, cb = bags[n], bags[below[0]]
         if len(b) == len(cb) + 1 and set(cb).issubset(b):
             return "introduce"
         if len(b) == len(cb) - 1 and set(b).issubset(cb):
@@ -453,11 +408,11 @@ def _kind(td, n):
         raise ValueError(
             "node %d must differ from its child by exactly one vertex" % (n,)
         )
-    if prev[d] < 0:
-        if bags[c] == bags[n] == bags[d]:
+    if len(below) == 2:
+        if bags[below[0]] == bags[n] == bags[below[1]]:
             return "join"
         raise ValueError("join node %d must repeat its children's bag" % (n,))
-    raise ValueError("node %d has %d children" % (n, len(td.children(n))))
+    raise ValueError("node %d has %d children" % (n, len(below)))
 
 
 def _shape_problems(td):
@@ -504,8 +459,7 @@ def make_nice(td):
     copy); anything else is rebuilt with forget/introduce transitions
     between the original bags, one vertex at a time in name order, and
     left-folded binary joins, in one pass over the input's post-order,
-    so depth is not limited by the interpreter's recursion. A node is
-    made above its children, so its links are written as it is made.
+    so depth is not limited by the interpreter's recursion.
     """
     order = td.postorder()
     if len(order) != len(td._bags):
@@ -513,15 +467,13 @@ def make_nice(td):
     if next(_shape_problems(td), None) is None:
         return td.copy(into=NiceTreeDecomposition)
     src, up, name_order = td._bags, td._parent, td._name_order
-    bags, parent, last, prev = [], [], [], []
+    bags, parent = [], array("i")
 
     def make(bag, child):
         """New node with bag above child, the top of its subtree or -1."""
         n = len(bags)
         bags.append(bag)
         parent.append(-1)
-        last.append(child)
-        prev.append(-1)
         if child >= 0:
             parent[child] = n
         return n
@@ -547,20 +499,15 @@ def make_nice(td):
             top = below[0]
             for other in below[1:]:
                 # the first join takes two subtree tops, each later one
-                # the join below it, which is newer than its other child
-                a, b = sorted((top, other))
-                prev[b] = a
-                top = make(target, b)
-                parent[a] = top
+                # the join below it
+                top = make(target, top)
+                parent[other] = top
         p = up[node]
         top = transition(top, target, () if p < 0 else src[p])
         if p >= 0:
             tops.setdefault(p, []).append(top)
     out = NiceTreeDecomposition._over(td)
-    out._bags = bags
-    out._parent, out._last_child, out._prev_sibling = (
-        array("i", t) for t in (parent, last, prev)
-    )
+    out._bags, out._parent = bags, parent
     return out
 
 
@@ -656,7 +603,6 @@ def heuristic_td(graph):
         # exhausted component onto the next bag is harmless
         above = ids[min(position[u] for u in ns)] if ns else ids[i + 1]
         td._parent[ids[i]] = above
-    td._index_children()
     return td
 
 
@@ -799,7 +745,6 @@ def _td_from_rows(td, rows, skip):
         td._bags[nid] = tuple(sorted(map(index.__getitem__, bag)))
         if parent is not None:
             td._parent[nid] = parent
-    td._index_children()
     return td
 
 

@@ -637,6 +637,62 @@ class TestDecompositionTransforms:
             transform_td(broken, heuristic_td(f_toy().graph))
 
 
+def _stage_two_size(n, m, total, r):
+    stats = {"vertices": n, "edges": m, "weight": total, "r": r}
+    return STAGE_KINDS["fnc-to-fn"].counts(STAGE_KINDS["mmo-to-fnc"].counts(stats))["vertices"]
+
+
+def _composed_targets(cap=4000):
+    """(id, target) of the one-edge, path and triangle targets whose
+    stage 2 has at most cap vertices, weights up to the shape's
+    symmetry. Stage 2 grows with r and with the total weight, so each
+    loop stops at its first size past the cap; no triangle fits."""
+    a, b, c = vs("a b c")
+    for shape, edges in (
+        ("edge", [(a, b)]),
+        ("path", [(a, b), (b, c)]),
+        ("triangle", [(a, b), (b, c), (a, c)]),
+    ):
+        graph = Graph(sorted({x for e in edges for x in e}), edges)
+        n, m = len(graph.vertices), len(edges)
+        for r in itertools.takewhile(
+            lambda r: _stage_two_size(n, m, m, r) <= cap, itertools.count(1)
+        ):
+            for total in itertools.takewhile(
+                lambda t: _stage_two_size(n, m, t, r) <= cap, itertools.count(m)
+            ):
+                for weights in itertools.combinations_with_replacement(range(1, total + 1), m):
+                    if sum(weights) == total:
+                        label = "%s-w%s-r%d" % (shape, "-".join(map(str, weights)), r)
+                        yield label, MmoInstance(graph, dict(zip(edges, weights)), r)
+
+
+COMPOSED_TARGETS = dict(_composed_targets())
+
+
+def test_composed_targets_are_the_ones_under_the_cap():
+    assert sorted(COMPOSED_TARGETS) == [
+        "edge-w1-r1", "edge-w1-r2", "edge-w1-r3", "edge-w1-r4", "edge-w1-r5",
+        "edge-w2-r1", "edge-w2-r2", "path-w1-1-r1",
+    ]
+
+
+@pytest.mark.parametrize("label", sorted(COMPOSED_TARGETS))
+def test_widths_hold_along_the_composed_chain(label):
+    # one decomposition carried through both stages, each bound taken
+    # against the width it came in with
+    target = COMPOSED_TARGETS[label]
+    td = heuristic_td(target.graph)
+    first = mmo_to_alliance(target)
+    td1 = transform_td(first, td)
+    assert validate_td(primal_graph(first.result), td1).ok
+    assert td1.width() <= td.width() + 4
+    second = eliminate_pairs(first.result)
+    td2 = transform_td(second, td1)
+    assert validate_td(second.result.graph, td2).ok
+    assert td2.width() <= 3 * td1.width() + 5
+
+
 class TestStageRecords:
     def test_records_follow_the_chain(self):
         assert tuple(STAGE_KINDS) == STAGE_TAGS

@@ -35,6 +35,7 @@ from alliancelib.solver import (
     BudgetExceededError,
     SolveRequest,
     _Search,
+    _connected_candidates,
     solve,
     solve_connected_pruned,
 )
@@ -325,6 +326,14 @@ class TestConnectedPruned:
         inst = AllianceInstance(two_triangles(), k=3)
         with pytest.raises(ValueError, match="goal"):
             solve_connected_pruned(inst, "count")
+
+    def test_candidates_on_a_long_path_hit_no_recursion_limit(self):
+        # one stack frame per member would pass the interpreter's limit;
+        # zero-padded names keep the path's vertex order its path order
+        names = vs(" ".join("p%04d" % i for i in range(1500)))
+        g = Graph(names, list(zip(names, names[1:])))
+        prefixes = itertools.islice(_connected_candidates(g, 1500), 1500)
+        assert list(prefixes) == [tuple(names[:i]) for i in range(1, 1501)]
 
     def test_disconnected_exact_solution_regression(self):
         # frozen witness for the caveat that connected search cannot

@@ -151,10 +151,11 @@ def test_mutators_agree_with_the_dict_model(first, steps):
         assert_agrees(old, then)
 
 
-def test_a_node_costs_under_32_bytes_beside_its_bag():
+def test_a_node_costs_under_16_bytes_beside_its_bag():
     # empty bags are all the one empty tuple, so what the splice leaves
-    # behind is the node tables alone; per-node dicts of bags and
-    # parents with a child tuple each cost about 250 B a node
+    # behind is the node tables alone: a list slot and a parent entry,
+    # where sibling links beside them cost about 20 B a node and
+    # per-node dicts of bags and parents with a child tuple about 250 B
     td = TreeDecomposition()
     root = td.add_node(())
     count = 100_000
@@ -166,4 +167,4 @@ def test_a_node_costs_under_32_bytes_beside_its_bag():
     finally:
         tracemalloc.stop()
     assert len(td.nodes()) == count + 1
-    assert held / count < 32, "%.1f bytes per node" % (held / count)
+    assert held / count < 16, "%.1f bytes per node" % (held / count)

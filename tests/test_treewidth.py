@@ -560,11 +560,13 @@ class TestNicePins:
 
     @pytest.mark.parametrize("seed", range(len(RANDOM_TREE_NICE)))
     def test_child_links_match_the_parent_table(self, seed):
+        # the child index is derived from the parent table on read
         nice = make_nice(_random_tree(seed))
-        rebuilt = nice.copy()
-        rebuilt._index_children()
-        assert nice._last_child == rebuilt._last_child
-        assert nice._prev_sibling == rebuilt._prev_sibling
+        below = {n: [] for n in nice.nodes()}
+        for n in nice.nodes():
+            if nice.parent(n) is not None:
+                below[nice.parent(n)].append(n)
+        assert [nice.children(n) for n in nice.nodes()] == list(below.values())
 
     @pytest.mark.parametrize("text", [
         "0 - a b c\n1 2 b c\n2 1 b c\n",
