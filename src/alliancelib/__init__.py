@@ -20,6 +20,7 @@ __version__ = "0.1.0"
 _SOURCES = {
     name: module
     for module, names in {
+        "_record": ("replace",),
         "alliance": (
             "AllianceInstance", "AllianceVerdict", "Defense", "STAGE_TAGS",
             "construct_defense", "instance_from_json", "instance_to_json",

@@ -11,8 +11,8 @@ complementary pair contributes exactly one endpoint.
 import json
 import warnings
 from array import array
-from dataclasses import dataclass
 
+from ._record import record
 from .graph import Graph, VertexSet, _holds, _linked, edge_key, is_integer, parse_vertex
 
 MODES = ("at-most", "exact")
@@ -23,7 +23,7 @@ MODES = ("at-most", "exact")
 STAGE_TAGS = ("mmo-to-fnc", "fnc-to-fn", "fn-to-f", "f-to-plain")
 
 
-@dataclass(frozen=True)
+@record
 class AllianceVerdict:
     """Outcome of the alliance check; violators lists every member that
     cannot pair off its attackers."""
@@ -35,7 +35,7 @@ class AllianceVerdict:
         return self.ok
 
 
-@dataclass(frozen=True)
+@record
 class Defense:
     """Witness that vertex survives: an injective map from its attackers
     (closed neighbors outside the set) to defenders (inside)."""
@@ -74,7 +74,7 @@ def _pair(a, b):
     return edge_key(a, b)
 
 
-@dataclass(frozen=True)
+@record
 class AllianceInstance:
     """An alliance problem. forbidden and necessary may be given as any
     collections of vertices; they are kept as VertexSets over the

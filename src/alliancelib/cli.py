@@ -7,7 +7,6 @@ codes: 0 for yes or success, 1 for no, 2 for usage and parse trouble,
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -15,6 +14,7 @@ import sys
 # only what the parser, verify and solve need; every other subcommand
 # imports its modules when it runs, so a request compiles no code it
 # does not use
+from ._record import replace
 from .alliance import (
     STAGE_TAGS,
     AllianceInstance,
@@ -62,9 +62,10 @@ def parse_instance(text, fmt="json", k=None, mode="at-most"):
     raise ValueError("unknown input format %r" % (fmt,))
 
 
+# documents are UTF-8 whatever the locale says
 def _read(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise ValueError("cannot read %s: %s" % (path, exc.strerror or exc)) from None
@@ -86,7 +87,7 @@ def _load_alliance(args):
             "this command reads an alliance instance, not an orientation target"
         )
     if getattr(args, "mode", None) and parsed.mode != args.mode:
-        parsed = dataclasses.replace(parsed, mode=args.mode)
+        parsed = replace(parsed, mode=args.mode)
     return parsed
 
 
@@ -105,9 +106,9 @@ def _render_value(value):
 
 def _gadget_table(gadgets):
     table = {}
-    for field in dataclasses.fields(gadgets):
-        mapping = getattr(gadgets, field.name)
-        table[field.name] = {
+    for name in gadgets._fields:
+        mapping = getattr(gadgets, name)
+        table[name] = {
             _render_key(key): _render_value(mapping[key]) for key in mapping
         }
     return table
@@ -268,8 +269,11 @@ def _write_dot(args, name, text):
         return
     stem = os.path.splitext(os.path.basename(args.instance))[0]
     path = os.path.join(directory, "%s-%s.dot" % (stem, name))
-    with open(path, "w") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
 
 
 def _add_instance_argument(parser):

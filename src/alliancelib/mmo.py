@@ -2,8 +2,8 @@
 vertex sends out total weight at most r."""
 
 import json
-from dataclasses import dataclass
 
+from ._record import record
 from .graph import Graph, edge_key, is_integer, parse_vertex
 
 # reductions blow an instance up by a factor of the total weight, so
@@ -11,7 +11,7 @@ from .graph import Graph, edge_key, is_integer, parse_vertex
 TOTAL_WEIGHT_CAP = 1_000_000
 
 
-@dataclass(frozen=True, eq=True)
+@record
 class MmoInstance:
     graph: Graph
     weights: dict
@@ -42,7 +42,7 @@ class MmoInstance:
         return hash((self.graph, tuple(sorted(self.weights.items())), self.r))
 
 
-@dataclass(frozen=True, eq=True)
+@record
 class Orientation:
     """Maps each canonical edge to the ordered pair (tail, head)."""
 

@@ -33,10 +33,10 @@ formulas, and decides the last stage when every stage was built.
 
 from array import array
 from collections.abc import Set
-from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter, itemgetter
 
+from ._record import record
 from .alliance import STAGE_TAGS, AllianceInstance, is_solution, primal_graph
 from .graph import Block, Graph, VertexId, VertexSet, VertexTable
 from .mmo import MmoInstance, Orientation, max_weighted_outdegree, orientations, solve_mmo
@@ -53,14 +53,14 @@ from .treewidth import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class MmoGadgets:
     helper: dict
     edge_copy: dict
     edge_copy_forbidden: dict
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PairGadgets:
     y_chain: dict
     y_chain_forbidden: dict
@@ -70,7 +70,7 @@ class PairGadgets:
     triangle: dict
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class NecessaryGadgets:
     a_chain: dict
     a_chain_forbidden: dict
@@ -81,13 +81,13 @@ class NecessaryGadgets:
     h_forbidden: dict
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ForbiddenGadgets:
     fan_hub: dict
     fan_leaves: dict
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ReductionStage:
     tag: str
     source: object
@@ -102,7 +102,7 @@ class ReductionStage:
         return stage_kind(self.tag)
 
 
-@dataclass(frozen=True)
+@record
 class Affine:
     """A stage's size_fn: solution size x maps to scale * x + shift.
     Plain data, so that a stage pickles."""
@@ -811,7 +811,7 @@ def _forbidden_counts(stats):
     }
 
 
-@dataclass(frozen=True)
+@record
 class StageKind:
     """What the chain does with one stage: build(source, td) makes the
     ReductionStage from a source of type starts_from and a decomposition

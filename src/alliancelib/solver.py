@@ -37,8 +37,8 @@ caps the search at 2^budget nodes.
 """
 
 from array import array
-from dataclasses import dataclass
 
+from ._record import record
 from .alliance import AllianceInstance
 from .graph import VertexSet
 
@@ -57,7 +57,7 @@ class BudgetExceededError(Exception):
         self.budget = budget
 
 
-@dataclass(frozen=True)
+@record
 class SolveRequest:
     instance: AllianceInstance
     goal: str
@@ -70,7 +70,7 @@ class SolveRequest:
             raise ValueError("budget must be non-negative")
 
 
-@dataclass(frozen=True)
+@record
 class SolveResult:
     """The answer to a request. solve gives the witness and solutions
     as VertexSets over the instance graph's table, which compare and

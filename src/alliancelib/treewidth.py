@@ -11,14 +11,14 @@ deterministic.
 import itertools
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
+from ._record import record
 from .graph import VertexTable, parse_vertex
 
 NICE_KINDS = ("leaf", "introduce", "forget", "join")
 
 
-@dataclass(frozen=True)
+@record
 class TdVerdict:
     ok: bool
     problems: tuple

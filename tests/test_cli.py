@@ -2,7 +2,6 @@
 0 yes/success, 1 no, 2 usage or parse trouble, 3 budget exceeded."""
 
 import contextlib
-import dataclasses
 import importlib
 import io
 import json
@@ -14,7 +13,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alliancelib import cli, reductions
+from alliancelib import cli, reductions, replace
 from alliancelib.alliance import (
     AllianceInstance,
     instance_from_json,
@@ -469,7 +468,7 @@ class TestRoundtrip:
 
         def tampered(tag, source, td=None):
             stage, td = build(tag, source, td)
-            return dataclasses.replace(stage, size_fn=reductions.Affine(1, 1)), td
+            return replace(stage, size_fn=reductions.Affine(1, 1)), td
 
         monkeypatch.setattr(reductions, "build_stage", tampered)
         path = pair_toy_file(tmp_path)
@@ -641,50 +640,94 @@ class TestUsage:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["decompose"], ["reduce", "--stage", "fnc-to-fn"]])
+def test_dot_write_errors_exit_two(capsys, tmp_path, command):
+    path = pair_toy_file(tmp_path)
+    missing = str(tmp_path / "missing")
+    assert cli.main(command + ["--dot", missing, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write %s" % (os.path.join(missing, "pair-"),))
+    assert "Traceback" not in err
+
+
+def package_root():
+    return os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def test_documents_are_utf8_whatever_the_locale(tmp_path):
+    # under the C locale without UTF-8 mode, open() defaults to ASCII
+    path = tmp_path / "accent.json"
+    path.write_bytes('{"vertices": ["\u00e9", "b"], "edges": [["\u00e9", "b"]], "k": 2}'.encode())
+    env = dict(
+        os.environ, PYTHONPATH=package_root(), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"
+    )
+    reports = []
+    for argv in (["solve", str(path)], ["decompose", "--dot", str(tmp_path), str(path)]):
+        done = subprocess.run(
+            [sys.executable, "-m", "alliancelib.cli"] + argv,
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        reports.append(json.loads(done.stdout))
+    assert reports[0]["witness"] == ["b", "\u00e9"]
+    assert '"b" -- "\u00e9"' in (tmp_path / "accent-graph.dot").read_text(encoding="utf-8")
+
+
+# the modules a request must never load: numpy, and the stdlib record
+# and introspection machinery that costs every process its start-up
+HEAVY = ("numpy", "dataclasses", "inspect")
+
 # imports alliancelib.cli, then runs requests in-process, and prints the
-# codes and the alliancelib submodules (and numpy) loaded after each step
+# codes and the alliancelib submodules and HEAVY modules loaded after
+# each step
 MODULE_PROBE = """
 import contextlib, io, json, sys
 from alliancelib import cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("alliancelib.") or m == "numpy")
+    return sorted(m for m in sys.modules if m.startswith("alliancelib.") or m in %r)
 
 path = sys.argv[1]
 steps, codes = {"import": loaded()}, []
 for step, requests in (
     ("solve+verify", (["solve", path], ["verify", "-S", "a", path])),
     ("decompose", (["decompose", path],)),
+    ("reduce", (["reduce", "--stage", "f-to-plain", path],)),
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         codes += [cli.main(argv) for argv in requests]
     steps[step] = loaded()
 print(json.dumps({"codes": codes, "steps": steps}))
-"""
+""" % (HEAVY,)
 
 
 def test_import_leaves_numpy_out(tmp_path):
     # the package has no third-party runtime dependency, and a request
     # loads only the modules its subcommand runs: every other module
     # costs a command-line process its compile time and memory
-    root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = wheelish_file(tmp_path)
     done = subprocess.run(
         [sys.executable, "-c", MODULE_PROBE, path],
-        env=dict(os.environ, PYTHONPATH=root),
+        env=dict(os.environ, PYTHONPATH=package_root()),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
     probe = json.loads(done.stdout)
-    assert probe["codes"] == [0, 1, 0]
+    assert probe["codes"] == [0, 1, 0, 0]
     chain = {"alliancelib.%s" % name for name in ("treewidth", "reductions", "gen", "mmo")}
     for step in ("import", "solve+verify"):
-        assert not (chain | {"numpy"}) & set(probe["steps"][step]), step
+        assert not (chain | set(HEAVY)) & set(probe["steps"][step]), step
     decompose = set(probe["steps"]["decompose"])
     assert "alliancelib.treewidth" in decompose
-    assert not {"alliancelib.reductions", "alliancelib.gen", "numpy"} & decompose
+    assert not {"alliancelib.reductions", "alliancelib.gen", *HEAVY} & decompose
+    reduce = set(probe["steps"]["reduce"])
+    assert chain - {"alliancelib.gen"} <= reduce
+    assert not {"alliancelib.gen", *HEAVY} & reduce
 
 
 def test_package_names_resolve_to_the_submodule_objects():
@@ -692,7 +735,7 @@ def test_package_names_resolve_to_the_submodule_objects():
 
     modules = [
         importlib.import_module("alliancelib." + name)
-        for name in ("alliance", "graph", "mmo", "reductions", "solver", "treewidth")
+        for name in ("_record", "alliance", "graph", "mmo", "reductions", "solver", "treewidth")
     ]
     listed = dir(alliancelib)
     for name in alliancelib.__all__:

@@ -11,7 +11,6 @@ the stage-3 output must hold next to none of them.
 """
 
 import copy
-import dataclasses
 import gc
 import pickle
 import random
@@ -104,11 +103,11 @@ def test_stage_results_are_laid_out_in_sorted_order(corpus):
         order = graph.order
         assert all(a < b for a, b in zip(order, order[1:])), stage.tag
         assert Graph(order, graph.edges) == graph, stage.tag
-        for field in dataclasses.fields(stage.gadgets):
-            for value in getattr(stage.gadgets, field.name).values():
+        for name in stage.gadgets._fields:
+            for value in getattr(stage.gadgets, name).values():
                 if isinstance(value, VertexId):
                     continue
-                assert all(a < b for a, b in zip(value, value[1:])), field.name
+                assert all(a < b for a, b in zip(value, value[1:])), name
 
 
 def test_predicted_counts_equal_built_counts(corpus):
@@ -217,8 +216,8 @@ def test_vertex_tables_agree_with_their_materialised_names(corpus, data):
         assert isinstance(group, VertexSet) and group.table is order
         assert group == frozenset(group) and hash(group) == hash(frozenset(group))
         assert list(group) == sorted(group) and all(x in group for x in group)
-    for field in dataclasses.fields(stage.gadgets):
-        for block in getattr(stage.gadgets, field.name).values():
+    for name in stage.gadgets._fields:
+        for block in getattr(stage.gadgets, name).values():
             if isinstance(block, VertexId):
                 assert block in vertices
                 continue

@@ -9,11 +9,11 @@ script rewrites it from the current code:
     PYTHONPATH=src python3 tests/test_pinned.py
 """
 
-import dataclasses
 import json
 import pathlib
 import random
 
+from alliancelib import replace
 from alliancelib.alliance import is_defensive_alliance
 from alliancelib.gen import (
     random_forbidden_toy,
@@ -62,7 +62,7 @@ def corpus():
             found.append(out)
     for i, inst in enumerate(found):
         for mode in ("at-most", "exact"):
-            yield "toy %d %s" % (i, mode), dataclasses.replace(inst, mode=mode)
+            yield "toy %d %s" % (i, mode), replace(inst, mode=mode)
     for weight, r in ((1, 1), (2, 1)):
         first = mmo_to_alliance(one_edge_target(weight, r)).result
         yield "one-edge w=%d r=%d" % (weight, r), eliminate_pairs(first).result

@@ -2,12 +2,12 @@
 transformations. Counts and memberships below were derived by hand from
 the gadget definitions before the implementation existed."""
 
-import dataclasses
 import itertools
 import pickle
 
 import pytest
 
+from alliancelib import replace
 from alliancelib.alliance import STAGE_TAGS, AllianceInstance, is_solution, primal_graph
 from alliancelib.graph import Graph, VertexId, parse_vertex
 from alliancelib.mmo import MmoInstance, Orientation, max_weighted_outdegree
@@ -629,10 +629,8 @@ class TestDecompositionTransforms:
         assert out.width() <= td.width() + 2
 
     def test_unknown_tag_rejected(self):
-        import dataclasses
-
         stage = eliminate_forbidden(f_toy())
-        broken = dataclasses.replace(stage, tag="sideways")
+        broken = replace(stage, tag="sideways")
         with pytest.raises(ValueError, match="sideways"):
             transform_td(broken, heuristic_td(f_toy().graph))
 
@@ -702,7 +700,7 @@ class TestStageRecords:
     def test_built_stages_find_their_record(self):
         stage = eliminate_forbidden(f_toy())
         assert stage.kind is STAGE_KINDS["f-to-plain"]
-        assert "kind" not in {field.name for field in dataclasses.fields(stage)}
+        assert "kind" not in stage._fields
 
     @pytest.mark.parametrize("call", [
         lambda stage: lift_solution(stage, set(vs("a b"))),
@@ -710,7 +708,7 @@ class TestStageRecords:
         lambda stage: build_stage(stage.tag, f_toy()),
     ])
     def test_unknown_tag_is_named(self, call):
-        broken = dataclasses.replace(eliminate_forbidden(f_toy()), tag="sideways")
+        broken = replace(eliminate_forbidden(f_toy()), tag="sideways")
         with pytest.raises(ValueError, match="^unknown reduction stage tag 'sideways'$"):
             call(broken)
 
@@ -734,7 +732,7 @@ class TestStageRecords:
 
     def test_audit_fails_on_a_broken_size_map(self):
         stage = eliminate_pairs(pair_toy())
-        audit = audit_stage(dataclasses.replace(stage, size_fn=Affine(1, 1)))
+        audit = audit_stage(replace(stage, size_fn=Affine(1, 1)))
         assert audit["verified"] is False
         assert audit["checks"] == 6
 

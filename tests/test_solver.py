@@ -3,7 +3,6 @@ solution counts below were worked out by hand before the solver
 existed; the cross-checks compare every goal with brute force over
 is_solution."""
 
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -11,6 +10,7 @@ import sys
 
 import pytest
 
+from alliancelib import replace
 from alliancelib.alliance import AllianceInstance, is_solution
 from alliancelib.gen import (
     random_forbidden_toy,
@@ -417,7 +417,7 @@ class TestEmptySet:
             AllianceInstance(random_graph(rng, 6), k=0, mode="exact")
             for _ in range(20)
         )
-        cases.append(dataclasses.replace(constrained_instance(), k=0, mode="exact"))
+        cases.append(replace(constrained_instance(), k=0, mode="exact"))
         for inst in cases:
             assert_goals_agree_with(inst, brute_solutions(inst))
 
@@ -440,7 +440,7 @@ def cross_check_corpus():
                 found.append(out)
     for inst in found:
         for mode in ("at-most", "exact"):
-            yield dataclasses.replace(inst, mode=mode)
+            yield replace(inst, mode=mode)
 
 
 class TestBruteForceCrossCheck:
