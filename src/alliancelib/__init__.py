@@ -34,8 +34,9 @@ _SOURCES = {
             "MmoInstance", "Orientation", "max_weighted_outdegree", "mmo_from_json",
             "mmo_to_json", "orientations", "solve_mmo",
         ),
+        "pipeline": ("audit_stage",),
         "reductions": (
-            "ReductionStage", "audit_stage", "build_stage", "eliminate_forbidden",
+            "ReductionStage", "build_stage", "eliminate_forbidden",
             "eliminate_necessary", "eliminate_necessary_auto", "eliminate_pairs",
             "lift_solution", "mmo_to_alliance", "orientation_to_solution",
             "project_solution", "solution_to_orientation",

@@ -237,6 +237,7 @@ def primal_graph(instance):
         return graph
     n, find, first, adjacent = len(graph.order), graph.order.find, graph.first, graph.adjacent
     keys = [i * n + j for i in range(n) for j in adjacent[first[i]:first[i + 1]] if j > i]
+    # a pair is stored as (a, b) with a < b, and ids follow name order
     keys += [find(a) * n + find(b) for a, b in instance.pairs]
     return Graph._from_keys(graph.order, keys)
 

@@ -151,7 +151,8 @@ def _cmd_solve(args):
 
 
 def _cmd_reduce(args):
-    from .reductions import _instance_stats, build_stage, run_pipeline
+    from .pipeline import _instance_stats, run_pipeline
+    from .reductions import build_stage
     from .treewidth import td_from_lines, td_to_dot, td_to_lines
 
     text = _read(args.instance)
@@ -229,7 +230,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_roundtrip(args):
-    from .reductions import audit_stage, build_stage
+    from .pipeline import audit_stage
+    from .reductions import build_stage
 
     stage, _td = build_stage(args.stage, parse_instance(_read(args.instance)))
     report = {"command": "roundtrip", "stage": args.stage}

@@ -65,9 +65,6 @@ _DECORATIONS = ["original"] + sorted(_TAGS)
 _DECORATION_RANK = {dec: i for i, dec in enumerate(_DECORATIONS)}
 _RANK_TAGS = [None] + [_TAGS[dec] for dec in _DECORATIONS[1:]]
 
-# keys are reoriented a slice of this many at a time
-_CHUNK = 1 << 16
-
 _PLAIN_NAME = re.compile(r"[^\s./{}#]+\Z")
 _SPACE = re.compile(r"\s")
 _TAIL = re.compile(r"([a-z]+)(\d+(?:_\d+)?)?\Z")
@@ -518,11 +515,13 @@ class _Edges(Set):
         )
 
     def __iter__(self):
-        order, first, adjacent = self._order, self._first, self._adjacent
-        for i, u in enumerate(order):
+        # each name is made once, not once per edge that reaches it
+        first, adjacent = self._first, self._adjacent
+        names = list(self._order)
+        for i, u in enumerate(names):
             hi = first[i + 1]
             for j in adjacent[bisect_right(adjacent, i, first[i], hi):hi]:
-                yield (u, order[j])
+                yield (u, names[j])
 
 
 class Graph:
@@ -545,13 +544,12 @@ class Graph:
     sorted order.
 
     Graph(vertices, edges) sorts the names into a table of one explicit
-    block and turns each edge into an int key i * n + j over the ids.
-    The reduction stages lay their tables out in blocks themselves and
-    emit such keys directly; both reach the arrays through the same
-    core. At its peak the core holds the list of keys, turned in place
-    to i < j a slice at a time, the two arrays and one write position
-    per vertex: it never holds both orientations of the edges as ints,
-    nor a list of arcs.
+    block and turns each edge into an int key i * n + j over the ids,
+    with i < j. The reduction stages lay their tables out in blocks
+    themselves and emit such keys directly; both reach the arrays
+    through the same core. At its peak the core holds the list of keys,
+    the two arrays and one write position per vertex: it never holds
+    both orientations of the edges as ints, nor a list of arcs.
     """
 
     def __init__(self, vertices, edges=()):
@@ -571,16 +569,16 @@ class Graph:
                 raise ValueError("edge endpoint %s is not a vertex" % (v,))
             if i == j:
                 raise ValueError("self loop at %s" % (u,))
-            add(i * n + j)
+            add(i * n + j if i < j else j * n + i)
         self._build_arrays(order, keys)
 
     @classmethod
     def _from_keys(cls, order, keys):
         """Graph on a VertexTable, or on names already in strictly
         increasing order, with each edge an int key i * len(order) + j
-        over their ids, i != j.
+        over their ids, i < j.
 
-        Either orientation of an edge may appear, and more than once.
+        An edge may appear more than once, but only in that orientation.
         The list of keys is consumed. The caller vouches for the order
         and the keys; nothing here checks them.
         """
@@ -594,14 +592,8 @@ class Graph:
         n = len(order)
         self.order, self.index = order, _Index(order)
         self.vertices = VertexSet(order, range(n))
-        # each key turned to i * n + j with i < j a slice at a time, so
-        # the list never holds both orientations; sorted, each edge's
-        # repeats are adjacent and the edges come by i, then j
-        for lo in range(0, len(keys), _CHUNK):
-            keys[lo:lo + _CHUNK] = [
-                key if key % n > key // n else (key % n) * n + key // n
-                for key in keys[lo:lo + _CHUNK]
-            ]
+        # sorted, each edge's repeats are adjacent and the edges come by
+        # i, then j
         keys.sort()
         # a row's first key finds i by a division, the rest by comparison
         degree = [0] * n

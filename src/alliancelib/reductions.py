@@ -26,21 +26,19 @@ sequences and give their id range, and the forbidden and necessary
 sets are VertexSets over the table's ids. An input vertex whose name a
 gadget of the stage would also take is rejected rather than merged.
 
-run_pipeline runs a prefix of the chain from an orientation target: it
-builds stages up to a vertex cap, projects the rest by the counting
-formulas, and decides the last stage when every stage was built.
+The chain run as a whole, the bijection audit and run_pipeline, is in
+pipeline.
 """
 
 from array import array
 from collections.abc import Set
-from functools import partial
+from itertools import chain
 from operator import attrgetter, itemgetter
 
 from ._record import record
-from .alliance import STAGE_TAGS, AllianceInstance, is_solution, primal_graph
+from .alliance import AllianceInstance, is_solution, primal_graph
 from .graph import Block, Graph, VertexId, VertexSet, VertexTable
-from .mmo import MmoInstance, Orientation, max_weighted_outdegree, orientations, solve_mmo
-from .solver import DEFAULT_BUDGET, BudgetExceededError, SolveRequest, solve
+from .mmo import MmoInstance, Orientation
 from .treewidth import (
     NiceTreeDecomposition,
     TreeDecomposition,
@@ -187,7 +185,8 @@ def _id_set(table, blocks):
 
 def _source_keys(graph, inputs, n):
     """Keys of the edges of graph, whose id i is now inputs[i].start,
-    in a graph of n vertices."""
+    in a graph of n vertices. The inputs keep their order, so each key
+    joins i < j."""
     first, adjacent = graph.first, graph.adjacent
     ids = [block.start for block in inputs]
     keys = []
@@ -197,26 +196,35 @@ def _source_keys(graph, inputs, n):
     return keys
 
 
+def _key(n, i, j):
+    """Key of the edge between ids i and j, i * n + j with i < j: the
+    order Graph._from_keys takes, in which the helpers below emit
+    their keys too."""
+    return i * n + j if i < j else j * n + i
+
+
 def _fan(n, i, j, count):
-    """Keys of the edges from id i to ids j .. j + count - 1."""
-    key = i * n + j
-    return range(key, key + count)
+    """Keys of the edges from id i to ids j .. j + count - 1, none of
+    them i."""
+    if i < j:
+        return range(i * n + j, i * n + j + count)
+    return range(j * n + i, (j + count) * n + i, n)
 
 
 def _run(n, i, j, count):
     """Keys of the edges (i + t, j + t) for t < count."""
-    key = i * n + j
+    key = _key(n, i, j)
     return range(key, key + count * (n + 1), n + 1)
 
 
 def _oplus(n, u, u_forbidden, w, w_forbidden):
     """Couple two vertices that both own a forbidden twin."""
     return [
-        u * n + w,
-        u * n + u_forbidden,
-        w * n + w_forbidden,
-        u * n + w_forbidden,
-        w * n + u_forbidden,
+        _key(n, u, w),
+        _key(n, u, u_forbidden),
+        _key(n, w, w_forbidden),
+        _key(n, u, w_forbidden),
+        _key(n, w, u_forbidden),
     ]
 
 
@@ -428,7 +436,7 @@ def eliminate_pairs(instance):
         for x in (a, b):
             key = ((a, b), x)
             hub, zs, zf = z_hub[key].start, z_chain[key], z_twins[key]
-            keys.append(triangle[(a, b)].start * total + hub)
+            keys.append(_key(total, triangle[(a, b)].start, hub))
             keys += _fan(total, hub, zs.start, m)
             keys += _oplus(
                 total, y_chain[x].start + n - 1, y_twins[x].start + n - 1, zs.start, zf.start
@@ -580,10 +588,10 @@ def eliminate_necessary(instance, ordering):
         mark, gu = primed[u].start, g[u].start
         keys += _oplus(total, a_chain[u].start + n, a_twins[u].start + n, gu, g_twin[u].start)
         keys += [
-            mark * total + gu,
-            mark * total + h[u].start,
-            gu * total + h[u].start,
-            gu * total + h_twin[u].start,
+            _key(total, mark, gu),
+            _key(total, mark, h[u].start),
+            _key(total, gu, h[u].start),
+            _key(total, gu, h_twin[u].start),
         ]
     images = [
         u if u in instance.necessary else primed[u][0] for u in ordering
@@ -640,21 +648,29 @@ def _transform_necessary(stage, td):
 
     Each eligible u grows its chains above its anchor, the topmost node
     holding u: there the gadget base adds 5 vertices (none for a
-    necessary u) and each chain bag its 4 link vertices. Threads join
-    consecutive chains along the tree; as the ordering is post-order,
-    they walk each tree edge at most once down and once up, so a unary
-    node lies on at most 2 of them, 4 vertices, and a join on 3, 6.
-    An anchor that is a join gets a copy of its bag spliced directly
-    above it, and the chains grow from the copy, a unary node: no bag
-    holds both the gadget and a join's threads, and none exceeds
-    5 + 4 + 4 = 13 vertices beyond its input bag.
+    necessary u) and each chain bag its 4 link vertices. An anchor that
+    is a join keeps its bag, and the chains grow from a copy of it
+    spliced directly above, a unary node. The anchor and the chain
+    bags above it form u's column.
+
+    Threads join consecutive chains along the tree, from the top of the
+    left column to the first bag of the right chain, which holds the
+    thread's pair already. A thread is walked on td, where a column is
+    one node: it takes every bag of a column it passes through, the
+    bottom bag of one where it turns, and at its two ends the bags
+    between the column end it leaves or enters by and its own end. As
+    the ordering is post-order, threads walk each tree edge at most
+    once down and once up, so a unary node lies on at most 2 of them,
+    4 vertices, and a join on 3, 6: no bag holds both the gadget and a
+    join's threads, and none exceeds 5 + 4 + 4 = 13 vertices beyond its
+    input bag. Each bag is built once, with its threads.
     """
     source = stage.source
     if not isinstance(td, NiceTreeDecomposition):
         raise ValueError("this stage transformation needs a nice decomposition")
     out = _carry(stage, td, td.validate_nice(source.graph))
-    eligible = frozenset(stage.ordering)
-    if postorder_ordering(td, eligible) != tuple(stage.ordering):
+    ordering = tuple(stage.ordering)
+    if postorder_ordering(td, frozenset(ordering)) != ordering:
         raise ValueError(
             "stage ordering is not the post-order ordering of this decomposition"
         )
@@ -663,58 +679,69 @@ def _transform_necessary(stage, td):
     n = len(source.graph.vertices)
     necessary = source.necessary
     first, _more = _tops(out)
-    chain_top = {}
-    chain_bottom = {}
-
-    def grow_chain(anchor, base, member):
-        """Replace anchor with the member's chain; bags stack above it."""
-        ac = _ids(table, gadgets.a_chain[member])
-        af = _ids(table, gadgets.a_chain_forbidden[member])
-        bags[anchor] = _with(base, ac[0], af[0], ac[1], af[1])
-        chain_bottom[member] = anchor
-        top = anchor
-        extra = [_with(base, ac[i - 1], af[i - 1], ac[i], af[i]) for i in range(2, n + 1)]
-        if extra:
-            top = out._splice(anchor, extra)[-1]
-        chain_top[member] = top
-        return top
-
-    for u in sorted(eligible):
-        anchor = first[index[u]]
-        if td.kind(anchor) == "join":
-            anchor = out._splice(anchor, [bags[anchor]])[0]
-        if u in necessary:
-            grow_chain(anchor, bags[anchor], u)
-        else:
-            base = _with(
-                bags[anchor],
-                index[gadgets.primed[u]],
-                index[gadgets.g_vertex[u]],
-                index[gadgets.h_vertex[u]],
-                index[gadgets.g_forbidden[u]],
-                index[gadgets.h_forbidden[u]],
-            )
-            top = grow_chain(anchor, base, u)
-            primed = gadgets.primed[u]
-            pc = _ids(table, gadgets.a_chain[primed])
-            pf = _ids(table, gadgets.a_chain_forbidden[primed])
-            mbags = [_with(base, pc[i - 1], pf[i - 1], pc[i], pf[i]) for i in range(1, n + 1)]
-            spliced = out._splice(top, mbags)
-            chain_bottom[primed] = spliced[0]
-            chain_top[primed] = spliced[-1]
-    # each bag on a thread's path gets the thread's pair; collected
-    # first, so that a bag on several paths is rebuilt once
-    threads = [()] * len(bags)
-    images = [u if u in necessary else gadgets.primed[u] for u in stage.ordering]
+    parent = td._parent
+    # a column's bags count from 0 at its anchor: lift is 1 where a join
+    # keeps its own bag below the chains, and each chain has n bags
+    anchor, lift, height = {}, {}, {}
+    for u in ordering:
+        x = anchor[u] = first[index[u]]
+        lift[x] = td.kind(x) == "join"
+        height[x] = lift[x] + (n if u in necessary else 2 * n)
+    # node of td -> (lo, hi, pair): the pair goes to column bags lo..hi
+    spans = {}
     ids = table.ids
-    for left, right in zip(images, images[1:]):
-        thread = (ids[gadgets.a_chain[right].start], ids[gadgets.a_chain_forbidden[right].start])
-        for node in out.path_between(chain_top[left], chain_bottom[right]):
-            threads[node] += thread
-    for node, thread in enumerate(threads):
-        if thread:
-            out._merge(node, thread)
+    for left, right in zip(ordering, ordering[1:]):
+        image = right if right in necessary else gadgets.primed[right]
+        pair = (ids[gadgets.a_chain[image].start], ids[gadgets.a_chain_forbidden[image].start])
+        path = td.path_between(anchor[left], anchor[right])
+        end = lift[anchor[right]] + (0 if right in necessary else n)
+        last = len(path) - 1
+        # a column is entered or left by its bottom bag from a child and
+        # by its top bag from its parent
+        for t, z in enumerate(path):
+            top = height.get(z, 1) - 1
+            enter = 0 if t and parent[path[t - 1]] == z else top
+            if t < last:
+                leave = 0 if parent[path[t + 1]] == z else top
+                lo, hi = min(enter, leave), max(enter, leave)
+            else:
+                lo, hi = (enter, end - 1) if enter < end else (end + 1, enter)
+            if lo <= hi:
+                spans.setdefault(z, []).append((lo, hi, pair))
+    for u in sorted(anchor):
+        x = anchor[u]
+        base = bags[x]
+        links = _links(table, gadgets.a_chain[u], gadgets.a_chain_forbidden[u])
+        if u not in necessary:
+            base += tuple(
+                index[names[u]]
+                for names in (gadgets.primed, gadgets.g_vertex, gadgets.h_vertex,
+                              gadgets.g_forbidden, gadgets.h_forbidden)
+            )
+            primed = gadgets.primed[u]
+            primed_links = _links(table, gadgets.a_chain[primed], gadgets.a_chain_forbidden[primed])
+            links = chain(links, primed_links)
+        threads = [()] * height[x]
+        for lo, hi, pair in spans.pop(x, ()):
+            threads[lo:hi + 1] = [extra + pair for extra in threads[lo:hi + 1]]
+        column = [
+            tuple(sorted(base + link + extra)) for link, extra in zip(links, threads[lift[x]:])
+        ]
+        if lift[x]:
+            bags[x] = _with(bags[x], *threads[0])
+        else:
+            bags[x] = column.pop(0)
+        out._splice(x, column)
+    for z, on in spans.items():
+        bags[z] = _with(bags[z], *[i for _lo, _hi, pair in on for i in pair])
     return out
+
+
+def _links(table, members, twins):
+    """The 4 link vertices of each bag of a chain, made one at a time:
+    members i - 1 and i and their forbidden twins, i = 1 .. len - 1."""
+    ac, af = _ids(table, members), _ids(table, twins)
+    return zip(ac, af, ac[1:], af[1:])
 
 
 def _lift_necessary(stage, solution):
@@ -910,147 +937,3 @@ def project_solution(stage, solution):
     if not is_solution(stage.source, out):
         raise RuntimeError("projected set fails verification on the stage source")
     return out
-
-
-def audit_stage(stage, budget=DEFAULT_BUDGET):
-    """Check the solution bijection of a stage: each source solution
-    lifts to one of the mapped size and projects back, and each result
-    solution projects and lifts back. The first stage's source
-    solutions are the feasible orientations, through the orientation
-    converters. Returns both sides' solution counts, the number of
-    checks and whether all held with equal counts."""
-    source, result = stage.source, stage.result
-    orienting = stage.kind.lift is None
-    if orienting:
-        if len(source.graph.edges) > 12:
-            raise ValueError("the orientation audit is limited to 12 edges")
-        inputs = [o for o in orientations(source) if max_weighted_outdegree(source, o) <= source.r]
-        lift = partial(orientation_to_solution, source)
-        project = partial(solution_to_orientation, source)
-    else:
-        inputs = solve(SolveRequest(source, "enumerate-all", budget=budget)).solutions or ()
-        lift = partial(lift_solution, stage)
-        project = partial(project_solution, stage)
-    outputs = solve(SolveRequest(result, "enumerate-all", budget=budget)).solutions or ()
-    checks = []
-    for s in inputs:
-        lifted = lift(s)
-        size = result.k if orienting else stage.size_fn(len(s))
-        checks += [len(lifted) == size, project(lifted) == s]
-    for s in outputs:
-        back = project(s)
-        checks.append(lift(back) == s)
-        if orienting:
-            checks.append(max_weighted_outdegree(source, back) <= source.r)
-    return {
-        "input_solutions": len(inputs),
-        "output_solutions": len(outputs),
-        "checks": len(checks),
-        "verified": all(checks) and len(inputs) == len(outputs),
-    }
-
-
-def _instance_stats(instance):
-    return {
-        "vertices": len(instance.graph.vertices),
-        "edges": len(instance.graph.edges),
-        "pairs": len(instance.pairs),
-        "forbidden": len(instance.forbidden),
-        "necessary": len(instance.necessary),
-        "k": instance.k,
-        "variant": instance.variant,
-    }
-
-
-def _orientation_stats(instance):
-    """The counts of an orientation target that _mmo_counts reads."""
-    return {
-        "vertices": len(instance.graph.vertices),
-        "edges": len(instance.graph.edges),
-        "weight": sum(instance.weights.values()),
-        "r": instance.r,
-    }
-
-
-def run_pipeline(
-    mmo,
-    stages,
-    decomposition=None,
-    budget=DEFAULT_BUDGET,
-    max_vertices=float("inf"),
-):
-    """Run a prefix of the reduction chain and report per-stage sizes.
-
-    Stages past the materialization cap max_vertices (by default none)
-    are only projected: their budgets and instance sizes come from the
-    counting formulas, no graph is built. The decision is attempted on
-    the final instance when every stage was materialized; a witness is
-    projected back stage by stage and read out as an orientation.
-    """
-    stages = list(stages)
-    if not stages or tuple(stages) != STAGE_TAGS[: len(stages)]:
-        raise ValueError(
-            "stages must be a nonempty prefix of %s" % (", ".join(STAGE_TAGS),)
-        )
-    if not isinstance(mmo, MmoInstance):
-        raise ValueError("the chain starts from an orientation target")
-    report_stages = []
-    flags = []
-    built = []
-    current = mmo
-    stats = _orientation_stats(mmo)
-    td = decomposition
-    projected = False
-    for tag in stages:
-        counted = stage_kind(tag).counts(stats)
-        if not projected and counted["vertices"] > max_vertices:
-            projected = True
-            flags.append("size-cap")
-        entry = {"tag": tag, "projected": projected, "width": None}
-        if projected:
-            stats = counted
-            entry["edges"] = None
-        else:
-            stage, td = build_stage(tag, current, td)
-            built.append(stage)
-            current = stage.result
-            stats = _instance_stats(current)
-            entry["width"] = None if td is None else td.width()
-        entry.update(stats)
-        report_stages.append(entry)
-
-    decision = None
-    witness_size = None
-    orientation_payload = None
-    if not projected:
-        try:
-            outcome = solve(SolveRequest(built[-1].result, "decide", budget=budget))
-        except BudgetExceededError as exc:
-            flags.append("budget-exceeded")
-            flags.append(str(exc))
-        else:
-            decision = outcome.feasible
-            if outcome.feasible:
-                witness_size = len(outcome.witness)
-                witness = outcome.witness
-                for stage in reversed(built[1:]):
-                    witness = project_solution(stage, witness)
-                orientation = solution_to_orientation(mmo, witness)
-                orientation_payload = {
-                    "%s--%s" % edge: [str(tail), str(head)]
-                    for edge, (tail, head) in sorted(orientation.direction.items())
-                }
-
-    mmo_decision = None
-    if len(mmo.graph.edges) <= 25:
-        mmo_decision = solve_mmo(mmo) is not None
-    return {
-        "command": "reduce",
-        "chain": True,
-        "stages": report_stages,
-        "flags": flags,
-        "decision": decision,
-        "witness_size": witness_size,
-        "orientation": orientation_payload,
-        "mmo_decision": mmo_decision,
-    }

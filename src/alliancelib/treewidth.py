@@ -144,11 +144,8 @@ class TreeDecomposition:
 
     def add_to_bag(self, n, vertices):
         self._check_node(n)
-        self._merge(n, self._vertex_ids(vertices))
-
-    def _merge(self, n, ids):
         bag = self._bags[n]
-        new = set(ids).difference(bag)
+        new = set(self._vertex_ids(vertices)).difference(bag)
         if new:
             self._bags[n] = tuple(sorted(bag + tuple(new)))
 

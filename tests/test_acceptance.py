@@ -27,8 +27,8 @@ from alliancelib.gen import (
 )
 from alliancelib.graph import Graph
 from alliancelib.mmo import max_weighted_outdegree, solve_mmo
+from alliancelib.pipeline import audit_stage
 from alliancelib.reductions import (
-    audit_stage,
     eliminate_forbidden,
     eliminate_necessary_auto,
     eliminate_pairs,

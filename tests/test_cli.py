@@ -13,8 +13,9 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alliancelib import cli, reductions, replace
+from alliancelib import cli, pipeline, reductions, replace
 from alliancelib.alliance import (
+    STAGE_TAGS,
     AllianceInstance,
     instance_from_json,
     instance_to_json,
@@ -379,7 +380,7 @@ class TestReduceChain:
 
     def test_run_pipeline_rejects_non_prefix(self):
         with pytest.raises(ValueError, match="prefix"):
-            reductions.run_pipeline(two_vertex_mmo(), ["fnc-to-fn"])
+            pipeline.run_pipeline(two_vertex_mmo(), ["fnc-to-fn"])
 
 
 class TestDecompose:
@@ -719,12 +720,15 @@ def test_import_leaves_numpy_out(tmp_path):
     assert done.returncode == 0, done.stderr
     probe = json.loads(done.stdout)
     assert probe["codes"] == [0, 1, 0, 0]
-    chain = {"alliancelib.%s" % name for name in ("treewidth", "reductions", "gen", "mmo")}
+    chain = {
+        "alliancelib.%s" % name for name in ("treewidth", "reductions", "pipeline", "gen", "mmo")
+    }
     for step in ("import", "solve+verify"):
         assert not (chain | set(HEAVY)) & set(probe["steps"][step]), step
     decompose = set(probe["steps"]["decompose"])
     assert "alliancelib.treewidth" in decompose
-    assert not {"alliancelib.reductions", "alliancelib.gen", *HEAVY} & decompose
+    skipped = {"alliancelib.reductions", "alliancelib.pipeline", "alliancelib.gen", *HEAVY}
+    assert not skipped & decompose
     reduce = set(probe["steps"]["reduce"])
     assert chain - {"alliancelib.gen"} <= reduce
     assert not {"alliancelib.gen", *HEAVY} & reduce
@@ -735,7 +739,9 @@ def test_package_names_resolve_to_the_submodule_objects():
 
     modules = [
         importlib.import_module("alliancelib." + name)
-        for name in ("_record", "alliance", "graph", "mmo", "reductions", "solver", "treewidth")
+        for name in (
+            "_record", "alliance", "graph", "mmo", "pipeline", "reductions", "solver", "treewidth",
+        )
     ]
     listed = dir(alliancelib)
     for name in alliancelib.__all__:
@@ -830,8 +836,8 @@ _NOT_A_DOCUMENT = st.one_of(
 
 _COMMANDS = {
     "alliance": [["verify", "-S", "a"], ["solve"], ["decompose"]]
-    + [["reduce", "--stage", tag] for tag in reductions.STAGE_TAGS[1:]]
-    + [["roundtrip", "--stage", tag] for tag in reductions.STAGE_TAGS[1:]],
+    + [["reduce", "--stage", tag] for tag in STAGE_TAGS[1:]]
+    + [["roundtrip", "--stage", tag] for tag in STAGE_TAGS[1:]],
     "mmo": [
         ["reduce", "--stage", "mmo-to-fnc"],
         ["reduce", "--chain", "--stages", "2"],

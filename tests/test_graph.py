@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import alliancelib
+import alliancelib.graph
 from alliancelib.graph import (
-    _CHUNK,
     Block,
     Graph,
     VertexId,
@@ -584,12 +584,18 @@ def reference_arrays(n, keys):
     return list(accumulate(counts)), [j for _, j in arcs]
 
 
+def oriented(n, keys):
+    """Each key turned to i * n + j with i < j, the keys _from_keys takes."""
+    return [min(divmod(key, n)) * n + max(divmod(key, n)) for key in keys]
+
+
 def assert_built_from_keys(n, keys):
-    """Graph._from_keys and Graph(vertices, edges) both give the
-    reference arrays, and equal graphs."""
+    """Graph._from_keys on the oriented keys and Graph(vertices, edges)
+    on the edges as given both give the reference arrays, and equal
+    graphs."""
     want = reference_arrays(n, keys)
     order = [v("x%03d" % i) for i in range(n)]
-    by_keys = Graph._from_keys(order, list(keys))
+    by_keys = Graph._from_keys(order, oriented(n, keys))
     by_names = Graph(reversed(order), [(order[key // n], order[key % n]) for key in keys])
     for g in (by_keys, by_names):
         assert (list(g.first), list(g.adjacent)) == want
@@ -616,16 +622,40 @@ def test_the_array_core_gives_the_sorted_arcs(case):
     assert_built_from_keys(*case)
 
 
-def test_repeats_of_an_edge_in_different_slices_count_once():
-    # half the ordered pairs over 40 vertices, repeated and shuffled until
-    # the keys span several reorientation slices
+def test_repeats_of_an_edge_far_apart_count_once():
+    # half the ordered pairs over 40 vertices, repeated and shuffled, so
+    # that an edge's repeats lie far apart in both orientations
     rng = random.Random(5)
     n = 40
     keys = [i * n + j for i in range(n) for j in range(n) if i != j and rng.random() < 0.5]
-    keys *= 3 * _CHUNK // len(keys) + 1
+    keys *= 50
     rng.shuffle(keys)
-    assert len(keys) > 3 * _CHUNK
     assert_built_from_keys(n, keys)
+
+
+def test_reversed_and_repeated_edges_give_the_oriented_graph():
+    a, b, c, d = (v(x) for x in "abcd")
+    edges = [(a, b), (b, c), (c, d), (a, d)]
+    messy = [(d, c), (b, a), (a, b), (c, b), (d, a), (c, d), (b, a)]
+    built = Graph([a, b, c, d], messy)
+    assert built == Graph([a, b, c, d], edges)
+    assert list(built.edges) == sorted(edges)
+
+
+def test_listing_edges_makes_each_name_once(monkeypatch):
+    # a stage-2 output's table makes its family names on demand
+    g = eliminate_pairs(mmo_to_alliance(one_edge_target(1, 1)).result).result.graph
+    made = []
+    mint = alliancelib.graph._mint
+
+    def counted(fields):
+        made.append(fields)
+        return mint(fields)
+
+    monkeypatch.setattr(alliancelib.graph, "_mint", counted)
+    listed = list(g.edges)
+    assert len(listed) == len(g.adjacent) // 2
+    assert 0 < len(made) <= len(g.order)
 
 
 # a million-edge build in a fresh process: it prints the arc count and
@@ -644,9 +674,9 @@ def status(field):
 
 n, width = 20_000, 50
 order = [VertexId("x%05d" % i) for i in range(n)]
-# i joins i + d (mod n) for d up to width, every other edge given reversed
+# i joins i + d (mod n) for d up to width, each key with its lower id first
 keys = [
-    i * n + (i + d) % n if d % 2 else (i + d) % n * n + i
+    min(i, (i + d) % n) * n + max(i, (i + d) % n)
     for i in range(n)
     for d in range(1, width + 1)
 ]
@@ -657,8 +687,8 @@ print(len(graph.adjacent), status("VmHWM") - before)
 
 
 def test_building_a_million_edges_holds_little_beside_the_arrays():
-    """The build reorients the keys in place and writes each arc into
-    the adjacency array: its resident growth over the keys it is given
+    """The build sorts the keys in place and writes each arc into the
+    adjacency array: its resident growth over the keys it is given
     is the 4-byte arcs, the vertex tables and a few per-vertex lists,
     about 5.1 B per arc (the build that held both orientations as ints
     grew by 76 B per arc). Resident sizes, not tracemalloc, because

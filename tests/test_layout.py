@@ -21,8 +21,8 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alliancelib import cli, reductions
-from alliancelib.alliance import AllianceInstance, instance_to_json
+from alliancelib import cli, pipeline, reductions
+from alliancelib.alliance import STAGE_TAGS, AllianceInstance, instance_to_json
 from alliancelib.gen import (
     random_forbidden_toy,
     random_mmo,
@@ -32,7 +32,6 @@ from alliancelib.gen import (
 from alliancelib.graph import Graph, VertexId, VertexSet, parse_vertex
 from alliancelib.mmo import MmoInstance, mmo_to_json
 from alliancelib.reductions import (
-    STAGE_TAGS,
     eliminate_forbidden,
     eliminate_necessary_auto,
     eliminate_pairs,
@@ -53,8 +52,8 @@ BUILDERS = {
 def source_stats(source):
     """The counts a stage record's counts() reads from its source."""
     if isinstance(source, MmoInstance):
-        return reductions._orientation_stats(source)
-    return reductions._instance_stats(source)
+        return pipeline._orientation_stats(source)
+    return pipeline._instance_stats(source)
 
 
 def chain_stages(source, start=0):
@@ -110,10 +109,38 @@ def test_stage_results_are_laid_out_in_sorted_order(corpus):
                 assert all(a < b for a, b in zip(value, value[1:])), name
 
 
+def test_the_stages_emit_every_key_with_its_lower_id_first(monkeypatch):
+    # Graph._from_keys takes keys i * n + j with i < j and checks none
+    build = Graph._from_keys.__func__
+    checked = []
+
+    def strict(cls, order, keys):
+        n = len(order)
+        assert all(key % n > key // n for key in keys)
+        checked.append(n)
+        return build(cls, order, keys)
+
+    monkeypatch.setattr(Graph, "_from_keys", classmethod(strict))
+    rng = random.Random(808)
+    tags = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(15):
+            toy = random_necessary_toy(rng)
+            stages = chain_stages(random_pair_toy(rng), 1) + chain_stages(toy, 2)
+            stages.append((toy, eliminate_necessary_auto(toy, make_nice(heuristic_td(toy.graph)))))
+            stages += chain_stages(random_forbidden_toy(rng), 3) + chain_stages(random_mmo(rng))
+            tags += [stage.tag for _source, stage in stages]
+        for weight, r in ((1, 1), (2, 1), (1, 2), (3, 1)):
+            tags += [stage.tag for _source, stage in chain_stages(one_edge_target(weight, r))[:2]]
+    assert set(tags) == set(STAGE_TAGS)
+    assert len(checked) >= len(tags)
+
+
 def test_predicted_counts_equal_built_counts(corpus):
     for source, stage in corpus:
         predicted = stage.kind.counts(source_stats(source))
-        built = reductions._instance_stats(stage.result)
+        built = pipeline._instance_stats(stage.result)
         assert {key: built[key] for key in predicted} == predicted, stage.tag
 
 

@@ -11,11 +11,11 @@ from alliancelib import replace
 from alliancelib.alliance import STAGE_TAGS, AllianceInstance, is_solution, primal_graph
 from alliancelib.graph import Graph, VertexId, parse_vertex
 from alliancelib.mmo import MmoInstance, Orientation, max_weighted_outdegree
+from alliancelib.pipeline import audit_stage
 from alliancelib.reductions import (
     STAGE_KINDS,
     Affine,
     ReductionStage,
-    audit_stage,
     build_stage,
     eliminate_forbidden,
     eliminate_necessary,

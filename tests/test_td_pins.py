@@ -1,4 +1,5 @@
-"""Stage decompositions of the one-edge chain targets at full size.
+"""Stage decompositions of the one-edge chain targets at full size, and
+fn-to-f decompositions of seeded small instances.
 
 The digests pin td_to_lines byte for byte, node numbering and bag
 order included. The stage-3 decomposition is also validated against
@@ -9,12 +10,23 @@ nothing new to track.
 
 import gc
 import hashlib
+import itertools
+import random
 
 import pytest
 
-from alliancelib.graph import Block, VertexTable
-from alliancelib.reductions import eliminate_pairs, mmo_to_alliance
-from alliancelib.treewidth import heuristic_td, make_nice, td_to_lines, transform_td, validate_td
+from alliancelib.alliance import AllianceInstance
+from alliancelib.gen import random_necessary_toy
+from alliancelib.graph import Block, Graph, VertexId, VertexTable
+from alliancelib.reductions import build_stage, eliminate_pairs, mmo_to_alliance
+from alliancelib.treewidth import (
+    _tops,
+    heuristic_td,
+    make_nice,
+    td_to_lines,
+    transform_td,
+    validate_td,
+)
 
 from helpers import one_edge_target
 
@@ -102,3 +114,63 @@ def test_validating_over_the_shared_table_makes_and_looks_up_no_names(
     ):
         monkeypatch.setattr(cls, method, refuse)
     assert validate_td(graph, td).ok
+
+
+def tree_instance(seed):
+    """A seeded necessary-vertex instance on 5 to 8 vertices: a random
+    tree with a few chords, some vertices necessary, some forbidden."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 8)
+    verts = [VertexId("v%d" % i) for i in range(n)]
+    edges = [(verts[i], verts[rng.randrange(i)]) for i in range(1, n)]
+    edges += [
+        e for e in itertools.combinations(verts, 2) if rng.random() < 0.15 and e not in edges
+    ]
+    shuffled = rng.sample(verts, n)
+    necessary = shuffled[: rng.randint(1, n // 2)]
+    rest = shuffled[len(necessary):]
+    forbidden = rest[: rng.randint(0, len(rest) // 2)]
+    return AllianceInstance(
+        Graph(verts, edges), k=rng.randint(1, n), forbidden=forbidden, necessary=necessary
+    )
+
+
+SMALL_SOURCES = {
+    "toy": lambda seed: random_necessary_toy(random.Random(seed)),
+    "tree": tree_instance,
+}
+
+# (source, seed): (join anchors, nodes, width, digest) of the fn-to-f
+# decomposition carried from the heuristic decomposition
+FN_TO_F_SMALL = {
+    ("toy", 0): (0, 7, 6, "86ab46f26aa4a27944591982b9ab23b68054bdbcde519358b10dd40b92ebd437"),
+    ("toy", 1): (0, 3, 4, "afdefd463e3d96a328a17d3f7d07d6b2accf2887c6f5813a675ee1cdc4e8ed7a"),
+    ("toy", 5): (0, 9, 4, "777654590a4a441d6b172d176d1123628aa09ab988d863d83de86e65cce3cfbb"),
+    ("toy", 6): (1, 17, 9, "56eced88110b08b3daa3d4f58685c5430e78c9104ae205e090a8eec35bccb7dd"),
+    ("toy", 7): (0, 9, 11, "67553c4c9353b618ee6bb537aa7d262b8f44affa295873ae3245d166c3882354"),
+    ("toy", 10): (0, 13, 8, "490fcb528548eb89f779c0a926383d4208007019075d5b7f55ab9b790b8426a4"),
+    ("tree", 0): (1, 133, 17, "97a23abb85abb1a0a4fe9f4be1d4a4ae3ec1cd1ae1e24a63f9db337c1822144b"),
+    ("tree", 1): (0, 61, 13, "009d0ed8e68ae5132c01d320cd9532d0272c041acf6be534994e58ae4e4b6d10"),
+    ("tree", 2): (1, 56, 14, "4b9748eeb368a1530f225fad5e1d677b428a3e22a84a18b48ea29f5550ec4bcc"),
+    ("tree", 3): (0, 62, 12, "7eef03c61c99466befa8a2f1c5d1d7c4c79cbf36aff8dfea01620cf1e51c3f34"),
+    ("tree", 4): (0, 51, 12, "450b7bd376a144e4a436a796e342dc24f5a8720085d62afbb50852f6e454161c"),
+    ("tree", 5): (1, 98, 15, "943909d0aad103e1be3d0e03e5a4247ab04653b80dc34975e95a157ab5c74bdc"),
+    ("tree", 6): (0, 37, 13, "cbc33bedb191016e700856bc9caa95b6b9f0fc89e25652ff9a7ac6a5d44c682c"),
+    ("tree", 7): (2, 110, 16, "8c30e40a9a4f6db5c1a77b307801960e7dde630fd25a61881141843d712d7444"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FN_TO_F_SMALL), ids="%s-%d".__mod__)
+def test_small_fn_to_f_outputs_are_pinned(case):
+    source, seed = case
+    instance = SMALL_SOURCES[source](seed)
+    joins, nodes, width, pinned = FN_TO_F_SMALL[case]
+    td = heuristic_td(instance.graph)
+    stage, out = build_stage("fn-to-f", instance, td)
+    nice = make_nice(td)
+    first, _more = _tops(nice)
+    anchors = [first[nice._index[u]] for u in stage.ordering]
+    assert sum(nice.kind(x) == "join" for x in anchors) == joins
+    assert (len(out.nodes()), out.width(), digest(out)) == (nodes, width, pinned)
+    assert validate_td(stage.result.graph, out).ok
+    assert width <= nice.width() + 13
