@@ -13,7 +13,7 @@ import warnings
 from array import array
 
 from ._record import record
-from .graph import Graph, VertexSet, _holds, _linked, edge_key, is_integer, parse_vertex
+from .graph import Graph, VertexSet, _Document, _holds, _linked, edge_key, is_integer
 
 MODES = ("at-most", "exact")
 
@@ -258,58 +258,18 @@ def instance_to_json(instance):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _parse_vertex_field(raw, context):
-    if not isinstance(raw, str):
-        raise ValueError("%s: expected a vertex name, got %r" % (context, raw))
-    try:
-        return parse_vertex(raw)
-    except ValueError as exc:
-        raise ValueError("%s: %s" % (context, exc)) from None
-
-
-def _parse_vertex_list(raw, field, item):
-    if not isinstance(raw, list):
-        raise ValueError("field %r must be a list" % (field,))
-    return [_parse_vertex_field(x, "%s %d" % (item, i)) for i, x in enumerate(raw)]
-
-
-def _parse_vertex_pairs(raw, field, item):
-    if not isinstance(raw, list):
-        raise ValueError("field %r must be a list" % (field,))
-    out = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ValueError("%s %d must be a [u, v] pair" % (item, i))
-        context = "%s %d" % (item, i)
-        out.append(tuple(_parse_vertex_field(x, context) for x in entry))
-    return out
-
-
 def instance_from_json(text):
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError("invalid JSON: %s" % (exc,)) from None
-    if not isinstance(payload, dict):
-        raise ValueError("instance document must be a JSON object")
-    for required in ("vertices", "edges", "k"):
-        if required not in payload:
-            raise ValueError("missing field: %s" % (required,))
-    vertices = _parse_vertex_list(payload["vertices"], "vertices", "vertex")
-    edges = _parse_vertex_pairs(payload["edges"], "edges", "edge")
-    k = payload["k"]
-    if not is_integer(k):
-        raise ValueError("field 'k' must be an integer")
-    graph = Graph(vertices, edges)
-    forbidden = _parse_vertex_list(payload.get("forbidden", []), "forbidden", "forbidden")
-    necessary = _parse_vertex_list(payload.get("necessary", []), "necessary", "necessary")
-    pairs = _parse_vertex_pairs(payload.get("pairs", []), "pairs", "pair")
-    mode = payload.get("mode", "at-most")
+    """An alliance instance from its document, given as JSON text or as
+    the object it decodes to."""
+    document = _Document(text, ("vertices", "edges", "k"))
+    vertices = document.vertices("vertices", "vertex")
+    edges = document.rows("edges", "edge")
+    k = document.integer("k")
     return AllianceInstance(
-        graph,
+        Graph(vertices, edges),
         k=k,
-        forbidden=frozenset(forbidden),
-        necessary=frozenset(necessary),
-        pairs=frozenset(pairs),
-        mode=mode,
+        forbidden=document.vertices("forbidden", "forbidden"),
+        necessary=document.vertices("necessary", "necessary"),
+        pairs=document.rows("pairs", "pair"),
+        mode=document.get("mode", "at-most"),
     )

@@ -24,13 +24,13 @@ from .alliance import (
     primal_graph,
     solution_problems,
 )
-from .graph import VertexId, graph_from_edgelist, graph_to_dot, parse_vertex
+from .graph import VertexId, _Document, graph_from_edgelist, graph_to_dot, parse_vertex
 from .solver import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     SolveRequest,
+    _check_connected,
     solve,
-    solve_connected_pruned,
 )
 
 # reduction chains grow instances by orders of magnitude per stage;
@@ -46,15 +46,12 @@ def parse_instance(text, fmt="json", k=None, mode="at-most"):
     lists describe a bare graph and need an explicit k.
     """
     if fmt == "json":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError("invalid JSON: %s" % (exc,)) from None
-        if isinstance(payload, dict) and "r" in payload:
+        document = _Document(text)
+        if "r" in document:
             from .mmo import mmo_from_json
 
-            return mmo_from_json(text)
-        return instance_from_json(text)
+            return mmo_from_json(document)
+        return instance_from_json(document)
     if fmt == "edgelist":
         if k is None:
             raise ValueError("edge list input needs an explicit k")
@@ -132,10 +129,13 @@ def _cmd_verify(args):
 
 def _cmd_solve(args):
     instance = _load_alliance(args)
+    goal = args.goal
     if args.connected:
-        result = solve_connected_pruned(instance, goal=args.goal)
-    else:
-        result = solve(SolveRequest(instance, args.goal, budget=args.budget))
+        # each component of an alliance is an alliance, so every smallest
+        # one is connected and the least-key solution is a connected one
+        _check_connected(instance, goal)
+        goal = "minimum"
+    result = solve(SolveRequest(instance, goal, budget=args.budget))
     report = {
         "command": "solve",
         "goal": args.goal,

@@ -6,6 +6,7 @@ which vertex, edge or pair it was derived from. A flat string cannot
 carry that reliably once constructions are stacked, hence VertexId.
 """
 
+import json
 import re
 from array import array
 from bisect import bisect_left, bisect_right
@@ -223,6 +224,63 @@ def _parse_atom_plain_only(text):
     if not _is_plain(text):
         raise ValueError("bad vertex name: %r" % (text,))
     return text
+
+
+def _vertex_name(raw, context):
+    if not isinstance(raw, str):
+        raise ValueError("%s: expected a vertex name, got %r" % (context, raw))
+    try:
+        return parse_vertex(raw)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (context, exc)) from None
+
+
+class _Document(dict):
+    """The object of a JSON instance document, an alliance instance or
+    an orientation target, with the readers of its fields."""
+
+    def __init__(self, document, required=()):
+        """The document of JSON text, or of the object it decodes to,
+        once every required field is present."""
+        if not isinstance(document, dict):
+            try:
+                document = json.loads(document)
+            except json.JSONDecodeError as exc:
+                raise ValueError("invalid JSON: %s" % (exc,)) from None
+            if not isinstance(document, dict):
+                raise ValueError("instance document must be a JSON object")
+        super().__init__(document)
+        for field in required:
+            if field not in self:
+                raise ValueError("missing field: %s" % (field,))
+
+    def integer(self, field):
+        value = self[field]
+        if not is_integer(value):
+            raise ValueError("field %r must be an integer" % (field,))
+        return value
+
+    def _list(self, field):
+        raw = self.get(field, [])
+        if not isinstance(raw, list):
+            raise ValueError("field %r must be a list" % (field,))
+        return raw
+
+    def vertices(self, field, item):
+        """The vertices a list field names; an absent field names none."""
+        return [_vertex_name(x, "%s %d" % (item, i)) for i, x in enumerate(self._list(field))]
+
+    def rows(self, field, item, width=2):
+        """The rows of a list field as tuples of two vertices and the
+        rest of the row, left for the builder to check."""
+        shape = "a [u, v] pair" if width == 2 else "a [u, v, weight] triple"
+        rows = []
+        for i, row in enumerate(self._list(field)):
+            context = "%s %d" % (item, i)
+            if not isinstance(row, list) or len(row) != width:
+                raise ValueError("%s must be %s" % (context, shape))
+            rows.append((_vertex_name(row[0], context), _vertex_name(row[1], context), *row[2:]))
+        return rows
 
 
 def edge_key(u, v):

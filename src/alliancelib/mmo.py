@@ -4,11 +4,26 @@ vertex sends out total weight at most r."""
 import json
 
 from ._record import record
-from .graph import Graph, edge_key, is_integer, parse_vertex
+from .graph import Graph, _Document, edge_key, is_integer
 
 # reductions blow an instance up by a factor of the total weight, so
 # keep sources at desk scale
 TOTAL_WEIGHT_CAP = 1_000_000
+
+
+def _weight_table(rows):
+    """{canonical edge: weight} from (u, w, weight) rows; an edge may
+    repeat only with the same weight."""
+    norm = {}
+    for u, w, value in rows:
+        if not is_integer(value) or value < 1:
+            raise ValueError("edge weight must be a positive integer, got %r" % (value,))
+        key = edge_key(u, w)
+        if norm.setdefault(key, value) != value:
+            raise ValueError(
+                "edge %s--%s is given weights %r and %r" % (key[0], key[1], norm[key], value)
+            )
+    return norm
 
 
 @record
@@ -18,11 +33,7 @@ class MmoInstance:
     r: int
 
     def __post_init__(self):
-        norm = {}
-        for (u, w), value in self.weights.items():
-            if not is_integer(value) or value < 1:
-                raise ValueError("edge weight must be a positive integer, got %r" % (value,))
-            norm[edge_key(u, w)] = value
+        norm = _weight_table((u, w, value) for (u, w), value in self.weights.items())
         if set(norm) != set(self.graph.edges):
             missing = sorted(set(self.graph.edges) - set(norm))
             extra = sorted(set(norm) - set(self.graph.edges))
@@ -77,43 +88,36 @@ def max_weighted_outdegree(instance, orientation):
 def solve_mmo(instance):
     """Exhaustive search over all orientations; None when infeasible.
 
-    The witness is deterministic: edges are tried in sorted order and
-    the first feasible bitmask wins, where bit i reverses edge i from
-    its canonical direction.
+    The witness is deterministic: the first feasible orientation in the
+    mask order of _orientations_within.
     """
-    edges = instance.graph.sorted_edges()
-    m = len(edges)
+    m = len(instance.graph.edges)
     if m > 25:
         raise ValueError("exhaustive search is limited to 25 edges, got %d" % (m,))
-    weights = [instance.weights[e] for e in edges]
-    for mask in range(1 << m):
-        out = {}
-        for i, (u, w) in enumerate(edges):
-            tail = u if mask >> i & 1 == 0 else w
-            out[tail] = out.get(tail, 0) + weights[i]
-            if out[tail] > instance.r:
-                break
-        else:
-            return _orientation(edges, mask)
-    return None
+    return next(_orientations_within(instance, instance.r), None)
 
 
 def orientations(instance):
     """Every orientation of the instance, in the mask order of
     solve_mmo."""
+    return _orientations_within(instance, float("inf"))
+
+
+def _orientations_within(instance, r):
+    """The orientations whose weighted outdegrees are all at most r, in
+    increasing mask order: edges are taken in sorted order, and bit i
+    of a mask reverses edge i from its canonical direction."""
     edges = instance.graph.sorted_edges()
+    weights = [instance.weights[e] for e in edges]
     for mask in range(1 << len(edges)):
-        yield _orientation(edges, mask)
-
-
-def _orientation(edges, mask):
-    """Bit i of mask reverses edges[i] from its canonical direction."""
-    return Orientation(
-        {
-            e: (e[0], e[1]) if mask >> i & 1 == 0 else (e[1], e[0])
-            for i, e in enumerate(edges)
-        }
-    )
+        out = {}
+        for i, (u, w) in enumerate(edges):
+            tail = u if mask >> i & 1 == 0 else w
+            out[tail] = out.get(tail, 0) + weights[i]
+            if out[tail] > r:
+                break
+        else:
+            yield Orientation({e: e[::-1] if mask >> i & 1 else e for i, e in enumerate(edges)})
 
 
 def mmo_to_json(instance):
@@ -129,34 +133,11 @@ def mmo_to_json(instance):
 
 
 def mmo_from_json(text):
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError("invalid JSON: %s" % (exc,)) from None
-    if not isinstance(payload, dict):
-        raise ValueError("instance document must be a JSON object")
-    for required in ("vertices", "edges", "r"):
-        if required not in payload:
-            raise ValueError("missing field: %s" % (required,))
-    for field in ("vertices", "edges"):
-        if not isinstance(payload[field], list):
-            raise ValueError("field %r must be a list" % (field,))
-    try:
-        vertices = [parse_vertex(x) for x in payload["vertices"]]
-    except (TypeError, ValueError) as exc:
-        raise ValueError("bad vertex list: %s" % (exc,)) from None
-    weights = {}
-    edges = []
-    for i, item in enumerate(payload["edges"]):
-        if not isinstance(item, list) or len(item) != 3:
-            raise ValueError("edge %d must be a [u, v, weight] triple" % (i,))
-        u, w, value = item
-        try:
-            uu, ww = parse_vertex(u), parse_vertex(w)
-        except (TypeError, ValueError) as exc:
-            raise ValueError("edge %d: %s" % (i, exc)) from None
-        edges.append((uu, ww))
-        weights[(uu, ww)] = value
-    if not is_integer(payload["r"]):
-        raise ValueError("field 'r' must be an integer")
-    return MmoInstance(Graph(vertices, edges), weights, payload["r"])
+    """An orientation target from its document, given as JSON text or as
+    the object it decodes to."""
+    document = _Document(text, ("vertices", "edges", "r"))
+    vertices = document.vertices("vertices", "vertex")
+    rows = document.rows("edges", "edge", 3)
+    r = document.integer("r")
+    edges = [(u, w) for u, w, _weight in rows]
+    return MmoInstance(Graph(vertices, edges), _weight_table(rows), r)

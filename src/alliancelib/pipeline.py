@@ -11,7 +11,7 @@ commands load this module.
 from functools import partial
 
 from .alliance import STAGE_TAGS
-from .mmo import MmoInstance, max_weighted_outdegree, orientations, solve_mmo
+from .mmo import MmoInstance, _orientations_within, max_weighted_outdegree, solve_mmo
 from .reductions import (
     build_stage,
     lift_solution,
@@ -35,7 +35,7 @@ def audit_stage(stage, budget=DEFAULT_BUDGET):
     if orienting:
         if len(source.graph.edges) > 12:
             raise ValueError("the orientation audit is limited to 12 edges")
-        inputs = [o for o in orientations(source) if max_weighted_outdegree(source, o) <= source.r]
+        inputs = list(_orientations_within(source, source.r))
         lift = partial(orientation_to_solution, source)
         project = partial(solution_to_orientation, source)
     else:

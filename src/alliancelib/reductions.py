@@ -401,8 +401,9 @@ def solution_to_orientation(instance, solution):
 
 def eliminate_pairs(instance):
     """Replace every complementary pair with chain gadgets whose parity
-    forces exactly one endpoint into any solution."""
-    if instance.variant != "FNC":
+    forces exactly one endpoint into any solution; FN is the case with
+    no pairs, which an orientation target without edges gives."""
+    if instance.variant not in ("FNC", "FN"):
         raise ValueError("instance has no complementary pairs to eliminate")
     source = instance.graph
     originals = source.order

@@ -39,7 +39,7 @@ caps the search at 2^budget nodes.
 from array import array
 
 from ._record import record
-from .alliance import AllianceInstance
+from .alliance import AllianceInstance, is_defensive_alliance
 from .graph import VertexSet
 
 GOALS = ("decide", "minimum", "enumerate-all", "count")
@@ -403,6 +403,18 @@ def _connected_candidates(graph, limit):
             barred.add(u)
 
 
+def _check_connected(instance, goal):
+    """Refuse what a connected search cannot answer: exact sizes and
+    constrained variants, and goals other than decide and minimum."""
+    if instance.variant != "plain" or instance.mode != "at-most":
+        raise ValueError(
+            "connected search answers plain at-most instances only, got "
+            "variant %s in %s mode" % (instance.variant, instance.mode)
+        )
+    if goal not in ("decide", "minimum"):
+        raise ValueError('goal must be "decide" or "minimum", got %r' % (goal,))
+
+
 def solve_connected_pruned(instance, goal="minimum"):
     """Minimum and decision answers from connected candidates only.
 
@@ -411,37 +423,16 @@ def solve_connected_pruned(instance, goal="minimum"):
     sizes and constrained variants can have only disconnected answers
     and are rejected.
     """
-    if instance.variant != "plain" or instance.mode != "at-most":
-        raise ValueError(
-            "connected search answers plain at-most instances only, got "
-            "variant %s in %s mode" % (instance.variant, instance.mode)
-        )
-    if goal not in ("decide", "minimum"):
-        raise ValueError('goal must be "decide" or "minimum", got %r' % (goal,))
+    _check_connected(instance, goal)
     graph = instance.graph
-    best_key = None
-    best_set = None
-    for members in _connected_candidates(graph, instance.k):
-        candidate = set(members)
-        defended = all(
-            2 * sum(1 for u in graph.closed_neighborhood(v) if u in candidate)
-            >= len(graph.closed_neighborhood(v))
-            for v in members
-        )
-        if not defended:
-            continue
-        key = _set_key(candidate)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_set = frozenset(candidate)
-    if best_set is None:
-        return SolveResult(
-            goal=goal, feasible=False, free_count=len(graph.vertices)
-        )
+    defended = (
+        frozenset(members)
+        for members in _connected_candidates(graph, instance.k)
+        if is_defensive_alliance(graph, members)
+    )
+    best = min(defended, key=_set_key, default=None)
+    if best is None:
+        return SolveResult(goal=goal, feasible=False, free_count=len(graph.vertices))
     return SolveResult(
-        goal=goal,
-        feasible=True,
-        witness=best_set,
-        size=len(best_set),
-        free_count=len(graph.vertices),
+        goal=goal, feasible=True, witness=best, size=len(best), free_count=len(graph.vertices)
     )

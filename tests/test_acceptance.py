@@ -240,10 +240,13 @@ def test_criterion_7_connected_pruning():
     rng = random.Random(1007)
     for _ in range(500):
         inst = random_plain_instance(rng)
+        # the search that answers solve --connected for both goals
         full = solve(SolveRequest(inst, "minimum"))
-        pruned = solve_connected_pruned(inst, "minimum")
-        assert full.feasible == pruned.feasible
-        assert full.size == pruned.size
+        for goal in ("decide", "minimum"):
+            pruned = solve_connected_pruned(inst, goal)
+            assert full.feasible == pruned.feasible
+            assert full.size == pruned.size
+            assert full.witness == pruned.witness
     # frozen regression: an exact-size solution may span several
     # components, which only the full solver can report
     p, q, r, x, y, z = vs("p q r x y z")

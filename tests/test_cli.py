@@ -13,7 +13,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alliancelib import cli, pipeline, reductions, replace
+from alliancelib import cli, pipeline, reductions, replace, solver
 from alliancelib.alliance import (
     STAGE_TAGS,
     AllianceInstance,
@@ -23,7 +23,7 @@ from alliancelib.alliance import (
 from alliancelib.graph import Graph
 from alliancelib.mmo import MmoInstance, mmo_to_json
 from alliancelib.reductions import eliminate_pairs, mmo_to_alliance
-from alliancelib.solver import SolveRequest, solve
+from alliancelib.solver import SolveRequest, solve, solve_connected_pruned
 from alliancelib.treewidth import (
     heuristic_td,
     make_nice,
@@ -98,6 +98,22 @@ class TestParseInstance:
     def test_edgelist_error_carries_line(self):
         with pytest.raises(ValueError, match="line 2"):
             cli.parse_instance("a b\na b c d\n", "edgelist", k=1)
+
+    @pytest.mark.parametrize(
+        "text",
+        [instance_to_json(constrained_instance()), mmo_to_json(two_vertex_mmo())],
+        ids=["instance", "target"],
+    )
+    def test_each_document_is_decoded_once(self, monkeypatch, text):
+        loads, calls = json.loads, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        cli.parse_instance(text)
+        assert len(calls) == 1
 
     def test_pair_on_forbidden_vertex_rejected(self):
         payload = {
@@ -252,6 +268,45 @@ class TestSolve:
         assert code == 0
         assert report["size"] == 2
 
+    def test_connected_goals_are_answered_by_the_minimum_search(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path = wheelish_file(tmp_path, k=3)
+        want = solve_connected_pruned(AllianceInstance(wheelish_graph(), k=3), "minimum")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the connected enumeration ran")
+
+        monkeypatch.setattr(solver, "solve_connected_pruned", refuse)
+        monkeypatch.setattr(cli, "solve_connected_pruned", refuse, raising=False)
+        for goal in ("decide", "minimum"):
+            code, report = run(capsys, ["solve", "--connected", "--goal", goal, path])
+            assert code == 0 and report["goal"] == goal
+            assert (report["feasible"], report["size"]) == (True, want.size)
+            assert report["witness"] == [str(u) for u in sorted(want.witness)]
+
+    @pytest.mark.parametrize(
+        "goal, mode, message",
+        [
+            ("minimum", "exact",
+             "connected search answers plain at-most instances only, "
+             "got variant plain in exact mode"),
+            ("count", "at-most", "goal must be \"decide\" or \"minimum\", got 'count'"),
+        ],
+    )
+    def test_connected_refusals_keep_their_messages(self, capsys, tmp_path, goal, mode, message):
+        path = wheelish_file(tmp_path, k=3, mode=mode)
+        code = cli.main(["solve", "--connected", "--goal", goal, path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: %s\n" % (message,)
+
+    def test_connected_search_keeps_to_its_budget(self, capsys, tmp_path):
+        path = wheelish_file(tmp_path, k=3)
+        code = cli.main(["solve", "--connected", "--budget", "0", path])
+        assert code == 3
+        assert "budget of 2^0 nodes" in capsys.readouterr().err
+
     def test_mode_override(self, capsys, tmp_path):
         path = wheelish_file(tmp_path, k=2)
         code, report = run(capsys, ["solve", "--mode", "exact", path])
@@ -377,6 +432,15 @@ class TestReduceChain:
         assert first["width"] <= base + 4
         assert second["width"] <= 3 * first["width"] + 5
         assert code in (0, 1, 3)
+
+    def test_edgeless_target_runs_through_two_stages(self, capsys, tmp_path):
+        # the first stage of a target without edges has no pairs (FN)
+        path = write(tmp_path, "edgeless.json", '{"vertices": ["a"], "edges": [], "r": 1}')
+        code, report = run(capsys, ["reduce", "--chain", "--stages", "2", path])
+        assert code == 0
+        assert [s["variant"] for s in report["stages"]] == ["FN", "FN"]
+        assert report["decision"] is True and report["mmo_decision"] is True
+        assert report["orientation"] == {}
 
     def test_run_pipeline_rejects_non_prefix(self):
         with pytest.raises(ValueError, match="prefix"):
@@ -568,6 +632,165 @@ class TestMalformedDocuments:
 def test_list_field_errors_name_the_document_field(payload, field):
     with pytest.raises(ValueError, match="^field '%s' must be a list$" % (field,)):
         cli.parse_instance(json.dumps(_set(payload(), field, "ab")))
+
+
+_ABSENT = object()
+
+
+def _document(fields, changes):
+    fields.update(changes)
+    return json.dumps({f: x for f, x in fields.items() if x is not _ABSENT})
+
+
+def _instance_doc(**changes):
+    """The one-edge instance document with some fields replaced, or
+    dropped where given _ABSENT."""
+    return _document({"vertices": ["a", "b"], "edges": [["a", "b"]], "k": 1}, changes)
+
+
+def _target_doc(**changes):
+    """The one-edge orientation target, changed as _instance_doc is."""
+    return _document({"vertices": ["a", "b"], "edges": [["a", "b", 1]], "r": 1}, changes)
+
+
+# malformed documents of both kinds and their messages, which both kinds
+# share; an orientation edge may repeat only with the same weight
+DOCUMENT_MESSAGES = {
+    "invalid-json": (
+        '{"vertices": [',
+        "invalid JSON: Expecting value: line 1 column 15 (char 14)",
+    ),
+    "list-document": ("[1, 2]", "instance document must be a JSON object"),
+    "null-document": ("null", "instance document must be a JSON object"),
+    "missing-vertices": (_instance_doc(vertices=_ABSENT), "missing field: vertices"),
+    "missing-edges": (_instance_doc(edges=_ABSENT), "missing field: edges"),
+    "missing-k": (_instance_doc(k=_ABSENT), "missing field: k"),
+    "vertices-not-list": (_instance_doc(vertices=5), "field 'vertices' must be a list"),
+    "vertices-as-string": (_instance_doc(vertices="ab"), "field 'vertices' must be a list"),
+    "vertex-not-string": (
+        _instance_doc(vertices=["a", 5]),
+        "vertex 1: expected a vertex name, got 5",
+    ),
+    "vertex-bad-name": (
+        _instance_doc(vertices=["a", "b c"]),
+        "vertex 1: bad vertex name: 'b c'",
+    ),
+    "edges-not-list": (_instance_doc(edges=3), "field 'edges' must be a list"),
+    "edge-not-list": (_instance_doc(edges=["ab"]), "edge 0 must be a [u, v] pair"),
+    "edge-one-field": (_instance_doc(edges=[["a"]]), "edge 0 must be a [u, v] pair"),
+    "edge-three-fields": (
+        _instance_doc(edges=[["a", "b", "c"]]),
+        "edge 0 must be a [u, v] pair",
+    ),
+    "edge-vertex-not-string": (
+        _instance_doc(edges=[["a", 1]]),
+        "edge 0: expected a vertex name, got 1",
+    ),
+    "edge-vertex-bad-tag": (
+        _instance_doc(edges=[["a", "b/zz"]]),
+        "edge 0: bad vertex role tag in 'b/zz'",
+    ),
+    "edge-unknown-vertex": (
+        _instance_doc(edges=[["a", "c"]]),
+        "edge endpoint c is not a vertex",
+    ),
+    "k-boolean": (_instance_doc(k=True), "field 'k' must be an integer"),
+    "k-float": (_instance_doc(k=1.5), "field 'k' must be an integer"),
+    "k-negative": (_instance_doc(k=-1), "k must be a non-negative integer"),
+    "forbidden-as-string": (_instance_doc(forbidden="ab"), "field 'forbidden' must be a list"),
+    "forbidden-not-string": (
+        _instance_doc(forbidden=[3]),
+        "forbidden 0: expected a vertex name, got 3",
+    ),
+    "forbidden-unknown": (
+        _instance_doc(forbidden=["c"]),
+        "forbidden vertex c is not in the graph",
+    ),
+    "necessary-as-string": (_instance_doc(necessary="ab"), "field 'necessary' must be a list"),
+    "necessary-bad-name": (
+        _instance_doc(necessary=["a b"]),
+        "necessary 0: bad vertex name: 'a b'",
+    ),
+    "pairs-as-string": (_instance_doc(pairs="ab"), "field 'pairs' must be a list"),
+    "pair-one-field": (_instance_doc(pairs=[["a"]]), "pair 0 must be a [u, v] pair"),
+    "pair-vertex-not-string": (
+        _instance_doc(pairs=[["a", None]]),
+        "pair 0: expected a vertex name, got None",
+    ),
+    "pair-equal-ends": (_instance_doc(pairs=[["a", "a"]]), "pair a/a has equal endpoints"),
+    "mode-unknown": (
+        _instance_doc(mode="sometimes"),
+        "mode must be one of ('at-most', 'exact')",
+    ),
+    "both-forbidden-and-necessary": (
+        _instance_doc(forbidden=["a"], necessary=["a"]),
+        "vertex a is both forbidden and necessary",
+    ),
+    "mmo-missing-vertices": (_target_doc(vertices=_ABSENT), "missing field: vertices"),
+    "mmo-missing-edges": (_target_doc(edges=_ABSENT), "missing field: edges"),
+    "mmo-vertices-not-list": (_target_doc(vertices=5), "field 'vertices' must be a list"),
+    "mmo-vertices-as-string": (_target_doc(vertices="ab"), "field 'vertices' must be a list"),
+    "mmo-vertex-not-string": (
+        _target_doc(vertices=["a", 5]),
+        "vertex 1: expected a vertex name, got 5",
+    ),
+    "mmo-vertex-bad-name": (
+        _target_doc(vertices=["a", "b c"]),
+        "vertex 1: bad vertex name: 'b c'",
+    ),
+    "mmo-edges-not-list": (_target_doc(edges=3), "field 'edges' must be a list"),
+    "mmo-edge-not-list": (_target_doc(edges=["ab"]), "edge 0 must be a [u, v, weight] triple"),
+    "mmo-edge-two-fields": (
+        _target_doc(edges=[["a", "b"]]),
+        "edge 0 must be a [u, v, weight] triple",
+    ),
+    "mmo-edge-vertex-not-string": (
+        _target_doc(edges=[[1, "b", 1]]),
+        "edge 0: expected a vertex name, got 1",
+    ),
+    "mmo-edge-vertex-bad-name": (
+        _target_doc(edges=[["a", "b c", 1]]),
+        "edge 0: bad vertex name: 'b c'",
+    ),
+    "mmo-edge-unknown-vertex": (
+        _target_doc(edges=[["a", "c", 1]]),
+        "edge endpoint c is not a vertex",
+    ),
+    "mmo-weight-boolean": (
+        _target_doc(edges=[["a", "b", True]]),
+        "edge weight must be a positive integer, got True",
+    ),
+    "mmo-weight-zero": (
+        _target_doc(edges=[["a", "b", 0]]),
+        "edge weight must be a positive integer, got 0",
+    ),
+    "mmo-weight-string": (
+        _target_doc(edges=[["a", "b", "1"]]),
+        "edge weight must be a positive integer, got '1'",
+    ),
+    "mmo-r-boolean": (_target_doc(r=True), "field 'r' must be an integer"),
+    "mmo-r-zero": (_target_doc(r=0), "target r must be a positive integer"),
+    "mmo-vertices-bad-and-edges-not-list": (
+        _target_doc(vertices=[5], edges=3),
+        "vertex 0: expected a vertex name, got 5",
+    ),
+    "mmo-weights-differ": (
+        _target_doc(edges=[["a", "b", 1], ["b", "a", 5]]),
+        "edge a--b is given weights 1 and 5",
+    ),
+    "mmo-weights-differ-same-order": (
+        _target_doc(edges=[["a", "b", 5], ["a", "b", 1]]),
+        "edge a--b is given weights 5 and 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOCUMENT_MESSAGES))
+def test_malformed_documents_have_their_messages(case):
+    text, message = DOCUMENT_MESSAGES[case]
+    with pytest.raises(ValueError) as caught:
+        cli.parse_instance(text)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("case", sorted(BAD_NODE_IDS))

@@ -1,11 +1,14 @@
+import json
 import random
 
 import pytest
 
+from alliancelib.gen import random_mmo
 from alliancelib.graph import Graph
 from alliancelib.mmo import (
     MmoInstance,
     Orientation,
+    _orientations_within,
     max_weighted_outdegree,
     mmo_from_json,
     mmo_to_json,
@@ -49,6 +52,23 @@ class TestModel:
         g = Graph([a, b], [(a, b)])
         inst = MmoInstance(g, {(b, a): 2}, r=2)
         assert inst.weight(a, b) == 2
+
+    @pytest.mark.parametrize("first, second", [(1, 5), (5, 1)])
+    def test_a_repeated_edge_keeps_one_weight(self, first, second):
+        a, b = v("a"), v("b")
+        g = Graph([a, b], [(a, b)])
+        message = "edge a--b is given weights %d and %d" % (first, second)
+        with pytest.raises(ValueError, match="^%s$" % (message,)):
+            MmoInstance(g, {(a, b): first, (b, a): second}, r=1)
+        for u, w in ((a, b), (b, a)):
+            text = json.dumps(
+                {"vertices": ["a", "b"], "edges": [["a", "b", first], [str(u), str(w), second]],
+                 "r": 1}
+            )
+            with pytest.raises(ValueError, match="^%s$" % (message,)):
+                mmo_from_json(text)
+        same = MmoInstance(g, {(a, b): first, (b, a): first}, r=1)
+        assert same.weights == {(a, b): first}
 
     def test_total_weight_cap(self):
         a, b = v("a"), v("b")
@@ -163,6 +183,15 @@ class TestSolve:
             inst = triangle_instance(r=r)
             feasible = [o for o in listed if max_weighted_outdegree(inst, o) <= r]
             assert solve_mmo(inst) == (feasible[0] if feasible else None)
+
+    def test_feasible_walk_is_the_filtered_mask_order(self):
+        rng = random.Random(11)
+        for inst in [triangle_instance(r) for r in range(1, 7)] + [
+            random_mmo(rng) for _ in range(30)
+        ]:
+            listed = list(orientations(inst))
+            feasible = [o for o in listed if max_weighted_outdegree(inst, o) <= inst.r]
+            assert list(_orientations_within(inst, inst.r)) == feasible
 
 
 class TestJson:

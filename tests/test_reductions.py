@@ -4,11 +4,13 @@ the gadget definitions before the implementation existed."""
 
 import itertools
 import pickle
+import random
 
 import pytest
 
 from alliancelib import replace
 from alliancelib.alliance import STAGE_TAGS, AllianceInstance, is_solution, primal_graph
+from alliancelib.gen import random_necessary_toy
 from alliancelib.graph import Graph, VertexId, parse_vertex
 from alliancelib.mmo import MmoInstance, Orientation, max_weighted_outdegree
 from alliancelib.pipeline import audit_stage
@@ -236,6 +238,17 @@ class TestPairElimination:
         plain = AllianceInstance(graph=Graph([a, b], [(a, b)]), k=1)
         with pytest.raises(ValueError, match="pair"):
             eliminate_pairs(plain)
+        with pytest.raises(ValueError, match="pair"):
+            eliminate_pairs(replace(plain, forbidden=[a]))
+
+    def test_pair_free_instances_keep_their_bijection(self):
+        # FN is the zero-pair case, as a target without edges gives it
+        rng = random.Random(21)
+        for _ in range(20):
+            stage = eliminate_pairs(random_necessary_toy(rng))
+            assert stage.result.variant == "FN"
+            audit = audit_stage(stage, budget=32)
+            assert audit["verified"], audit
 
     def test_toy_budget(self):
         stage = eliminate_pairs(pair_toy(k=1))
