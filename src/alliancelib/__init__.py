@@ -23,16 +23,17 @@ _SOURCES = {
         "_record": ("replace",),
         "alliance": (
             "AllianceInstance", "AllianceVerdict", "Defense", "STAGE_TAGS",
-            "construct_defense", "instance_from_json", "instance_to_json",
-            "is_defensive_alliance", "is_solution", "primal_graph", "solution_problems",
+            "construct_defense", "instance_document", "instance_from_json",
+            "instance_to_json", "is_defensive_alliance", "is_solution", "primal_graph",
+            "solution_problems",
         ),
         "graph": (
             "Graph", "VertexId", "edge_key", "graph_from_edgelist", "graph_to_dot",
             "graph_to_edgelist", "parse_vertex",
         ),
         "mmo": (
-            "MmoInstance", "Orientation", "max_weighted_outdegree", "mmo_from_json",
-            "mmo_to_json", "orientations", "solve_mmo",
+            "MmoInstance", "Orientation", "max_weighted_outdegree", "mmo_document",
+            "mmo_from_json", "mmo_to_json", "orientations", "solve_mmo",
         ),
         "pipeline": ("audit_stage",),
         "reductions": (

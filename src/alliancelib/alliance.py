@@ -242,8 +242,9 @@ def primal_graph(instance):
     return Graph._from_keys(graph.order, keys)
 
 
-def instance_to_json(instance):
-    payload = {
+def instance_document(instance):
+    """The JSON document of an instance, as the object to encode."""
+    return {
         "vertices": [str(u) for u in instance.graph.sorted_vertices()],
         "edges": [[str(u), str(w)] for u, w in instance.graph.sorted_edges()],
         "k": instance.k,
@@ -255,13 +256,17 @@ def instance_to_json(instance):
         ],
         "mode": instance.mode,
     }
-    return json.dumps(payload, indent=2) + "\n"
+
+
+def instance_to_json(instance):
+    return json.dumps(instance_document(instance), indent=2) + "\n"
 
 
 def instance_from_json(text):
     """An alliance instance from its document, given as JSON text or as
     the object it decodes to."""
-    document = _Document(text, ("vertices", "edges", "k"))
+    document = _Document(text)
+    document.expect(("vertices", "edges", "k"), ("forbidden", "necessary", "pairs", "mode"))
     vertices = document.vertices("vertices", "vertex")
     edges = document.rows("edges", "edge")
     k = document.integer("k")

@@ -16,10 +16,11 @@ import sys
 # does not use
 from ._record import replace
 from .alliance import (
+    MODES,
     STAGE_TAGS,
     AllianceInstance,
+    instance_document,
     instance_from_json,
-    instance_to_json,
     is_defensive_alliance,
     primal_graph,
     solution_problems,
@@ -27,6 +28,7 @@ from .alliance import (
 from .graph import VertexId, _Document, graph_from_edgelist, graph_to_dot, parse_vertex
 from .solver import (
     DEFAULT_BUDGET,
+    GOALS,
     BudgetExceededError,
     SolveRequest,
     _check_connected,
@@ -73,17 +75,12 @@ def _names(members):
 
 
 def _load_alliance(args):
-    parsed = parse_instance(
-        _read(args.instance),
-        getattr(args, "format", "json"),
-        getattr(args, "k", None),
-        getattr(args, "mode", None) or "at-most",
-    )
+    parsed = parse_instance(_read(args.instance), args.format, args.k, args.mode or "at-most")
     if not isinstance(parsed, AllianceInstance):
         raise ValueError(
             "this command reads an alliance instance, not an orientation target"
         )
-    if getattr(args, "mode", None) and parsed.mode != args.mode:
+    if args.mode and parsed.mode != args.mode:
         parsed = replace(parsed, mode=args.mode)
     return parsed
 
@@ -178,7 +175,7 @@ def _cmd_reduce(args):
     report = {
         "command": "reduce",
         "stage": stage.tag,
-        "instance": json.loads(instance_to_json(stage.result)),
+        "instance": instance_document(stage.result),
         "gadgets": _gadget_table(stage.gadgets),
     }
     report.update(_instance_stats(stage.result))
@@ -204,9 +201,7 @@ def _cmd_decompose(args):
         treewidth_exact_small,
     )
 
-    parsed = parse_instance(
-        _read(args.instance), args.format, getattr(args, "k", None)
-    )
+    parsed = parse_instance(_read(args.instance), args.format, args.k)
     graph = primal_graph(parsed) if isinstance(parsed, AllianceInstance) else parsed.graph
     td = heuristic_td(graph)
     if args.nice:
@@ -253,20 +248,17 @@ def _cmd_gen(args):
     import random
 
     from . import gen
-    from .mmo import mmo_to_json
+    from .mmo import mmo_document
 
     rng = random.Random(args.seed)
     factory = getattr(gen, _GEN_KINDS[args.kind])
-    docs = []
-    for _ in range(args.count):
-        drawn = factory(rng)
-        text = mmo_to_json(drawn) if args.kind == "mmo" else instance_to_json(drawn)
-        docs.append(json.loads(text))
+    document = mmo_document if args.kind == "mmo" else instance_document
+    docs = [document(factory(rng)) for _ in range(args.count)]
     return 0, (docs[0] if args.count == 1 else docs)
 
 
 def _write_dot(args, name, text):
-    directory = getattr(args, "dot", None)
+    directory = args.dot
     if not directory:
         return
     stem = os.path.splitext(os.path.basename(args.instance))[0]
@@ -278,8 +270,12 @@ def _write_dot(args, name, text):
         raise ValueError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
 
 
-def _add_instance_argument(parser):
-    parser.add_argument("instance", help="path to the instance document")
+def _option(*names, **settings):
+    """A parser without help that holds one option, for the subcommands
+    that take it to list among their parents."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(*names, **settings)
+    return parser
 
 
 def _build_parser():
@@ -289,56 +285,47 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="check a vertex set against an instance")
+    instance = _option("instance", help="path to the instance document")
+    # an edge list carries no budget, so --k comes with --format
+    fmt = _option("--format", choices=("json", "edgelist"), default="json")
+    fmt.add_argument("--k", type=int, help="budget for edge list inputs")
+    budget = _option("--budget", type=int, default=DEFAULT_BUDGET)
+    mode = _option("--mode", choices=MODES)
+    dot = _option("--dot", help="directory for DOT exports")
+
+    p = sub.add_parser("verify", help="check a vertex set against an instance",
+                       parents=[fmt, mode, instance])
     p.add_argument("-S", "--set", required=True, help="comma separated vertex names")
-    p.add_argument("--format", choices=("json", "edgelist"), default="json")
-    p.add_argument("--k", type=int, help="budget for edge list inputs")
-    p.add_argument("--mode", choices=("at-most", "exact"))
-    _add_instance_argument(p)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("solve", help="run the exhaustive solver")
-    p.add_argument(
-        "--goal",
-        choices=("decide", "minimum", "enumerate-all", "count"),
-        default="decide",
-    )
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p = sub.add_parser("solve", help="run the exhaustive solver",
+                       parents=[budget, fmt, mode, instance])
+    p.add_argument("--goal", choices=GOALS, default="decide")
     p.add_argument("--connected", action="store_true",
                    help="prune to connected candidate sets")
-    p.add_argument("--format", choices=("json", "edgelist"), default="json")
-    p.add_argument("--k", type=int, help="budget for edge list inputs")
-    p.add_argument("--mode", choices=("at-most", "exact"))
-    _add_instance_argument(p)
     p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("reduce", help="apply one reduction stage or the chain")
+    p = sub.add_parser("reduce", help="apply one reduction stage or the chain",
+                       parents=[budget, dot, instance])
     p.add_argument("--stage", choices=STAGE_TAGS)
     p.add_argument("--chain", action="store_true")
     p.add_argument("--stages", type=int, default=len(STAGE_TAGS),
                    choices=range(1, len(STAGE_TAGS) + 1),
                    help="how many chain stages to run")
     p.add_argument("--td", help="tree decomposition to transform along")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--max-vertices", type=int, default=MATERIALIZE_CAP)
-    p.add_argument("--dot", help="directory for DOT exports")
-    _add_instance_argument(p)
     p.set_defaults(handler=_cmd_reduce)
 
-    p = sub.add_parser("decompose", help="tree decomposition of the primal graph")
+    p = sub.add_parser("decompose", help="tree decomposition of the primal graph",
+                       parents=[fmt, dot, instance])
     p.add_argument("--nice", action="store_true")
     p.add_argument("--exact", action="store_true",
                    help="verify the width against the exact treewidth")
-    p.add_argument("--format", choices=("json", "edgelist"), default="json")
-    p.add_argument("--k", type=int, help="budget for edge list inputs")
-    p.add_argument("--dot", help="directory for DOT exports")
-    _add_instance_argument(p)
     p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser("roundtrip", help="audit the solution bijection of a stage")
+    p = sub.add_parser("roundtrip", help="audit the solution bijection of a stage",
+                       parents=[budget, instance])
     p.add_argument("--stage", choices=STAGE_TAGS, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    _add_instance_argument(p)
     p.set_defaults(handler=_cmd_roundtrip)
 
     p = sub.add_parser("gen", help="draw a seeded random instance")
@@ -376,9 +363,16 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
-    if report is not None:
+    try:
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; what is still buffered would fail again
+        # when the interpreter flushes stdout at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -16,55 +16,32 @@ from itertools import accumulate, chain, groupby, repeat
 from operator import eq, itemgetter
 
 
-# role -> short tag used in the canonical string rendering
-_TAGS = {
-    "helper-h": "h",
-    "edge-copy": "ec",
-    "edge-copy-forbidden": "ecf",
-    "chain-Y": "y",
-    "chain-Y-forbidden": "yf",
-    "chain-Z": "z",
-    "chain-Z-forbidden": "zf",
-    "triangle": "tri",
-    "primed": "p",
-    "fan-hub": "fh",
-    "fan-leaf": "fl",
-    "A-chain": "a",
-    "A-chain-forbidden": "af",
-    "g": "gv",
-    "h": "hv",
-    "g-forbidden": "gvf",
-    "h-forbidden": "hvf",
-}
-_TAG_TO_DECORATION = {tag: dec for dec, tag in _TAGS.items()}
-
-# decorations whose identity includes a second vertex name
-_WITH_PARTNER = frozenset(
-    ["edge-copy", "edge-copy-forbidden", "chain-Z", "chain-Z-forbidden", "triangle"]
+# every vertex role in rank order, "original" first and then by name:
+# (role, tag of its rendering, whether it names a partner vertex, the
+# index counts it takes). A chain-Z hub has no index and its elements
+# one; a nested chain-Z element may carry two
+_ROLES = (
+    ("original", None, False, (0,)),
+    ("A-chain", "a", False, (1,)),
+    ("A-chain-forbidden", "af", False, (1,)),
+    ("chain-Y", "y", False, (1,)),
+    ("chain-Y-forbidden", "yf", False, (1,)),
+    ("chain-Z", "z", True, (0, 1, 2)),
+    ("chain-Z-forbidden", "zf", True, (1,)),
+    ("edge-copy", "ec", True, (1,)),
+    ("edge-copy-forbidden", "ecf", True, (1,)),
+    ("fan-hub", "fh", False, (0,)),
+    ("fan-leaf", "fl", False, (1,)),
+    ("g", "gv", False, (0,)),
+    ("g-forbidden", "gvf", False, (0,)),
+    ("h", "hv", False, (0,)),
+    ("h-forbidden", "hvf", False, (0,)),
+    ("helper-h", "h", False, (1,)),
+    ("primed", "p", False, (0,)),
+    ("triangle", "tri", True, (0,)),
 )
-# decorations carrying exactly one index
-_ONE_INDEX = frozenset(
-    [
-        "helper-h",
-        "edge-copy",
-        "edge-copy-forbidden",
-        "chain-Y",
-        "chain-Y-forbidden",
-        "chain-Z-forbidden",
-        "fan-leaf",
-        "A-chain",
-        "A-chain-forbidden",
-    ]
-)
-# decorations carrying no index ("chain-Z" may carry zero or one: the
-# hub vertex of a chain has none, its elements have one)
-_NO_INDEX = frozenset(
-    ["original", "triangle", "primed", "fan-hub", "g", "h", "g-forbidden", "h-forbidden"]
-)
-
-_DECORATIONS = ["original"] + sorted(_TAGS)
-_DECORATION_RANK = {dec: i for i, dec in enumerate(_DECORATIONS)}
-_RANK_TAGS = [None] + [_TAGS[dec] for dec in _DECORATIONS[1:]]
+_RANK = {row[0]: rank for rank, row in enumerate(_ROLES)}
+_TAG_ROLE = {row[1]: row[0] for row in _ROLES}
 
 _PLAIN_NAME = re.compile(r"[^\s./{}#]+\Z")
 _SPACE = re.compile(r"\s")
@@ -72,7 +49,7 @@ _TAIL = re.compile(r"([a-z]+)(\d+(?:_\d+)?)?\Z")
 
 
 def _is_plain(name):
-    return bool(_PLAIN_NAME.match(name))
+    return _PLAIN_NAME.match(name)
 
 
 def _atom(name):
@@ -99,37 +76,39 @@ class VertexId(tuple):
 
     def __new__(cls, base, decoration="original", indices=(), partner=None):
         indices = tuple(indices)
-        if decoration != "original" and decoration not in _TAGS:
+        rank = _RANK.get(decoration)
+        if rank is None:
             raise ValueError("unknown vertex decoration: %r" % (decoration,))
+        with_partner, counts = _ROLES[rank][2:]
         if not base or _SPACE.search(base):
             raise ValueError("bad vertex base name: %r" % (base,))
         if base.count("{") != base.count("}"):
             raise ValueError("unbalanced braces in vertex base: %r" % (base,))
-        if decoration == "original" and not _is_plain(base):
+        if not rank and not _is_plain(base):
             raise ValueError(
                 "plain vertex name %r may not contain '.', '/', braces or '#'" % (base,)
             )
-        if (partner is not None) != (decoration in _WITH_PARTNER):
+        if (partner is not None) != with_partner:
             raise ValueError(
                 "decoration %r %s a partner vertex"
                 % (decoration, "requires" if partner is None else "forbids")
             )
-        if partner is not None and (not partner or _SPACE.search(partner)):
+        if with_partner and (not partner or _SPACE.search(partner)):
             raise ValueError("bad partner name: %r" % (partner,))
         if len(indices) > 2 or not all(isinstance(i, int) and i >= 0 for i in indices):
             raise ValueError("indices must be at most two non-negative ints")
-        if decoration in _ONE_INDEX and len(indices) != 1:
-            raise ValueError("decoration %r takes exactly one index" % (decoration,))
-        if decoration in _NO_INDEX and indices:
-            raise ValueError("decoration %r takes no index" % (decoration,))
-        return tuple.__new__(cls, (base, _DECORATION_RANK[decoration], partner or "", indices))
+        if len(indices) not in counts:
+            raise ValueError("decoration %r takes %s" % (
+                decoration, "exactly one index" if counts[0] else "no index"
+            ))
+        return tuple.__new__(cls, (base, rank, partner or "", indices))
 
     base = property(itemgetter(0))
     indices = property(itemgetter(3))
 
     @property
     def decoration(self):
-        return _DECORATIONS[self[1]]
+        return _ROLES[self[1]][0]
 
     @property
     def partner(self):
@@ -139,9 +118,7 @@ class VertexId(tuple):
         return (self.base, self.decoration, self.indices, self.partner)
 
     def __repr__(self):
-        return "VertexId(base=%r, decoration=%r, indices=%r, partner=%r)" % (
-            self.__getnewargs__()
-        )
+        return "VertexId(base=%r, decoration=%r, indices=%r, partner=%r)" % self.__getnewargs__()
 
     def render(self):
         base, rank, partner, indices = self
@@ -150,7 +127,7 @@ class VertexId(tuple):
         left = _atom(base)
         if partner:
             left += "." + _atom(partner)
-        return left + "/" + _RANK_TAGS[rank] + "_".join(map(str, indices))
+        return left + "/" + _ROLES[rank][1] + "_".join(map(str, indices))
 
     __str__ = render
 
@@ -161,22 +138,20 @@ class VertexId(tuple):
 
 def _split_top_level(text, sep):
     """Split at sep occurrences that are not inside braces."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
+    parts, depth, start = [], 0, 0
+    for at, ch in enumerate(text):
         if ch == "{":
             depth += 1
         elif ch == "}":
             depth -= 1
             if depth < 0:
-                raise ValueError("unbalanced braces in vertex name: %r" % (text,))
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
+                break
+        elif ch == sep and not depth:
+            parts.append(text[start:at])
+            start = at + 1
+    if depth:
         raise ValueError("unbalanced braces in vertex name: %r" % (text,))
-    parts.append("".join(cur))
+    parts.append(text[start:])
     return parts
 
 
@@ -201,29 +176,21 @@ def parse_vertex(text):
     """Parse a canonical rendering back into a VertexId."""
     if not text or _SPACE.search(text):
         raise ValueError("bad vertex name: %r" % (text,))
-    pieces = _split_top_level(text, "/")
-    if len(pieces) == 1:
-        return VertexId(_parse_atom_plain_only(text))
-    left, tail = "/".join(pieces[:-1]), pieces[-1]
+    *left, tail = _split_top_level(text, "/")
+    if not left:
+        if not _is_plain(text):
+            raise ValueError("bad vertex name: %r" % (text,))
+        return VertexId(text)
     m = _TAIL.match(tail)
-    if not m or m.group(1) not in _TAG_TO_DECORATION:
+    decoration = _TAG_ROLE.get(m.group(1)) if m else None
+    if decoration is None:
         raise ValueError("bad vertex role tag in %r" % (text,))
-    decoration = _TAG_TO_DECORATION[m.group(1)]
-    indices = tuple(int(p) for p in m.group(2).split("_")) if m.group(2) else ()
-    atoms = _split_top_level(left, ".")
-    if len(atoms) == 1:
-        base, partner = _parse_atom(atoms[0]), None
-    elif len(atoms) == 2:
-        base, partner = _parse_atom(atoms[0]), _parse_atom(atoms[1])
-    else:
+    indices = tuple(map(int, m.group(2).split("_"))) if m.group(2) else ()
+    atoms = _split_top_level("/".join(left), ".")
+    if len(atoms) > 2:
         raise ValueError("too many '.' separators in %r" % (text,))
-    return VertexId(base, decoration, indices, partner)
-
-
-def _parse_atom_plain_only(text):
-    if not _is_plain(text):
-        raise ValueError("bad vertex name: %r" % (text,))
-    return text
+    base, *partner = map(_parse_atom, atoms)
+    return VertexId(base, decoration, indices, *partner)
 
 
 def _vertex_name(raw, context):
@@ -239,9 +206,8 @@ class _Document(dict):
     """The object of a JSON instance document, an alliance instance or
     an orientation target, with the readers of its fields."""
 
-    def __init__(self, document, required=()):
-        """The document of JSON text, or of the object it decodes to,
-        once every required field is present."""
+    def __init__(self, document):
+        """The document of JSON text, or of the object it decodes to."""
         if not isinstance(document, dict):
             try:
                 document = json.loads(document)
@@ -250,9 +216,16 @@ class _Document(dict):
             if not isinstance(document, dict):
                 raise ValueError("instance document must be a JSON object")
         super().__init__(document)
+
+    def expect(self, required, optional=()):
+        """Refuse the document unless every required field is present
+        and every other field is an optional one."""
         for field in required:
             if field not in self:
                 raise ValueError("missing field: %s" % (field,))
+        unknown = self.keys() - {*required, *optional}
+        if unknown:
+            raise ValueError("unknown field: %s" % (min(unknown),))
 
     def integer(self, field):
         value = self[field]
@@ -730,9 +703,6 @@ class Graph:
     def degree(self, v):
         i = self._id(v)
         return self.first[i + 1] - self.first[i]
-
-    def open_neighborhood(self, v):
-        return frozenset(self.neighbors(v))
 
     def closed_neighborhood(self, v):
         return frozenset(self.neighbors(v)) | {v}

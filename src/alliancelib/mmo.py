@@ -120,8 +120,10 @@ def _orientations_within(instance, r):
             yield Orientation({e: e[::-1] if mask >> i & 1 else e for i, e in enumerate(edges)})
 
 
-def mmo_to_json(instance):
-    payload = {
+def mmo_document(instance):
+    """The JSON document of an orientation target, as the object to
+    encode."""
+    return {
         "vertices": [str(u) for u in instance.graph.sorted_vertices()],
         "edges": [
             [str(u), str(w), instance.weights[(u, w)]]
@@ -129,13 +131,17 @@ def mmo_to_json(instance):
         ],
         "r": instance.r,
     }
-    return json.dumps(payload, indent=2) + "\n"
+
+
+def mmo_to_json(instance):
+    return json.dumps(mmo_document(instance), indent=2) + "\n"
 
 
 def mmo_from_json(text):
     """An orientation target from its document, given as JSON text or as
     the object it decodes to."""
-    document = _Document(text, ("vertices", "edges", "r"))
+    document = _Document(text)
+    document.expect(("vertices", "edges", "r"))
     vertices = document.vertices("vertices", "vertex")
     rows = document.rows("edges", "edge", 3)
     r = document.integer("r")

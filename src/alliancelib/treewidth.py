@@ -8,6 +8,7 @@ are always iterated in node id order, so every traversal here is
 deterministic.
 """
 
+import heapq
 import itertools
 from array import array
 from bisect import bisect_left, bisect_right
@@ -556,50 +557,66 @@ def treewidth_exact_small(graph):
     return f[full]
 
 
+def _fill(neighbours, u):
+    """How many pairs of u's neighbours are not adjacent."""
+    ns = neighbours[u]
+    degree = len(ns)
+    # each edge among them is counted from both its ends
+    inside = sum(len(ns & neighbours[a]) for a in ns)
+    return degree * (degree - 1) // 2 - inside // 2
+
+
 def heuristic_td(graph):
     """Min-fill elimination ordering turned into a decomposition over
-    the graph's vertex table.
+    the graph's vertex table: each step eliminates the vertex of least
+    fill, the least id, which is the least name, on a tie.
+
+    Eliminating a vertex changes the fill of its neighbours and of
+    theirs only, so only those are scored again. A heap holds the
+    scores, and it passes over an entry that no longer matches its
+    vertex's score.
 
     No optimality promise; pair with treewidth_exact_small when a
     certificate is needed and the graph is small enough.
     """
     td = TreeDecomposition(graph)
-    verts = graph.sorted_vertices()
-    if not verts:
+    ids = graph.order.ids
+    if not ids:
         td.add_node(set())
         return td
-    cur = {u: set(graph.neighbors(u)) for u in verts}
-    order = []
+    first, adjacent = graph.first, graph.adjacent
+    # the table's own ints, which the bags then hold
+    neighbours = [set(map(ids.__getitem__, adjacent[first[u]:first[u + 1]])) for u in ids]
+    score = [_fill(neighbours, u) for u in ids]
+    heap = list(zip(score, ids))
+    heapq.heapify(heap)
+    position = [-1] * len(ids)
     bags = []
-    elim_neighbors = []
-    while cur:
-        best = None
-        best_fill = None
-        for u in sorted(cur):
-            ns = sorted(cur[u])
-            fill = sum(
-                1 for a, b in itertools.combinations(ns, 2) if b not in cur[a]
-            )
-            if best_fill is None or fill < best_fill:
-                best, best_fill = u, fill
-        ns = sorted(cur[best])
-        order.append(best)
-        bags.append({best} | set(ns))
-        elim_neighbors.append(ns)
-        for a, b in itertools.combinations(ns, 2):
-            cur[a].add(b)
-            cur[b].add(a)
+    while heap:
+        fill, u = heapq.heappop(heap)
+        if position[u] >= 0 or fill != score[u]:
+            continue
+        position[u] = len(bags)
+        ns = neighbours[u]
+        bags.append(tuple(sorted(ns | {u})))
+        touched = set(ns)
         for a in ns:
-            cur[a].discard(best)
-        del cur[best]
-    position = {u: i for i, u in enumerate(order)}
-    ids = [td.add_node(b) for b in bags]
-    for i in range(len(order) - 1):
-        ns = elim_neighbors[i]
+            na = neighbours[a]
+            na |= ns
+            na.discard(a)
+            na.discard(u)
+            touched |= na
+        for w in touched:
+            fill = _fill(neighbours, w)
+            if fill != score[w]:
+                score[w] = fill
+                heapq.heappush(heap, (fill, w))
+    parent = array("i", [-1]) * len(bags)
+    for i, bag in enumerate(bags[:-1]):
         # adjacent bags need not share vertices, so chaining an
         # exhausted component onto the next bag is harmless
-        above = ids[min(position[u] for u in ns)] if ns else ids[i + 1]
-        td._parent[ids[i]] = above
+        parent[i] = min((position[a] for a in bag if position[a] > i), default=i + 1)
+    td._bags, td._parent = bags, parent
     return td
 
 

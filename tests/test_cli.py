@@ -558,7 +558,7 @@ class TestGen:
 
     def test_alliance_kinds(self, capsys):
         for kind, variant in (
-            ("fnc", "FNC"), ("fn", "FN"), ("plain", "plain")
+            ("fnc", "FNC"), ("fn", "FN"), ("f", "F"), ("plain", "plain")
         ):
             code, report = run(capsys, ["gen", "--kind", kind, "--seed", "9"])
             assert code == 0
@@ -726,7 +726,13 @@ DOCUMENT_MESSAGES = {
         _instance_doc(forbidden=["a"], necessary=["a"]),
         "vertex a is both forbidden and necessary",
     ),
+    "misspelled-optional-fields": (
+        _instance_doc(k=2, necesary=["a"], forbiden=["a", "b"]),
+        "unknown field: forbiden",
+    ),
     "mmo-missing-vertices": (_target_doc(vertices=_ABSENT), "missing field: vertices"),
+    "mmo-with-k": (_target_doc(k=1), "unknown field: k"),
+    "mmo-with-forbidden": (_target_doc(forbidden=["a"]), "unknown field: forbidden"),
     "mmo-missing-edges": (_target_doc(edges=_ABSENT), "missing field: edges"),
     "mmo-vertices-not-list": (_target_doc(vertices=5), "field 'vertices' must be a list"),
     "mmo-vertices-as-string": (_target_doc(vertices="ab"), "field 'vertices' must be a list"),
@@ -848,6 +854,50 @@ def test_negative_limits_exit_two(capsys, tmp_path, case):
 
 def test_zero_count_draws_nothing(capsys):
     assert run(capsys, ["gen", "--kind", "plain", "--seed", "1", "--count", "0"]) == (0, [])
+
+
+class _ClosedPipe(io.TextIOWrapper):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gen", "--kind", "plain", "--seed", "7"], 0),
+    (["solve", "--goal", "minimum"], 1),
+])
+def test_a_closed_stdout_ends_the_request_with_its_own_code(
+    monkeypatch, capsys, tmp_path, argv, code
+):
+    if argv[0] == "solve":
+        # every vertex forbidden, so the answer is no
+        payload = _path_payload("ab", 2, forbidden=["a", "b"])
+        argv = argv + [write(tmp_path, "doc.json", json.dumps(payload))]
+    with open(tmp_path / "stdout", "wb") as raw:
+        stdout = _ClosedPipe(raw)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(argv) == code
+        # what is still buffered goes nowhere when the interpreter exits
+        assert os.path.samestat(os.fstat(stdout.fileno()), os.stat(os.devnull))
+        monkeypatch.undo()
+        stdout.close()
+    assert capsys.readouterr().err == ""
+
+
+def test_a_reader_that_stops_early_gets_no_traceback():
+    # a report larger than a pipe's buffer, read for one byte
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "alliancelib.cli", "gen", "--kind", "plain", "--seed", "7",
+         "--count", "1000"],
+        env=dict(os.environ, PYTHONPATH=package_root()),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(1) == b"["
+    proc.stdout.close()
+    _out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 class TestUsage:

@@ -176,6 +176,30 @@ class TestVertexId:
             with pytest.raises(ValueError):
                 VertexId(base, decoration, indices, partner)
 
+    @pytest.mark.parametrize("decoration", RANK)
+    def test_each_decoration_refuses_what_its_role_does_not_take(self, decoration):
+        # the index counts and the partner of the decoration's samples
+        counts = {len(indices) for role, indices, _ in ROLES if role == decoration}
+        partner = next(partner for role, _, partner in ROLES if role == decoration)
+        taken = "no index" if counts == {0} else "exactly one index"
+        for count in range(4):
+            indices = tuple(range(1, count + 1))
+            if count in counts:
+                assert VertexId("a", decoration, indices, partner).indices == indices
+                continue
+            with pytest.raises(ValueError) as caught:
+                VertexId("a", decoration, indices, partner)
+            assert str(caught.value) == (
+                "indices must be at most two non-negative ints" if count > 2
+                else "decoration %r takes %s" % (decoration, taken)
+            )
+        indices = tuple(range(1, min(counts) + 1))
+        with pytest.raises(ValueError) as caught:
+            VertexId("a", decoration, indices, None if partner else "b")
+        assert str(caught.value) == "decoration %r %s a partner vertex" % (
+            decoration, "requires" if partner else "forbids"
+        )
+
     def test_total_order_is_deterministic(self):
         ids = [
             VertexId("a", "chain-Y", (2,)),

@@ -1,5 +1,6 @@
-"""Stage decompositions of the one-edge chain targets at full size, and
-fn-to-f decompositions of seeded small instances.
+"""Stage decompositions of the one-edge chain targets at full size,
+fn-to-f decompositions of seeded small instances, and heuristic
+decompositions of seeded corpora.
 
 The digests pin td_to_lines byte for byte, node numbering and bag
 order included. The stage-3 decomposition is also validated against
@@ -15,8 +16,14 @@ import random
 
 import pytest
 
-from alliancelib.alliance import AllianceInstance
-from alliancelib.gen import random_necessary_toy
+from alliancelib.alliance import AllianceInstance, primal_graph
+from alliancelib.gen import (
+    random_forbidden_toy,
+    random_mmo,
+    random_necessary_toy,
+    random_pair_toy,
+    random_plain_instance,
+)
 from alliancelib.graph import Block, Graph, VertexId, VertexTable
 from alliancelib.reductions import build_stage, eliminate_pairs, mmo_to_alliance
 from alliancelib.treewidth import (
@@ -174,3 +181,70 @@ def test_small_fn_to_f_outputs_are_pinned(case):
     assert (len(out.nodes()), out.width(), digest(out)) == (nodes, width, pinned)
     assert validate_td(stage.result.graph, out).ok
     assert width <= nice.width() + 13
+
+
+def gnp_graph(seed):
+    """A seeded random graph on up to 30 vertices, of one of five
+    densities: many vertices tie on their fill."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    p = rng.choice((0.1, 0.2, 0.3, 0.5, 0.8))
+    verts = [VertexId("v%d" % i) for i in range(n)]
+    return Graph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
+
+
+def drawn(draw):
+    return lambda seed: primal_graph(draw(random.Random(seed)))
+
+
+def chain_stage(seed):
+    """Stage 1's primal graph (odd seeds) or stage 2's graph (even
+    seeds) of the one-edge target with w = seed // 3 + 1, r = seed % 3 + 1."""
+    w, r = divmod(seed, 3)
+    first = mmo_to_alliance(one_edge_target(w + 1, r + 1)).result
+    return primal_graph(first) if seed % 2 else eliminate_pairs(first).result.graph
+
+
+# corpus: (its source, graphs, vertices in all, digest of the td_to_lines
+# of each graph's heuristic_td in turn)
+HEURISTIC_TD = {
+    "gnp": (gnp_graph, 300, 4571,
+            "5e92db46ebbc9a843307841677b1d59cb513e636cf236aaaaa98c969700306d5"),
+    "plain": (drawn(random_plain_instance), 100, 625,
+              "fd9c11026aaa12049d6321c210497b8f58028207367078b0bae09ee9c3ee7f2f"),
+    "pair-toy": (drawn(random_pair_toy), 50, 100,
+                 "43f27cc05c2313394745ee2f612892f8da7fb8965fe3e8bdecc74a32b3d05aa1"),
+    "necessary-toy": (drawn(random_necessary_toy), 50, 98,
+                      "0e6d22b6e0603ed79d0ab1e567d70fdee589676cb70a099bf6f3d011f3334792"),
+    "forbidden-toy": (drawn(random_forbidden_toy), 50, 121,
+                      "5c26490e3feabc35f6a8851ef68e821998e615a075a1778e266fe926de070f77"),
+    "mmo": (lambda seed: random_mmo(random.Random(seed)).graph, 50, 151,
+            "96132cec87358750e304ad013c9659d38052145aca17e03f88da4534133deed5"),
+    "chain-stage": (chain_stage, 6, 5891,
+                    "5a3ccfd5510924953a5ed8b0c948564af0d776d5bb1863a40e7cbbc623f487be"),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(HEURISTIC_TD))
+def test_heuristic_decompositions_are_pinned(corpus):
+    source, count, vertices, pinned = HEURISTIC_TD[corpus]
+    graphs = [source(seed) for seed in range(count)]
+    assert sum(len(g.order) for g in graphs) == vertices
+    lines = "".join(td_to_lines(heuristic_td(g)) for g in graphs)
+    assert hashlib.sha256(lines.encode()).hexdigest() == pinned
+
+
+def test_heuristic_decomposition_of_a_stage_prefix_is_pinned():
+    # the first 1,000 ids of the 13,191-vertex stage 2 of the w=3 r=3
+    # target: a full rescan per elimination step took 3.4 s here
+    first = mmo_to_alliance(one_edge_target(3, 3)).result
+    graph = eliminate_pairs(first).result.graph
+    assert len(graph.order) == 13191
+    prefix = graph.induced(graph.order[:1000])
+    td = heuristic_td(prefix)
+    assert td.width() == 3
+    assert digest(td) == "11238cd6b2aac65a44c646a693aa7aff4ac643f5a3e31f5ffc02e014bd04d074"
+    assert validate_td(prefix, td).ok
+    # bag entries are the table's own ints
+    index, order = prefix.index, prefix.order
+    assert all(u is index[order[u]] for bag in td._bags for u in bag)
