@@ -139,17 +139,16 @@ class AllianceInstance:
 def _members(graph, candidate):
     """The ids of the candidate's vertices, and a bytearray over the ids
     that marks them. A VertexSet over the graph's table gives its own
-    ids; any other candidate is looked up name by name."""
+    ids; any other candidate is looked up name by name, and the least
+    name the graph lacks is reported, whatever the set's hash order."""
     if isinstance(candidate, VertexSet) and candidate.table is graph.order:
         members = candidate.ids
     else:
-        find = graph.order.find
-        members = []
-        for u in frozenset(candidate):
-            i = find(u)
-            if i is None:
-                raise ValueError("candidate vertex %s is not in the graph" % (u,))
-            members.append(i)
+        candidate = frozenset(candidate)
+        members = list(map(graph.order.find, candidate))
+        if None in members:
+            unknown = min(u for u, i in zip(candidate, members) if i is None)
+            raise ValueError("candidate vertex %s is not in the graph" % (unknown,))
     inside = bytearray(len(graph.order))
     for i in members:
         inside[i] = 1

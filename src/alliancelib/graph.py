@@ -577,10 +577,13 @@ class Graph:
     Graph(vertices, edges) sorts the names into a table of one explicit
     block and turns each edge into an int key i * n + j over the ids,
     with i < j. The reduction stages lay their tables out in blocks
-    themselves and emit such keys directly; both reach the arrays
-    through the same core. At its peak the core holds the list of keys,
-    the two arrays and one write position per vertex: it never holds
-    both orientations of the edges as ints, nor a list of arcs.
+    themselves and emit such keys directly, most of them in families:
+    ranges of keys, each a fan or a run of a gadget. Int keys are
+    sorted in place and written by two loops, which at their peak hold
+    the list of keys, the two arrays and one write position per vertex,
+    never both orientations of the edges as ints nor a list of arcs. A
+    family is written without a loop over its members: by slices of
+    the arrays over the rows it reaches (see _fill).
     """
 
     def __init__(self, vertices, edges=()):
@@ -607,7 +610,9 @@ class Graph:
     def _from_keys(cls, order, keys):
         """Graph on a VertexTable, or on names already in strictly
         increasing order, with each edge an int key i * len(order) + j
-        over their ids, i < j.
+        over their ids, i < j, or a member of a family: a range of such
+        keys with step 1 (a fan from one id), step len(order) (a fan
+        into one id) or step len(order) + 1 (a run of parallel edges).
 
         An edge may appear more than once, but only in that orientation.
         The list of keys is consumed. The caller vouches for the order
@@ -616,49 +621,59 @@ class Graph:
         if not isinstance(order, VertexTable):
             order = VertexTable([Block(tuple(order))])
         graph = cls.__new__(cls)
-        graph._build_arrays(order, keys)
+        if range in map(type, keys):
+            # only the stage builders emit families
+            from ._fill import family_arrays
+            graph._build_arrays(order, keys, *family_arrays(len(order), keys))
+        else:
+            graph._build_arrays(order, keys)
         return graph
 
-    def _build_arrays(self, order, keys):
+    def _build_arrays(self, order, keys, first=None, adjacent=None):
+        """Set the graph over order: with the arrays first and adjacent
+        when given, else with those of the int keys, which are consumed."""
         n = len(order)
         self.order, self.index = order, _Index(order)
         self.vertices = VertexSet(order, range(n))
-        # sorted, each edge's repeats are adjacent and the edges come by
-        # i, then j
-        keys.sort()
-        # a row's first key finds i by a division, the rest by comparison
-        degree = [0] * n
-        last = end = -1
-        for key in keys:
-            if key != last:
-                last = key
-                if key >= end:
-                    i = key // n
-                    start = i * n
-                    end = start + n
-                degree[i] += 1
-                degree[key - start] += 1
-        first = array("i", accumulate(degree, initial=0))
-        del degree
-        # in that order, row j gets each i < j while the rows before it
-        # are walked, then its own j's as it is: each row comes out sorted
-        adjacent = array("i", [0]) * first[n]
-        free = first.tolist()
-        last = end = -1
-        for key in keys:
-            if key != last:
-                last = key
-                if key >= end:
-                    i = key // n
-                    start = i * n
-                    end = start + n
-                    at = free[i]
-                j = key - start
-                adjacent[at] = j
-                at += 1
-                adjacent[free[j]] = i
-                free[j] += 1
-        del keys[:]
+        if first is None:
+            # sorted, each edge's repeats are adjacent and the edges come
+            # by i, then j
+            keys.sort()
+            # a row's first key finds i by a division, the rest by
+            # comparison
+            degree = [0] * n
+            last = end = -1
+            for key in keys:
+                if key != last:
+                    last = key
+                    if key >= end:
+                        i = key // n
+                        start = i * n
+                        end = start + n
+                    degree[i] += 1
+                    degree[key - start] += 1
+            first = array("i", accumulate(degree, initial=0))
+            del degree
+            # in that order, row j gets each i < j while the rows before
+            # it are walked, then its own j's as it is: each row comes
+            # out sorted
+            adjacent = array("i", [0]) * first[n]
+            free = first.tolist()
+            last = end = -1
+            for key in keys:
+                if key != last:
+                    last = key
+                    if key >= end:
+                        i = key // n
+                        start = i * n
+                        end = start + n
+                        at = free[i]
+                    j = key - start
+                    adjacent[at] = j
+                    at += 1
+                    adjacent[free[j]] = i
+                    free[j] += 1
+            del keys[:]
         self.first, self.adjacent = first, adjacent
         self.edges = _Edges(order, first, adjacent)
 

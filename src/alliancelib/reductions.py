@@ -196,6 +196,11 @@ def _source_keys(graph, inputs, n):
     return keys
 
 
+# the fewest keys that go to Graph._from_keys as a family rather than
+# one by one: its two key loops handle fewer faster than the fill would
+_FAMILY_KEYS = 64
+
+
 def _key(n, i, j):
     """Key of the edge between ids i and j, i * n + j with i < j: the
     order Graph._from_keys takes, in which the helpers below emit
@@ -203,18 +208,27 @@ def _key(n, i, j):
     return i * n + j if i < j else j * n + i
 
 
+def _family(keys):
+    """A range of keys as a builder adds them to its list: in a list of
+    one, so that they reach Graph._from_keys as one family, or, when
+    there are too few to pay for a segment of the family fill, as the
+    range itself, whose keys go in one by one."""
+    return [keys] if len(keys) >= _FAMILY_KEYS else keys
+
+
 def _fan(n, i, j, count):
     """Keys of the edges from id i to ids j .. j + count - 1, none of
-    them i."""
+    them i, as _family adds them."""
     if i < j:
-        return range(i * n + j, i * n + j + count)
-    return range(j * n + i, (j + count) * n + i, n)
+        return _family(range(i * n + j, i * n + j + count))
+    return _family(range(j * n + i, (j + count) * n + i, n))
 
 
 def _run(n, i, j, count):
-    """Keys of the edges (i + t, j + t) for t < count."""
+    """Keys of the edges (i + t, j + t) for t < count, as _family adds
+    them."""
     key = _key(n, i, j)
-    return range(key, key + count * (n + 1), n + 1)
+    return _family(range(key, key + count * (n + 1), n + 1))
 
 
 def _oplus(n, u, u_forbidden, w, w_forbidden):
@@ -230,7 +244,7 @@ def _oplus(n, u, u_forbidden, w, w_forbidden):
 
 def _chain(n, chain, twins):
     """Keys of the _oplus couplings of consecutive members of a chain
-    block and of its block of forbidden twins."""
+    block and of its block of forbidden twins: four runs."""
     length = chain.count
     if length < 2:
         return []

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from alliancelib import reductions
 from alliancelib.gen import (
     random_forbidden_toy,
     random_mmo,
@@ -130,8 +131,12 @@ TOY_BUILDS = {
 }
 
 
+# the fewest keys a family has to reach Graph._from_keys as a range: by
+# default most toy families go in key by key, with 1 none does
+@pytest.mark.parametrize("family_keys", [reductions._FAMILY_KEYS, 1])
 @pytest.mark.parametrize("tag", sorted(TOY_BUILDS))
-def test_stage_builders_on_seeded_toys_are_pinned(tag):
+def test_stage_builders_on_seeded_toys_are_pinned(monkeypatch, tag, family_keys):
+    monkeypatch.setattr(reductions, "_FAMILY_KEYS", family_keys)
     rng = random.Random(2301)
     graphs = [TOY_BUILDS[tag](rng).result.graph for _ in range(300)]
     assert digest(graphs) == TOYS[tag]

@@ -9,7 +9,7 @@ import weakref
 from itertools import accumulate
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import alliancelib
 import alliancelib.graph
@@ -644,6 +644,43 @@ def keyed_edges(draw):
 @example((2, [1, 2, 1, 2]))
 def test_the_array_core_gives_the_sorted_arcs(case):
     assert_built_from_keys(*case)
+
+
+@st.composite
+def key_families(draw):
+    """A vertex count and a mix of families, the ranges of keys the
+    stage builders emit, with explicit int keys, some repeated: fans
+    from an id (step 1), fans into an id (step n) and runs of parallel
+    edges (step n + 1), of any length from 0, in any order."""
+    n = draw(st.integers(2, 90))
+    ids = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    entries = []
+    for shape in draw(st.lists(st.sampled_from(("from", "into", "run", "key")), max_size=12)):
+        i, j = sorted(draw(ids))
+        key = i * n + j
+        if shape == "key":
+            entries += [key] * draw(st.integers(1, 3))
+        elif shape == "from":
+            entries.append(range(key, key + draw(st.integers(0, n - j))))
+        elif shape == "into":
+            entries.append(range(key, key + draw(st.integers(0, j - i)) * n, n))
+        else:
+            entries.append(range(key, key + draw(st.integers(0, n - j)) * (n + 1), n + 1))
+    return n, draw(st.permutations(entries))
+
+
+@given(key_families())
+@settings(max_examples=300)
+# rows 1-3 hold the constant 5, which the run (t, 3 + t) reaches at row
+# 2; the explicit key (1, 4) repeats a member of that run; empty and
+# one-key families
+@example((10, [range(3, 58, 11), range(15, 45, 10), 14, 14, range(5, 5), range(13, 14)]))
+@example((2, [range(1, 2)]))
+def test_families_build_the_arrays_of_their_keys(case):
+    n, entries = case
+    keys = [key for entry in entries for key in (entry if isinstance(entry, range) else (entry,))]
+    g = Graph._from_keys([v("x%03d" % i) for i in range(n)], list(entries))
+    assert (list(g.first), list(g.adjacent)) == reference_arrays(n, keys)
 
 
 def test_repeats_of_an_edge_far_apart_count_once():

@@ -110,13 +110,16 @@ def test_stage_results_are_laid_out_in_sorted_order(corpus):
 
 
 def test_the_stages_emit_every_key_with_its_lower_id_first(monkeypatch):
-    # Graph._from_keys takes keys i * n + j with i < j and checks none
+    # Graph._from_keys takes keys i * n + j with i < j, alone or in
+    # families (ranges), and checks none
     build = Graph._from_keys.__func__
     checked = []
 
     def strict(cls, order, keys):
         n = len(order)
-        assert all(key % n > key // n for key in keys)
+        for family in keys:
+            members = family if isinstance(family, range) else (family,)
+            assert all(key % n > key // n for key in members)
         checked.append(n)
         return build(cls, order, keys)
 
@@ -153,6 +156,22 @@ def test_stage_three_at_full_size(stage_three):
     predicted = stage_three.third.kind.counts(source_stats(stage_three.second.result))
     assert len(result.forbidden) == predicted["forbidden"]
     assert result.k == predicted["k"]
+
+
+def test_stage_three_reaches_the_graph_core_as_families(stage_three, monkeypatch):
+    # its fans and chain runs go in as ranges, not as a million ints
+    build = Graph._from_keys.__func__
+    entries = []
+
+    def spy(cls, order, keys):
+        entries.extend(keys)
+        return build(cls, order, keys)
+
+    monkeypatch.setattr(Graph, "_from_keys", classmethod(spy))
+    eliminate_necessary_auto(stage_three.second.result, stage_three.nice)
+    families = [entry for entry in entries if isinstance(entry, range)]
+    assert len(entries) == 6650 and len(families) == 2574
+    assert sum(map(len, families)) + len(entries) - len(families) == 1104461
 
 
 # objects whose referents lead out of a data structure into code
