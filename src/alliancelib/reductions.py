@@ -32,7 +32,7 @@ pipeline.
 
 from array import array
 from collections.abc import Set
-from itertools import chain
+from itertools import groupby
 from operator import attrgetter, itemgetter
 
 from ._record import record
@@ -679,6 +679,15 @@ def _transform_necessary(stage, td):
     4 vertices, and a join on 3, 6: no bag holds both the gadget and a
     join's threads, and none exceeds 5 + 4 + 4 = 13 vertices beyond its
     input bag. Each bag is built once, with its threads.
+
+    A column bag is its base (the anchor bag and the gadget base), the
+    link of its chain and its threads, in id order. For each chain of a
+    column and each run of its bags with the same threads, base and
+    threads are sorted once with the run's first link; every later bag
+    of the run writes its two chain ids and two twin ids over the
+    previous link's, at the same positions (_spliced). That gives the
+    bags sorting each one would, because a link's pairs are consecutive
+    ids of their blocks and no other id of the bag falls between them.
     """
     source = stage.source
     if not isinstance(td, NiceTreeDecomposition):
@@ -726,22 +735,21 @@ def _transform_necessary(stage, td):
     for u in sorted(anchor):
         x = anchor[u]
         base = bags[x]
-        links = _links(table, gadgets.a_chain[u], gadgets.a_chain_forbidden[u])
+        images = [u]
         if u not in necessary:
             base += tuple(
                 index[names[u]]
                 for names in (gadgets.primed, gadgets.g_vertex, gadgets.h_vertex,
                               gadgets.g_forbidden, gadgets.h_forbidden)
             )
-            primed = gadgets.primed[u]
-            primed_links = _links(table, gadgets.a_chain[primed], gadgets.a_chain_forbidden[primed])
-            links = chain(links, primed_links)
+            images.append(gadgets.primed[u])
         threads = [()] * height[x]
         for lo, hi, pair in spans.pop(x, ()):
             threads[lo:hi + 1] = [extra + pair for extra in threads[lo:hi + 1]]
-        column = [
-            tuple(sorted(base + link + extra)) for link, extra in zip(links, threads[lift[x]:])
-        ]
+        column = []
+        for i, image in enumerate(images):
+            links = _links(table, gadgets.a_chain[image], gadgets.a_chain_forbidden[image])
+            column += _spliced(base, links, threads[lift[x] + i * n:])
         if lift[x]:
             bags[x] = _with(bags[x], *threads[0])
         else:
@@ -750,6 +758,28 @@ def _transform_necessary(stage, td):
     for z, on in spans.items():
         bags[z] = _with(bags[z], *[i for _lo, _hi, pair in on for i in pair])
     return out
+
+
+def _spliced(base, links, threads):
+    """The bags tuple(sorted(base + link + extra)), one for each link of
+    one chain and the thread ids extra of its bag, with base and the
+    threads sorted once per run of bags with equal threads. A link is
+    two consecutive ids of the chain's block and the same two of its
+    twin block. Base and threads hold no id of either block but its
+    first, which a thread into the chain's own image brings only to
+    bags whose links lie above it; so in a run the four link ids keep
+    their positions, and each later bag writes its link over the last.
+    """
+    column = []
+    for extra, run in groupby(zip(threads, links), itemgetter(0)):
+        link = next(run)[1]
+        bag = sorted(base + link + extra)
+        column.append(tuple(bag))
+        a, b, c, d = map(bag.index, link)
+        for _extra, link in run:
+            bag[a], bag[b], bag[c], bag[d] = link
+            column.append(tuple(bag))
+    return column
 
 
 def _links(table, members, twins):

@@ -1,10 +1,16 @@
 """Exact solver for alliance instances: propagate-and-branch search.
 
-Necessary vertices are fixed in and forbidden vertices out. Every
-vertex keeps counts of its closed neighbors inside the set and still
-undecided; the closed neighborhood is the graph's own open slice plus
-the vertex itself, and no copy of the adjacency is made. After each
-assignment these rules run to a fixpoint:
+Necessary vertices are fixed in and forbidden vertices out. A member
+needs half of its closed neighborhood, rounded up, inside the set, and
+every vertex keeps two counts against that need: its slack, the closed
+neighbors inside or undecided beyond the need, and its deficit, the
+need less the closed neighbors inside. Putting a vertex in lowers the
+deficit of its closed neighborhood and leaves the slack as is; putting
+it out lowers the slack and leaves the deficit as is, so each
+assignment changes one count per neighbor. The closed neighborhood is
+the graph's own open slice plus the vertex itself, and no copy of the
+adjacency is made. After each assignment these rules run to a
+fixpoint:
 
 - each complementary pair has exactly one endpoint in;
 - a member that cannot reach half of its closed neighborhood even with
@@ -23,20 +29,23 @@ search node, and its free_count counts the vertices still open where
 the conflict was found.
 
 The search branches on an undecided neighbor of the member that is
-short of a majority with the least slack, or, with no member short, on
-the least undecided vertex, and tries in before out. An in-branch that
-would fail at the branch vertex itself, because the set is at its cap
-or the vertex cannot reach a majority even with every undecided
-neighbor, is refused without being assigned; it still counts as a
-node, so nodes counts the root and every branch tried, as before. The
-search walks an explicit stack and undoes assignments from a trail, so
-no search depth reaches the recursion limit. decide stops at the first
-solution, which need not be the least one; minimum is branch-and-bound
-on the size; count and enumerate-all visit every solution. The budget
-caps the search at 2^budget nodes.
+short of a majority (a positive deficit) with the least slack, or,
+with no member short, on the least undecided vertex, and tries in
+before out. An in-branch that would fail at the branch vertex itself,
+because the set is at its cap or the vertex cannot reach a majority
+even with every undecided neighbor (its slack is negative), is refused
+without being assigned; it still counts as a node, so nodes counts
+the root and every branch tried, as before. The search walks an
+explicit stack and undoes assignments from a trail, so no search depth
+reaches the recursion limit. decide stops at the first solution, which
+need not be the least one; minimum is branch-and-bound on the size;
+count and enumerate-all visit every solution. The budget caps the
+search at 2^budget nodes.
 """
 
 from array import array
+from itertools import compress
+from operator import sub
 
 from ._record import record
 from .alliance import AllianceInstance, is_defensive_alliance
@@ -102,12 +111,17 @@ class _Search:
     neighbors, checking members after an out-assignment, branch_vertex)
     walks the neighborhood of a vertex that is decided by then, so
     leaving that vertex out of the walk changes nothing. state holds
-    True (in), False (out) or None (undecided). inside and undecided
-    count, per vertex, the closed neighbors in the set and still
-    undecided; a member needs ceil(|N[v]|/2) neighbors inside.
-    short holds the members below that need. assign takes a queue of
-    signed ints, v to put v in and ~v to put it out, so no tuple is made
-    per forced vertex. Every assignment below the root goes on the
+    True (in), False (out) or None (undecided). slack and deficit are
+    the counts of the module docstring. An in-assignment lowers the
+    deficit of v and its neighbors and leaves every slack as is, so v,
+    the new member, is the only one checked; an out-assignment lowers
+    the slack of v and its neighbors, and one loop does that and checks
+    the members among them. A member with negative slack is a dead end;
+    one with zero slack and a positive deficit, which is then its
+    undecided count, forces its undecided neighbors in. short holds the
+    members with a positive deficit. assign takes a queue of signed
+    ints, v to put v in and ~v to put it out, so no tuple is made per
+    forced vertex. Every assignment below the root goes on the
     trail, an int array that keeps no int objects alive at a stage-3
     depth, and undo reverts the counts by replaying it backwards.
     The search starts from the root fixpoint: forbidden vertices out in
@@ -129,10 +143,15 @@ class _Search:
             i, j = self.table.find(x), self.table.find(y)
             self.partners.setdefault(i, []).append(j)
             self.partners.setdefault(j, []).append(i)
-        sizes = [first[i + 1] - first[i] + 1 for i in range(n)]
-        self.need = [(size + 1) // 2 for size in sizes]
-        undecided = self.undecided = sizes
-        self.inside = [0] * n
+        # of the d + 1 closed neighbors of a vertex of degree d, a
+        # member needs d // 2 + 1 in, so (d + 1) // 2 may be out; both
+        # are looked up per degree, and the degrees are let go before
+        # the root propagates
+        degrees = list(map(sub, first[1:], first[:-1]))
+        top = range(max(degrees, default=0) + 1)
+        slack = self.slack = list(map([(d + 1) // 2 for d in top].__getitem__, degrees))
+        self.deficit = list(map([d // 2 + 1 for d in top].__getitem__, degrees))
+        del degrees
         state = self.state = [None] * n
         self.short = set()
         self.trail = array("i")
@@ -144,9 +163,9 @@ class _Search:
         forbidden = instance.forbidden.ids
         for i in forbidden:
             state[i] = False
-            undecided[i] -= 1
+            slack[i] -= 1
             for u in adjacent[first[i]:first[i + 1]]:
-                undecided[u] -= 1
+                slack[u] -= 1
         self.open = n - len(forbidden)
         # size bounds off while the rules reach the root fixpoint; the
         # necessary ids come in id order, which keeps where a conflict
@@ -166,10 +185,10 @@ class _Search:
         """Apply the assignments in pending, v to put v in and ~v to put
         it out, and all they force; False as soon as the partial
         assignment is a dead end."""
-        state, first, adjacent, need = self.state, self.first, self.adjacent, self.need
-        inside, undecided, short = self.inside, self.undecided, self.short
+        state, first, adjacent = self.state, self.first, self.adjacent
+        slack, deficit, short = self.slack, self.deficit, self.short
         trail, partners, cap = self.trail, self.partners, self.cap
-        size, open_ = self.size, self.open
+        size, open_, exact, k = self.size, self.open, self.exact, self.k
         try:
             while pending:
                 v = pending.pop()
@@ -188,66 +207,65 @@ class _Search:
                     for p in partners.get(v, ()):
                         pending.append(~p if value else p)
                 neighbors = adjacent[first[v]:first[v + 1]]
-                undecided[v] -= 1
                 if value:
                     size += 1
-                    inside[v] += 1
+                    deficit[v] -= 1
                     for u in neighbors:
-                        inside[u] += 1
-                        undecided[u] -= 1
-                        if inside[u] == need[u]:
+                        deficit[u] -= 1
+                        if not deficit[u]:
                             short.discard(u)
-                    if inside[v] < need[v]:
+                    if deficit[v] > 0:
                         short.add(v)
-                    if size > cap:
+                    # an in neighbor leaves the slack of other members as
+                    # is, so only v is checked
+                    if size > cap or slack[v] < 0:
                         return False
-                    # an in neighbor leaves the slack of other members as is
-                    members = (v,)
-                else:
-                    for u in neighbors:
-                        undecided[u] -= 1
-                    if self.exact and size + open_ < self.k:
-                        return False
-                    members = neighbors
-                for u in members:
+                    if not slack[v] and deficit[v]:
+                        pending += [w for w in neighbors if state[w] is None]
+                    continue
+                slack[v] -= 1
+                # one loop lowers every neighbor's slack and checks the
+                # members among them; it runs to the end past a dead
+                # end, as undo restores every count
+                dead = exact and size + open_ < k
+                for u in neighbors:
+                    slack[u] -= 1
                     if state[u]:
-                        slack = inside[u] + undecided[u] - need[u]
-                        if slack < 0:
-                            return False
-                        if slack == 0 and undecided[u]:
+                        if slack[u] < 0:
+                            dead = True
+                        elif not slack[u] and deficit[u]:
                             pending += [
                                 w
                                 for w in adjacent[first[u]:first[u + 1]]
                                 if state[w] is None
                             ]
+                if dead:
+                    return False
             return True
         finally:
             self.size, self.open = size, open_
 
     def undo(self, mark):
         """Revert every assignment made since the trail had mark entries."""
-        state, first, adjacent, need = self.state, self.first, self.adjacent, self.need
-        inside, undecided, short, trail = (
-            self.inside, self.undecided, self.short, self.trail,
-        )
+        state, first, adjacent = self.state, self.first, self.adjacent
+        slack, deficit, short, trail = self.slack, self.deficit, self.short, self.trail
         while len(trail) > mark:
             v = trail.pop()
             value = state[v]
             state[v] = None
             self.open += 1
-            undecided[v] += 1
             if value:
                 self.size -= 1
-                inside[v] -= 1
+                deficit[v] += 1
                 short.discard(v)
                 for u in adjacent[first[v]:first[v + 1]]:
-                    inside[u] -= 1
-                    undecided[u] += 1
-                    if state[u] and inside[u] < need[u]:
+                    deficit[u] += 1
+                    if state[u] and deficit[u] > 0:
                         short.add(u)
             else:
+                slack[v] += 1
                 for u in adjacent[first[v]:first[v + 1]]:
-                    undecided[u] += 1
+                    slack[u] += 1
 
     def branch_vertex(self, cursor):
         """The vertex to branch on, and the least undecided id, which is
@@ -256,10 +274,8 @@ class _Search:
         vertex is taken."""
         state = self.state
         if self.short:
-            inside, undecided, need = self.inside, self.undecided, self.need
-            member = min(
-                self.short, key=lambda u: (inside[u] + undecided[u] - need[u], u)
-            )
+            slack = self.slack
+            member = min(self.short, key=lambda u: (slack[u], u))
             for w in self.adjacent[self.first[member]:self.first[member + 1]]:
                 if state[w] is None:
                     break
@@ -275,7 +291,7 @@ class _Search:
         return self.size > 0 and (not self.exact or self.size == self.k)
 
     def members(self):
-        return [i for i, value in enumerate(self.state) if value]
+        return list(compress(range(len(self.state)), self.state))
 
 
 def _empty_result(goal, free_count, nodes):
@@ -296,7 +312,7 @@ def solve(request):
     search; raises BudgetExceededError past 2^budget search nodes."""
     goal = request.goal
     search = _Search(request.instance)
-    inside, undecided, need = search.inside, search.undecided, search.need
+    slack = search.slack
     free_count = search.open
     # no search gets near 2^64 nodes, and a larger cap would only cost memory
     limit = 1 << min(request.budget, 64)
@@ -329,7 +345,7 @@ def solve(request):
             # cannot reach a majority even with every undecided neighbor
             ok = (
                 search.size < search.cap
-                and inside[v] + undecided[v] >= need[v]
+                and slack[v] >= 0
                 and search.assign([v])
             )
         elif frames:

@@ -9,6 +9,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from alliancelib import replace
 from alliancelib.alliance import AllianceInstance, is_solution
@@ -506,6 +507,71 @@ def test_the_search_reads_the_graph_arrays_in_place():
     search = _Search(instance)
     assert search.first is instance.graph.first
     assert search.adjacent is instance.graph.adjacent
+
+
+@st.composite
+def constrained_searches(draw):
+    """An instance on up to 9 vertices with necessary and forbidden
+    vertices and pairs of non-adjacent, non-forbidden ones, in either
+    mode, and a decision sequence: steps (pending, undo), where pending
+    holds 1-3 signed decisions, v to put v in and ~v to put it out."""
+    n = draw(st.integers(1, 9))
+    names = [v("x%d" % i) for i in range(n)]
+    pool = list(itertools.combinations(range(n), 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    roles = draw(st.lists(st.sampled_from("onf"), min_size=n, max_size=n))
+    apart = [
+        (i, j) for (i, j), edge in zip(pool, mask)
+        if not edge and "f" not in (roles[i], roles[j])
+    ]
+    pairs = draw(st.lists(st.sampled_from(apart), max_size=5)) if apart else []
+    mode = draw(st.sampled_from(("at-most", "exact")))
+    instance = AllianceInstance(
+        Graph(names, [(names[i], names[j]) for (i, j), edge in zip(pool, mask) if edge]),
+        k=draw(st.integers(1 if mode == "at-most" else 0, n)),
+        necessary=[x for x, role in zip(names, roles) if role == "n"],
+        forbidden=[x for x, role in zip(names, roles) if role == "f"],
+        pairs=[(names[i], names[j]) for i, j in pairs],
+        mode=mode,
+    )
+    decisions = st.lists(st.integers(-n, n - 1), min_size=1, max_size=3)
+    steps = st.tuples(decisions, st.integers(0, 3))
+    return instance, draw(st.lists(steps, max_size=20))
+
+
+def assert_counts_recounted(search):
+    """slack and deficit of every vertex, and short, as recounted from
+    state and the graph arrays."""
+    first, adjacent, state = search.first, search.adjacent, search.state
+    for u, value in enumerate(state):
+        closed = [state[w] for w in adjacent[first[u]:first[u + 1]]] + [value]
+        need = (len(closed) + 1) // 2
+        inside, undecided = closed.count(True), closed.count(None)
+        assert search.slack[u] == inside + undecided - need
+        assert search.deficit[u] == need - inside
+    assert search.short == {u for u, value in enumerate(state) if value and search.deficit[u] > 0}
+    assert (search.size, search.open) == (state.count(True), state.count(None))
+
+
+@given(constrained_searches())
+def test_slack_and_deficit_follow_every_assign_and_undo(case):
+    # a step assigns its decisions in one queue below a new mark, so
+    # that a forced vertex can meet a queued one as at the root, and
+    # undoes to that mark when the assignment is a dead end; undo 0
+    # backs up to the last mark instead, as an exhausted branch does
+    instance, steps = case
+    search = _Search(instance)
+    assert_counts_recounted(search)
+    marks = []
+    for pending, undo in steps:
+        if not undo and marks:
+            search.undo(marks.pop())
+        else:
+            marks.append(len(search.trail))
+            if not search.assign(pending):
+                assert_counts_recounted(search)
+                search.undo(marks.pop())
+        assert_counts_recounted(search)
 
 
 class TestDeepSearch:

@@ -25,7 +25,7 @@ from alliancelib.gen import (
     random_plain_instance,
 )
 from alliancelib.graph import Block, Graph, VertexId, VertexTable
-from alliancelib.reductions import build_stage, eliminate_pairs, mmo_to_alliance
+from alliancelib.reductions import _spliced, build_stage, eliminate_pairs, mmo_to_alliance
 from alliancelib.treewidth import (
     _tops,
     heuristic_td,
@@ -181,6 +181,43 @@ def test_small_fn_to_f_outputs_are_pinned(case):
     assert (len(out.nodes()), out.width(), digest(out)) == (nodes, width, pinned)
     assert validate_td(stage.result.graph, out).ok
     assert width <= nice.width() + 13
+
+
+def spliced_case(rng, members_below, threads_kind):
+    """A chain of up to 12 links over a member block and a twin block
+    of 300 ids, a shuffled base from outside both blocks, and threads
+    of pairs from outside them too: in runs laid over bag spans, one
+    new pair per bag, or, with spans, the chain's own first pair on
+    every bag above the first."""
+    length = rng.randint(1, 12)
+    c, f = (100, 200) if members_below else (200, 100)
+    links = [(c + i, f + i, c + i + 1, f + i + 1) for i in range(length)]
+    outside = [i for i in range(300) if not (c <= i <= c + length or f <= i <= f + length)]
+    drawn = rng.sample(outside, 40)
+    base, others = tuple(drawn[:rng.randint(0, 12)]), drawn[12:]
+    pairs = list(zip(others[::2], others[1::2]))
+    threads = [()] * length
+    if threads_kind == "per-bag":
+        threads = pairs[:length]
+    else:
+        if threads_kind == "own-first":
+            threads[1:] = [(c, f)] * (length - 1)
+        for pair in pairs[:rng.randint(0, 3)]:
+            lo = rng.randrange(length)
+            hi = rng.randrange(lo, length)
+            threads[lo:hi + 1] = [extra + pair for extra in threads[lo:hi + 1]]
+    return base, links, threads
+
+
+@pytest.mark.parametrize("members_below", [True, False], ids=["members-below", "members-above"])
+@pytest.mark.parametrize("threads_kind", ["runs", "per-bag", "own-first"])
+def test_spliced_bags_are_the_sorted_bags(members_below, threads_kind):
+    rng = random.Random("%s-%s" % (members_below, threads_kind))
+    for _ in range(200):
+        base, links, threads = spliced_case(rng, members_below, threads_kind)
+        assert _spliced(base, iter(links), threads) == [
+            tuple(sorted(base + link + extra)) for link, extra in zip(links, threads)
+        ]
 
 
 def gnp_graph(seed):
