@@ -3,7 +3,8 @@ fn-to-f decompositions of seeded small instances, and heuristic
 decompositions of seeded corpora.
 
 The digests pin td_to_lines byte for byte, node numbering and bag
-order included. The stage-3 decomposition is also validated against
+order included. The fn-to-f column bags, spliced once per run of equal
+threads, are also checked against the sorted bags on random chains. The stage-3 decomposition is also validated against
 the stage-3 graph, whose table it shares, without a name being made
 or looked up, and building it must leave the cyclic collector next to
 nothing new to track.
@@ -184,11 +185,11 @@ def test_small_fn_to_f_outputs_are_pinned(case):
 
 
 def spliced_case(rng, members_below, threads_kind):
-    """A chain of up to 12 links over a member block and a twin block
-    of 300 ids, a shuffled base from outside both blocks, and threads
-    of pairs from outside them too: in runs laid over bag spans, one
-    new pair per bag, or, with spans, the chain's own first pair on
-    every bag above the first."""
+    """A chain of up to 12 links, its member and twin blocks at ids 100
+    and 200 of 300, a shuffled base from outside both blocks, and
+    threads of pairs from outside them too: in runs laid over bag
+    spans, one new pair per bag, or, with spans, the chain's own first
+    pair on every bag above the first."""
     length = rng.randint(1, 12)
     c, f = (100, 200) if members_below else (200, 100)
     links = [(c + i, f + i, c + i + 1, f + i + 1) for i in range(length)]
