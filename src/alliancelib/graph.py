@@ -12,7 +12,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence, Set
 from functools import partial
-from itertools import accumulate, chain, groupby, repeat
+from itertools import accumulate, chain, groupby, islice, repeat
 from operator import eq, itemgetter
 
 
@@ -546,12 +546,21 @@ class _Edges(Set):
         )
 
     def __iter__(self):
-        # each name is made once, not once per edge that reaches it
+        # each name is made once, in id order when a row first reaches
+        # it, and let go once its own row has passed, as later rows reach
+        # only higher ids
         first, adjacent = self._first, self._adjacent
-        names = list(self._order)
-        for i, u in enumerate(names):
+        unmade = iter(self._order)
+        names = []
+        for i in range(len(first) - 1):
             hi = first[i + 1]
-            for j in adjacent[bisect_right(adjacent, i, first[i], hi):hi]:
+            lo = bisect_right(adjacent, i, first[i], hi)
+            end = adjacent[hi - 1] + 1 if lo < hi else i + 1
+            if end > len(names):
+                names += islice(unmade, end - len(names))
+            u = names[i]
+            names[i] = None
+            for j in adjacent[lo:hi]:
                 yield (u, names[j])
 
 

@@ -18,6 +18,15 @@ fixpoint:
 - a member that needs every undecided neighbor forces them all in;
 - the set stays within k and, in exact mode, can still reach k.
 
+The members short of a majority are kept lazily, as candidates in an
+int array: an in-assignment adds the new member when its deficit is
+positive, and undo adds a member whose deficit rises back to 1, but
+nothing is taken out when a deficit falls to 0 or a member is undone.
+The array is compacted to its live candidates, the members with a
+positive deficit, only when a branch vertex is chosen. An
+in-assignment that leaves its vertex needing every undecided neighbor
+lowers the deficits and queues those neighbors in the same loop.
+
 The vertices that the root fixpoint leaves open are the free vertices
 (free_count), and the search assigns them one at a time. The root takes
 one pass: a single loop sets every forbidden vertex out, which forces
@@ -118,12 +127,21 @@ class _Search:
     the slack of v and its neighbors, and one loop does that and checks
     the members among them. A member with negative slack is a dead end;
     one with zero slack and a positive deficit, which is then its
-    undecided count, forces its undecided neighbors in. short holds the
-    members with a positive deficit. assign takes a queue of signed
-    ints, v to put v in and ~v to put it out, so no tuple is made per
-    forced vertex. Every assignment below the root goes on the
-    trail, an int array that keeps no int objects alive at a stage-3
-    depth, and undo reverts the counts by replaying it backwards.
+    undecided count, forces its undecided neighbors in. When v goes in
+    needing every undecided neighbor, the one loop that lowers the
+    deficits of its neighbors also queues the undecided ones; an
+    out-assignment queues a forcing member's undecided neighbors without
+    building a list. short is an
+    int array of candidates: every member with a positive deficit is in
+    it, appended when it goes in short or when undo raises its deficit
+    back to 1, and it may also hold entries gone stale, members no
+    longer short or no longer in, or repeats. branch_vertex compacts it
+    to the live candidates before taking the least. assign takes a
+    queue of signed ints, v to put v in and ~v to put it out, so no
+    tuple is made per forced vertex. Every assignment below the root
+    goes on the trail, an int array that keeps no int objects alive at
+    a stage-3 depth, and undo reverts the counts by replaying it
+    backwards.
     The search starts from the root fixpoint: forbidden vertices out in
     one loop, then necessary ones in, and all the rules force from there
     with the size bounds off; open then counts the free vertices, and
@@ -153,7 +171,7 @@ class _Search:
         self.deficit = list(map([d // 2 + 1 for d in top].__getitem__, degrees))
         del degrees
         state = self.state = [None] * n
-        self.short = set()
+        self.short = array("i")
         self.trail = array("i")
         self.size = 0
         self.k = instance.k
@@ -189,6 +207,7 @@ class _Search:
         slack, deficit, short = self.slack, self.deficit, self.short
         trail, partners, cap = self.trail, self.partners, self.cap
         size, open_, exact, k = self.size, self.open, self.exact, self.k
+        push = pending.append
         try:
             while pending:
                 v = pending.pop()
@@ -205,23 +224,28 @@ class _Search:
                 open_ -= 1
                 if partners:
                     for p in partners.get(v, ()):
-                        pending.append(~p if value else p)
+                        push(~p if value else p)
                 neighbors = adjacent[first[v]:first[v + 1]]
                 if value:
                     size += 1
                     deficit[v] -= 1
-                    for u in neighbors:
-                        deficit[u] -= 1
-                        if not deficit[u]:
-                            short.discard(u)
                     if deficit[v] > 0:
-                        short.add(v)
+                        short.append(v)
+                    if deficit[v] > 0 and not slack[v]:
+                        # v needs every undecided neighbor: one loop
+                        # lowers the deficits and queues them
+                        for u in neighbors:
+                            deficit[u] -= 1
+                            if state[u] is None:
+                                push(u)
+                    else:
+                        for u in neighbors:
+                            deficit[u] -= 1
                     # an in neighbor leaves the slack of other members as
-                    # is, so only v is checked
+                    # is, so only v is checked; past a dead end the queue
+                    # is dropped, and undo restores every count
                     if size > cap or slack[v] < 0:
                         return False
-                    if not slack[v] and deficit[v]:
-                        pending += [w for w in neighbors if state[w] is None]
                     continue
                 slack[v] -= 1
                 # one loop lowers every neighbor's slack and checks the
@@ -234,11 +258,9 @@ class _Search:
                         if slack[u] < 0:
                             dead = True
                         elif not slack[u] and deficit[u]:
-                            pending += [
-                                w
-                                for w in adjacent[first[u]:first[u + 1]]
-                                if state[w] is None
-                            ]
+                            for w in adjacent[first[u]:first[u + 1]]:
+                                if state[w] is None:
+                                    push(w)
                 if dead:
                     return False
             return True
@@ -257,11 +279,11 @@ class _Search:
             if value:
                 self.size -= 1
                 deficit[v] += 1
-                short.discard(v)
                 for u in adjacent[first[v]:first[v + 1]]:
                     deficit[u] += 1
-                    if state[u] and deficit[u] > 0:
-                        short.add(u)
+                    # a member short again goes back among the candidates
+                    if deficit[u] == 1 and state[u]:
+                        short.append(u)
             else:
                 slack[v] += 1
                 for u in adjacent[first[v]:first[v + 1]]:
@@ -271,11 +293,17 @@ class _Search:
         """The vertex to branch on, and the least undecided id, which is
         at least cursor. A short member with the least slack lends its
         least undecided neighbor; with none short, the least undecided
-        vertex is taken."""
-        state = self.state
-        if self.short:
+        vertex is taken. short is compacted first, so only members with
+        a positive deficit remain in it."""
+        state, short = self.state, self.short
+        if short:
+            deficit = self.deficit
+            short = self.short = array(
+                "i", [u for u in short if state[u] and deficit[u] > 0]
+            )
+        if short:
             slack = self.slack
-            member = min(self.short, key=lambda u: (slack[u], u))
+            member = min(short, key=lambda u: (slack[u], u))
             for w in self.adjacent[self.first[member]:self.first[member + 1]]:
                 if state[w] is None:
                     break
@@ -291,7 +319,7 @@ class _Search:
         return self.size > 0 and (not self.exact or self.size == self.k)
 
     def members(self):
-        return list(compress(range(len(self.state)), self.state))
+        return array("i", compress(range(len(self.state)), self.state))
 
 
 def _empty_result(goal, free_count, nodes):
@@ -368,7 +396,7 @@ def solve(request):
     found.sort()
     # VertexSets over the graph's table: no names are made until read
     solutions = tuple(
-        VertexSet(search.table, array("i", members)) for _size, members in found
+        VertexSet(search.table, members) for _size, members in found
     )
     return SolveResult(
         goal=goal,

@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from itertools import accumulate
 
@@ -717,6 +718,36 @@ def test_listing_edges_makes_each_name_once(monkeypatch):
     listed = list(g.edges)
     assert len(listed) == len(g.adjacent) // 2
     assert 0 < len(made) <= len(g.order)
+
+
+def test_listing_edges_lets_go_of_the_names_of_passed_rows():
+    # the names of a stage-2 table take more memory together than the
+    # listing may hold at any one time while streaming its edges
+    g = eliminate_pairs(mmo_to_alliance(one_edge_target(1, 1)).result).result.graph
+    names = list(g.order)
+    first, adjacent = g.first, g.adjacent
+    expected = [
+        (names[i], names[j])
+        for i in range(len(names))
+        for j in adjacent[first[i]:first[i + 1]]
+        if i < j
+    ]
+    assert list(g.edges) == expected
+    del names, expected
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        names = list(g.order)
+        held = tracemalloc.get_traced_memory()[0] - base
+        del names
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in g.edges:
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < held * 0.75, (peak, held)
 
 
 # a million-edge build in a fresh process: it prints the arc count and

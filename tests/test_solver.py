@@ -9,7 +9,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from alliancelib import replace
 from alliancelib.alliance import AllianceInstance, is_solution
@@ -540,8 +540,8 @@ def constrained_searches(draw):
 
 
 def assert_counts_recounted(search):
-    """slack and deficit of every vertex, and short, as recounted from
-    state and the graph arrays."""
+    """slack and deficit of every vertex, and the live candidates of
+    short, as recounted from state and the graph arrays."""
     first, adjacent, state = search.first, search.adjacent, search.state
     for u, value in enumerate(state):
         closed = [state[w] for w in adjacent[first[u]:first[u + 1]]] + [value]
@@ -549,7 +549,8 @@ def assert_counts_recounted(search):
         inside, undecided = closed.count(True), closed.count(None)
         assert search.slack[u] == inside + undecided - need
         assert search.deficit[u] == need - inside
-    assert search.short == {u for u, value in enumerate(state) if value and search.deficit[u] > 0}
+    live = {u for u in search.short if state[u] and search.deficit[u] > 0}
+    assert live == {u for u, value in enumerate(state) if value and search.deficit[u] > 0}
     assert (search.size, search.open) == (state.count(True), state.count(None))
 
 
@@ -572,6 +573,66 @@ def test_slack_and_deficit_follow_every_assign_and_undo(case):
                 assert_counts_recounted(search)
                 search.undo(marks.pop())
         assert_counts_recounted(search)
+
+
+def branch_recounted(search):
+    """What branch_vertex(0) should give, from state and the graph
+    arrays alone, or None where the search never asks: no vertex is
+    open, or a member is a dead end."""
+    first, adjacent, state = search.first, search.adjacent, search.state
+    slack, deficit = {}, {}
+    for u, value in enumerate(state):
+        closed = [state[w] for w in adjacent[first[u]:first[u + 1]]] + [value]
+        need = (len(closed) + 1) // 2
+        slack[u] = closed.count(True) + closed.count(None) - need
+        deficit[u] = need - closed.count(True)
+    members = [u for u, value in enumerate(state) if value]
+    if None not in state or any(slack[u] < 0 for u in members):
+        return None
+    least = state.index(None)
+    short = [u for u in members if deficit[u] > 0]
+    if not short:
+        return least, least
+    member = min(short, key=lambda u: (slack[u], u))
+    lent = min(w for w in adjacent[first[member]:first[member + 1]] if state[w] is None)
+    return lent, least
+
+
+_PATH = [v("x%d" % i) for i in range(3)]
+_RING = [v("x%d" % i) for i in range(6)]
+
+
+@settings(max_examples=300)
+@given(constrained_searches())
+# x1 goes in short of a majority, x0 joins it and x1 is compacted out of
+# short, then undoing x0 leaves x1 short again
+@example((AllianceInstance(Graph(_PATH, list(zip(_PATH, _PATH[1:]))), k=3), [([1], 1), ([0], 1), ([], 0)]))
+# x4 and then x1 go in, both short with equal slack: the tie goes to the
+# lesser id, which lends x0, not to the first appended
+@example((AllianceInstance(Graph(_RING, list(zip(_RING, _RING[1:] + _RING[:1]))), k=6), [([1, 4], 1)]))
+def test_branch_vertex_follows_every_assign_and_undo(case):
+    # the steps of the test above, with branch_vertex asked at the root
+    # and after each step, so that short is compacted between steps as
+    # the search does
+    instance, steps = case
+    search = _Search(instance)
+
+    def check():
+        expected = branch_recounted(search)
+        if expected is not None:
+            assert search.branch_vertex(0) == expected
+        assert_counts_recounted(search)
+
+    check()
+    marks = []
+    for pending, undo in steps:
+        if not undo and marks:
+            search.undo(marks.pop())
+        else:
+            marks.append(len(search.trail))
+            if not search.assign(pending):
+                search.undo(marks.pop())
+        check()
 
 
 class TestDeepSearch:
