@@ -49,6 +49,16 @@ class Defense:
             raise ValueError("defense assignment must be injective")
 
 
+def _find_all(table, names, what):
+    """The ids of names, a frozenset or a pair, in table; the least name
+    the table lacks is reported, whatever the set's hash order."""
+    ids = list(map(table.find, names))
+    if None in ids:
+        unknown = min(u for u, i in zip(names, ids) if i is None)
+        raise ValueError("%s vertex %s is not in the graph" % (what, unknown))
+    return ids
+
+
 def _vertex_set(graph, group, what):
     """group as a VertexSet over the graph's table. A VertexSet over
     that table is checked by its id range, any other group name by
@@ -59,13 +69,7 @@ def _vertex_set(graph, group, what):
         if ids and not (ids[0] >= 0 and ids[-1] < len(table)):
             raise ValueError("%s vertex ids fall outside the graph" % (what,))
         return group
-    ids = set()
-    for u in group:
-        i = table.find(u)
-        if i is None:
-            raise ValueError("%s vertex %s is not in the graph" % (what, u))
-        ids.add(i)
-    return VertexSet(table, array("i", sorted(ids)))
+    return VertexSet(table, array("i", sorted(_find_all(table, frozenset(group), what))))
 
 
 def _pair(a, b):
@@ -107,14 +111,10 @@ class AllianceInstance:
         graph = self.graph
         shared = 0
         for pair in self.pairs:
-            ids = []
-            for u in pair:
-                i = graph.order.find(u)
-                if i is None:
-                    raise ValueError("pair vertex %s is not in the graph" % (u,))
+            ids = _find_all(graph.order, pair, "pair")
+            for u, i in zip(pair, ids):
                 if _holds(self.forbidden.ids, i):
                     raise ValueError("pair vertex %s is forbidden" % (u,))
-                ids.append(i)
             shared += _linked(graph.first, graph.adjacent, *ids)
         if shared:
             warnings.warn(
@@ -139,16 +139,11 @@ class AllianceInstance:
 def _members(graph, candidate):
     """The ids of the candidate's vertices, and a bytearray over the ids
     that marks them. A VertexSet over the graph's table gives its own
-    ids; any other candidate is looked up name by name, and the least
-    name the graph lacks is reported, whatever the set's hash order."""
+    ids; any other candidate is looked up name by name."""
     if isinstance(candidate, VertexSet) and candidate.table is graph.order:
         members = candidate.ids
     else:
-        candidate = frozenset(candidate)
-        members = list(map(graph.order.find, candidate))
-        if None in members:
-            unknown = min(u for u, i in zip(candidate, members) if i is None)
-            raise ValueError("candidate vertex %s is not in the graph" % (unknown,))
+        members = _find_all(graph.order, frozenset(candidate), "candidate")
     inside = bytearray(len(graph.order))
     for i in members:
         inside[i] = 1

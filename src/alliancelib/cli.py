@@ -201,8 +201,12 @@ def _cmd_decompose(args):
         treewidth_exact_small,
     )
 
-    parsed = parse_instance(_read(args.instance), args.format, args.k)
-    graph = primal_graph(parsed) if isinstance(parsed, AllianceInstance) else parsed.graph
+    text = _read(args.instance)
+    if args.format == "edgelist":
+        graph = graph_from_edgelist(text)
+    else:
+        parsed = parse_instance(text)
+        graph = primal_graph(parsed) if isinstance(parsed, AllianceInstance) else parsed.graph
     td = heuristic_td(graph)
     if args.nice:
         td = make_nice(td)
@@ -302,7 +306,8 @@ def _build_parser():
                        parents=[budget, fmt, mode, instance])
     p.add_argument("--goal", choices=GOALS, default="decide")
     p.add_argument("--connected", action="store_true",
-                   help="prune to connected candidate sets")
+                   help="answer by the search for a least alliance, which is connected "
+                        "(goal minimum); plain at-most instances, goals decide and minimum")
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("reduce", help="apply one reduction stage or the chain",

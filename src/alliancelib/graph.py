@@ -352,10 +352,9 @@ class VertexTable(Sequence):
     table[i] finds the block of id i by bisection, so a family name is
     made only when it is asked for. find(name) gives the id of a name,
     or None: an explicit name by one dict lookup, a family name by one
-    lookup of its (base, rank, partner) and its index. Every id it
-    gives is an int of the one shared list ids, so the holders of an id
-    hold the same int object. A table equals a list or a tuple of the
-    same names.
+    lookup of its (base, rank, partner) and its index. ids is the range
+    of the table's ids, so a table keeps nothing per id beyond its
+    explicit names. A table equals a list or a tuple of the same names.
     """
 
     __slots__ = ("blocks", "ids", "_starts", "_named", "_families")
@@ -365,14 +364,14 @@ class VertexTable(Sequence):
         Empty blocks are left out."""
         self.blocks = [block for block in blocks if block.count]
         self._starts = list(accumulate((b.count for b in self.blocks), initial=0))
-        ids = self.ids = list(range(self._starts.pop()))
+        self.ids = range(self._starts.pop())
         self._named, self._families = {}, {}
         for block, start in zip(self.blocks, self._starts):
             block.start = start
             if block.names is None:
                 self._families[block.key] = block
             else:
-                self._named.update(zip(block.names, ids[start:start + block.count]))
+                self._named.update(zip(block.names, block.ids))
 
     def find(self, name):
         """The id of name, or None when the table lacks it."""
@@ -387,20 +386,17 @@ class VertexTable(Sequence):
                 block is not None and isinstance(t, tuple) and len(t) == 1
                 and isinstance(t[0], int) and 0 < t[0] <= block.count
             ):
-                i = self.ids[block.start + t[0] - 1]
+                i = block.start + t[0] - 1
         return i
 
     def __len__(self):
         return len(self.ids)
 
     def __getitem__(self, i):
-        n = len(self.ids)
+        # the range of ids resolves negative indices and slices
         if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(n))]
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("vertex id out of range")
+            return [self[j] for j in self.ids[i]]
+        i = self.ids[i]
         b = bisect_right(self._starts, i) - 1
         return self.blocks[b][i - self._starts[b]]
 

@@ -25,6 +25,8 @@ for: the gadget tables hold the family blocks, which read as name
 sequences and give their id range, and the forbidden and necessary
 sets are VertexSets over the table's ids. An input vertex whose name a
 gadget of the stage would also take is rejected rather than merged.
+A decomposition transform takes a family's ids as one list when several
+of its bags hold an id, so that those bags share one int object.
 
 The chain run as a whole, the bijection audit and run_pipeline, is in
 pipeline.
@@ -42,7 +44,6 @@ from .mmo import MmoInstance, Orientation
 from .treewidth import (
     NiceTreeDecomposition,
     TreeDecomposition,
-    _ids,
     _joint_top,
     _tops,
     _with,
@@ -343,11 +344,11 @@ def _transform_mmo(stage, td):
     source = stage.source
     gadgets = stage.gadgets
     out = _carry(stage, td, td.validate(source.graph))
-    table, index, bags = out._order, out._index, out._bags
+    index, bags = out._index, out._bags
     tops = first, _more = _tops(out)
     for u, w in source.graph.sorted_edges():
-        cu = _ids(table, gadgets.edge_copy[(u, w)])
-        cw = _ids(table, gadgets.edge_copy[(w, u)])
+        cu = list(gadgets.edge_copy[(u, w)].ids)
+        cw = list(gadgets.edge_copy[(w, u)].ids)
         weight = len(cu)
         t = _joint_top(out, tops, index[u], index[w])
         base = bags[t]
@@ -358,10 +359,10 @@ def _transform_mmo(stage, td):
         for side, owner in ((gadgets.edge_copy_forbidden[(u, w)], u),
                             (gadgets.edge_copy_forbidden[(w, u)], w)):
             anchor = first[index[owner]]
-            out._hang(anchor, [_with(bags[anchor], x) for x in _ids(table, side)])
+            out._hang(anchor, [_with(bags[anchor], x) for x in side.ids])
     for u in source.graph.sorted_vertices():
         anchor = first[index[u]]
-        out._hang(anchor, [_with(bags[anchor], x) for x in _ids(table, gadgets.helper[u])])
+        out._hang(anchor, [_with(bags[anchor], x) for x in gadgets.helper[u].ids])
     return out
 
 
@@ -464,7 +465,7 @@ def eliminate_pairs(instance):
     forbidden = [inputs[i] for i in instance.forbidden.ids]
     forbidden += [*y_twins.values(), *z_twins.values()]
     necessary = [inputs[i] for i in instance.necessary.ids] + list(triangle.values())
-    size_fn = Affine(n + 1, len(pairs) * (m + 2))
+    size_fn = _pair_size(n, len(pairs))
     result = AllianceInstance(
         graph=Graph._from_keys(table, keys),
         k=size_fn(instance.k),
@@ -485,14 +486,14 @@ def _transform_pairs(stage, td):
     source = stage.source
     gadgets = stage.gadgets
     out = _carry(stage, td, td.validate(primal_graph(source)), "primal")
-    table, index, bags = out._order, out._index, out._bags
+    index, bags = out._index, out._bags
     verts = source.graph.sorted_vertices()
     n = len(verts)
     tops = first, _more = _tops(out)
     sorted_pairs = sorted(source.pairs)
     top_pair = {(a, b): _joint_top(out, tops, index[a], index[b]) for a, b in sorted_pairs}
-    ys = {u: _ids(table, gadgets.y_chain[u]) for u in verts}
-    yfs = {u: _ids(table, gadgets.y_chain_forbidden[u]) for u in verts}
+    ys = {u: list(gadgets.y_chain[u].ids) for u in verts}
+    yfs = {u: list(gadgets.y_chain_forbidden[u].ids) for u in verts}
     # every bag containing v also gets v_n and its forbidden twin
     last = {index[u]: (ys[u][n - 1], yfs[u][n - 1]) for u in verts}
     for node, bag in enumerate(bags):
@@ -513,10 +514,10 @@ def _transform_pairs(stage, td):
         carry = last[index[b]]
         hub_a = index[gadgets.z_hub[((a, b), a)]]
         hub_b = index[gadgets.z_hub[((a, b), b)]]
-        za = _ids(table, gadgets.z_chain[((a, b), a)])
-        zfa = _ids(table, gadgets.z_chain_forbidden[((a, b), a)])
-        zb = _ids(table, gadgets.z_chain[((a, b), b)])
-        zfb = _ids(table, gadgets.z_chain_forbidden[((a, b), b)])
+        za = list(gadgets.z_chain[((a, b), a)].ids)
+        zfa = list(gadgets.z_chain_forbidden[((a, b), a)].ids)
+        zb = list(gadgets.z_chain[((a, b), b)].ids)
+        zfb = list(gadgets.z_chain_forbidden[((a, b), b)].ids)
         # down from t: a's chain, the triangle, then b's chain back up
         chain = [_with(carry, *last[index[a]], hub_a, za[0], zfa[0])]
         chain += [_with(carry, hub_a, za[i - 1], zfa[i - 1], za[i], zfa[i]) for i in range(1, m)]
@@ -540,6 +541,11 @@ def _lift_pairs(stage, solution):
     return names, blocks
 
 
+def _pair_size(n, pairs):
+    """The fnc-to-fn size map of a source of n vertices and pairs pairs."""
+    return Affine(n + 1, pairs * (n * n + n + 2))
+
+
 def _pair_counts(stats):
     n = stats["vertices"]
     m = n * n + n
@@ -549,7 +555,7 @@ def _pair_counts(stats):
         "pairs": 0,
         "forbidden": stats["forbidden"] + n * n + pairs * 2 * m,
         "necessary": stats["necessary"] + pairs,
-        "k": stats["k"] * (n + 1) + pairs * (m + 2),
+        "k": _pair_size(n, pairs)(stats["k"]),
         "variant": "FN",
     }
 
@@ -625,9 +631,7 @@ def eliminate_necessary(instance, ordering):
     table = layout.order
     forbidden = [inputs[i] for i in instance.forbidden.ids] + list(a_twins.values())
     forbidden += [*g_twin.values(), *h_twin.values()]
-    size_fn = Affine(
-        n + 3, (n + 3) * len(open_vertices) - len(instance.necessary)
-    )
+    size_fn = _necessary_size(n, len(open_vertices), len(instance.necessary))
     result = AllianceInstance(
         graph=Graph._from_keys(table, keys),
         k=size_fn(instance.k),
@@ -699,7 +703,7 @@ def _transform_necessary(stage, td):
             "stage ordering is not the post-order ordering of this decomposition"
         )
     gadgets = stage.gadgets
-    table, index, bags = out._order, out._index, out._bags
+    index, bags = out._index, out._bags
     n = len(source.graph.vertices)
     necessary = source.necessary
     first, _more = _tops(out)
@@ -713,10 +717,9 @@ def _transform_necessary(stage, td):
         height[x] = lift[x] + (n if u in necessary else 2 * n)
     # node of td -> (lo, hi, pair): the pair goes to column bags lo..hi
     spans = {}
-    ids = table.ids
     for left, right in zip(ordering, ordering[1:]):
         image = right if right in necessary else gadgets.primed[right]
-        pair = (ids[gadgets.a_chain[image].start], ids[gadgets.a_chain_forbidden[image].start])
+        pair = (gadgets.a_chain[image].start, gadgets.a_chain_forbidden[image].start)
         path = td.path_between(anchor[left], anchor[right])
         end = lift[anchor[right]] + (0 if right in necessary else n)
         last = len(path) - 1
@@ -748,7 +751,7 @@ def _transform_necessary(stage, td):
             threads[lo:hi + 1] = [extra + pair for extra in threads[lo:hi + 1]]
         column = []
         for i, image in enumerate(images):
-            links = _links(table, gadgets.a_chain[image], gadgets.a_chain_forbidden[image])
+            links = _links(gadgets.a_chain[image], gadgets.a_chain_forbidden[image])
             column += _spliced(base, links, threads[lift[x] + i * n:])
         if lift[x]:
             bags[x] = _with(bags[x], *threads[0])
@@ -782,10 +785,10 @@ def _spliced(base, links, threads):
     return column
 
 
-def _links(table, members, twins):
+def _links(members, twins):
     """The 4 link vertices of each bag of a chain, made one at a time:
     members i - 1 and i and their forbidden twins, i = 1 .. len - 1."""
-    ac, af = _ids(table, members), _ids(table, twins)
+    ac, af = list(members.ids), list(twins.ids)
     return zip(ac, af, ac[1:], af[1:])
 
 
@@ -801,6 +804,11 @@ def _lift_necessary(stage, solution):
     return names, blocks
 
 
+def _necessary_size(n, open_count, necessary):
+    """The fn-to-f size map of a source of n vertices: open_count open, necessary necessary."""
+    return Affine(n + 3, (n + 3) * open_count - necessary)
+
+
 def _necessary_counts(stats):
     n = stats["vertices"]
     open_count = n - stats["forbidden"] - stats["necessary"]
@@ -811,7 +819,7 @@ def _necessary_counts(stats):
         "pairs": 0,
         "forbidden": forbidden,
         "necessary": 0,
-        "k": (n + 3) * (stats["k"] + open_count) - stats["necessary"],
+        "k": _necessary_size(n, open_count, stats["necessary"])(stats["k"]),
         "variant": "F" if forbidden else "plain",
     }
 
@@ -858,13 +866,13 @@ def _transform_forbidden(stage, td):
     source = stage.source
     gadgets = stage.gadgets
     out = _carry(stage, td, td.validate(source.graph))
-    table, index, bags = out._order, out._index, out._bags
+    index, bags = out._index, out._bags
     first, _more = _tops(out)
     for f in sorted(source.forbidden):
         t = first[index[f]]
         base = bags[t]
         hub = index[gadgets.fan_hub[f]]
-        leaves = _ids(table, gadgets.fan_leaves[f])
+        leaves = gadgets.fan_leaves[f].ids
         if leaves:
             out._splice(t, [_with(base, hub, leaf) for leaf in leaves])
         else:

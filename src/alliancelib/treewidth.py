@@ -43,8 +43,8 @@ class TreeDecomposition:
     private copy.
 
     Node ids are 0..N-1 in creation order, and every per-node table is
-    indexed by them: _bags is a list of bags, each a sorted tuple of the
-    table's own int objects, and the tree is one array("i"), _parent,
+    indexed by them: _bags is a list of bags, each a sorted tuple of
+    ids, and the tree is one array("i"), _parent,
     with -1 for none. Beside its bag a node costs one list slot and one
     4-byte entry, about 12 B with the tables' spare room, where dicts of
     bags, parents and child tuples keyed by node cost about 237 B. Child
@@ -585,8 +585,7 @@ def heuristic_td(graph):
         td.add_node(set())
         return td
     first, adjacent = graph.first, graph.adjacent
-    # the table's own ints, which the bags then hold
-    neighbours = [set(map(ids.__getitem__, adjacent[first[u]:first[u + 1]])) for u in ids]
+    neighbours = [set(adjacent[first[u]:first[u + 1]]) for u in ids]
     score = [_fill(neighbours, u) for u in ids]
     heap = list(zip(score, ids))
     heapq.heapify(heap)
@@ -650,11 +649,6 @@ def transform_td(stage, td):
     holds the transform, which mirrors its gadget construction and keeps
     the width within the documented additive or multiplicative bound."""
     return stage.kind.transform(stage, td)
-
-
-def _ids(table, block):
-    """The ids of a block of table, as the table's own ints."""
-    return table.ids[block.start:block.start + block.count]
 
 
 def _with(base, *ids):

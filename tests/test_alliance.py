@@ -1,10 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from array import array
 
 import pytest
 from hypothesis import given, strategies as st
 
+import alliancelib
 from alliancelib.alliance import (
     AllianceInstance,
     construct_defense,
@@ -104,6 +108,27 @@ class TestInstanceValidation:
     def test_constraint_vertices_must_exist(self):
         with pytest.raises(ValueError, match="zz"):
             AllianceInstance(wheelish_graph(), k=2, forbidden={v("zz")})
+
+    def test_names_the_least_unknown_constraint_vertex_whatever_the_hash_seed(self):
+        # a frozenset of names iterates in string-hash order, which under
+        # this seed puts y first on Python 3.11; the seed is fixed when a
+        # process starts
+        script = (
+            "from alliancelib.alliance import AllianceInstance\n"
+            "from alliancelib.graph import Graph, VertexId\n"
+            "names = frozenset(map(VertexId, 'xyz'))\n"
+            "AllianceInstance(Graph([VertexId('a')], []), k=1, forbidden=names)\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(alliancelib.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=root, PYTHONHASHSEED="1"),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.endswith("ValueError: forbidden vertex x is not in the graph\n")
 
     def test_pair_endpoints_must_not_be_forbidden(self):
         with pytest.raises(ValueError, match="forbidden"):

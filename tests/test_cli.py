@@ -505,6 +505,13 @@ class TestDecompose:
         # the pair counts as an edge, so the two vertices share a bag
         assert report["width"] == 1
 
+    def test_edge_list_is_decomposed_without_k(self, capsys, tmp_path):
+        path = write(tmp_path, "path.txt", "a b\nb c\nc d\n")
+        for extra in ([], ["--k", "2"]):
+            code, report = run(capsys, ["decompose", "--format", "edgelist", *extra, path])
+            assert code == 0
+            assert report["width"] == 1
+
     def test_dot_export(self, capsys, tmp_path):
         path = wheelish_file(tmp_path)
         out_dir = tmp_path / "dots"

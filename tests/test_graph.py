@@ -750,6 +750,19 @@ def test_listing_edges_lets_go_of_the_names_of_passed_rows():
     assert peak < held * 0.75, (peak, held)
 
 
+def test_a_table_keeps_nothing_per_family_id():
+    # its ids are a range: a list of a million int objects took 40 MB
+    block = Block.family("x", "fan-leaf", 1_000_000)
+    tracemalloc.start()
+    try:
+        table = VertexTable([block])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 1_000_000 and table.find(block[-1]) == 999_999
+    assert peak < 1 << 20, peak
+
+
 # a million-edge build in a fresh process: it prints the arc count and
 # how far the build raises the peak resident size (VmHWM) over the
 # resident size just before it (VmRSS). Not ru_maxrss: on Linux a

@@ -93,12 +93,12 @@ def test_fn_to_f_leaves_the_collector_nothing_to_track(fn_to_f):
 
 
 def test_fn_to_f_output_shares_the_graph_table(stage_three, fn_to_f):
-    # bag entries are the table's own ints, not equal copies
+    # bag entries are the table's ids of their names
     td, _tracked = fn_to_f
     graph = stage_three.third.result.graph
     assert td._order is graph.order and td._index is graph.index
     index, order = graph.index, graph.order
-    assert all(u is index[order[u]] for bag in td._bags for u in bag)
+    assert all(u == index[order[u]] for bag in td._bags for u in bag)
 
 
 def test_validating_over_the_shared_table_makes_and_looks_up_no_names(
@@ -283,6 +283,6 @@ def test_heuristic_decomposition_of_a_stage_prefix_is_pinned():
     assert td.width() == 3
     assert digest(td) == "11238cd6b2aac65a44c646a693aa7aff4ac643f5a3e31f5ffc02e014bd04d074"
     assert validate_td(prefix, td).ok
-    # bag entries are the table's own ints
+    # bag entries are the table's ids of their names
     index, order = prefix.index, prefix.order
-    assert all(u is index[order[u]] for bag in td._bags for u in bag)
+    assert all(u == index[order[u]] for bag in td._bags for u in bag)
