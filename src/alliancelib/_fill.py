@@ -2,7 +2,8 @@
 
 A stage builder emits the fans and runs of its gadgets as ranges of
 keys i * n + j, i < j, in three shapes, which Graph._from_keys passes
-here with the builder's int keys:
+here with the builder's int keys when the graph has _FILL_VERTICES
+vertices or more:
 
 - step 1, a fan from i to j .. j + L - 1: row i holds those L ids, and
   each of rows j .. j + L - 1 holds i;
@@ -13,14 +14,13 @@ here with the builder's int keys:
 
 So a family gives one block of consecutive ids in one row, and one
 column over a block of consecutive rows, whose neighbour is a constant
-c or the row plus an offset d. The rows the families reach fall into
-segments on which the same columns are active and no constant meets a
+c or the row plus an offset d; an int key gives each of its two rows a
+block of one id. The rows the columns reach fall into segments on
+which the same columns are active and no constant meets a
 row-plus-offset column: each row of a segment has the same degree and
 its neighbours in the same rank order, so the segment's degrees take
 one slice write and each column one extended-slice assignment. A row
-that holds a block, or that an int key reaches too, is assembled on
-its own as a union of id intervals. The int keys between rows no
-family reaches go through the two key loops of Graph._build_arrays.
+that holds a block is assembled on its own as a union of id intervals.
 """
 
 from array import array
@@ -43,13 +43,19 @@ def family_arrays(n, keys):
     """first and adjacent of the graph on ids 0 .. n - 1 whose edges
     are keys, ints and ranges of ints as Graph._from_keys takes them.
     The list of keys is consumed."""
-    ints = [key for key in keys if type(key) is not range]
     # columns (lo, hi, slope, offset): row r in lo .. hi - 1 holds
     # slope * r + offset; spans: row -> the (lo, hi) id intervals it holds
     columns, spans = [], {}
-    for family in [key for key in keys if type(key) is range and key]:
-        count, step = len(family), family.step
-        i, j = divmod(family.start, n)
+    for key in keys:
+        if type(key) is not range:
+            i, j = divmod(key, n)
+            spans.setdefault(i, []).append((j, j + 1))
+            spans.setdefault(j, []).append((i, i + 1))
+            continue
+        count, step = len(key), key.step
+        if not count:
+            continue
+        i, j = divmod(key.start, n)
         if step == 1:
             spans.setdefault(i, []).append((j, j + count))
             columns.append((j, j + count, 0, i))
@@ -59,33 +65,7 @@ def family_arrays(n, keys):
         else:
             columns += [(i, i + count, 1, j - i), (j, j + count, 1, i - j)]
     del keys[:]
-    reached = bytearray(n)
-    for lo, hi, _slope, _offset in columns:
-        reached[lo:hi] = b"\1" * (hi - lo)
-    for row in spans:
-        reached[row] = 1
-    # the int keys as the key loops take them, sorted with each edge's
-    # repeats adjacent; an end in a row the families reach goes to
-    # that row's spans, and the loops count and write the others
-    ints.sort()
     degree = array("i", [0]) * n
-    last = end = -1
-    for key in ints:
-        if key != last:
-            last = key
-            if key >= end:
-                i = key // n
-                start = i * n
-                end = start + n
-            j = key - start
-            if reached[i]:
-                spans.setdefault(i, []).append((j, j + 1))
-            else:
-                degree[i] += 1
-            if reached[j]:
-                spans.setdefault(j, []).append((i, i + 1))
-            else:
-                degree[j] += 1
     plan = _plan(n, columns, spans, degree)
     first = array("i", accumulate(degree, initial=0))
     del degree
@@ -103,26 +83,6 @@ def family_arrays(n, keys):
             adjacent[at + rank:stop:width] = (
                 ids[lo + offset:hi + offset] if slope else array("i", [offset]) * (hi - lo)
             )
-    # free: row -> where its next int-key neighbour goes
-    free = {}
-    last = end = -1
-    for key in ints:
-        if key != last:
-            last = key
-            if key >= end:
-                i = key // n
-                start = i * n
-                end = start + n
-                own = not reached[i]
-                at = free.get(i, first[i])
-            j = key - start
-            if own:
-                adjacent[at] = j
-                at += 1
-            if not reached[j]:
-                other = free.get(j, first[j])
-                adjacent[other] = i
-                free[j] = other + 1
     return first, adjacent
 
 

@@ -11,9 +11,10 @@ complementary pair contributes exactly one endpoint.
 import json
 import warnings
 from array import array
+from itertools import chain
 
 from ._record import record
-from .graph import Graph, VertexSet, _Document, _holds, _linked, edge_key, is_integer
+from .graph import Graph, VertexSet, _Document, _edge_keys, _holds, _linked, edge_key, is_integer
 
 MODES = ("at-most", "exact")
 
@@ -50,7 +51,7 @@ class Defense:
 
 
 def _find_all(table, names, what):
-    """The ids of names, a frozenset or a pair, in table; the least name
+    """The ids of names, a frozenset, in table; the least name
     the table lacks is reported, whatever the set's hash order."""
     ids = list(map(table.find, names))
     if None in ids:
@@ -110,12 +111,16 @@ class AllianceInstance:
             )
         graph = self.graph
         shared = 0
-        for pair in self.pairs:
-            ids = _find_all(graph.order, pair, "pair")
-            for u, i in zip(pair, ids):
-                if _holds(self.forbidden.ids, i):
-                    raise ValueError("pair vertex %s is forbidden" % (u,))
-            shared += _linked(graph.first, graph.adjacent, *ids)
+        if self.pairs:
+            # every pair vertex is looked up at once, so that the least
+            # unknown one, and then the least forbidden one, is named
+            # whatever the hash order of the pairs
+            ends = frozenset(chain.from_iterable(self.pairs))
+            ids = dict(zip(ends, _find_all(graph.order, ends, "pair")))
+            bad = [i for i in ids.values() if _holds(self.forbidden.ids, i)]
+            if bad:
+                raise ValueError("pair vertex %s is forbidden" % (graph.order[min(bad)],))
+            shared = sum(_linked(graph.first, graph.adjacent, ids[a], ids[b]) for a, b in self.pairs)
         if shared:
             warnings.warn(
                 "%d complementary pair(s) coincide with graph edges; they are "
@@ -229,8 +234,8 @@ def primal_graph(instance):
     graph = instance.graph
     if not instance.pairs:
         return graph
-    n, find, first, adjacent = len(graph.order), graph.order.find, graph.first, graph.adjacent
-    keys = [i * n + j for i in range(n) for j in adjacent[first[i]:first[i + 1]] if j > i]
+    n, find = len(graph.order), graph.order.find
+    keys = _edge_keys(graph, graph.order.ids, n)
     # a pair is stored as (a, b) with a < b, and ids follow name order
     keys += [find(a) * n + find(b) for a, b in instance.pairs]
     return Graph._from_keys(graph.order, keys)

@@ -276,6 +276,17 @@ def _holds(ids, i):
     return k < len(ids) and ids[k] == i
 
 
+def _edge_keys(graph, ids, n):
+    """The keys i * n + j of graph's edges in a graph of n vertices in
+    which graph's id u is ids[u]; ids increase, so each key has i < j."""
+    first, adjacent = graph.first, graph.adjacent
+    keys = []
+    for i, row in enumerate(ids):
+        row *= n
+        keys += [row + ids[j] for j in adjacent[first[i]:first[i + 1]] if j > i]
+    return keys
+
+
 class Block(Sequence):
     """A run of vertex names that take consecutive ids from start on.
 
@@ -560,6 +571,11 @@ class _Edges(Set):
                 yield (u, names[j])
 
 
+# the fewest vertices of a graph whose edge families _fill writes;
+# below, the key loops write their keys faster
+_FILL_VERTICES = 512
+
+
 class Graph:
     """Immutable undirected simple graph with deterministic iteration.
 
@@ -582,13 +598,16 @@ class Graph:
     Graph(vertices, edges) sorts the names into a table of one explicit
     block and turns each edge into an int key i * n + j over the ids,
     with i < j. The reduction stages lay their tables out in blocks
-    themselves and emit such keys directly, most of them in families:
-    ranges of keys, each a fan or a run of a gadget. Int keys are
-    sorted in place and written by two loops, which at their peak hold
-    the list of keys, the two arrays and one write position per vertex,
-    never both orientations of the edges as ints nor a list of arcs. A
-    family is written without a loop over its members: by slices of
-    the arrays over the rows it reaches (see _fill).
+    themselves and emit such keys directly, each fan and each run of a
+    gadget as a family: one range of keys. _build_arrays is the one
+    writer of int keys: it sorts them in place and writes them by two
+    loops, which at their peak hold the list of keys, the two arrays
+    and one write position per vertex, never both orientations of the
+    edges as ints nor a list of arcs. _from_keys picks the writer once
+    per build: a graph of fewer than _FILL_VERTICES vertices has its
+    families expanded into int keys; a larger one is written without a
+    loop over a family's members, by slices of the arrays over the
+    rows the families reach (see _fill).
     """
 
     def __init__(self, vertices, edges=()):
@@ -626,12 +645,17 @@ class Graph:
         if not isinstance(order, VertexTable):
             order = VertexTable([Block(tuple(order))])
         graph = cls.__new__(cls)
-        if range in map(type, keys):
+        n = len(order)
+        if range not in map(type, keys):
+            graph._build_arrays(order, keys)
+        elif n < _FILL_VERTICES:
+            # the families of a small graph go in as int keys
+            keys[:] = chain.from_iterable(key if type(key) is range else (key,) for key in keys)
+            graph._build_arrays(order, keys)
+        else:
             # only the stage builders emit families
             from ._fill import family_arrays
-            graph._build_arrays(order, keys, *family_arrays(len(order), keys))
-        else:
-            graph._build_arrays(order, keys)
+            graph._build_arrays(order, keys, *family_arrays(n, keys))
         return graph
 
     def _build_arrays(self, order, keys, first=None, adjacent=None):

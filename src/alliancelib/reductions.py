@@ -19,7 +19,7 @@ per input vertex or singleton gadget, and one per gadget family, the
 names that share base, decoration and partner with indices 1..m.
 Sorted by their first names, the blocks give each vertex its id by
 arithmetic, and every edge is emitted as an int key i * n + j over
-those ids; runs of chain edges are ranges. The result's vertex table
+those ids; each fan and each run of a gadget is one range of them. The result's vertex table
 is the blocks themselves, so a family's names are made only when asked
 for: the gadget tables hold the family blocks, which read as name
 sequences and give their id range, and the forbidden and necessary
@@ -39,7 +39,7 @@ from operator import attrgetter, itemgetter
 
 from ._record import record
 from .alliance import AllianceInstance, is_solution, primal_graph
-from .graph import Block, Graph, VertexId, VertexSet, VertexTable
+from .graph import Block, Graph, VertexId, VertexSet, VertexTable, _edge_keys
 from .mmo import MmoInstance, Orientation
 from .treewidth import (
     NiceTreeDecomposition,
@@ -184,24 +184,6 @@ def _id_set(table, blocks):
     return VertexSet(table, ids)
 
 
-def _source_keys(graph, inputs, n):
-    """Keys of the edges of graph, whose id i is now inputs[i].start,
-    in a graph of n vertices. The inputs keep their order, so each key
-    joins i < j."""
-    first, adjacent = graph.first, graph.adjacent
-    ids = [block.start for block in inputs]
-    keys = []
-    for i, row in enumerate(ids):
-        row *= n
-        keys += [row + ids[j] for j in adjacent[first[i]:first[i + 1]] if j > i]
-    return keys
-
-
-# the fewest keys that go to Graph._from_keys as a family rather than
-# one by one: its two key loops handle fewer faster than the fill would
-_FAMILY_KEYS = 64
-
-
 def _key(n, i, j):
     """Key of the edge between ids i and j, i * n + j with i < j: the
     order Graph._from_keys takes, in which the helpers below emit
@@ -209,27 +191,18 @@ def _key(n, i, j):
     return i * n + j if i < j else j * n + i
 
 
-def _family(keys):
-    """A range of keys as a builder adds them to its list: in a list of
-    one, so that they reach Graph._from_keys as one family, or, when
-    there are too few to pay for a segment of the family fill, as the
-    range itself, whose keys go in one by one."""
-    return [keys] if len(keys) >= _FAMILY_KEYS else keys
-
-
 def _fan(n, i, j, count):
-    """Keys of the edges from id i to ids j .. j + count - 1, none of
-    them i, as _family adds them."""
+    """The edges from id i to ids j .. j + count - 1, none of them i,
+    as one family in a list."""
     if i < j:
-        return _family(range(i * n + j, i * n + j + count))
-    return _family(range(j * n + i, (j + count) * n + i, n))
+        return [range(i * n + j, i * n + j + count)]
+    return [range(j * n + i, (j + count) * n + i, n)]
 
 
 def _run(n, i, j, count):
-    """Keys of the edges (i + t, j + t) for t < count, as _family adds
-    them."""
+    """The edges (i + t, j + t) for t < count as one family in a list."""
     key = _key(n, i, j)
-    return _family(range(key, key + count * (n + 1), n + 1))
+    return [range(key, key + count * (n + 1), n + 1)]
 
 
 def _oplus(n, u, u_forbidden, w, w_forbidden):
@@ -321,13 +294,11 @@ def mmo_to_alliance(instance, mode="at-most"):
         theirs = copies[(w, u)]
         pairs.extend(zip(mine, theirs))
         pairs.extend(zip(theirs, mine[1:]))
-    necessary = _id_set(table, inputs + list(helper.values()))
-    k = len(necessary) + sum(instance.weights.values())
     result = AllianceInstance(
         graph=Graph._from_keys(table, keys),
-        k=k,
+        k=_mmo_k(len(graph.order), instance.r, sum(instance.weights.values())),
         forbidden=_id_set(table, twins.values()),
-        necessary=necessary,
+        necessary=_id_set(table, inputs + list(helper.values())),
         pairs=pairs,
         mode=mode,
     )
@@ -366,6 +337,13 @@ def _transform_mmo(stage, td):
     return out
 
 
+def _mmo_k(n, r, weight):
+    """The mmo-to-fnc k of a target of n vertices, r and total weight
+    weight: its necessary vertices, 2 * n * r, and one copy per unit of
+    weight."""
+    return 2 * n * r + weight
+
+
 def _mmo_counts(stats):
     """The counts of mmo_to_alliance's result from _orientation_stats."""
     n, r, total = stats["vertices"], stats["r"], stats["weight"]
@@ -374,7 +352,7 @@ def _mmo_counts(stats):
         "pairs": 2 * total - stats["edges"],
         "forbidden": 2 * total,
         "necessary": 2 * n * r,
-        "k": 2 * n * r + total,
+        "k": _mmo_k(n, r, total),
         "variant": "FNC",
     }
 
@@ -442,7 +420,7 @@ def eliminate_pairs(instance):
             z_chain[key] = layout.family(name, "chain-Z", m, partner)
             z_twins[key] = layout.family(name, "chain-Z-forbidden", m, partner)
     total = layout.place()
-    keys = _source_keys(source, inputs, total)
+    keys = _edge_keys(source, [block.start for block in inputs], total)
     for u, block in zip(originals, inputs):
         ys, yf = y_chain[u], y_twins[u]
         keys += _fan(total, block.start, ys.start, n)
@@ -599,7 +577,7 @@ def eliminate_necessary(instance, ordering):
         for decoration in ("g", "h", "g-forbidden", "h-forbidden")
     )
     total = layout.place()
-    keys = _source_keys(source, inputs, total)
+    keys = _edge_keys(source, [block.start for block in inputs], total)
     for x, block in members:
         chain, twins = a_chain[x], a_twins[x]
         keys += _fan(total, block.start, chain.start, n + 1)
@@ -843,7 +821,7 @@ def eliminate_forbidden(instance):
         fan_hub[f] = layout.vertex(VertexId(name, "fan-hub"))
         fan_leaves[f] = layout.family(name, "fan-leaf", 2 * instance.k)
     total = layout.place()
-    keys = _source_keys(source, inputs, total)
+    keys = _edge_keys(source, [block.start for block in inputs], total)
     for f, hub in fan_hub.items():
         leaves = fan_leaves[f]
         keys += _fan(total, inputs[source.index[f]].start, leaves.start, 2 * instance.k)

@@ -130,11 +130,35 @@ class TestInstanceValidation:
         assert done.returncode == 1
         assert done.stderr.endswith("ValueError: forbidden vertex x is not in the graph\n")
 
+    def test_names_the_least_unknown_pair_vertex_whatever_the_hash_seed(self):
+        # under this seed the pairs' frozenset order puts (a, z) first on
+        # Python 3.11, so a check pair by pair would name z
+        script = (
+            "from alliancelib.alliance import AllianceInstance\n"
+            "from alliancelib.graph import Graph, VertexId as v\n"
+            "pairs = [(v('a'), v('x')), (v('b'), v('y')), (v('a'), v('z'))]\n"
+            "AllianceInstance(Graph([v('a'), v('b')], []), k=1, pairs=pairs)\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(alliancelib.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=root, PYTHONHASHSEED="3"),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.endswith("ValueError: pair vertex x is not in the graph\n")
+
     def test_pair_endpoints_must_not_be_forbidden(self):
         with pytest.raises(ValueError, match="forbidden"):
             AllianceInstance(
                 wheelish_graph(), k=2, forbidden=vs("b"), pairs={(v("b"), v("c"))}
             )
+        # of several, the least forbidden pair vertex is named
+        pairs = {(v("a"), v("d")), (v("b"), v("e")), (v("a"), v("c"))}
+        with pytest.raises(ValueError, match=r"^pair vertex c is forbidden$"):
+            AllianceInstance(wheelish_graph(), k=2, forbidden=vs("c d e"), pairs=pairs)
 
     def test_pair_with_itself_rejected(self):
         with pytest.raises(ValueError):

@@ -13,14 +13,13 @@ import random
 
 import pytest
 
-from alliancelib import reductions
 from alliancelib.gen import (
     random_forbidden_toy,
     random_mmo,
     random_necessary_toy,
     random_pair_toy,
 )
-from alliancelib.graph import Graph, VertexId
+from alliancelib.graph import _FILL_VERTICES, Graph, VertexId
 from alliancelib.mmo import MmoInstance
 from alliancelib.reductions import (
     STAGE_KINDS,
@@ -46,6 +45,13 @@ TOYS = {
     "fn-to-f": "54fed290d6742d1b0cfb269e0b67622f16476fe46f11fd18bbee523caaf70bea",
     "f-to-plain": "65595be5cfd6bd3a2fb77ec2270395ff817667dff7ec0192e2a343e2fc40d2f7",
 }
+
+# the fewest vertices of a graph whose families the fill writes. The
+# default sends the larger fnc-to-fn toys and chain stage 2s through the
+# fill and the rest key by key; with 0 every build with a family goes
+# through the fill, and with 10**9, above every graph here, every build
+# goes key by key
+FILL_VERTICES = [_FILL_VERTICES, 0, 10**9]
 
 
 def arrays(graph):
@@ -108,7 +114,9 @@ def chain_targets(cap):
                         yield MmoInstance(Graph(names, pairs), dict(zip(pairs, weights)), r)
 
 
-def test_chain_targets_stages_1_and_2_are_pinned():
+@pytest.mark.parametrize("fill_vertices", FILL_VERTICES)
+def test_chain_targets_stages_1_and_2_are_pinned(monkeypatch, fill_vertices):
+    monkeypatch.setattr("alliancelib.graph._FILL_VERTICES", fill_vertices)
     graphs = []
     for mmo in chain_targets(4000):
         first = mmo_to_alliance(mmo)
@@ -131,12 +139,10 @@ TOY_BUILDS = {
 }
 
 
-# the fewest keys a family has to reach Graph._from_keys as a range: by
-# default most toy families go in key by key, with 1 none does
-@pytest.mark.parametrize("family_keys", [reductions._FAMILY_KEYS, 1])
+@pytest.mark.parametrize("fill_vertices", FILL_VERTICES)
 @pytest.mark.parametrize("tag", sorted(TOY_BUILDS))
-def test_stage_builders_on_seeded_toys_are_pinned(monkeypatch, tag, family_keys):
-    monkeypatch.setattr(reductions, "_FAMILY_KEYS", family_keys)
+def test_stage_builders_on_seeded_toys_are_pinned(monkeypatch, tag, fill_vertices):
+    monkeypatch.setattr("alliancelib.graph._FILL_VERTICES", fill_vertices)
     rng = random.Random(2301)
     graphs = [TOY_BUILDS[tag](rng).result.graph for _ in range(300)]
     assert digest(graphs) == TOYS[tag]

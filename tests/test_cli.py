@@ -4,6 +4,7 @@
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -1162,6 +1163,18 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("malformed")
 
 
+# each draw writes new files: on some file systems rewriting a non-empty
+# file costs tens of milliseconds, writing a new one a fraction of one
+_DRAWS = itertools.count()
+
+
+def _fresh(scratch, text, suffix):
+    """A new file in scratch holding text."""
+    path = scratch / ("%d%s" % (next(_DRAWS), suffix))
+    path.write_text(text)
+    return path
+
+
 def _main_exits_two(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1176,20 +1189,17 @@ def _main_exits_two(argv):
 @given(document=st.one_of(_BAD_ALLIANCE, _BAD_MMO, _NOT_A_DOCUMENT), data=st.data())
 def test_malformed_documents_exit_two(scratch, document, data):
     kind, text = document
-    path = scratch / "doc.json"
-    path.write_text(text)
+    path = _fresh(scratch, text, ".json")
     _main_exits_two(data.draw(st.sampled_from(_COMMANDS[kind])) + [str(path)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(td=_BAD_TD, chain=st.booleans())
 def test_malformed_decompositions_exit_two(scratch, td, chain):
-    td_path = scratch / "doc.td"
-    td_path.write_text(td)
+    td_path = _fresh(scratch, td, ".td")
     if chain:
         argv, payload = ["reduce", "--chain", "--stages", "2"], _mmo_payload()
     else:
         argv, payload = ["reduce", "--stage", "fnc-to-fn"], _plain_payload()
-    path = scratch / "source.json"
-    path.write_text(json.dumps(payload))
+    path = _fresh(scratch, json.dumps(payload), ".json")
     _main_exits_two(argv + ["--td", str(td_path), str(path)])
