@@ -1,9 +1,10 @@
 """The adjacency arrays of a graph whose edges come as families.
 
 A stage builder emits the fans and runs of its gadgets as ranges of
-keys i * n + j, i < j, in three shapes, which Graph._from_keys passes
-here with the builder's int keys when the graph has _FILL_VERTICES
-vertices or more:
+keys i * n + j, i < j, in three shapes, which Graph._build_arrays
+passes here, with the arrays it wrote for the builder's int keys over
+the rows they reach, when Graph._from_keys found the graph to have
+_FILL_VERTICES vertices or more:
 
 - step 1, a fan from i to j .. j + L - 1: row i holds those L ids, and
   each of rows j .. j + L - 1 holds i;
@@ -14,16 +15,18 @@ vertices or more:
 
 So a family gives one block of consecutive ids in one row, and one
 column over a block of consecutive rows, whose neighbour is a constant
-c or the row plus an offset d; an int key gives each of its two rows a
-block of one id. The rows the columns reach fall into segments on
-which the same columns are active and no constant meets a
+c or the row plus an offset d. The rows the columns reach fall into
+segments on which the same columns are active and no constant meets a
 row-plus-offset column: each row of a segment has the same degree and
 its neighbours in the same rank order, so the segment's degrees take
 one slice write and each column one extended-slice assignment. A row
-that holds a block is assembled on its own as a union of id intervals.
+that holds a block or an int key's neighbour is assembled on its own as
+a union of id intervals, and the rows that no family reaches copy
+their int keys' neighbours in one slice per segment.
 """
 
 from array import array
+from bisect import bisect_left
 from itertools import accumulate
 
 
@@ -39,19 +42,15 @@ def _union(spans):
     return out
 
 
-def family_arrays(n, keys):
+def family_arrays(n, families, rows, first, adjacent):
     """first and adjacent of the graph on ids 0 .. n - 1 whose edges
-    are keys, ints and ranges of ints as Graph._from_keys takes them.
-    The list of keys is consumed."""
+    are families, ranges of keys as Graph._from_keys takes them, and
+    the int keys that Graph._build_arrays wrote over rows, the ids they
+    reach in order: rows[k] holds adjacent[first[k]:first[k + 1]]."""
     # columns (lo, hi, slope, offset): row r in lo .. hi - 1 holds
     # slope * r + offset; spans: row -> the (lo, hi) id intervals it holds
     columns, spans = [], {}
-    for key in keys:
-        if type(key) is not range:
-            i, j = divmod(key, n)
-            spans.setdefault(i, []).append((j, j + 1))
-            spans.setdefault(j, []).append((i, i + 1))
-            continue
+    for key in families:
         count, step = len(key), key.step
         if not count:
             continue
@@ -64,33 +63,37 @@ def family_arrays(n, keys):
             spans.setdefault(j, []).append((i, i + count))
         else:
             columns += [(i, i + count, 1, j - i), (j, j + count, 1, i - j)]
-    del keys[:]
     degree = array("i", [0]) * n
-    plan = _plan(n, columns, spans, degree)
-    first = array("i", accumulate(degree, initial=0))
+    plan = _plan(n, columns, spans, (rows, first, adjacent), degree)
+    start = array("i", accumulate(degree, initial=0))
     del degree
-    adjacent = array("i", [0]) * first[n]
+    out = array("i", [0]) * start[n]
     ids = array("i", range(n))
     for lo, hi, ranked, union in plan:
-        at = first[lo]
+        at = start[lo]
         if union is not None:
             for a, b in union:
-                adjacent[at:at + b - a] = ids[a:b]
+                out[at:at + b - a] = ids[a:b]
                 at += b - a
-            continue
-        width, stop = len(ranked), first[hi]
-        for rank, (slope, offset) in enumerate(ranked):
-            adjacent[at + rank:stop:width] = (
-                ids[lo + offset:hi + offset] if slope else array("i", [offset]) * (hi - lo)
-            )
-    return first, adjacent
+        elif not ranked:
+            out[at:start[hi]] = adjacent[first[bisect_left(rows, lo)]:first[bisect_left(rows, hi)]]
+        else:
+            width, stop = len(ranked), start[hi]
+            for rank, (slope, offset) in enumerate(ranked):
+                out[at + rank:stop:width] = (
+                    ids[lo + offset:hi + offset] if slope else array("i", [offset]) * (hi - lo)
+                )
+    return start, out
 
 
-def _plan(n, columns, spans, degree):
+def _plan(n, columns, spans, ints, degree):
     """The rows the families reach, in runs of rows that the same
     columns give their neighbours in the same rank order, (lo, hi,
-    ranked columns, None), and rows assembled on their own, (row,
-    row + 1, None, id intervals); their degrees go into degree."""
+    ranked columns, None), rows assembled on their own, (row, row + 1,
+    None, id intervals), and runs of rows that only int keys reach,
+    (lo, hi, (), None); their degrees go into degree. ints is rows,
+    first and adjacent as family_arrays takes them."""
+    rows, first, adjacent = ints
     opens, closes = {}, {}
     for lo, hi, *column in columns:
         opens.setdefault(lo, []).append(tuple(column))
@@ -110,13 +113,21 @@ def _plan(n, columns, spans, degree):
         if lo in spans:
             alone = [lo]
         elif active:
+            alone = rows[bisect_left(rows, lo):bisect_left(rows, hi)]
             # where a constant c meets the column of offset d, at row
             # c - d, the two give one neighbour and swap ranks
             constants = [c for slope, c in active if not slope]
-            alone = sorted({
+            meets = {
                 c - d for slope, d in active if slope for c in constants if lo <= c - d < hi
-            })
+            }
+            if meets:
+                alone = sorted(meets.union(alone))
         else:
+            keyed = range(bisect_left(rows, lo), bisect_left(rows, hi))
+            for k in keyed:
+                degree[rows[k]] = first[k + 1] - first[k]
+            if keyed:
+                plan.append((lo, hi, (), None))
             continue
         at = lo
         for row in alone + [hi]:
@@ -126,6 +137,9 @@ def _plan(n, columns, spans, degree):
                 plan.append((at, row, ranked, None))
             if row < hi:
                 values = [(s * row + d, s * row + d + 1) for s, d in active]
+                k = bisect_left(rows, row)
+                if k < len(rows) and rows[k] == row:
+                    values += [(j, j + 1) for j in adjacent[first[k]:first[k + 1]]]
                 union = _union(spans.get(row, []) + values)
                 degree[row] = sum(b - a for a, b in union)
                 plan.append((row, row + 1, None, union))

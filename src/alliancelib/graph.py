@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence, Set
 from functools import partial
 from itertools import accumulate, chain, groupby, islice, repeat
-from operator import eq, itemgetter
+from operator import eq, floordiv, itemgetter, mod
 
 
 # every vertex role in rank order, "original" first and then by name:
@@ -572,8 +572,8 @@ class _Edges(Set):
 
 
 # the fewest vertices of a graph whose edge families _fill writes;
-# below, the key loops write their keys faster
-_FILL_VERTICES = 512
+# below, the key loops write their keys as fast or faster
+_FILL_VERTICES = 1024
 
 
 class Graph:
@@ -605,9 +605,10 @@ class Graph:
     and one write position per vertex, never both orientations of the
     edges as ints nor a list of arcs. _from_keys picks the writer once
     per build: a graph of fewer than _FILL_VERTICES vertices has its
-    families expanded into int keys; a larger one is written without a
-    loop over a family's members, by slices of the arrays over the
-    rows the families reach (see _fill).
+    families expanded into int keys; in a larger one the loops write
+    only the int keys, and the families are added without a loop over
+    their members, by slices of the arrays over the rows they reach
+    (see _fill).
     """
 
     def __init__(self, vertices, edges=()):
@@ -645,64 +646,72 @@ class Graph:
         if not isinstance(order, VertexTable):
             order = VertexTable([Block(tuple(order))])
         graph = cls.__new__(cls)
-        n = len(order)
-        if range not in map(type, keys):
-            graph._build_arrays(order, keys)
-        elif n < _FILL_VERTICES:
-            # the families of a small graph go in as int keys
-            keys[:] = chain.from_iterable(key if type(key) is range else (key,) for key in keys)
-            graph._build_arrays(order, keys)
-        else:
-            # only the stage builders emit families
-            from ._fill import family_arrays
-            graph._build_arrays(order, keys, *family_arrays(n, keys))
+        families = None
+        # only the stage builders emit families
+        if range in map(type, keys):
+            if len(order) < _FILL_VERTICES:
+                # the families of a small graph go in as int keys
+                keys[:] = chain.from_iterable(key if type(key) is range else (key,) for key in keys)
+            else:
+                families = [key for key in keys if type(key) is range]
+                keys[:] = [key for key in keys if type(key) is not range]
+        graph._build_arrays(order, keys, families)
         return graph
 
-    def _build_arrays(self, order, keys, first=None, adjacent=None):
-        """Set the graph over order: with the arrays first and adjacent
-        when given, else with those of the int keys, which are consumed."""
+    def _build_arrays(self, order, keys, families=None):
+        """Set the graph over order with the arrays of the int keys,
+        which are consumed, and of families, ranges of keys, if any."""
         n = len(order)
         self.order, self.index = order, _Index(order)
         self.vertices = VertexSet(order, range(n))
-        if first is None:
-            # sorted, each edge's repeats are adjacent and the edges come
-            # by i, then j
-            keys.sort()
-            # a row's first key finds i by a division, the rest by
-            # comparison
-            degree = [0] * n
-            last = end = -1
-            for key in keys:
-                if key != last:
-                    last = key
-                    if key >= end:
-                        i = key // n
-                        start = i * n
-                        end = start + n
-                    degree[i] += 1
-                    degree[key - start] += 1
+        # sorted, each edge's repeats are adjacent and the edges come
+        # by i, then j
+        keys.sort()
+        # a row's first key finds i by a division, the rest by
+        # comparison
+        degree = array("i", [0]) * n if families else [0] * n
+        last = end = -1
+        for key in keys:
+            if key != last:
+                last = key
+                if key >= end:
+                    i = key // n
+                    start = i * n
+                    end = start + n
+                degree[i] += 1
+                degree[key - start] += 1
+        if families:
+            # the fill writes every row: here only the rows the int keys
+            # reach are laid out, in order
+            rows = sorted({*map(floordiv, keys, repeat(n)), *map(mod, keys, repeat(n))})
+            first = array("i", accumulate(map(degree.__getitem__, rows), initial=0))
+            free = dict(zip(rows, first))
+        else:
             first = array("i", accumulate(degree, initial=0))
-            del degree
-            # in that order, row j gets each i < j while the rows before
-            # it are walked, then its own j's as it is: each row comes
-            # out sorted
-            adjacent = array("i", [0]) * first[n]
             free = first.tolist()
-            last = end = -1
-            for key in keys:
-                if key != last:
-                    last = key
-                    if key >= end:
-                        i = key // n
-                        start = i * n
-                        end = start + n
-                        at = free[i]
-                    j = key - start
-                    adjacent[at] = j
-                    at += 1
-                    adjacent[free[j]] = i
-                    free[j] += 1
-            del keys[:]
+        del degree
+        # in that order, row j gets each i < j while the rows before
+        # it are walked, then its own j's as it is: each row comes
+        # out sorted
+        adjacent = array("i", [0]) * first[-1]
+        last = end = -1
+        for key in keys:
+            if key != last:
+                last = key
+                if key >= end:
+                    i = key // n
+                    start = i * n
+                    end = start + n
+                    at = free[i]
+                j = key - start
+                adjacent[at] = j
+                at += 1
+                adjacent[free[j]] = i
+                free[j] += 1
+        del keys[:], free
+        if families:
+            from ._fill import family_arrays
+            first, adjacent = family_arrays(n, families, rows, first, adjacent)
         self.first, self.adjacent = first, adjacent
         self.edges = _Edges(order, first, adjacent)
 

@@ -51,7 +51,11 @@ TOYS = {
 # fill and the rest key by key; with 0 every build with a family goes
 # through the fill, and with 10**9, above every graph here, every build
 # goes key by key
-FILL_VERTICES = [_FILL_VERTICES, 0, 10**9]
+FILL_VERTICES = [
+    pytest.param(_FILL_VERTICES, id="default"),
+    pytest.param(0, id="fill"),
+    pytest.param(10**9, id="keys"),
+]
 
 
 def arrays(graph):

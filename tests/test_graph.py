@@ -677,11 +677,26 @@ def key_families(draw):
 # one-key families
 @example((10, [range(3, 58, 11), range(15, 45, 10), 14, 14, range(5, 5), range(13, 14)]))
 @example((2, [range(1, 2)]))
+# rows 4-9 hold int keys that no family reaches
+@example((10, [range(12, 14), 89, 78, 89, 45]))
 def test_families_build_the_arrays_of_their_keys(case):
     n, entries = case
     keys = [key for entry in entries for key in (entry if isinstance(entry, range) else (entry,))]
-    g = Graph._from_keys([v("x%03d" % i) for i in range(n)], list(entries))
-    assert (list(g.first), list(g.adjacent)) == reference_arrays(n, keys)
+    assert build_by_each_writer(n, entries) == [reference_arrays(n, keys)] * 2
+
+
+def build_by_each_writer(n, entries):
+    """The arrays Graph._from_keys builds from entries, int keys and
+    families, once with the families expanded into int keys and once
+    with every family written by _fill."""
+    order = [v("x%03d" % i) for i in range(n)]
+    built = []
+    for fill_vertices in (10**9, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(alliancelib.graph, "_FILL_VERTICES", fill_vertices)
+            g = Graph._from_keys(order, list(entries))
+        built.append((list(g.first), list(g.adjacent)))
+    return built
 
 
 def test_repeats_of_an_edge_far_apart_count_once():
@@ -693,6 +708,11 @@ def test_repeats_of_an_edge_far_apart_count_once():
     keys *= 50
     rng.shuffle(keys)
     assert_built_from_keys(n, keys)
+    # with a fan from id 0 over ids 1-19, which many keys repeat, the
+    # fill meets the keys in rows 0-19 and copies the rows after
+    fan = range(1, 20)
+    want = reference_arrays(n, keys + list(fan))
+    assert build_by_each_writer(n, oriented(n, keys) + [fan]) == [want] * 2
 
 
 def test_reversed_and_repeated_edges_give_the_oriented_graph():
