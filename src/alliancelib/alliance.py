@@ -125,7 +125,9 @@ class AllianceInstance:
             warnings.warn(
                 "%d complementary pair(s) coincide with graph edges; they are "
                 "kept and collapse in the primal graph" % (shared,),
-                stacklevel=2,
+                # past __post_init__ and the generated __init__, to the
+                # line that made the instance
+                stacklevel=3,
             )
 
     @property
@@ -142,13 +144,9 @@ class AllianceInstance:
 
 
 def _members(graph, candidate):
-    """The ids of the candidate's vertices, and a bytearray over the ids
-    that marks them. A VertexSet over the graph's table gives its own
-    ids; any other candidate is looked up name by name."""
-    if isinstance(candidate, VertexSet) and candidate.table is graph.order:
-        members = candidate.ids
-    else:
-        members = _find_all(graph.order, frozenset(candidate), "candidate")
+    """The ids of the candidate's vertices, sorted, and a bytearray over
+    the ids that marks them."""
+    members = _vertex_set(graph, candidate, "candidate").ids
     inside = bytearray(len(graph.order))
     for i in members:
         inside[i] = 1

@@ -14,7 +14,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 
 from ._record import record
-from .graph import VertexTable, parse_vertex
+from .graph import Block, VertexTable, _Index, parse_vertex
 
 NICE_KINDS = ("leaf", "introduce", "forget", "join")
 
@@ -29,18 +29,15 @@ class TdVerdict:
 
 
 class TreeDecomposition:
-    """Mutable rooted tree of bags with integer node ids.
+    """Rooted tree of bags with integer node ids.
 
-    Bags hold the ids of a vertex table: order, a sequence of names in
-    which order[i] has id i, and index, the mapping from name to id.
+    Bags hold the ids of a vertex table: _order, a VertexTable whose
+    ids follow name order, and _index, its mapping from name to id.
     TreeDecomposition(graph), as heuristic_td and transform_td build
-    it, shares the graph's order and index (a VertexTable, whose ids
-    follow name order, and its mapping) as its table and never writes
-    to them, so its ids are the graph's. A decomposition read by
-    td_from_lines or built by hand owns a private table, a list and a
-    dict, which the mutators extend with the new names they are given;
-    a name missing from a shared table first gives the decomposition a
-    private copy.
+    it, shares the graph's table, so its ids are the graph's;
+    td_from_lines places the names it reads in a table of their own,
+    and TreeDecomposition() starts with an empty one. No table is ever
+    written to, and named bags come in through td_from_lines only.
 
     Node ids are 0..N-1 in creation order, and every per-node table is
     indexed by them: _bags is a list of bags, each a sorted tuple of
@@ -55,17 +52,17 @@ class TreeDecomposition:
     only ints are untracked by the cyclic garbage collector at its first
     pass over them, and arrays are never tracked, so a large
     decomposition adds no work to later collections. Names appear only
-    at the edge: add_node, set_bag, add_to_bag and splice_above take
-    names, bag() returns a read-only frozenset of names, and any order
-    visible outside (written bags, make_nice numbering, messages) is
-    the name order.
+    at the edge: bag() returns a read-only frozenset of names, and since
+    ids sort as their names, any order visible outside (written bags,
+    make_nice numbering, messages) is the name order.
     """
 
     def __init__(self, graph=None):
         if graph is None:
-            self._order, self._index, self._owns_table = [], {}, True
+            self._order = VertexTable([])
+            self._index = _Index(self._order)
         else:
-            self._order, self._index, self._owns_table = graph.order, graph.index, False
+            self._order, self._index = graph.order, graph.index
         self._bags = []
         self._parent = array("i")
         self._kids = None
@@ -74,32 +71,8 @@ class TreeDecomposition:
     def _over(cls, td):
         """Empty decomposition sharing td's table."""
         out = cls()
-        out._order, out._index, out._owns_table = td._order, td._index, False
+        out._order, out._index = td._order, td._index
         return out
-
-    def _vertex_ids(self, names):
-        """Sorted tuple of the ids of names, adding new names to the table."""
-        index = self._index
-        ids = set()
-        for name in names:
-            i = index.get(name)
-            if i is None:
-                if not self._owns_table:
-                    self._order, self._index = list(self._order), dict(index)
-                    self._owns_table = True
-                    index = self._index
-                i = len(self._order)
-                self._order.append(name)
-                index[name] = i
-            ids.add(i)
-        return tuple(sorted(ids))
-
-    def _name_order(self, ids):
-        """ids sorted by their names, the order callers see: their own
-        order over a graph's table."""
-        if isinstance(self._order, VertexTable):
-            return sorted(ids)
-        return sorted(ids, key=self._order.__getitem__)
 
     def _is_node(self, n):
         return isinstance(n, int) and 0 <= n < len(self._bags)
@@ -127,50 +100,25 @@ class TreeDecomposition:
         self._kids = None
         return last
 
-    def add_node(self, bag, parent=None):
-        if parent is not None and not self._is_node(parent):
-            raise ValueError("unknown parent node %r" % (parent,))
-        return self._add(self._vertex_ids(bag), -1 if parent is None else parent)
-
     def nodes(self):
         return list(range(len(self._bags)))
 
     def bag(self, n):
         self._check_node(n)
-        return frozenset(map(self._order.__getitem__, self._bags[n]))
-
-    def set_bag(self, n, bag):
-        self._check_node(n)
-        self._bags[n] = self._vertex_ids(bag)
-
-    def add_to_bag(self, n, vertices):
-        self._check_node(n)
-        bag = self._bags[n]
-        new = set(self._vertex_ids(vertices)).difference(bag)
-        if new:
-            self._bags[n] = tuple(sorted(bag + tuple(new)))
+        return frozenset(self._order.names(self._bags[n]))
 
     def parent(self, n):
         self._check_node(n)
         p = self._parent[n]
         return None if p < 0 else p
 
-    def set_parent(self, n, parent):
-        self._check_node(n)
-        if parent == n:
-            raise ValueError("node %r cannot be its own parent" % (n,))
-        if parent is not None and not self._is_node(parent):
-            raise ValueError("unknown parent node %r" % (parent,))
-        self._parent[n] = -1 if parent is None else parent
-        self._kids = None
-
     def _child_index(self):
         """(first, kids), the children of every node n in id order as
         kids[first[n]:first[n + 1]], derived from _parent on the first
-        read after a write. _hang, _splice and set_parent drop it;
-        heuristic_td, _td_from_rows and make_nice write _parent directly
-        only before anything reads it. The roots, whose parent -1 sorts
-        first, fill kids[:first[0]]."""
+        read after a write. _hang and _splice drop it; heuristic_td,
+        _td_from_rows and make_nice write _parent directly only before
+        anything reads it. The roots, whose parent -1 sorts first, fill
+        kids[:first[0]]."""
         if self._kids is None:
             parent = self._parent
             count = [0] * (len(parent) + 1)
@@ -219,19 +167,11 @@ class TreeDecomposition:
         out.reverse()
         return out
 
-    def splice_above(self, n, bags):
-        """Insert a chain of new nodes between n and its parent.
-
-        The first bag becomes the new parent of n, the last ends up
-        adjacent to the old parent (or becomes the root). Returns the
-        new ids bottom to top.
-        """
-        self._check_node(n)
-        return list(self._splice(n, [self._vertex_ids(b) for b in bags]))
-
     def _splice(self, n, bags):
-        """splice_above for a list of bags that are sorted id tuples; the
-        new ids as a range."""
+        """A chain of new nodes with bags, sorted id tuples, between n and
+        its parent: the first bag becomes the new parent of n, the last
+        sits under n's old parent (or becomes the root). The new ids,
+        bottom to top, as a range."""
         start = len(self._bags)
         if not bags:
             return range(start, start)
@@ -311,11 +251,12 @@ class TreeDecomposition:
         shared = order is names
         foreign = () if shared else {u for u, name in enumerate(order) if name not in known}
         if foreign:
-            for n, bag in enumerate(bags):
-                for u in self._name_order(u for u in bag if u in foreign):
-                    problems.append(
-                        "bag of node %d contains foreign vertex %s" % (n, order[u])
-                    )
+            problems += [
+                "bag of node %d contains foreign vertex %s" % (n, order[u])
+                for n, bag in enumerate(bags)
+                for u in bag
+                if u in foreign
+            ]
         tops = first, more = _tops(self)
         # the table id of each graph vertex, in the graph's (name) order
         index = self._index
@@ -464,7 +405,7 @@ def make_nice(td):
         raise ValueError("some nodes are not reachable from the root")
     if next(_shape_problems(td), None) is None:
         return td.copy(into=NiceTreeDecomposition)
-    src, up, name_order = td._bags, td._parent, td._name_order
+    src, up = td._bags, td._parent
     bags, parent = [], array("i")
 
     def make(bag, child):
@@ -479,10 +420,10 @@ def make_nice(td):
     def transition(top, cur, to):
         """Nodes above top, one vertex forgotten, then introduced, at a
         time, from bag cur to bag to; their top."""
-        for x in name_order(set(cur).difference(to)):
+        for x in sorted(set(cur).difference(to)):
             i = cur.index(x)
             top = make(cur := cur[:i] + cur[i + 1:], top)
-        for x in name_order(set(to).difference(cur)):
+        for x in sorted(set(to).difference(cur)):
             i = bisect_left(cur, x)
             top = make(cur := cur[:i] + (x,) + cur[i:], top)
         return top
@@ -582,7 +523,7 @@ def heuristic_td(graph):
     td = TreeDecomposition(graph)
     ids = graph.order.ids
     if not ids:
-        td.add_node(set())
+        td._add(())
         return td
     first, adjacent = graph.first, graph.adjacent
     neighbours = [set(adjacent[first[u]:first[u + 1]]) for u in ids]
@@ -662,7 +603,7 @@ def _bag_labels(td):
     order, bags = td._order, td._bags
     labels = {u: str(order[u]) for u in set().union(*bags)}
     for n in td.nodes():
-        yield n, map(labels.__getitem__, td._name_order(bags[n]))
+        yield n, map(labels.__getitem__, bags[n])
 
 
 def td_to_lines(td):
@@ -681,10 +622,11 @@ def td_to_lines(td):
 
 
 def td_from_lines(text):
-    """Decomposition from td_to_lines text, over a private table in name
-    order. The text is read as nice only when every line declares a
-    node kind and each declared kind is the one its node has; plain
-    bags whose first vertex is named like a kind stay plain."""
+    """Decomposition from td_to_lines text, over a VertexTable of the
+    names it reads, whose ids follow name order: the one way named bags
+    come in. The text is read as nice only when every line declares a
+    node kind and each declared kind is the one its node has; plain bags
+    whose first vertex is named like a kind stay plain."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -745,12 +687,12 @@ def _td_from_rows(td, rows, skip):
     for lineno, _nid, parent, _ in rows:
         if parent is not None and not 0 <= parent < size:
             raise ValueError("line %d: unknown parent %d" % (lineno, parent))
-    td._order = sorted(set().union(*named))
-    td._index = index = {v: i for i, v in enumerate(td._order)}
+    td._order = table = VertexTable([Block(tuple(sorted(set().union(*named))))])
+    td._index = _Index(table)
     td._bags = [None] * size
     td._parent = array("i", [-1]) * size
     for (_, nid, parent, _), bag in zip(rows, named):
-        td._bags[nid] = tuple(sorted(map(index.__getitem__, bag)))
+        td._bags[nid] = tuple(sorted(map(table.find, bag)))
         if parent is not None:
             td._parent[nid] = parent
     return td

@@ -7,7 +7,7 @@ the tests were derived on paper from these definitions.
 from alliancelib.alliance import AllianceInstance
 from alliancelib.graph import Graph, VertexId
 from alliancelib.mmo import MmoInstance
-from alliancelib.treewidth import NiceTreeDecomposition
+from alliancelib.treewidth import NiceTreeDecomposition, TreeDecomposition, td_from_lines
 
 
 def v(name):
@@ -58,28 +58,29 @@ def square_with_chord():
     return Graph([a, b, c, d], [(a, b), (b, c), (c, d), (d, a), (a, c)])
 
 
+def td_of(rows, cls=TreeDecomposition):
+    """Decomposition of class cls read by td_from_lines from rows, each
+    (bag, parent) for the next node id: bag an iterable of names, parent
+    a node id or None for a root."""
+    text = "".join(
+        "%d %s %s\n" % (n, "-" if p is None else p, " ".join(map(str, bag)))
+        for n, (bag, p) in enumerate(rows)
+    )
+    return td_from_lines(text).copy(into=cls)
+
+
 def square_with_chord_nice_td():
-    """Hand-built nice decomposition of square_with_chord, width 2.
+    """Hand-written nice decomposition of square_with_chord, width 2.
 
     Shape (root first): {} - {a} - {a,c} join, whose branches run
     {a,c} - {a,b,c} - {a,b} - {a} - {} and {a,c} - {a,c,d} - {c,d} -
     {d} - {}.
     """
-    t = NiceTreeDecomposition()
-    n0 = t.add_node(set())
-    n1 = t.add_node({v("a")}, parent=n0)
-    n2 = t.add_node({v("a"), v("c")}, parent=n1)
-    n3 = t.add_node({v("a"), v("c")}, parent=n2)
-    n4 = t.add_node({v("a"), v("b"), v("c")}, parent=n3)
-    n5 = t.add_node({v("a"), v("b")}, parent=n4)
-    n6 = t.add_node({v("a")}, parent=n5)
-    t.add_node(set(), parent=n6)
-    n8 = t.add_node({v("a"), v("c")}, parent=n2)
-    n9 = t.add_node({v("a"), v("c"), v("d")}, parent=n8)
-    n10 = t.add_node({v("c"), v("d")}, parent=n9)
-    n11 = t.add_node({v("d")}, parent=n10)
-    t.add_node(set(), parent=n11)
-    return t
+    rows = [
+        ("", None), ("a", 0), ("a c", 1), ("a c", 2), ("a b c", 3), ("a b", 4), ("a", 5),
+        ("", 6), ("a c", 2), ("a c d", 8), ("c d", 9), ("d", 10), ("", 11),
+    ]
+    return td_of([(vs(names), p) for names, p in rows], NiceTreeDecomposition)
 
 
 # node ids outside 0..n-1 for n lines: a negative one, a gap and one too

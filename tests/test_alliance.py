@@ -197,8 +197,10 @@ class TestInstanceValidation:
 
     def test_pair_overlapping_edge_warns(self):
         g = wheelish_graph()
-        with pytest.warns(UserWarning, match="pair"):
+        with pytest.warns(UserWarning, match="pair") as caught:
             AllianceInstance(g, k=2, pairs={(v("a"), v("b"))})
+        # the warning names the line that made the instance
+        assert [w.filename for w in caught] == [__file__]
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
@@ -250,6 +252,18 @@ class TestSolutionPredicate:
     def test_unknown_candidate_vertex_is_rejected(self):
         with pytest.raises(ValueError, match="not in the graph"):
             solution_problems(constrained_instance(), vs("a z"))
+
+    def test_candidate_views_are_checked_by_id_range(self):
+        # refused as a constraint set is, not read past the graph's ids
+        a, b = vs("a b")
+        g = Graph([a, b], [(a, b)])
+        inst = AllianceInstance(g, k=2)
+        for ids in ([0, 5], [-1, 1]):
+            view = VertexSet(g.order, array("i", ids))
+            for check in (lambda: is_solution(inst, view), lambda: is_defensive_alliance(g, view)):
+                with pytest.raises(ValueError, match=r"^candidate vertex ids fall outside the graph$"):
+                    check()
+        assert is_solution(inst, VertexSet(g.order, array("i", [0, 1])))
 
     def test_adding_a_vertex_can_break_an_alliance(self):
         # path w - x - y - z: {w} defends itself, {w, y} leaves y outnumbered

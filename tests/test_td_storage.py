@@ -2,9 +2,10 @@
 
 The model keeps a decomposition the plain way, in dicts keyed by node
 id, and derives children, paths and orders from the parent map alone.
-Random sequences of the public mutators, copies among them, must leave
+Random sequences of the builders the stage transforms use (_add, _hang
+and _splice, with bags of table ids), copies among them, must leave
 the decomposition and the model in agreement, and every copy taken
-along the way must stay as it was while the copy is mutated.
+along the way must stay as it was while the copy is built on.
 """
 
 import copy
@@ -12,11 +13,18 @@ import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
+from alliancelib.graph import Graph
 from alliancelib.treewidth import TreeDecomposition, td_to_lines
 
 from helpers import vs
 
 NAMES = vs("a b c d e f")
+GRAPH = Graph(NAMES)
+
+
+def ids(bag):
+    """The bag of names as a sorted tuple of GRAPH's ids."""
+    return tuple(sorted(map(GRAPH.index.__getitem__, bag)))
 
 
 class Model:
@@ -31,6 +39,11 @@ class Model:
         self.bags[n] = frozenset(bag)
         self.parent[n] = parent
         return n
+
+    def hang(self, parent, bags):
+        for bag in bags:
+            parent = self.add(bag, parent)
+        return parent
 
     def splice(self, n, bags):
         old, below, ids = self.parent[n], n, []
@@ -103,7 +116,7 @@ def assert_agrees(td, model):
     assert td_to_lines(td) == model.lines()
 
 
-OPS = ("add_node", "set_bag", "add_to_bag", "set_parent", "splice_above", "copy")
+OPS = ("_add", "_hang", "_splice", "copy")
 bags = st.frozensets(st.sampled_from(NAMES), max_size=4)
 steps = st.lists(
     st.tuples(
@@ -117,32 +130,19 @@ steps = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(bags, steps)
 def test_mutators_agree_with_the_dict_model(first, steps):
-    td, model = TreeDecomposition(), Model()
-    assert td.add_node(first) == model.add(first, None)
+    td, model = TreeDecomposition(GRAPH), Model()
+    assert td._add(ids(first)) == model.add(first, None)
     # every copy taken, with the model as it was then
     frozen = []
     for op, i, j, bag, more in steps:
         nodes = sorted(model.bags)
-        n = nodes[i % len(nodes)]
-        if op == "add_node":
-            p = nodes[j % len(nodes)]
-            assert td.add_node(bag, parent=p) == model.add(bag, p)
-        elif op == "set_bag":
-            td.set_bag(n, bag)
-            model.bags[n] = bag
-        elif op == "add_to_bag":
-            td.add_to_bag(n, bag)
-            model.bags[n] |= bag
-        elif op == "set_parent":
-            # any node outside n's subtree keeps a tree, the old parent too
-            allowed = sorted(set(nodes) - model.subtree(n))
-            if model.parent[n] is None or not allowed:
-                continue
-            p = allowed[j % len(allowed)]
-            td.set_parent(n, p)
-            model.parent[n] = p
-        elif op == "splice_above":
-            assert td.splice_above(n, more) == model.splice(n, more)
+        n, p = nodes[i % len(nodes)], nodes[j % len(nodes)]
+        if op == "_add":
+            assert td._add(ids(bag), p) == model.add(bag, p)
+        elif op == "_hang":
+            assert td._hang(p, list(map(ids, more))) == model.hang(p, more)
+        elif op == "_splice":
+            assert list(td._splice(n, list(map(ids, more)))) == model.splice(n, more)
         else:
             frozen.append((td, copy.deepcopy(model)))
             td = td.copy()
@@ -157,12 +157,12 @@ def test_a_node_costs_under_16_bytes_beside_its_bag():
     # where sibling links beside them cost about 20 B a node and
     # per-node dicts of bags and parents with a child tuple about 250 B
     td = TreeDecomposition()
-    root = td.add_node(())
+    root = td._add(())
     count = 100_000
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        td.splice_above(root, [()] * count)
+        td._splice(root, [()] * count)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pathlib
 import random
 import sys
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alliancelib.alliance import primal_graph
-from alliancelib.graph import Graph, VertexId
+from alliancelib.gen import random_forbidden_toy, random_mmo, random_necessary_toy, random_pair_toy
+from alliancelib.graph import Graph, VertexId, VertexTable
 from alliancelib.mmo import MmoInstance
-from alliancelib.reductions import eliminate_pairs, mmo_to_alliance
+from alliancelib.reductions import build_stage, eliminate_pairs, mmo_to_alliance
 from alliancelib.treewidth import (
     NICE_KINDS,
     NiceTreeDecomposition,
@@ -25,7 +27,17 @@ from alliancelib.treewidth import (
     validate_td,
 )
 
-from helpers import BAD_NODE_IDS, square_with_chord, square_with_chord_nice_td, v, vs
+from helpers import (
+    BAD_NODE_IDS,
+    one_edge_target,
+    square_with_chord,
+    square_with_chord_nice_td,
+    td_of,
+    v,
+    vs,
+)
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def path_graph(n):
@@ -53,57 +65,45 @@ class TestValidation:
 
     def test_missing_vertex_detected(self):
         g = Graph([v("a"), v("b")], [(v("a"), v("b"))])
-        td = TreeDecomposition()
-        td.add_node({v("a")})
+        td = td_of([(vs("a"), None)])
         verdict = validate_td(g, td)
         assert not verdict
         assert any("b" in p for p in verdict.problems)
 
     def test_missing_edge_detected(self):
         g = Graph([v("a"), v("b")], [(v("a"), v("b"))])
-        td = TreeDecomposition()
-        root = td.add_node({v("a")})
-        td.add_node({v("b")}, parent=root)
+        td = td_of([(vs("a"), None), (vs("b"), 0)])
         verdict = validate_td(g, td)
         assert not verdict
         assert any("edge" in p for p in verdict.problems)
 
     def test_disconnected_occurrence_detected(self):
         g = Graph([v("a"), v("b"), v("c")], [(v("a"), v("b")), (v("b"), v("c"))])
-        td = TreeDecomposition()
-        n0 = td.add_node({v("a"), v("b")})
-        n1 = td.add_node({v("b"), v("c")}, parent=n0)
-        td.add_node({v("a")}, parent=n1)  # a reappears below a bag without it
+        # a reappears below a bag without it
+        td = td_of([(vs("a b"), None), (vs("b c"), 0), (vs("a"), 1)])
         verdict = validate_td(g, td)
         assert not verdict
         assert any("connected" in p for p in verdict.problems)
 
     def test_foreign_vertex_detected(self):
         g = Graph([v("a")])
-        td = TreeDecomposition()
-        td.add_node({v("a"), v("zz")})
+        td = td_of([(vs("a zz"), None)])
         assert not validate_td(g, td)
 
     def test_width_of_empty_bag_tree(self):
-        td = TreeDecomposition()
-        td.add_node(set())
+        td = td_of([((), None)])
         assert td.width() == -1
         assert validate_td(Graph([]), td)
 
 
-def _td(*rows, reparent=()):
-    """Decomposition from (bag names, parent id) rows added in order,
-    then set_parent(node, parent) for each pair of reparent."""
-    td = TreeDecomposition()
-    for names, parent in rows:
-        td.add_node(vs(names), parent=parent)
-    for n, p in reparent:
-        td.set_parent(n, p)
-    return td
+def _td(*rows):
+    """Decomposition from (bag names, parent id) rows, node i the i-th;
+    a parent may come later, so that the links can close a cycle."""
+    return td_of([(vs(names), parent) for names, parent in rows])
 
 
 def _unknown_parent():
-    """set_parent refuses an unknown parent, so the link is written
+    """td_from_lines refuses an unknown parent, so the link is written
     directly: validate still diagnoses a tree assembled another way."""
     td = _td(("a b", None), ("b c", 0))
     td._parent[1] = 7
@@ -128,13 +128,13 @@ BROKEN = {
         ("node 1 has unknown parent 7",),
     ),
     "cycle": (
-        _td(("a b", None), ("b c", 0), reparent=[(0, 1)]),
+        _td(("a b", 1), ("b c", 0)),
         _path("a b c"),
         ("expected exactly one root, found 0",),
     ),
     "unreachable": (
         # nodes 2 and 3 are each other's parent, off the root's tree
-        _td(("a b", None), ("b c", 0), ("b", 1), ("b", 2), reparent=[(2, 3)]),
+        _td(("a b", None), ("b c", 0), ("b", 3), ("b", 2)),
         _path("a b c"),
         ("some nodes are not reachable from the root",),
     ),
@@ -182,85 +182,53 @@ def test_broken_decomposition_verdict_is_pinned(case):
 
 class TestStructure:
     def test_children_follow_every_mutator(self):
-        td = TreeDecomposition()
-        root = td.add_node({v("a")})
-        x = td.add_node({v("a")}, parent=root)
-        y = td.add_node({v("a")}, parent=root)
+        # the builders the stage transforms use, over one-id bags
+        td = td_of([(vs("a"), None)])
+        a = (td._order.find(v("a")),)
+        root = 0
+        x = td._add(a, root)
+        y = td._add(a, root)
         assert td.children(root) == [x, y]
-        td.set_parent(x, y)
-        assert td.children(root) == [y]
-        assert td.children(y) == [x]
-        ids = td.splice_above(y, [{v("a")}, {v("a")}])
-        assert td.children(root) == [ids[-1]]
+        below = td._hang(y, [a, a])
+        assert td.children(y) == [below - 1]
+        assert td.children(below - 1) == [below]
+        ids = td._splice(y, [a, a])
+        assert td.children(root) == [x, ids[-1]]
         assert td.children(ids[0]) == [y]
         assert td.children(ids[-1]) == [ids[0]]
-        td.set_parent(x, root)
-        assert td.children(root) == [x, ids[-1]]
-        assert td.children(y) == []
+        assert td.children(y) == [below - 1]
         back = td_from_lines(td_to_lines(td))
         copied = td.copy()
         for n in td.nodes():
             assert back.children(n) == copied.children(n) == td.children(n)
 
-    def test_set_parent_rejects_an_unknown_parent(self):
-        td = TreeDecomposition()
-        root = td.add_node({v("a")})
-        child = td.add_node({v("a")}, parent=root)
-        with pytest.raises(ValueError, match="unknown parent node 99"):
-            td.set_parent(child, 99)
-        with pytest.raises(ValueError, match="unknown node 99"):
-            td.set_parent(99, root)
-        assert td.parent(child) == root
-        assert td.children(99) == []
-        assert td.children(root) == [child]
-
     @pytest.mark.parametrize("node", [-1, 2, 10**12])
     def test_ids_outside_the_tables_are_unknown_nodes(self, node):
         # -1 would otherwise read the last entry of a node table
-        td = TreeDecomposition()
-        root = td.add_node({v("a")})
-        td.add_node({v("b")}, parent=root)
-        for call in (
-            td.bag,
-            td.parent,
-            lambda n: td.path_between(n, root),
-            lambda n: td.splice_above(n, [set()]),
-        ):
+        td = td_of([(vs("a"), None), (vs("b"), 0)])
+        root = 0
+        for call in (td.bag, td.parent, lambda n: td.path_between(n, root)):
             with pytest.raises(ValueError, match="unknown node"):
                 call(node)
         assert td.children(node) == []
         assert td.nodes() == [0, 1]
 
-    def test_set_parent_rejects_the_node_itself(self):
-        td = TreeDecomposition()
-        root = td.add_node({v("a")})
-        with pytest.raises(ValueError, match="own parent"):
-            td.set_parent(root, root)
-        assert td.parent(root) is None
-        assert td.children(root) == []
-
     def test_bag_is_a_read_only_view_of_names(self):
         g = square_with_chord()
         td = heuristic_td(g)
-        n = td.nodes()[0]
-        bag = td.bag(n)
-        assert isinstance(bag, frozenset)
-        td.add_to_bag(n, {v("zz")})
-        assert v("zz") not in bag
-        assert v("zz") in td.bag(n)
-        # a name new to the graph's table gives td a private table
-        assert v("zz") not in g.index and len(g.order) == 4
-        assert not validate_td(g, td)
-        assert heuristic_td(g).validate(g)
+        for n in td.nodes():
+            bag = td.bag(n)
+            assert isinstance(bag, frozenset)
+            assert bag == {g.order[u] for u in td._bags[n]}
+        # the graph's own table, shared and not copied
+        assert td._order is g.order and td._index is g.index
+        with pytest.raises(AttributeError):
+            td.bag(0).add(v("zz"))
 
     def test_path_between(self):
-        td = TreeDecomposition()
-        root = td.add_node(set())
-        left = [td.add_node(set(), parent=root)]
-        right = [td.add_node(set(), parent=root)]
-        for _ in range(4):
-            left.append(td.add_node(set(), parent=left[-1]))
-        right.append(td.add_node(set(), parent=right[-1]))
+        # two branches under root 0, and a second root, node 8
+        td = td_of([((), p) for p in (None, 0, 0, 1, 3, 4, 5, 2, None)])
+        root, left, right, other = 0, [1, 3, 4, 5, 6], [2, 7], 8
         assert td.path_between(left[3], right[1]) == (
             left[3::-1] + [root] + right[:2]
         )
@@ -268,7 +236,6 @@ class TestStructure:
         assert td.path_between(left[4], left[1]) == left[4:0:-1]
         assert td.path_between(root, left[2]) == [root] + left[:3]
         assert td.path_between(left[2], left[2]) == [left[2]]
-        other = td.add_node(set())
         with pytest.raises(ValueError, match="not in one tree"):
             td.path_between(left[1], other)
 
@@ -365,11 +332,7 @@ class TestMakeNice:
             [v(x) for x in "sabc"],
             [(v("s"), v("a")), (v("s"), v("b")), (v("s"), v("c"))],
         )
-        td = TreeDecomposition()
-        root = td.add_node({v("s")})
-        td.add_node({v("s"), v("a")}, parent=root)
-        td.add_node({v("s"), v("b")}, parent=root)
-        td.add_node({v("s"), v("c")}, parent=root)
+        td = td_of([(vs("s"), None), (vs("s a"), 0), (vs("s b"), 0), (vs("s c"), 0)])
         nice = make_nice(td)
         assert nice.validate_nice(g)
         for node in nice.nodes():
@@ -377,8 +340,7 @@ class TestMakeNice:
 
     def test_single_bag_input(self):
         g = complete_graph(3)
-        td = TreeDecomposition()
-        td.add_node(set(g.vertices))
+        td = td_of([(g.vertices, None)])
         nice = make_nice(td)
         assert nice.validate_nice(g)
         assert nice.width() == 2
@@ -442,10 +404,7 @@ class TestDeepDecompositions:
         assert depth > sys.getrecursionlimit()
         verts = [VertexId("p%d" % i) for i in range(depth + 1)]
         g = Graph(verts, list(zip(verts, verts[1:])))
-        td = TreeDecomposition()
-        parent = None
-        for i in range(depth):
-            parent = td.add_node({verts[i], verts[i + 1]}, parent=parent)
+        td = td_of([(verts[i:i + 2], i - 1 if i else None) for i in range(depth)])
         nice = make_nice(td)
         assert nice.validate_nice(g)
         assert nice.width() == 1
@@ -465,35 +424,26 @@ class TestDeepDecompositions:
 
 def _random_tree(seed):
     """Up to 30 nodes with random bags of up to five of at most twelve
-    names, which enter the private table in shuffled order, hung under
-    one another in shuffled node order; no decomposition conditions
-    hold."""
+    names, hung under one another in shuffled node order; no
+    decomposition conditions hold."""
     rng = random.Random(seed)
     names = [v("x%d" % i) for i in range(rng.randint(1, 12))]
     rng.shuffle(names)
     size = rng.randint(1, 30)
-    td = TreeDecomposition()
-    for _ in range(size):
-        td.add_node(rng.sample(names, rng.randint(0, min(5, len(names)))))
+    bags = [rng.sample(names, rng.randint(0, min(5, len(names)))) for _ in range(size)]
+    parent = [None] * size
     nodes = list(range(size))
     rng.shuffle(nodes)
     for i in range(1, size):
-        td.set_parent(nodes[i], nodes[rng.randrange(i)])
-    return td
+        parent[nodes[i]] = nodes[rng.randrange(i)]
+    return td_of(zip(bags, parent))
 
 
 def _three_way_join():
-    """Names added out of name order; the root has three children, one
-    with an empty bag and one repeating the root's bag."""
+    """The root has three children, one with an empty bag and one
+    repeating the root's bag."""
     a, b, c, d = vs("a b c d")
-    td = TreeDecomposition()
-    root = td.add_node([c, a])
-    left = td.add_node([b, c], parent=root)
-    td.add_node([], parent=root)
-    right = td.add_node([a, c], parent=root)
-    td.add_node([d, a, b], parent=right)
-    td.add_node([d], parent=left)
-    return td
+    return td_of([([c, a], None), ([b, c], 0), ([], 0), ([a, c], 0), ([d, a, b], 3), ([d], 1)])
 
 
 # make_nice output of _three_way_join and the SHA-256 digests of its
@@ -577,6 +527,85 @@ class TestNicePins:
         td = td_from_lines(text)
         with pytest.raises(ValueError, match="^some nodes are not reachable from the root$"):
             make_nice(td)
+
+
+def _outcome(call, *args):
+    """What call returns, or the message of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _on_graph(td, graph):
+    """td's tree with its bags over the graph's own table."""
+    out = TreeDecomposition(graph)
+    out._bags = [tuple(sorted(map(graph.index.__getitem__, td.bag(n)))) for n in td.nodes()]
+    out._parent = td._parent[:]
+    return out
+
+
+def _golden_pair():
+    """The golden mmo-to-fnc decomposition as read from its file, and as
+    carried from a heuristic one over the stage graph's table."""
+    mmo = one_edge_target(1, 1)
+    stage = mmo_to_alliance(mmo)
+    own = td_from_lines((GOLDEN / "mmo-to-fnc.td").read_text())
+    return own, transform_td(stage, heuristic_td(mmo.graph)), primal_graph(stage.result)
+
+
+def _square_pair():
+    g = square_with_chord()
+    shared = heuristic_td(g)
+    return td_from_lines(td_to_lines(shared)), shared, g
+
+
+def _random_pair(seed):
+    """_random_tree(seed), and the same tree over the table of a path
+    through its names and one name no bag holds."""
+    own = _random_tree(seed)
+    names = list(own._order) + [v("y")]
+    graph = Graph(names, list(zip(names, names[1:])))
+    return own, _on_graph(own, graph), graph
+
+
+TABLE_PAIRS = {"square": _square_pair, "golden mmo-to-fnc": _golden_pair}
+TABLE_PAIRS.update(
+    ("random tree %d" % seed, lambda seed=seed: _random_pair(seed))
+    for seed in range(len(RANDOM_TREE_NICE))
+)
+
+
+@pytest.mark.parametrize("case", list(TABLE_PAIRS))
+def test_a_table_of_its_own_and_the_graphs_give_the_same_output(case):
+    own, shared, graph = TABLE_PAIRS[case]()
+    assert own._order is not graph.order and shared._order is graph.order
+    assert td_to_lines(own) == td_to_lines(shared)
+    assert td_to_lines(make_nice(own)) == td_to_lines(make_nice(shared))
+    eligible = set().union(*map(own.bag, own.nodes()))
+    assert _outcome(postorder_ordering, own, eligible) == _outcome(
+        postorder_ordering, shared, eligible
+    )
+    assert own.validate(graph).problems == shared.validate(graph).problems
+
+
+@pytest.mark.parametrize("tag, draw", [
+    ("mmo-to-fnc", random_mmo),
+    ("fnc-to-fn", random_pair_toy),
+    ("fn-to-f", random_necessary_toy),
+    ("f-to-plain", random_forbidden_toy),
+])
+def test_every_decomposition_is_over_a_table_in_name_order(tag, draw):
+    source = draw(random.Random(5))
+    made = heuristic_td(source.graph if tag == "mmo-to-fnc" else primal_graph(source))
+    read = td_from_lines(td_to_lines(made))
+    carried = build_stage(tag, source, read)[1]
+    for td in (
+        TreeDecomposition(), made, read, make_nice(made), make_nice(read), carried,
+        td_from_lines(td_to_lines(carried)),
+    ):
+        assert isinstance(td._order, VertexTable)
+        assert list(td._order) == sorted(td._order)
 
 
 class TestPostorder:
@@ -681,11 +710,11 @@ def decompositions(draw):
     kinds; parents come before children, so it has a single root."""
     size = draw(st.integers(1, 8))
     names = st.sets(st.sampled_from(KIND_NAMED), max_size=4)
-    td = TreeDecomposition()
+    rows = []
     for i in range(size):
         parent = draw(st.integers(0, i - 1)) if i else None
-        td.add_node(vs(" ".join(sorted(draw(names)))), parent=parent)
-    return td
+        rows.append((vs(" ".join(sorted(draw(names)))), parent))
+    return td_of(rows)
 
 
 @settings(max_examples=150, deadline=None)
