@@ -98,7 +98,15 @@ def _plan(n, columns, spans, ints, degree):
     for lo, hi, *column in columns:
         opens.setdefault(lo, []).append(tuple(column))
         closes.setdefault(hi, []).append(tuple(column))
-    cuts = sorted({0, n, *opens, *closes, *spans, *(r + 1 for r in spans)})
+    # the int-key rows that a family reaches, each with its index in
+    # rows, from one merge of rows with the bounds of the columns and
+    # the spans: each is cut out and assembled on its own
+    keyed = {}
+    for lo, hi in _union([column[:2] for column in columns] + [(r, r + 1) for r in spans]):
+        k, end = bisect_left(rows, lo), bisect_left(rows, hi)
+        keyed.update(zip(rows[k:end], range(k, end)))
+    alone = {*spans, *keyed}
+    cuts = sorted({0, n, *opens, *closes, *alone, *(r + 1 for r in alone)})
     # active: (slope, offset) -> how many columns give it, so that a
     # column given twice is written once
     active = {}
@@ -110,35 +118,32 @@ def _plan(n, columns, spans, ints, degree):
                 del active[column]
         for column in opens.get(lo, ()):
             active[column] = active.get(column, 0) + 1
-        if lo in spans:
-            alone = [lo]
+        if lo in alone:
+            own = [lo]
         elif active:
-            alone = rows[bisect_left(rows, lo):bisect_left(rows, hi)]
             # where a constant c meets the column of offset d, at row
             # c - d, the two give one neighbour and swap ranks
             constants = [c for slope, c in active if not slope]
-            meets = {
+            own = sorted({
                 c - d for slope, d in active if slope for c in constants if lo <= c - d < hi
-            }
-            if meets:
-                alone = sorted(meets.union(alone))
+            })
         else:
-            keyed = range(bisect_left(rows, lo), bisect_left(rows, hi))
-            for k in keyed:
+            unreached = range(bisect_left(rows, lo), bisect_left(rows, hi))
+            for k in unreached:
                 degree[rows[k]] = first[k + 1] - first[k]
-            if keyed:
+            if unreached:
                 plan.append((lo, hi, (), None))
             continue
         at = lo
-        for row in alone + [hi]:
+        for row in own + [hi]:
             if at < row and active:
                 ranked = sorted(active, key=lambda column: column[0] * at + column[1])
                 degree[at:row] = array("i", [len(ranked)]) * (row - at)
                 plan.append((at, row, ranked, None))
             if row < hi:
                 values = [(s * row + d, s * row + d + 1) for s, d in active]
-                k = bisect_left(rows, row)
-                if k < len(rows) and rows[k] == row:
+                k = keyed.get(row)
+                if k is not None:
                     values += [(j, j + 1) for j in adjacent[first[k]:first[k + 1]]]
                 union = _union(spans.get(row, []) + values)
                 degree[row] = sum(b - a for a, b in union)

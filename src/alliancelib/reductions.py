@@ -25,8 +25,6 @@ for: the gadget tables hold the family blocks, which read as name
 sequences and give their id range, and the forbidden and necessary
 sets are VertexSets over the table's ids. An input vertex whose name a
 gadget of the stage would also take is rejected rather than merged.
-A decomposition transform takes a family's ids as one list when several
-of its bags hold an id, so that those bags share one int object.
 
 The chain run as a whole, the bijection audit and run_pipeline, is in
 pipeline.
@@ -34,7 +32,7 @@ pipeline.
 
 from array import array
 from collections.abc import Set
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter, itemgetter
 
 from ._record import record
@@ -43,7 +41,6 @@ from .graph import Block, Graph, VertexId, VertexSet, VertexTable, _edge_keys
 from .mmo import MmoInstance, Orientation
 from .treewidth import (
     NiceTreeDecomposition,
-    TreeDecomposition,
     _joint_top,
     _tops,
     _with,
@@ -216,13 +213,13 @@ def _oplus(n, u, u_forbidden, w, w_forbidden):
     ]
 
 
-def _chain(n, chain, twins):
+def _chain(n, block, twins):
     """Keys of the _oplus couplings of consecutive members of a chain
     block and of its block of forbidden twins: four runs."""
-    length = chain.count
+    length = block.count
     if length < 2:
         return []
-    a, f = chain.start, twins.start
+    a, f = block.start, twins.start
     return [
         *_run(n, a, a + 1, length - 1),
         *_run(n, a, f, length),
@@ -240,11 +237,7 @@ def _carry(stage, td, verdict, graph="source"):
             "decomposition does not fit the %s graph: %s" % (graph, verdict.problems[0])
         )
     result = stage.result.graph
-    out = td.copy(into=TreeDecomposition)
-    out._order, out._index = result.order, result.index
-    local = list(map(result.index.get, td._order))
-    out._bags = [tuple(sorted(map(local.__getitem__, bag))) for bag in td._bags]
-    return out
+    return td._onto(result, list(map(result.index.get, td._order)))
 
 
 def _mmo_helpers(instance):
@@ -315,14 +308,14 @@ def _transform_mmo(stage, td):
     source = stage.source
     gadgets = stage.gadgets
     out = _carry(stage, td, td.validate(source.graph))
-    index, bags = out._index, out._bags
-    tops = first, _more = _tops(out)
+    index, bag = out._index, out._bag
+    tops = first, _more, _held = _tops(out)
     for u, w in source.graph.sorted_edges():
         cu = list(gadgets.edge_copy[(u, w)].ids)
         cw = list(gadgets.edge_copy[(w, u)].ids)
         weight = len(cu)
         t = _joint_top(out, tops, index[u], index[w])
-        base = bags[t]
+        base = bag(t)
         if weight == 1:
             out._add(_with(base, cu[0], cw[0]), t)
         else:
@@ -330,10 +323,10 @@ def _transform_mmo(stage, td):
         for side, owner in ((gadgets.edge_copy_forbidden[(u, w)], u),
                             (gadgets.edge_copy_forbidden[(w, u)], w)):
             anchor = first[index[owner]]
-            out._hang(anchor, [_with(bags[anchor], x) for x in side.ids])
+            out._hang(anchor, [_with(bag(anchor), x) for x in side.ids])
     for u in source.graph.sorted_vertices():
         anchor = first[index[u]]
-        out._hang(anchor, [_with(bags[anchor], x) for x in gadgets.helper[u].ids])
+        out._hang(anchor, [_with(bag(anchor), x) for x in gadgets.helper[u].ids])
     return out
 
 
@@ -464,45 +457,39 @@ def _transform_pairs(stage, td):
     source = stage.source
     gadgets = stage.gadgets
     out = _carry(stage, td, td.validate(primal_graph(source)), "primal")
-    index, bags = out._index, out._bags
+    index = out._index
     verts = source.graph.sorted_vertices()
-    n = len(verts)
-    tops = first, _more = _tops(out)
+    tops = first, _more, _held = _tops(out)
     sorted_pairs = sorted(source.pairs)
     top_pair = {(a, b): _joint_top(out, tops, index[a], index[b]) for a, b in sorted_pairs}
-    ys = {u: list(gadgets.y_chain[u].ids) for u in verts}
-    yfs = {u: list(gadgets.y_chain_forbidden[u].ids) for u in verts}
     # every bag containing v also gets v_n and its forbidden twin
-    last = {index[u]: (ys[u][n - 1], yfs[u][n - 1]) for u in verts}
-    for node, bag in enumerate(bags):
-        extra = ()
-        for u in bag:
-            extra += last[u]
-        bags[node] = _with(bag, *extra)
-    # descending chain below the topmost bag of v keeps v_n adjacent
+    last = {index[u]: (gadgets.y_chain[u].ids[-1], gadgets.y_chain_forbidden[u].ids[-1])
+            for u in verts}
+    for node in out.nodes():
+        bag = out._bag(node).tolist()
+        out._rebag(node, _with(bag, *[i for u in bag for i in last[u]]))
+    # descending chain below the topmost bag of v keeps v_n adjacent;
+    # the chains' bags are spliced, each from the one before
     for u in verts:
-        y, yf = ys[u], yfs[u]
-        out._hang(
-            first[index[u]],
-            [_with((index[u],), y[i - 1], yf[i - 1], y[i], yf[i]) for i in range(n - 1, 0, -1)],
-        )
-    m = n * n + n
+        links = [*_links(gadgets.y_chain[u], gadgets.y_chain_forbidden[u])][::-1]
+        out._hang(first[index[u]], _spliced((index[u],), links, [()] * len(links)))
     for a, b in sorted_pairs:
         t = top_pair[(a, b)]
         carry = last[index[b]]
         hub_a = index[gadgets.z_hub[((a, b), a)]]
         hub_b = index[gadgets.z_hub[((a, b), b)]]
-        za = list(gadgets.z_chain[((a, b), a)].ids)
-        zfa = list(gadgets.z_chain_forbidden[((a, b), a)].ids)
-        zb = list(gadgets.z_chain[((a, b), b)].ids)
-        zfb = list(gadgets.z_chain_forbidden[((a, b), b)].ids)
+        za, zfa = gadgets.z_chain[((a, b), a)], gadgets.z_chain_forbidden[((a, b), a)]
+        zb, zfb = gadgets.z_chain[((a, b), b)], gadgets.z_chain_forbidden[((a, b), b)]
+        back = [*_links(zb, zfb)][::-1]
         # down from t: a's chain, the triangle, then b's chain back up
-        chain = [_with(carry, *last[index[a]], hub_a, za[0], zfa[0])]
-        chain += [_with(carry, hub_a, za[i - 1], zfa[i - 1], za[i], zfa[i]) for i in range(1, m)]
-        chain.append(_with(carry, hub_a, hub_b, index[gadgets.triangle[(a, b)]]))
-        chain += [_with(carry, hub_b, zb[i - 1], zfb[i - 1], zb[i], zfb[i]) for i in range(m - 1, 0, -1)]
-        chain.append(_with(carry, hub_b, zb[0], zfb[0]))
-        out._hang(t, chain)
+        bags = chain(
+            [_with(carry, *last[index[a]], hub_a, za.start, zfa.start)],
+            _spliced((*carry, hub_a), _links(za, zfa), [()] * (za.count - 1)),
+            [_with(carry, hub_a, hub_b, index[gadgets.triangle[(a, b)]])],
+            _spliced((*carry, hub_b), back, [()] * len(back)),
+            [_with(carry, hub_b, zb.start, zfb.start)],
+        )
+        out._hang(t, bags)
     return out
 
 
@@ -681,10 +668,10 @@ def _transform_necessary(stage, td):
             "stage ordering is not the post-order ordering of this decomposition"
         )
     gadgets = stage.gadgets
-    index, bags = out._index, out._bags
+    index, bag = out._index, out._bag
     n = len(source.graph.vertices)
     necessary = source.necessary
-    first, _more = _tops(out)
+    first = _tops(out)[0]
     parent = td._parent
     # a column's bags count from 0 at its anchor: lift is 1 where a join
     # keeps its own bag below the chains, and each chain has n bags
@@ -715,7 +702,7 @@ def _transform_necessary(stage, td):
                 spans.setdefault(z, []).append((lo, hi, pair))
     for u in sorted(anchor):
         x = anchor[u]
-        base = bags[x]
+        base = tuple(bag(x))
         images = [u]
         if u not in necessary:
             base += tuple(
@@ -727,40 +714,39 @@ def _transform_necessary(stage, td):
         threads = [()] * height[x]
         for lo, hi, pair in spans.pop(x, ()):
             threads[lo:hi + 1] = [extra + pair for extra in threads[lo:hi + 1]]
-        column = []
-        for i, image in enumerate(images):
-            links = _links(gadgets.a_chain[image], gadgets.a_chain_forbidden[image])
-            column += _spliced(base, links, threads[lift[x] + i * n:])
-        if lift[x]:
-            bags[x] = _with(bags[x], *threads[0])
-        else:
-            bags[x] = column.pop(0)
+        column = chain.from_iterable(
+            _spliced(base, _links(gadgets.a_chain[image], gadgets.a_chain_forbidden[image]),
+                     threads[lift[x] + i * n:])
+            for i, image in enumerate(images)
+        )
+        out._rebag(x, _with(bag(x), *threads[0]) if lift[x] else next(column))
         out._splice(x, column)
     for z, on in spans.items():
-        bags[z] = _with(bags[z], *[i for _lo, _hi, pair in on for i in pair])
+        out._rebag(z, _with(bag(z), *[i for _lo, _hi, pair in on for i in pair]))
     return out
 
 
 def _spliced(base, links, threads):
-    """The bags tuple(sorted(base + link + extra)), one for each link of
-    one chain and the thread ids extra of its bag, with base and the
-    threads sorted once per run of bags with equal threads. A link is
-    two consecutive ids of the chain's block and the same two of its
-    twin block. Base and threads hold no id of either block but its
-    first, which a thread into the chain's own image brings only to
-    bags whose links lie above it; so in a run the four link ids keep
-    their positions, and each later bag writes its link over the last.
+    """The bags sorted(base + link + extra), one for each link of one
+    chain and the thread ids extra of its bag, with base and the threads
+    sorted once per run of bags with equal threads. A link is two
+    consecutive ids of the chain's block and the same two of its twin
+    block. Base and threads hold no id of either block but its first,
+    which a thread into the chain's own image brings only to bags whose
+    links lie above it; so in a run the four link ids keep their
+    positions, and each later bag writes its link over the last, in
+    either order of the links. Each bag is yielded as one list that the
+    next overwrites, so a consumer copies it, as
+    TreeDecomposition._write does, before the next.
     """
-    column = []
     for extra, run in groupby(zip(threads, links), itemgetter(0)):
         link = next(run)[1]
         bag = sorted(base + link + extra)
-        column.append(tuple(bag))
+        yield bag
         a, b, c, d = map(bag.index, link)
         for _extra, link in run:
             bag[a], bag[b], bag[c], bag[d] = link
-            column.append(tuple(bag))
-    return column
+            yield bag
 
 
 def _links(members, twins):
@@ -844,11 +830,11 @@ def _transform_forbidden(stage, td):
     source = stage.source
     gadgets = stage.gadgets
     out = _carry(stage, td, td.validate(source.graph))
-    index, bags = out._index, out._bags
-    first, _more = _tops(out)
+    index = out._index
+    first = _tops(out)[0]
     for f in sorted(source.forbidden):
         t = first[index[f]]
-        base = bags[t]
+        base = out._bag(t)
         hub = index[gadgets.fan_hub[f]]
         leaves = gadgets.fan_leaves[f].ids
         if leaves:

@@ -11,7 +11,8 @@ deterministic.
 import heapq
 import itertools
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right, insort
+from operator import sub
 
 from ._record import record
 from .graph import Block, VertexTable, _Index, parse_vertex
@@ -29,32 +30,22 @@ class TdVerdict:
 
 
 class TreeDecomposition:
-    """Rooted tree of bags with integer node ids.
+    """Rooted tree of bags with node ids 0..N-1 in creation order.
 
-    Bags hold the ids of a vertex table: _order, a VertexTable whose
-    ids follow name order, and _index, its mapping from name to id.
-    TreeDecomposition(graph), as heuristic_td and transform_td build
-    it, shares the graph's table, so its ids are the graph's;
-    td_from_lines places the names it reads in a table of their own,
-    and TreeDecomposition() starts with an empty one. No table is ever
-    written to, and named bags come in through td_from_lines only.
+    Bags hold the ids of a vertex table: _order, a VertexTable whose ids
+    follow name order, and _index, its name-to-id mapping.
+    TreeDecomposition(graph), as heuristic_td and transform_td build it,
+    shares the graph's table; td_from_lines, the one way named bags come
+    in, reads the names into a table of their own. Tables are read only.
 
-    Node ids are 0..N-1 in creation order, and every per-node table is
-    indexed by them: _bags is a list of bags, each a sorted tuple of
-    ids, and the tree is one array("i"), _parent,
-    with -1 for none. Beside its bag a node costs one list slot and one
-    4-byte entry, about 12 B with the tables' spare room, where dicts of
-    bags, parents and child tuples keyed by node cost about 237 B. Child
-    lists are derived from _parent when a traversal first reads them
-    (see _child_index) and dropped by every later parent write, so
-    reads between writes share one O(N) index; a loop that alternates
-    writes with child reads would rebuild it each time. Tuples that hold
-    only ints are untracked by the cyclic garbage collector at its first
-    pass over them, and arrays are never tracked, so a large
-    decomposition adds no work to later collections. Names appear only
-    at the edge: bag() returns a read-only frozenset of names, and since
-    ids sort as their names, any order visible outside (written bags,
-    make_nice numbering, messages) is the name order.
+    All bags are runs of sorted ids in one array("i"), _ids: node n's is
+    _ids[_start[n]:_end[n]] (_bag); the tree is the array _parent, -1
+    for none. An entry costs 4 B and a node 12 B, untracked by the
+    cyclic collector (a tuple per bag: 56 B, and 8 B an entry).
+    _rebag leaves the old bag unread. Child lists are derived from
+    _parent on the first read after a write. Names appear only at the
+    edge: bag() returns a frozenset of names, and as ids sort as their
+    names, every order visible outside is name order.
     """
 
     def __init__(self, graph=None):
@@ -63,7 +54,7 @@ class TreeDecomposition:
             self._index = _Index(self._order)
         else:
             self._order, self._index = graph.order, graph.index
-        self._bags = []
+        self._ids, self._start, self._end = array("i"), array("i"), array("i")
         self._parent = array("i")
         self._kids = None
 
@@ -75,37 +66,67 @@ class TreeDecomposition:
         return out
 
     def _is_node(self, n):
-        return isinstance(n, int) and 0 <= n < len(self._bags)
+        return isinstance(n, int) and 0 <= n < len(self._parent)
 
     def _check_node(self, n):
         if not self._is_node(n):
             raise ValueError("unknown node %r" % (n,))
 
+    def _bag(self, n):
+        """The bag of node n, its sorted ids, as an array."""
+        return self._ids[self._start[n]:self._end[n]]
+
+    def _write(self, bags):
+        """Append bags, sorted id lists, each copied as it comes: the new
+        node ids, whose parents the caller adds, as a range."""
+        ids, start, end = self._ids, self._start, self._end
+        m, at = len(end), len(ids)
+        for bag in bags:
+            ids.fromlist(bag)
+            end.append(len(ids))
+        new = range(m, len(end))
+        if new:
+            # each new bag starts where the one before it ends
+            start.append(at)
+            start += end[m:-1]
+        return new
+
+    def _rebag(self, n, bag):
+        """Rewrite node n's bag as bag, a sorted id list, at the end."""
+        self._start[n] = len(self._ids)
+        self._ids.fromlist(bag)
+        self._end[n] = len(self._ids)
+
+    def _onto(self, graph, local):
+        """The tree over graph's table, id u becoming local[u] or, if that
+        is None, left out: both tables follow name order, so bags stay sorted."""
+        out = TreeDecomposition(graph)
+        out._write([v for u in self._bag(n) if (v := local[u]) is not None] for n in self.nodes())
+        out._parent = self._parent[:]
+        return out
+
     def _add(self, bag, parent=-1):
-        """New node with bag, a sorted id tuple, under a known parent."""
+        """New node with bag, a sorted id list, under a known parent."""
         return self._hang(parent, [bag])
 
     def _hang(self, parent, bags):
-        """A chain of new nodes with bags, sorted id tuples, below a known
+        """A chain of new nodes with bags, sorted id lists, below a known
         parent (-1 makes the first a root): each is the only child of the
-        one before. Returns the last new id, or parent for no bags."""
-        start = len(self._bags)
-        last = start + len(bags) - 1
-        if last < start:
+        one before. Returns the last new id, or parent for none."""
+        new = self._write(bags)
+        if not new:
             return parent
-        self._bags += bags
-        # node start + i sits under start + i - 1
         self._parent.append(parent)
-        self._parent.extend(range(start, last))
+        self._parent.extend(new[:-1])
         self._kids = None
-        return last
+        return new[-1]
 
     def nodes(self):
-        return list(range(len(self._bags)))
+        return list(range(len(self._parent)))
 
     def bag(self, n):
         self._check_node(n)
-        return frozenset(self._order.names(self._bags[n]))
+        return frozenset(self._order.names(self._bag(n)))
 
     def parent(self, n):
         self._check_node(n)
@@ -113,12 +134,10 @@ class TreeDecomposition:
         return None if p < 0 else p
 
     def _child_index(self):
-        """(first, kids), the children of every node n in id order as
-        kids[first[n]:first[n + 1]], derived from _parent on the first
-        read after a write. _hang and _splice drop it; heuristic_td,
-        _td_from_rows and make_nice write _parent directly only before
-        anything reads it. The roots, whose parent -1 sorts first, fill
-        kids[:first[0]]."""
+        """(first, kids): node n's children in id order are
+        kids[first[n]:first[n + 1]], the roots kids[:first[0]]. Derived
+        from _parent on the first read after a write; heuristic_td,
+        _td_from_rows and make_nice write _parent before any read."""
         if self._kids is None:
             parent = self._parent
             count = [0] * (len(parent) + 1)
@@ -143,15 +162,13 @@ class TreeDecomposition:
         return self._parent.index(-1)
 
     def width(self):
-        if not self._bags:
-            return -1
-        return max(map(len, self._bags)) - 1
+        return max(map(sub, self._end, self._start), default=0) - 1
 
     def copy(self, into=None):
-        """Copy over the same table; bags are shared, being immutable."""
+        """Copy over the same table, with copies of every array."""
         out = (into or type(self))._over(self)
-        out._bags = self._bags[:]
-        out._parent = self._parent[:]
+        for name in ("_ids", "_start", "_end", "_parent"):
+            setattr(out, name, getattr(self, name)[:])
         return out
 
     def postorder(self):
@@ -168,30 +185,22 @@ class TreeDecomposition:
         return out
 
     def _splice(self, n, bags):
-        """A chain of new nodes with bags, sorted id tuples, between n and
-        its parent: the first bag becomes the new parent of n, the last
-        sits under n's old parent (or becomes the root). The new ids,
-        bottom to top, as a range."""
-        start = len(self._bags)
-        if not bags:
-            return range(start, start)
-        top = start + len(bags) - 1
-        self._bags += bags
-        # node start + i sits under start + i + 1, n under start, and top
-        # under n's old parent
-        self._parent.extend(range(start + 1, top + 1))
-        self._parent.append(self._parent[n])
-        self._parent[n] = start
-        self._kids = None
-        return range(start, top + 1)
+        """A chain of new nodes with bags, sorted id lists, between n and
+        its parent: the first bag becomes the new parent of n, the
+        last sits under n's old parent (or becomes the root). The new
+        ids, bottom to top, as a range."""
+        new = self._write(bags)
+        if new:
+            self._parent.extend(new[1:])
+            self._parent.append(self._parent[n])
+            self._parent[n] = new[0]
+            self._kids = None
+        return new
 
     def path_between(self, a, b):
-        """Node ids on the tree path from a to b, both inclusive.
-
-        Both ends climb in turn until one reaches a node the other has
-        passed, which is their lowest common ancestor; the cost is the
-        length of the path, not the depth of the tree.
-        """
+        """Node ids on the tree path from a to b, both inclusive. Both
+        ends climb in turn until one reaches a node the other passed,
+        their lowest common ancestor: the cost is the path's length."""
         self._check_node(a)
         self._check_node(b)
         parent = self._parent
@@ -202,8 +211,7 @@ class TreeDecomposition:
             px, py = parent[x], parent[y]
             if px < 0 and py < 0:
                 raise ValueError("nodes %r and %r are not in one tree" % (a, b))
-            # td_from_lines accepts parent links that close a cycle,
-            # which a climb would otherwise follow forever
+            # a climb would follow a cycle of parent links forever
             if px in seen_a or py in seen_b:
                 raise ValueError("nodes %r and %r are not in one tree" % (a, b))
             if px >= 0:
@@ -223,16 +231,17 @@ class TreeDecomposition:
         Edges are checked from the occurrence tops alone: the nodes
         holding both ends of an edge form subtrees, and each of them
         is topped by a top of one end, so an edge is covered exactly
-        when a top of one end holds the other.
+        when a top of one end holds the other. _tops counts those
+        edges; they are checked one by one only to name the uncovered.
         """
         problems = []
-        bags, parent = self._bags, self._parent
-        if not bags:
+        parent = self._parent
+        if not parent:
             return TdVerdict(False, ("decomposition has no nodes",))
         roots = parent.count(-1)
         if roots != 1:
             problems.append("expected exactly one root, found %d" % (roots,))
-        size = len(bags)
+        size = len(parent)
         if min(parent) < -1 or max(parent) >= size:
             problems += [
                 "node %d has unknown parent %d" % (n, p)
@@ -241,72 +250,75 @@ class TreeDecomposition:
             ]
         # with one root and known parents, a node off the root's tree
         # lies on a cycle of parent links
-        if not problems and len(self.postorder()) != len(bags):
+        if not problems and len(self.postorder()) != size:
             problems.append("some nodes are not reachable from the root")
         if problems:
             return TdVerdict(False, tuple(problems))
         order, known, names = self._order, graph.index, graph.order
-        # a shared table holds no foreign vertex and gives each graph
-        # vertex its own id: then no name is looked up or made
-        shared = order is names
-        foreign = () if shared else {u for u, name in enumerate(order) if name not in known}
-        if foreign:
-            problems += [
-                "bag of node %d contains foreign vertex %s" % (n, order[u])
-                for n, bag in enumerate(bags)
-                for u in bag
-                if u in foreign
-            ]
-        tops = first, more = _tops(self)
-        # the table id of each graph vertex, in the graph's (name) order
-        index = self._index
-        local = range(len(names)) if shared else [index.get(name) for name in names]
-        uncovered = []
+        td = self
+        # over the graph's table no name is looked up or made: a table
+        # of its own is mapped onto it once its foreign vertices are named
+        if order is not names:
+            local = list(map(known.get, order))
+            if None in local:
+                problems += [
+                    "bag of node %d contains foreign vertex %s" % (n, order[u])
+                    for n in range(size)
+                    for u in self._bag(n)
+                    if local[u] is None
+                ]
+            td = self._onto(graph, local)
+        tops = first, more, held = _tops(td, graph)
         start, adjacent = graph.first, graph.adjacent
-        for i, u in enumerate(local):
-            top = None if u is None else first[u]
+        if held == len(adjacent) // 2 and not more and None not in first:
+            return TdVerdict(not problems, tuple(problems))
+        uncovered = []
+        for i, top in enumerate(first):
             if top is None:
                 problems.append("vertex %s is in no bag" % (names[i],))
-            bag, end = () if top is None else bags[top], start[i + 1]
+            end = start[i + 1]
             # the neighbours j > i, so that each edge is seen once
             for j in adjacent[bisect_right(adjacent, i, start[i], end):end]:
-                w = local[j]
-                top_w = None if w is None else first[w]
-                covered = top is not None and top_w is not None and (
-                    w in bag
-                    or u in bags[top_w]
-                    or ((u in more or w in more) and bool(_joint(self, tops, u, w)))
-                )
-                if not covered:
+                if not _joint(td, tops, i, j):
                     uncovered.append("edge %s--%s is in no bag" % (names[i], names[j]))
         problems += uncovered
-        for name in sorted(order[u] for u in more if shared or order[u] in known):
+        for name in sorted(names[u] for u in more):
             problems.append("occurrences of %s are not connected" % (name,))
         return TdVerdict(not problems, tuple(problems))
 
 
-def _tops(td):
-    """The occurrence tops of every table id, from one pass over the
-    bags: the nodes whose bag holds the vertex while their parent's
-    bag does not. first[u] is the first in node order, or None; more
-    maps a vertex with several tops to all of them, in node order. A
-    vertex with one top has connected occurrences, and that top is its
-    topmost node."""
-    bags = td._bags
+def _tops(td, graph=None):
+    """(first, more, held) from one pass over the bags. An id's tops
+    are the nodes whose bag holds it and whose parent's does not:
+    first[u] is the first, or None; more maps an id with several to all
+    of them, in node order. One top means connected occurrences. held
+    counts the edges of graph, which shares td's table, with an end
+    whose top holds the other: each once if occurrences are connected."""
+    ids, start, end = td._ids, td._start, td._end
     first = [None] * len(td._order)
     more = {}
+    twice = 0
+    offsets, adjacent = (graph.first, graph.adjacent) if graph else ((), ())
+    bag = ()
     for n, p in enumerate(td._parent):
-        bag = bags[n]
-        for u in bag if p < 0 else set(bag).difference(bags[p]):
+        # _hang puts each node under the one before
+        up = bag if p == n - 1 else ids[start[p]:end[p]] if p >= 0 else ()
+        bag = set(ids[start[n]:end[n]])
+        new = bag.difference(up)
+        for u in new:
             if first[u] is None:
                 first[u] = n
             else:
                 more.setdefault(u, [first[u]]).append(n)
-    return first, more
+            if offsets:
+                # an edge whose ends share a top is held there from both
+                near = adjacent[offsets[u]:offsets[u + 1]]
+                twice += 2 * len(bag.intersection(near)) - len(new.intersection(near))
+    return first, more, twice // 2
 
 
 def _tops_of(tops, u):
-    first, more = tops
+    first, more, _held = tops
     return more.get(u) or ([] if first[u] is None else [first[u]])
 
 
@@ -314,9 +326,9 @@ def _joint(td, tops, u, w):
     """Tops of the subtrees whose bags hold both u and w: each such
     subtree lies in one occurrence component of each end, so its top
     is the top of one of those components."""
-    bags = td._bags
-    out = [t for t in _tops_of(tops, u) if w in bags[t]]
-    out += [t for t in _tops_of(tops, w) if u in bags[t] and t not in out]
+    bag = td._bag
+    out = [t for t in _tops_of(tops, u) if w in bag(t)]
+    out += [t for t in _tops_of(tops, w) if u in bag(t) and t not in out]
     return out
 
 
@@ -337,18 +349,16 @@ def _kind(td, n):
     below = kids[first[n]:first[n + 1]]
     if not below:
         return "leaf"
-    bags = td._bags
+    bag = td._bag
     if len(below) == 1:
-        b, cb = bags[n], bags[below[0]]
+        b, cb = bag(n), bag(below[0])
         if len(b) == len(cb) + 1 and set(cb).issubset(b):
             return "introduce"
         if len(b) == len(cb) - 1 and set(b).issubset(cb):
             return "forget"
-        raise ValueError(
-            "node %d must differ from its child by exactly one vertex" % (n,)
-        )
+        raise ValueError("node %d must differ from its child by exactly one vertex" % (n,))
     if len(below) == 2:
-        if bags[below[0]] == bags[n] == bags[below[1]]:
+        if bag(below[0]) == bag(n) == bag(below[1]):
             return "join"
         raise ValueError("join node %d must repeat its children's bag" % (n,))
     raise ValueError("node %d has %d children" % (n, len(below)))
@@ -357,7 +367,7 @@ def _kind(td, n):
 def _shape_problems(td):
     """Why a rooted decomposition is not nice, in node order; empty
     when it is."""
-    if td._bags[td.root()]:
+    if td._bag(td.root()):
         yield "root bag is not empty"
     for n in td.nodes():
         try:
@@ -365,7 +375,7 @@ def _shape_problems(td):
         except ValueError as exc:
             yield str(exc)
             continue
-        if kind == "leaf" and td._bags[n]:
+        if kind == "leaf" and td._bag(n):
             yield "leaf node %d has a nonempty bag" % (n,)
 
 
@@ -392,61 +402,61 @@ def validate_td(graph, td):
 
 def make_nice(td):
     """Nice decomposition with the same bags and width, over the same
-    vertex table.
-
-    An input that already has nice shape is returned unchanged (as a
-    copy); anything else is rebuilt with forget/introduce transitions
-    between the original bags, one vertex at a time in name order, and
-    left-folded binary joins, in one pass over the input's post-order,
-    so depth is not limited by the interpreter's recursion.
+    vertex table: a copy of an input of nice shape, else a rebuild with
+    forget/introduce transitions between the original bags, one vertex
+    at a time in name order, and left-folded binary joins, in one pass
+    over the post-order, so no recursion limit applies.
     """
     order = td.postorder()
-    if len(order) != len(td._bags):
+    if len(order) != len(td._parent):
         raise ValueError("some nodes are not reachable from the root")
     if next(_shape_problems(td), None) is None:
         return td.copy(into=NiceTreeDecomposition)
-    src, up = td._bags, td._parent
-    bags, parent = [], array("i")
+    bag, up = td._bag, td._parent
+    out = NiceTreeDecomposition._over(td)
+    ids, end, parent = out._ids, out._end, out._parent
 
-    def make(bag, child):
-        """New node with bag above child, the top of its subtree or -1."""
-        n = len(bags)
-        bags.append(bag)
+    def make(cur, child):
+        """New node with bag cur above child, a subtree's top or -1."""
+        n = len(parent)
+        ids.fromlist(cur)
+        end.append(len(ids))
         parent.append(-1)
         if child >= 0:
             parent[child] = n
         return n
 
     def transition(top, cur, to):
-        """Nodes above top, one vertex forgotten, then introduced, at a
-        time, from bag cur to bag to; their top."""
-        for x in sorted(set(cur).difference(to)):
-            i = cur.index(x)
-            top = make(cur := cur[:i] + cur[i + 1:], top)
-        for x in sorted(set(to).difference(cur)):
-            i = bisect_left(cur, x)
-            top = make(cur := cur[:i] + (x,) + cur[i:], top)
+        """Nodes above top from bag cur to bag to, both lists, one
+        vertex forgotten, then introduced, at a time; their top."""
+        have, want = set(cur), set(to)
+        cur = cur[:]
+        for x in sorted(have - want):
+            cur.remove(x)
+            top = make(cur, top)
+        for x in sorted(want - have):
+            insort(cur, x)
+            top = make(cur, top)
         return top
 
+    # node -> its bag as a list, then the tops below it
     tops = {}
     for node in order:
-        target = src[node]
-        below = tops.pop(node, None)
-        if below is None:
-            top = transition(make((), -1), (), target)
-        else:
+        target, *below = tops.pop(node, None) or [bag(node).tolist()]
+        if below:
             top = below[0]
             for other in below[1:]:
                 # the first join takes two subtree tops, each later one
                 # the join below it
                 top = make(target, top)
                 parent[other] = top
+        else:
+            top = transition(make([], -1), [], target)
         p = up[node]
-        top = transition(top, target, () if p < 0 else src[p])
-        if p >= 0:
-            tops.setdefault(p, []).append(top)
-    out = NiceTreeDecomposition._over(td)
-    out._bags, out._parent = bags, parent
+        above = [[]] if p < 0 else tops.get(p) or tops.setdefault(p, [bag(p).tolist()])
+        above.append(transition(top, target, above[0]))
+    # each bag is written where the one before it ends
+    out._start = array("i", [0]) + end[:-1]
     return out
 
 
@@ -481,19 +491,12 @@ def treewidth_exact_small(graph):
             v = bit.bit_length() - 1
             rest = mask ^ bit
             # closure of v's neighborhood through vertices in rest
-            reach = nb[v]
-            inside_seen = 0
-            inside = reach & rest
-            while inside & ~inside_seen:
-                ubit = (inside & ~inside_seen) & -(inside & ~inside_seen)
-                inside_seen |= ubit
-                unb = nb[ubit.bit_length() - 1]
-                reach |= unb
-                inside |= unb & rest
-            cost = (reach & ~mask).bit_count()
-            cand = max(f[rest], cost)
-            if cand < best:
-                best = cand
+            reach, seen = nb[v], 0
+            while todo := reach & rest & ~seen:
+                ubit = todo & -todo
+                seen |= ubit
+                reach |= nb[ubit.bit_length() - 1]
+            best = min(best, max(f[rest], (reach & ~mask).bit_count()))
         f[mask] = best
     return f[full]
 
@@ -510,20 +513,15 @@ def _fill(neighbours, u):
 def heuristic_td(graph):
     """Min-fill elimination ordering turned into a decomposition over
     the graph's vertex table: each step eliminates the vertex of least
-    fill, the least id, which is the least name, on a tie.
-
-    Eliminating a vertex changes the fill of its neighbours and of
-    theirs only, so only those are scored again. A heap holds the
-    scores, and it passes over an entry that no longer matches its
-    vertex's score.
-
-    No optimality promise; pair with treewidth_exact_small when a
-    certificate is needed and the graph is small enough.
+    fill, the least id (and name) on a tie. An elimination changes the
+    fill of the vertices within two steps only, so only those are
+    scored again; a heap of scores skips entries that are out of date.
+    No optimality promise: treewidth_exact_small certifies small graphs.
     """
     td = TreeDecomposition(graph)
     ids = graph.order.ids
     if not ids:
-        td._add(())
+        td._add([])
         return td
     first, adjacent = graph.first, graph.adjacent
     neighbours = [set(adjacent[first[u]:first[u + 1]]) for u in ids]
@@ -538,7 +536,7 @@ def heuristic_td(graph):
             continue
         position[u] = len(bags)
         ns = neighbours[u]
-        bags.append(tuple(sorted(ns | {u})))
+        bags.append(sorted(ns | {u}))
         touched = set(ns)
         for a in ns:
             na = neighbours[a]
@@ -556,7 +554,8 @@ def heuristic_td(graph):
         # adjacent bags need not share vertices, so chaining an
         # exhausted component onto the next bag is harmless
         parent[i] = min((position[a] for a in bag if position[a] > i), default=i + 1)
-    td._bags, td._parent = bags, parent
+    td._write(bags)
+    td._parent = parent
     return td
 
 
@@ -566,7 +565,7 @@ def postorder_ordering(td, eligible):
     eligible = sorted(frozenset(eligible))
     index = td._index
     ids = [index.get(u) for u in eligible]
-    first, more = _tops(td)
+    first, more, _held = _tops(td)
     for u, i in zip(eligible, ids):
         if i in more:
             raise ValueError("occurrences of %s are not connected" % (u,))
@@ -576,7 +575,7 @@ def postorder_ordering(td, eligible):
             raise ValueError("vertex %s is in no bag" % (u,))
         closing.setdefault(first[i], []).append(u)
     order = td.postorder()
-    if len(order) != len(td._bags):
+    if len(order) != len(td._parent):
         raise ValueError("some nodes are not reachable from the root")
     out = []
     for n in order:
@@ -585,25 +584,25 @@ def postorder_ordering(td, eligible):
 
 
 def transform_td(stage, td):
-    """Decomposition of the stage output built from one of its input,
-    over the vertex table of the output graph. The stage's own record
-    holds the transform, which mirrors its gadget construction and keeps
-    the width within the documented additive or multiplicative bound."""
+    """Decomposition of the stage output from one of its input, over
+    the output graph's table, by the transform in the stage's record:
+    it mirrors the gadget construction and keeps the documented width
+    bound."""
     return stage.kind.transform(stage, td)
 
 
 def _with(base, *ids):
     """Bag base with ids added; none of them may be in base already."""
-    return tuple(sorted(base + ids))
+    return sorted((*base, *ids))
 
 
 def _bag_labels(td):
     """Node ids in order, each with its bag's names rendered in name
     order; a name is rendered once however many bags hold it."""
-    order, bags = td._order, td._bags
-    labels = {u: str(order[u]) for u in set().union(*bags)}
+    order, bag = td._order, td._bag
+    labels = {u: str(order[u]) for u in set(td._ids)}
     for n in td.nodes():
-        yield n, map(labels.__getitem__, bags[n])
+        yield n, map(labels.__getitem__, bag(n))
 
 
 def td_to_lines(td):
@@ -689,12 +688,13 @@ def _td_from_rows(td, rows, skip):
             raise ValueError("line %d: unknown parent %d" % (lineno, parent))
     td._order = table = VertexTable([Block(tuple(sorted(set().union(*named))))])
     td._index = _Index(table)
-    td._bags = [None] * size
+    bags = [None] * size
     td._parent = array("i", [-1]) * size
     for (_, nid, parent, _), bag in zip(rows, named):
-        td._bags[nid] = tuple(sorted(map(table.find, bag)))
+        bags[nid] = sorted(map(table.find, bag))
         if parent is not None:
             td._parent[nid] = parent
+    td._write(bags)
     return td
 
 

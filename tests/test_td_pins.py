@@ -4,16 +4,18 @@ decompositions of seeded corpora.
 
 The digests pin td_to_lines byte for byte, node numbering and bag
 order included. The fn-to-f column bags, spliced once per run of equal
-threads, are also checked against the sorted bags on random chains. The stage-3 decomposition is also validated against
-the stage-3 graph, whose table it shares, without a name being made
-or looked up, and building it must leave the cyclic collector next to
-nothing new to track.
+threads, are also checked against the sorted bags on random chains.
+The stage-3 decomposition is also validated against the stage-3 graph,
+whose table it shares, without a name being made or looked up. Its
+bags are runs of one int array, so building it must leave the cyclic
+collector next to nothing new to track and hold under 20 MB.
 """
 
 import gc
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -49,13 +51,19 @@ def digest(td):
 
 @pytest.fixture(scope="module")
 def fn_to_f(stage_three):
-    """The fn-to-f decomposition of stage 3, and how many objects the
-    collector tracks after building it that it did not before."""
+    """The fn-to-f decomposition of stage 3, how many objects the
+    collector tracks after building it that it did not before, and how
+    many bytes tracemalloc traces to the build once it has returned."""
     gc.collect()
     before = len(gc.get_objects())
-    td = transform_td(stage_three.third, stage_three.nice)
+    tracemalloc.start()
+    try:
+        td = transform_td(stage_three.third, stage_three.nice)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     gc.collect()
-    return td, len(gc.get_objects()) - before
+    return td, len(gc.get_objects()) - before, held
 
 
 def test_fnc_to_fn_output_and_its_nice_form_are_pinned():
@@ -69,7 +77,7 @@ def test_fnc_to_fn_output_and_its_nice_form_are_pinned():
 
 
 def test_fn_to_f_output_is_pinned_and_valid(stage_three, fn_to_f):
-    td, _tracked = fn_to_f
+    td, _tracked, _held = fn_to_f
     # one more node above each of the 3 chain anchors that are joins
     assert len(td.nodes()) == 183891
     assert digest(td) == FN_TO_F_R1
@@ -80,31 +88,39 @@ def test_fn_to_f_output_is_pinned_and_valid(stage_three, fn_to_f):
 
 
 def test_fn_to_f_width_bound(stage_three, fn_to_f):
-    td, _tracked = fn_to_f
+    td, _tracked, _held = fn_to_f
     width, bound = td.width(), stage_three.nice.width() + 13
     assert width <= bound
 
 
 def test_fn_to_f_leaves_the_collector_nothing_to_track(fn_to_f):
-    # bags are tuples of ints, which the collector untracks, and the
-    # tree is an array; per-node sets or lists would add about 368,000
-    _td, tracked = fn_to_f
+    # bags and tree are arrays, which the collector never tracks;
+    # per-node sets or lists would add about 368,000
+    _td, tracked, _held = fn_to_f
     assert tracked < 1000
+
+
+def test_fn_to_f_holds_under_20_mb(fn_to_f):
+    # 3,345,306 bag entries at 4 B and 183,891 nodes at 12 B; a tuple
+    # per bag, with an int object per id, held 46.2 MB
+    td, _tracked, held = fn_to_f
+    assert len(td.nodes()) == 183891
+    assert held < 20 * 2**20, "%.1f MB" % (held / 2**20)
 
 
 def test_fn_to_f_output_shares_the_graph_table(stage_three, fn_to_f):
     # bag entries are the table's ids of their names
-    td, _tracked = fn_to_f
+    td, _tracked, _held = fn_to_f
     graph = stage_three.third.result.graph
     assert td._order is graph.order and td._index is graph.index
     index, order = graph.index, graph.order
-    assert all(u == index[order[u]] for bag in td._bags for u in bag)
+    assert all(u == index[order[u]] for n in td.nodes() for u in td._bag(n))
 
 
 def test_validating_over_the_shared_table_makes_and_looks_up_no_names(
     stage_three, fn_to_f, monkeypatch
 ):
-    td, _tracked = fn_to_f
+    td, _tracked, _held = fn_to_f
     graph = stage_three.third.result.graph
 
     def refuse(*args):
@@ -176,7 +192,7 @@ def test_small_fn_to_f_outputs_are_pinned(case):
     td = heuristic_td(instance.graph)
     stage, out = build_stage("fn-to-f", instance, td)
     nice = make_nice(td)
-    first, _more = _tops(nice)
+    first = _tops(nice)[0]
     anchors = [first[nice._index[u]] for u in stage.ordering]
     assert sum(nice.kind(x) == "join" for x in anchors) == joins
     assert (len(out.nodes()), out.width(), digest(out)) == (nodes, width, pinned)
@@ -216,9 +232,12 @@ def test_spliced_bags_are_the_sorted_bags(members_below, threads_kind):
     rng = random.Random("%s-%s" % (members_below, threads_kind))
     for _ in range(200):
         base, links, threads = spliced_case(rng, members_below, threads_kind)
-        assert _spliced(base, iter(links), threads) == [
-            tuple(sorted(base + link + extra)) for link, extra in zip(links, threads)
-        ]
+        # fnc-to-fn splices some chains top down
+        for order in (slice(None), slice(None, None, -1)):
+            assert [tuple(bag) for bag in _spliced(base, iter(links[order]), threads[order])] == [
+                tuple(sorted(base + link + extra))
+                for link, extra in zip(links[order], threads[order])
+            ]
 
 
 def gnp_graph(seed):
@@ -285,4 +304,4 @@ def test_heuristic_decomposition_of_a_stage_prefix_is_pinned():
     assert validate_td(prefix, td).ok
     # bag entries are the table's ids of their names
     index, order = prefix.index, prefix.order
-    assert all(u == index[order[u]] for bag in td._bags for u in bag)
+    assert all(u == index[order[u]] for n in td.nodes() for u in td._bag(n))

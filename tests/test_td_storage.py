@@ -23,8 +23,8 @@ GRAPH = Graph(NAMES)
 
 
 def ids(bag):
-    """The bag of names as a sorted tuple of GRAPH's ids."""
-    return tuple(sorted(map(GRAPH.index.__getitem__, bag)))
+    """The bag of names as a sorted list of GRAPH's ids."""
+    return sorted(map(GRAPH.index.__getitem__, bag))
 
 
 class Model:
@@ -152,19 +152,40 @@ def test_mutators_agree_with_the_dict_model(first, steps):
 
 
 def test_a_node_costs_under_16_bytes_beside_its_bag():
-    # empty bags are all the one empty tuple, so what the splice leaves
-    # behind is the node tables alone: a list slot and a parent entry,
-    # where sibling links beside them cost about 20 B a node and
-    # per-node dicts of bags and parents with a child tuple about 250 B
+    # empty bags add no entries, so what the splice leaves behind is the
+    # node tables alone: two bag offsets and a parent entry, where
+    # sibling links beside them cost about 20 B a node and per-node
+    # dicts of bags and parents with a child tuple about 250 B
     td = TreeDecomposition()
-    root = td._add(())
+    root = td._add([])
     count = 100_000
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        td._splice(root, [()] * count)
+        td._splice(root, [[]] * count)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(td.nodes()) == count + 1
     assert held / count < 16, "%.1f bytes per node" % (held / count)
+
+
+def test_a_bag_entry_costs_under_6_bytes_with_its_node():
+    # 4 B an entry in the one array of bags, and the node tables spread
+    # over the 18 entries of each bag; a tuple per bag cost a 56 B
+    # header and an 8 B slot per entry, about 11 B an entry, with the
+    # int objects shared
+    td = TreeDecomposition()
+    root = td._add([])
+    count, size = 100_000, 18
+    pool = list(range(count + size))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        td._splice(root, [pool[i:i + size] for i in range(count)])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(td.nodes()) == count + 1 and td.width() == size - 1
+    entries = count * size
+    assert held / entries < 6, "%.1f bytes per entry" % (held / entries)

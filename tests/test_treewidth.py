@@ -184,7 +184,7 @@ class TestStructure:
     def test_children_follow_every_mutator(self):
         # the builders the stage transforms use, over one-id bags
         td = td_of([(vs("a"), None)])
-        a = (td._order.find(v("a")),)
+        a = [td._order.find(v("a"))]
         root = 0
         x = td._add(a, root)
         y = td._add(a, root)
@@ -219,7 +219,7 @@ class TestStructure:
         for n in td.nodes():
             bag = td.bag(n)
             assert isinstance(bag, frozenset)
-            assert bag == {g.order[u] for u in td._bags[n]}
+            assert bag == {g.order[u] for u in td._bag(n)}
         # the graph's own table, shared and not copied
         assert td._order is g.order and td._index is g.index
         with pytest.raises(AttributeError):
@@ -540,7 +540,8 @@ def _outcome(call, *args):
 def _on_graph(td, graph):
     """td's tree with its bags over the graph's own table."""
     out = TreeDecomposition(graph)
-    out._bags = [tuple(sorted(map(graph.index.__getitem__, td.bag(n)))) for n in td.nodes()]
+    for n in td.nodes():
+        out._add(sorted(map(graph.index.__getitem__, td.bag(n))))
     out._parent = td._parent[:]
     return out
 
