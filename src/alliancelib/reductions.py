@@ -719,7 +719,7 @@ def _transform_necessary(stage, td):
                      threads[lift[x] + i * n:])
             for i, image in enumerate(images)
         )
-        out._rebag(x, _with(bag(x), *threads[0]) if lift[x] else next(column))
+        out._rebag(x, _with(bag(x), *threads[0]) if lift[x] else next(column).tolist())
         out._splice(x, column)
     for z, on in spans.items():
         out._rebag(z, _with(bag(z), *[i for _lo, _hi, pair in on for i in pair]))
@@ -735,13 +735,13 @@ def _spliced(base, links, threads):
     which a thread into the chain's own image brings only to bags whose
     links lie above it; so in a run the four link ids keep their
     positions, and each later bag writes its link over the last, in
-    either order of the links. Each bag is yielded as one list that the
-    next overwrites, so a consumer copies it, as
+    either order of the links. Each bag is yielded as one array("i")
+    that the next overwrites, so a consumer copies it, as
     TreeDecomposition._write does, before the next.
     """
     for extra, run in groupby(zip(threads, links), itemgetter(0)):
         link = next(run)[1]
-        bag = sorted(base + link + extra)
+        bag = array("i", sorted(base + link + extra))
         yield bag
         a, b, c, d = map(bag.index, link)
         for _extra, link in run:

@@ -77,12 +77,15 @@ class TreeDecomposition:
         return self._ids[self._start[n]:self._end[n]]
 
     def _write(self, bags):
-        """Append bags, sorted id lists, each copied as it comes: the new
-        node ids, whose parents the caller adds, as a range."""
+        """Append bags, sorted id lists or arrays, each copied as it comes:
+        the new node ids, whose parents the caller adds, as a range."""
         ids, start, end = self._ids, self._start, self._end
         m, at = len(end), len(ids)
         for bag in bags:
-            ids.fromlist(bag)
+            if type(bag) is array:
+                ids += bag
+            else:
+                ids.fromlist(bag)
             end.append(len(ids))
         new = range(m, len(end))
         if new:
@@ -338,9 +341,7 @@ def _joint_top(td, tops, u, w):
     if not joint:
         raise ValueError("no bag contains both %s and %s" % (td._order[u], td._order[w]))
     if len(joint) != 1:
-        raise ValueError(
-            "occurrences of %s and %s are not connected" % (td._order[u], td._order[w])
-        )
+        raise ValueError("occurrences of %s and %s are not connected" % (td._order[u], td._order[w]))
     return joint[0]
 
 
@@ -465,8 +466,7 @@ def treewidth_exact_small(graph):
 
     f(S) is the best width achievable when S is eliminated first;
     eliminating v after X costs the number of vertices outside X
-    reachable from v through X. Exponential in the vertex count,
-    hence the hard cap.
+    reachable from v through X: exponential in the vertex count.
     """
     verts = graph.sorted_vertices()
     n = len(verts)
@@ -622,10 +622,9 @@ def td_to_lines(td):
 
 def td_from_lines(text):
     """Decomposition from td_to_lines text, over a VertexTable of the
-    names it reads, whose ids follow name order: the one way named bags
-    come in. The text is read as nice only when every line declares a
-    node kind and each declared kind is the one its node has; plain bags
-    whose first vertex is named like a kind stay plain."""
+    names it reads. The text is read as nice only when every line
+    declares a node kind and each declared kind is the one its node
+    has; plain bags whose first vertex is named like a kind stay plain."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
