@@ -22,6 +22,9 @@ MODES = ("at-most", "exact")
 # instances they produce, so that the command-line parser can offer them
 # without loading the reductions
 STAGE_TAGS = ("mmo-to-fnc", "fnc-to-fn", "fn-to-f", "f-to-plain")
+# each stage grows an instance by orders of magnitude; past this vertex
+# count a chain stage is only counted, never built
+MATERIALIZE_CAP = 4000
 
 
 @record

@@ -16,6 +16,7 @@ import sys
 # does not use
 from ._record import replace
 from .alliance import (
+    MATERIALIZE_CAP,
     MODES,
     STAGE_TAGS,
     AllianceInstance,
@@ -34,10 +35,6 @@ from .solver import (
     _check_connected,
     solve,
 )
-
-# reduction chains grow instances by orders of magnitude per stage;
-# beyond this vertex count a stage is only reported, never built
-MATERIALIZE_CAP = 4000
 
 
 def parse_instance(text, fmt="json", k=None, mode="at-most"):

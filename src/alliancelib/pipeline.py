@@ -10,7 +10,7 @@ commands load this module.
 
 from functools import partial
 
-from .alliance import STAGE_TAGS
+from .alliance import MATERIALIZE_CAP, STAGE_TAGS
 from .mmo import MmoInstance, _orientations_within, max_weighted_outdegree, solve_mmo
 from .reductions import (
     build_stage,
@@ -89,15 +89,15 @@ def run_pipeline(
     stages,
     decomposition=None,
     budget=DEFAULT_BUDGET,
-    max_vertices=float("inf"),
+    max_vertices=MATERIALIZE_CAP,
 ):
     """Run a prefix of the reduction chain and report per-stage sizes.
 
-    Stages past the materialization cap max_vertices (by default none)
-    are only projected: their budgets and instance sizes come from the
-    counting formulas, no graph is built. The decision is attempted on
-    the final instance when every stage was materialized; a witness is
-    projected back stage by stage and read out as an orientation.
+    Stages past the cap max_vertices, as on the command line, are only
+    projected: their budgets and instance sizes come from the counting
+    formulas, no graph is built. The decision is attempted on the final
+    instance when every stage was materialized; a witness is projected
+    back stage by stage and read out as an orientation.
     """
     stages = list(stages)
     if not stages or tuple(stages) != STAGE_TAGS[: len(stages)]:

@@ -25,6 +25,11 @@ for: the gadget tables hold the family blocks, which read as name
 sequences and give their id range, and the forbidden and necessary
 sets are VertexSets over the table's ids. An input vertex whose name a
 gadget of the stage would also take is rejected rather than merged.
+The layout is also the one place that assembles a stage: it gives the
+keys of the source's edges between the input blocks, and builds the
+graph, the forbidden and necessary sets, the result instance and the
+ReductionStage, so that a builder states only its blocks, gadget keys,
+gadget table, size map and constraint blocks.
 
 The chain run as a whole, the bijection audit and run_pipeline, is in
 pipeline.
@@ -119,8 +124,9 @@ def _ends(block):
 
 
 class _Layout:
-    """The vertex names of a stage result, laid out in Blocks so that
-    every id follows by arithmetic.
+    """The vertex names of the result of stage tag from source, laid
+    out in Blocks so that every id follows by arithmetic, and the one
+    place that assembles the stage.
 
     A block is one input vertex, one singleton gadget, or one gadget
     family: the names with the same base, decoration and partner and
@@ -130,13 +136,15 @@ class _Layout:
     order sorted, and it rejects an input name that equals a gadget
     name, which Graph would otherwise merge into one vertex. The
     VertexTable over the blocks then gives the name at position t of a
-    block the id block.start + t.
+    block the id block.start + t. source_keys() gives the keys of the
+    source's edges between their input blocks, and stage() builds the
+    result instance and the ReductionStage.
     """
 
-    def __init__(self, tag):
-        self.tag = tag
+    def __init__(self, tag, source):
+        self.tag, self.source = tag, source
         self.blocks = []
-        self.order = None
+        self.order = self.input_blocks = None
 
     def _add(self, block):
         self.blocks.append(block)
@@ -145,9 +153,10 @@ class _Layout:
     def vertex(self, name):
         return self._add(Block((name,)))
 
-    def inputs(self, graph):
-        """One block per vertex of graph, in its id order."""
-        return [self._add(Block((u,))) for u in graph.order]
+    def inputs(self):
+        """One block per vertex of the source graph, in its id order."""
+        self.input_blocks = [self._add(Block((u,))) for u in self.source.graph.order]
+        return self.input_blocks
 
     def family(self, base, decoration, count, partner=None):
         return self._add(Block.family(base, decoration, count, partner))
@@ -167,18 +176,33 @@ class _Layout:
         self.order = VertexTable([block for _ends, block in ends])
         return len(self.order)
 
+    def source_keys(self):
+        """The keys of the source's edges between their placed input blocks."""
+        starts = [block.start for block in self.input_blocks]
+        return _edge_keys(self.source.graph, starts, len(self.order))
+
+    def stage(self, keys, gadgets, size_fn, forbidden=(), necessary=(), pairs=(),
+              k=None, mode=None, ordering=None):
+        """The stage whose result is the graph of keys on the placed
+        table, with the names of the forbidden and necessary blocks as
+        its sets; k is size_fn(source.k) and mode the source's unless
+        given."""
+        source, table = self.source, self.order
+        sets = []
+        for blocks in (forbidden, necessary):
+            ids = array("i")
+            for block in sorted(blocks, key=attrgetter("start")):
+                ids.extend(block.ids)
+            sets.append(VertexSet(table, ids))
+        result = AllianceInstance(
+            Graph._from_keys(table, keys), size_fn(source.k) if k is None else k, *sets,
+            pairs=pairs, mode=source.mode if mode is None else mode,
+        )
+        return ReductionStage(self.tag, source, result, gadgets, size_fn, ordering)
+
 
 def _name(blocks):
     return {key: block[0] for key, block in blocks.items()}
-
-
-def _id_set(table, blocks):
-    """The VertexSet of the names of blocks of table, which must not
-    overlap."""
-    ids = array("i")
-    for block in sorted(blocks, key=attrgetter("start")):
-        ids.extend(block.ids)
-    return VertexSet(table, ids)
 
 
 def _key(n, i, j):
@@ -264,14 +288,13 @@ def mmo_to_alliance(instance, mode="at-most"):
     instance. Every solution of the result has size exactly k, so both
     modes accept the same solution sets."""
     graph = instance.graph
-    layout = _Layout("mmo-to-fnc")
-    inputs = layout.inputs(graph)
+    layout = _Layout("mmo-to-fnc", instance)
+    inputs = layout.inputs()
     helper = _mmo_helpers(instance)
     copies = _mmo_copies(instance, "edge-copy")
     twins = _mmo_copies(instance, "edge-copy-forbidden")
     layout.blocks += [*helper.values(), *copies.values(), *twins.values()]
     n = layout.place()
-    table = layout.order
     keys = []
     for u, block in zip(graph.order, inputs):
         helpers = helper[u]
@@ -287,20 +310,10 @@ def mmo_to_alliance(instance, mode="at-most"):
         theirs = copies[(w, u)]
         pairs.extend(zip(mine, theirs))
         pairs.extend(zip(theirs, mine[1:]))
-    result = AllianceInstance(
-        graph=Graph._from_keys(table, keys),
-        k=_mmo_k(len(graph.order), instance.r, sum(instance.weights.values())),
-        forbidden=_id_set(table, twins.values()),
-        necessary=_id_set(table, inputs + list(helper.values())),
-        pairs=pairs,
-        mode=mode,
-    )
-    return ReductionStage(
-        tag="mmo-to-fnc",
-        source=instance,
-        result=result,
-        gadgets=MmoGadgets(helper, copies, twins),
-        size_fn=Affine(1, 0),
+    return layout.stage(
+        keys, MmoGadgets(helper, copies, twins), Affine(1, 0),
+        forbidden=twins.values(), necessary=inputs + list(helper.values()), pairs=pairs,
+        k=_mmo_k(len(graph.order), instance.r, sum(instance.weights.values())), mode=mode,
     )
 
 
@@ -391,12 +404,11 @@ def eliminate_pairs(instance):
     no pairs, which an orientation target without edges gives."""
     if instance.variant not in ("FNC", "FN"):
         raise ValueError("instance has no complementary pairs to eliminate")
-    source = instance.graph
-    originals = source.order
+    originals = instance.graph.order
     n = len(originals)
     m = n * n + n
-    layout = _Layout("fnc-to-fn")
-    inputs = layout.inputs(source)
+    layout = _Layout("fnc-to-fn", instance)
+    inputs = layout.inputs()
     y_chain = {u: layout.family(str(u), "chain-Y", n) for u in originals}
     y_twins = {u: layout.family(str(u), "chain-Y-forbidden", n) for u in originals}
     pairs = sorted(instance.pairs)
@@ -413,7 +425,7 @@ def eliminate_pairs(instance):
             z_chain[key] = layout.family(name, "chain-Z", m, partner)
             z_twins[key] = layout.family(name, "chain-Z-forbidden", m, partner)
     total = layout.place()
-    keys = _edge_keys(source, [block.start for block in inputs], total)
+    keys = layout.source_keys()
     for u, block in zip(originals, inputs):
         ys, yf = y_chain[u], y_twins[u]
         keys += _fan(total, block.start, ys.start, n)
@@ -429,28 +441,11 @@ def eliminate_pairs(instance):
                 total, y_chain[x].start + n - 1, y_twins[x].start + n - 1, zs.start, zf.start
             )
             keys += _chain(total, zs, zf)
-    gadgets = PairGadgets(
-        y_chain, y_twins, _name(z_hub), z_chain, z_twins, _name(triangle)
-    )
-    table = layout.order
+    gadgets = PairGadgets(y_chain, y_twins, _name(z_hub), z_chain, z_twins, _name(triangle))
     forbidden = [inputs[i] for i in instance.forbidden.ids]
     forbidden += [*y_twins.values(), *z_twins.values()]
     necessary = [inputs[i] for i in instance.necessary.ids] + list(triangle.values())
-    size_fn = _pair_size(n, len(pairs))
-    result = AllianceInstance(
-        graph=Graph._from_keys(table, keys),
-        k=size_fn(instance.k),
-        forbidden=_id_set(table, forbidden),
-        necessary=_id_set(table, necessary),
-        mode=instance.mode,
-    )
-    return ReductionStage(
-        tag="fnc-to-fn",
-        source=instance,
-        result=result,
-        gadgets=gadgets,
-        size_fn=size_fn,
-    )
+    return layout.stage(keys, gadgets, _pair_size(n, len(pairs)), forbidden, necessary)
 
 
 def _transform_pairs(stage, td):
@@ -541,20 +536,19 @@ def eliminate_necessary(instance, ordering):
         raise ValueError(
             "ordering must be a permutation of the non-forbidden vertices"
         )
-    source = instance.graph
-    originals = source.order
+    originals = instance.graph.order
     n = len(originals)
     open_vertices = [
         u
         for u in originals
         if u not in instance.forbidden and u not in instance.necessary
     ]
-    layout = _Layout("fn-to-f")
-    inputs = layout.inputs(source)
+    layout = _Layout("fn-to-f", instance)
+    inputs = layout.inputs()
     primed = {u: layout.vertex(VertexId(str(u), "primed")) for u in open_vertices}
     # (member, its block): the chain gadgets hang off these vertices
     members = [
-        (x, inputs[source.index[x]])
+        (x, inputs[instance.graph.index[x]])
         for x in sorted(instance.necessary) + open_vertices
     ] + [(block[0], block) for block in primed.values()]
     a_chain = {x: layout.family(str(x), "A-chain", n + 1) for x, _ in members}
@@ -564,7 +558,7 @@ def eliminate_necessary(instance, ordering):
         for decoration in ("g", "h", "g-forbidden", "h-forbidden")
     )
     total = layout.place()
-    keys = _edge_keys(source, [block.start for block in inputs], total)
+    keys = layout.source_keys()
     for x, block in members:
         chain, twins = a_chain[x], a_twins[x]
         keys += _fan(total, block.start, chain.start, n + 1)
@@ -593,24 +587,10 @@ def eliminate_necessary(instance, ordering):
     gadgets = NecessaryGadgets(
         a_chain, a_twins, _name(primed), _name(g), _name(h), _name(g_twin), _name(h_twin),
     )
-    table = layout.order
     forbidden = [inputs[i] for i in instance.forbidden.ids] + list(a_twins.values())
     forbidden += [*g_twin.values(), *h_twin.values()]
     size_fn = _necessary_size(n, len(open_vertices), len(instance.necessary))
-    result = AllianceInstance(
-        graph=Graph._from_keys(table, keys),
-        k=size_fn(instance.k),
-        forbidden=_id_set(table, forbidden),
-        mode=instance.mode,
-    )
-    return ReductionStage(
-        tag="fn-to-f",
-        source=instance,
-        result=result,
-        gadgets=gadgets,
-        size_fn=size_fn,
-        ordering=ordering,
-    )
+    return layout.stage(keys, gadgets, size_fn, forbidden, ordering=ordering)
 
 
 def eliminate_necessary_auto(instance, decomposition=None):
@@ -797,9 +777,8 @@ def eliminate_forbidden(instance):
             "pairs and necessary vertices must be eliminated before the "
             "forbidden stage"
         )
-    source = instance.graph
-    layout = _Layout("f-to-plain")
-    inputs = layout.inputs(source)
+    layout = _Layout("f-to-plain", instance)
+    inputs = layout.inputs()
     fan_hub = {}
     fan_leaves = {}
     for f in sorted(instance.forbidden):
@@ -807,23 +786,13 @@ def eliminate_forbidden(instance):
         fan_hub[f] = layout.vertex(VertexId(name, "fan-hub"))
         fan_leaves[f] = layout.family(name, "fan-leaf", 2 * instance.k)
     total = layout.place()
-    keys = _edge_keys(source, [block.start for block in inputs], total)
+    keys = layout.source_keys()
     for f, hub in fan_hub.items():
         leaves = fan_leaves[f]
-        keys += _fan(total, inputs[source.index[f]].start, leaves.start, 2 * instance.k)
+        keys += _fan(total, inputs[instance.graph.index[f]].start, leaves.start, 2 * instance.k)
         keys += _fan(total, hub.start, leaves.start, 2 * instance.k)
-    result = AllianceInstance(
-        graph=Graph._from_keys(layout.order, keys),
-        k=instance.k,
-        mode=instance.mode,
-    )
-    return ReductionStage(
-        tag="f-to-plain",
-        source=instance,
-        result=result,
-        gadgets=ForbiddenGadgets(_name(fan_hub), fan_leaves),
-        size_fn=Affine(1, 0),
-    )
+    gadgets = ForbiddenGadgets(_name(fan_hub), fan_leaves)
+    return layout.stage(keys, gadgets, Affine(1, 0))
 
 
 def _transform_forbidden(stage, td):

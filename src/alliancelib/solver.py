@@ -34,8 +34,9 @@ nothing, since a forbidden vertex is never necessary nor in a pair and
 no vertex is in yet; then one propagation puts the necessary vertices
 in and runs the rules to the fixpoint. At the root the size bounds are
 checked only once the other rules are done. A dead-end root is one
-search node, and its free_count counts the vertices still open where
-the conflict was found.
+search node; where propagation met a conflict, what it left open
+depends on its order, so free_count is then the number of vertices that
+are not forbidden.
 
 The search branches on an undecided neighbor of the member that is
 short of a majority (a positive deficit) with the least slack, or,
@@ -146,8 +147,9 @@ class _Search:
     one loop, then necessary ones in, and all the rules force from there
     with the size bounds off; open then counts the free vertices, and
     consistent tells whether the root is a dead end, the size bounds
-    included. The root leaves the trail empty, as the search never
-    undoes below it.
+    included. free_count is open, or at a root where propagation met a
+    conflict the vertices that are not forbidden. The root leaves the
+    trail empty, as the search never undoes below it.
     """
 
     def __init__(self, instance):
@@ -190,6 +192,7 @@ class _Search:
         # stops free of the hash seed
         self.cap, self.exact = n, False
         consistent = self.assign(instance.necessary.ids.tolist())
+        self.free_count = self.open if consistent else n - len(forbidden)
         # the search never undoes below the root
         del self.trail[:]
         # largest size still worth reaching; minimum lowers it
@@ -341,7 +344,7 @@ def solve(request):
     goal = request.goal
     search = _Search(request.instance)
     slack = search.slack
-    free_count = search.open
+    free_count = search.free_count
     # no search gets near 2^64 nodes, and a larger cap would only cost memory
     limit = 1 << min(request.budget, 64)
     nodes = 1

@@ -462,6 +462,14 @@ class TestReduceChain:
         with pytest.raises(ValueError, match="prefix"):
             pipeline.run_pipeline(two_vertex_mmo(), ["fnc-to-fn"])
 
+    def test_run_pipeline_caps_stages_like_the_command_line(self):
+        # gen --kind mmo --seed 7: a 7,521-vertex stage 2, past the cap
+        a, b, c = vs("a b c")
+        target = MmoInstance(Graph([a, b, c], [(a, c)]), {(a, c): 3}, r=1)
+        report = pipeline.run_pipeline(target, STAGE_TAGS[:2])
+        assert report["stages"][1]["vertices"] == 7521
+        assert report["flags"] == ["size-cap"] and report["decision"] is None
+
 
 class TestDecompose:
     def test_heuristic_matches_library(self, capsys, tmp_path):

@@ -209,6 +209,20 @@ class TestPropagation:
         assert res.count == 0
 
     @pytest.mark.parametrize("goal", GOALS)
+    def test_dead_root_free_count_is_the_vertices_not_forbidden(self, goal):
+        # propagation stops at the hub with nothing left open; the
+        # reported count does not depend on where it stopped
+        hub, x, y = vs("hub x y")
+        inst = AllianceInstance(
+            Graph([hub, x, y], [(hub, x), (hub, y)]),
+            k=3,
+            necessary=[hub],
+            forbidden=[x, y],
+        )
+        res = solve(SolveRequest(inst, goal))
+        assert (res.feasible, res.nodes, res.free_count) == (False, 1, 1)
+
+    @pytest.mark.parametrize("goal", GOALS)
     def test_inconsistent_root_counts_one_node(self, goal):
         a, b, c, f, hub, m, n, p, q, x, y = vs("a b c f hub m n p q x y")
         cases = [
