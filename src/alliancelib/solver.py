@@ -48,9 +48,17 @@ without being assigned; it still counts as a node, so nodes counts
 the root and every branch tried, as before. The search walks an
 explicit stack and undoes assignments from a trail, so no search depth
 reaches the recursion limit. decide stops at the first solution, which
-need not be the least one; minimum is branch-and-bound on the size;
-count and enumerate-all visit every solution. The budget caps the
-search at 2^budget nodes.
+need not be the least one. In at-most mode without complementary pairs
+it stops earlier, at the first node where, once short is compacted, the
+set is non-empty and no member is short of a majority: putting every
+undecided vertex out then leaves each member's slack at least its
+closed neighbors inside less its need, which is not negative, and the
+size is within k, so the members are a solution. decide returns them
+as its witness, and nodes counts the nodes up to that one. In exact
+mode or with pairs, putting the rest out could miss k or break a pair,
+so decide searches on to a full assignment. minimum is branch-and-bound
+on the size; count and enumerate-all visit every solution. The budget
+caps the search at 2^budget nodes.
 """
 
 from array import array
@@ -354,6 +362,9 @@ def solve(request):
     frames = []
     cursor = 0
     ok = search.consistent
+    # decide in at-most mode without pairs: once no member is short, the
+    # members are a solution and every undecided vertex may go out
+    early_stop = goal == "decide" and not search.exact and not search.partners
     while True:
         if ok and search.open == 0:
             ok = False
@@ -371,6 +382,9 @@ def solve(request):
                         break
         if ok:
             v, cursor = search.branch_vertex(cursor)
+            if early_stop and search.size and not search.short:
+                found.append((search.size, search.members()))
+                break
             frames.append((v, len(search.trail), cursor))
             # in fails at v itself, unassigned, when the set is full or v
             # cannot reach a majority even with every undecided neighbor

@@ -961,9 +961,13 @@ def package_root():
 
 
 def test_documents_are_utf8_whatever_the_locale(tmp_path):
-    # under the C locale without UTF-8 mode, open() defaults to ASCII
+    # under the C locale without UTF-8 mode, open() defaults to ASCII;
+    # exact mode puts both names in the witness, where {b} alone would do
+    # for at most 2
     path = tmp_path / "accent.json"
-    path.write_bytes('{"vertices": ["\u00e9", "b"], "edges": [["\u00e9", "b"]], "k": 2}'.encode())
+    path.write_bytes(
+        '{"vertices": ["\u00e9", "b"], "edges": [["\u00e9", "b"]], "k": 2, "mode": "exact"}'.encode()
+    )
     env = dict(
         os.environ, PYTHONPATH=package_root(), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"
     )

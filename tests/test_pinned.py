@@ -1,5 +1,7 @@
 """Solver results and alliance verdicts pinned as recorded before Graph
-stored its adjacency as int arrays.
+stored its adjacency as int arrays. The decide records of at-most
+instances without pairs were re-recorded when decide began to stop at
+the first complete alliance; their verdicts and free counts stayed.
 
 The search numbers vertices in sorted order and branches on the least
 ids first, so the node counts pin the search order as well as the

@@ -268,7 +268,9 @@ class TestRefusedInBranches:
     """Nodes and witnesses, recorded before in-branches that fail at the
     branch vertex itself were refused unassigned: w1 and w2 see three
     forbidden vertices and can never reach a majority, and at k = 4 the
-    set is full once the hub has its majority."""
+    set is full once the hub has its majority. decide was re-recorded
+    when it began to stop at the first complete alliance: once a, b and
+    c are in, no member is short."""
 
     @staticmethod
     def instance(k):
@@ -287,11 +289,11 @@ class TestRefusedInBranches:
     @pytest.mark.parametrize(
         "k, goal, nodes, witness, count",
         [
-            (4, "decide", 14, "a b c hub", None),
+            (4, "decide", 4, "a b c hub", None),
             (4, "minimum", 29, "a b c hub", None),
             (4, "enumerate-all", 29, "a b c hub", 1),
             (4, "count", 29, None, 1),
-            (8, "decide", 11, "a b c hub x y z", None),
+            (8, "decide", 4, "a b c hub", None),
             (8, "minimum", 37, "a b c hub", None),
             (8, "enumerate-all", 37, "a b c hub", 8),
             (8, "count", 37, None, 8),
@@ -505,11 +507,13 @@ class TestChainOutputs:
 
 def test_stage_three_decision_is_unchanged(stage_three):
     # the figures and witness digest of the search over the closed
-    # copy of the adjacency that the search used to make
+    # copy of the adjacency that the search used to make; nodes fell from
+    # 84,292 to 208, and the witness stayed, when decide began to stop at
+    # the first complete alliance
     instance = stage_three.third.result
     res = solve(SolveRequest(instance, "decide"))
     assert res.feasible
-    assert (res.free_count, res.nodes, len(res.witness)) == (184465, 84292, 142325)
+    assert (res.free_count, res.nodes, len(res.witness)) == (184465, 208, 142325)
     names = "\n".join(sorted(map(str, res.witness)))
     assert hashlib.sha256(names.encode()).hexdigest() == (
         "3ae1bbfc2210dbfefe4a5dcf821ccdfa09b4d310dd946555615ff98da0b1ec9c"
@@ -524,12 +528,11 @@ def test_the_search_reads_the_graph_arrays_in_place():
 
 
 @st.composite
-def constrained_searches(draw):
-    """An instance on up to 9 vertices with necessary and forbidden
-    vertices and pairs of non-adjacent, non-forbidden ones, in either
-    mode, and a decision sequence: steps (pending, undo), where pending
-    holds 1-3 signed decisions, v to put v in and ~v to put it out."""
-    n = draw(st.integers(1, 9))
+def constrained_instances(draw, max_vertices):
+    """An instance on up to max_vertices vertices with necessary and
+    forbidden vertices and pairs of non-adjacent, non-forbidden ones, in
+    either mode."""
+    n = draw(st.integers(1, max_vertices))
     names = [v("x%d" % i) for i in range(n)]
     pool = list(itertools.combinations(range(n), 2))
     mask = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
@@ -540,7 +543,7 @@ def constrained_searches(draw):
     ]
     pairs = draw(st.lists(st.sampled_from(apart), max_size=5)) if apart else []
     mode = draw(st.sampled_from(("at-most", "exact")))
-    instance = AllianceInstance(
+    return AllianceInstance(
         Graph(names, [(names[i], names[j]) for (i, j), edge in zip(pool, mask) if edge]),
         k=draw(st.integers(1 if mode == "at-most" else 0, n)),
         necessary=[x for x, role in zip(names, roles) if role == "n"],
@@ -548,9 +551,32 @@ def constrained_searches(draw):
         pairs=[(names[i], names[j]) for i, j in pairs],
         mode=mode,
     )
+
+
+@st.composite
+def constrained_searches(draw):
+    """An instance of constrained_instances on up to 9 vertices and a
+    decision sequence: steps (pending, undo), where pending holds 1-3
+    signed decisions, v to put v in and ~v to put it out."""
+    instance = draw(constrained_instances(9))
+    n = len(instance.graph.vertices)
     decisions = st.lists(st.integers(-n, n - 1), min_size=1, max_size=3)
     steps = st.tuples(decisions, st.integers(0, 3))
     return instance, draw(st.lists(steps, max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(constrained_instances(10))
+def test_decide_agrees_with_brute_force(instance):
+    # in at-most mode without pairs decide stops once no member is short
+    # of a majority, with the members as its witness; in exact mode and
+    # with pairs it searches on
+    res = solve(SolveRequest(instance, "decide"))
+    assert res.feasible == bool(brute_within_k(instance))
+    if res.feasible:
+        assert is_solution(instance, res.witness)
+    else:
+        assert res.witness is None
 
 
 def assert_counts_recounted(search):
