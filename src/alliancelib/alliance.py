@@ -11,10 +11,14 @@ complementary pair contributes exactly one endpoint.
 import json
 import warnings
 from array import array
-from itertools import chain
+from bisect import bisect_left
+from itertools import chain, compress
+from operator import lt, sub
 
 from ._record import record
-from .graph import Graph, VertexSet, _Document, _edge_keys, _holds, _linked, edge_key, is_integer
+from .graph import (
+    Graph, VertexSet, _Document, _edge_keys, _holds, _linked, _tally, edge_key, is_integer,
+)
 
 MODES = ("at-most", "exact")
 
@@ -146,32 +150,29 @@ class AllianceInstance:
         return "plain"
 
 
-def _members(graph, candidate):
-    """The ids of the candidate's vertices, sorted, and a bytearray over
-    the ids that marks them."""
+def _verdict(graph, candidate):
+    """The ids of the candidate's vertices, sorted, their runs, and the
+    names of those that cannot pair off their attackers, in id order.
+    A member with c of its d neighbours inside holds when
+    2 * (1 + c) >= d + 1, that is when 2 * c + 1 >= d. One _tally pass
+    per run of members, not per member, takes margin from 1 to
+    2 * c + 1, and the members of a run are tested against their
+    degrees over slices of the run."""
     members = _vertex_set(graph, candidate, "candidate").ids
-    inside = bytearray(len(graph.order))
-    for i in members:
-        inside[i] = 1
-    return members, inside
-
-
-def _verdict(graph, members, inside):
-    first, adjacent = graph.first, graph.adjacent
-    violators = []
-    for i in members:
-        lo, hi = first[i], first[i + 1]
-        # the closed neighbourhood has hi - lo + 1 vertices, the member
-        # itself and the neighbours marked inside among them
-        if 2 * (1 + sum(map(inside.__getitem__, adjacent[lo:hi]))) < hi - lo + 1:
-            violators.append(graph.order[i])
-    violators = frozenset(violators)
-    return AllianceVerdict(not violators, violators)
+    first, order = graph.first, graph.order
+    margin = [1] * len(order)
+    runs = _tally(graph, members, margin, 2)
+    return members, runs, [
+        order[i] for start, stop in runs for i in compress(range(start, stop), map(
+            lt, margin[start:stop], map(sub, first[start + 1:stop + 1], first[start:stop])
+        ))
+    ]
 
 
 def is_defensive_alliance(graph, candidate):
     """Check the counting condition at every member of candidate."""
-    return _verdict(graph, *_members(graph, candidate))
+    violators = frozenset(_verdict(graph, candidate)[2])
+    return AllianceVerdict(not violators, violators)
 
 
 def construct_defense(graph, candidate, vertex):
@@ -196,8 +197,7 @@ def solution_problems(instance, candidate):
     forbidden, necessary, pairs and outnumbered members. Empty exactly
     when it is one; only the reasons found are sorted."""
     graph = instance.graph
-    members, inside = _members(graph, candidate)
-    verdict = _verdict(graph, members, inside)
+    members, runs, violators = _verdict(graph, candidate)
     problems = []
     size = len(members)
     if instance.mode == "exact":
@@ -209,17 +209,21 @@ def solution_problems(instance, candidate):
         problems.append("size %d is outside 1..%d" % (size, instance.k))
     # ids follow name order, so these come out sorted
     order = graph.order
-    hit = [order[i] for i in instance.forbidden.ids if inside[i]]
+    forbidden = instance.forbidden.ids
+    hit = [
+        order[i] for start, stop in runs
+        for i in forbidden[bisect_left(forbidden, start):bisect_left(forbidden, stop)]
+    ]
     if hit:
         problems.append("forbidden vertices selected: %s" % ", ".join(map(str, hit)))
-    missing = [order[i] for i in instance.necessary.ids if not inside[i]]
+    missing = [order[i] for i in instance.necessary.ids if not _holds(members, i)]
     if missing:
         problems.append("necessary vertices missing: %s" % ", ".join(map(str, missing)))
     find = order.find
-    unsplit = [(a, b) for a, b in instance.pairs if inside[find(a)] == inside[find(b)]]
+    unsplit = [(a, b) for a, b in instance.pairs if _holds(members, find(a)) == _holds(members, find(b))]
     for a, b in sorted(unsplit):
         problems.append("pair %s/%s is not split" % (a, b))
-    for u in sorted(verdict.violators):
+    for u in violators:
         problems.append("vertex %s is outnumbered" % (u,))
     return problems
 

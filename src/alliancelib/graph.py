@@ -276,6 +276,30 @@ def _holds(ids, i):
     return k < len(ids) and ids[k] == i
 
 
+def _tally(graph, ids, counts, step):
+    """Add step to counts[u], a list over graph's ids, once for each
+    neighbour of u among ids, a sorted sequence of distinct ids, and
+    return the runs of consecutive ids in ids as (start, stop) pairs.
+    The rows of a run lie side by side in adjacent, so each run is
+    walked in one slice, however many ids it holds; the stage builders
+    give each gadget family consecutive ids, so a set of stage vertices
+    comes in few, long runs."""
+    runs, start, stop = [], None, None
+    for i in ids:
+        if i != stop:
+            runs.append((start, stop))
+            start = i
+        stop = i + 1
+    # the first pair, (None, None), only stands before the first run
+    runs.append((start, stop))
+    del runs[0]
+    first, adjacent = graph.first, graph.adjacent
+    for start, stop in runs:
+        for u in adjacent[first[start]:first[stop]]:
+            counts[u] += step
+    return runs
+
+
 def _edge_keys(graph, ids, n):
     """The keys i * n + j of graph's edges in a graph of n vertices in
     which graph's id u is ids[u]; ids increase, so each key has i < j."""

@@ -29,10 +29,15 @@ lowers the deficits and queues those neighbors in the same loop.
 
 The vertices that the root fixpoint leaves open are the free vertices
 (free_count), and the search assigns them one at a time. The root takes
-one pass: a single loop sets every forbidden vertex out, which forces
-nothing, since a forbidden vertex is never necessary nor in a pair and
-no vertex is in yet; then one propagation puts the necessary vertices
-in and runs the rules to the fixpoint. At the root the size bounds are
+one pass. It sets every forbidden vertex out, which forces nothing,
+since a forbidden vertex is never necessary nor in a pair and no vertex
+is in yet. It does so one run of consecutive forbidden ids at a time,
+as the stage builders give each gadget family consecutive ids: a run
+is one slice write of the states and one pass over its own slacks, and
+the slacks of its neighbors drop in one pass over the run's adjacency
+slice (graph._tally), so no adjacency slice is taken per forbidden
+vertex. Then one propagation puts the necessary vertices in
+and runs the rules to the fixpoint. At the root the size bounds are
 checked only once the other rules are done. A dead-end root is one
 search node; where propagation met a conflict, what it left open
 depends on its order, so free_count is then the number of vertices that
@@ -67,7 +72,7 @@ from operator import sub
 
 from ._record import record
 from .alliance import AllianceInstance, is_defensive_alliance
-from .graph import VertexSet
+from .graph import VertexSet, _tally
 
 GOALS = ("decide", "minimum", "enumerate-all", "count")
 
@@ -151,13 +156,14 @@ class _Search:
     goes on the trail, an int array that keeps no int objects alive at
     a stage-3 depth, and undo reverts the counts by replaying it
     backwards.
-    The search starts from the root fixpoint: forbidden vertices out in
-    one loop, then necessary ones in, and all the rules force from there
-    with the size bounds off; open then counts the free vertices, and
-    consistent tells whether the root is a dead end, the size bounds
-    included. free_count is open, or at a root where propagation met a
-    conflict the vertices that are not forbidden. The root leaves the
-    trail empty, as the search never undoes below it.
+    The search starts from the root fixpoint: forbidden vertices out one
+    run of consecutive ids at a time, then necessary ones in, and all
+    the rules force from there with the size bounds off; open then
+    counts the free vertices, and consistent tells whether the root is
+    a dead end, the size bounds included. free_count is open, or at a
+    root where propagation met a conflict the vertices that are not
+    forbidden. The root leaves the trail empty, as the search never
+    undoes below it.
     """
 
     def __init__(self, instance):
@@ -165,7 +171,7 @@ class _Search:
         self.table = graph.order
         n = len(self.table)
         first = self.first = graph.first
-        adjacent = self.adjacent = graph.adjacent
+        self.adjacent = graph.adjacent
         self.partners = {}
         for x, y in instance.pairs:
             i, j = self.table.find(x), self.table.find(y)
@@ -187,13 +193,15 @@ class _Search:
         self.k = instance.k
         # a forbidden vertex is never necessary nor in a pair, and no
         # vertex is in yet, so setting the forbidden ones out forces
-        # nothing and checks no member
+        # nothing and checks no member; _tally lowers the slack of their
+        # neighbors, and each run of forbidden ids takes one slice of
+        # state and one pass over its own slacks, with no list over all
+        # the ids
         forbidden = instance.forbidden.ids
-        for i in forbidden:
-            state[i] = False
-            slack[i] -= 1
-            for u in adjacent[first[i]:first[i + 1]]:
-                slack[u] -= 1
+        for start, stop in _tally(graph, forbidden, slack, -1):
+            state[start:stop] = [False] * (stop - start)
+            for i in range(start, stop):
+                slack[i] -= 1
         self.open = n - len(forbidden)
         # size bounds off while the rules reach the root fixpoint; the
         # necessary ids come in id order, which keeps where a conflict
@@ -333,19 +341,6 @@ class _Search:
         return array("i", compress(range(len(self.state)), self.state))
 
 
-def _empty_result(goal, free_count, nodes):
-    solutions = () if goal == "enumerate-all" else None
-    count = 0 if goal in ("count", "enumerate-all") else None
-    return SolveResult(
-        goal=goal,
-        feasible=False,
-        solutions=solutions,
-        count=count,
-        free_count=free_count,
-        nodes=nodes,
-    )
-
-
 def solve(request):
     """Exact answer for the goal of the request by propagate-and-branch
     search; raises BudgetExceededError past 2^budget search nodes."""
@@ -408,20 +403,19 @@ def solve(request):
             goal=goal, feasible=count > 0, count=count, free_count=free_count,
             nodes=nodes,
         )
-    if not found:
-        return _empty_result(goal, free_count, nodes)
     found.sort()
     # VertexSets over the graph's table: no names are made until read
     solutions = tuple(
         VertexSet(search.table, members) for _size, members in found
     )
+    every = goal == "enumerate-all"
     return SolveResult(
         goal=goal,
-        feasible=True,
-        witness=solutions[0],
-        size=len(solutions[0]),
-        solutions=solutions if goal == "enumerate-all" else None,
-        count=len(solutions) if goal == "enumerate-all" else None,
+        feasible=bool(solutions),
+        witness=solutions[0] if solutions else None,
+        size=len(solutions[0]) if solutions else None,
+        solutions=solutions if every else None,
+        count=len(solutions) if every else None,
         free_count=free_count,
         nodes=nodes,
     )

@@ -6,7 +6,7 @@ import sys
 from array import array
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import alliancelib
 from alliancelib.alliance import (
@@ -22,6 +22,7 @@ from alliancelib.alliance import (
 from alliancelib.gen import random_mmo, random_pair_toy
 from alliancelib.graph import Graph, VertexId, VertexSet
 from alliancelib.reductions import mmo_to_alliance
+from alliancelib.solver import SolveRequest, solve
 
 from helpers import constrained_instance, one_edge_target, v, vs, wheelish_graph
 
@@ -390,3 +391,122 @@ def test_defense_assignment_is_injective_into_defenders(gs):
         assert set(d.assignment.keys()) == attackers
         assert set(d.assignment.values()) <= defenders
         assert len(set(d.assignment.values())) == len(d.assignment)
+
+
+def per_member_problems(instance, ids):
+    """solution_problems of the candidate with the given ids, by the
+    per-member rule: each member's neighbours inside counted one member
+    at a time, with the reasons in the same order and words."""
+    graph = instance.graph
+    order, first, adjacent = graph.order, graph.first, graph.adjacent
+    inside = set(ids)
+    problems = []
+    size = len(inside)
+    if instance.mode == "exact":
+        if size != instance.k:
+            problems.append("size %d is not exactly k=%d" % (size, instance.k))
+        elif not size:
+            problems.append("the empty set is not a solution")
+    elif not 1 <= size <= instance.k:
+        problems.append("size %d is outside 1..%d" % (size, instance.k))
+    hit = [order[i] for i in instance.forbidden.ids if i in inside]
+    if hit:
+        problems.append("forbidden vertices selected: %s" % ", ".join(map(str, hit)))
+    missing = [order[i] for i in instance.necessary.ids if i not in inside]
+    if missing:
+        problems.append("necessary vertices missing: %s" % ", ".join(map(str, missing)))
+    for a, b in sorted(instance.pairs):
+        if (order.find(a) in inside) == (order.find(b) in inside):
+            problems.append("pair %s/%s is not split" % (a, b))
+    problems += [
+        "vertex %s is outnumbered" % (order[i],)
+        for i in sorted(inside)
+        if 2 * (1 + sum(j in inside for j in adjacent[first[i]:first[i + 1]]))
+        < first[i + 1] - first[i] + 1
+    ]
+    return problems
+
+
+def outnumbered(problems):
+    return [p for p in problems if p.endswith(" is outnumbered")]
+
+
+@st.composite
+def run_sets(draw, n):
+    """Ids below n drawn as a union of runs of consecutive ids and of
+    single ids, the shape in which stage sets come."""
+    ids = set()
+    for start, length in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 15)), max_size=4)):
+        ids.update(range(start, min(n, start + length)))
+    ids.update(draw(st.lists(st.integers(0, n - 1), max_size=4)))
+    return ids
+
+
+@st.composite
+def run_instances(draw):
+    """An instance on up to 40 vertices whose forbidden and necessary
+    sets, and a candidate, are run_sets, with pairs of non-adjacent
+    vertices that are not forbidden, in either mode."""
+    n = draw(st.integers(1, 40))
+    # zero-padded names keep id order the order of the numbers
+    names = [v("x%02d" % i) for i in range(n)]
+    density = draw(st.sampled_from((0.05, 0.15, 0.4)))
+    rng = draw(st.randoms(use_true_random=False))
+    pool = list(itertools.combinations(range(n), 2))
+    edges = {(i, j) for i, j in pool if rng.random() < density}
+    forbidden = draw(run_sets(n))
+    necessary = draw(run_sets(n)) - forbidden
+    apart = [(i, j) for i, j in pool if (i, j) not in edges and not {i, j} & forbidden]
+    pairs = draw(st.lists(st.sampled_from(apart), max_size=3)) if apart else []
+    mode = draw(st.sampled_from(("at-most", "exact")))
+    instance = AllianceInstance(
+        Graph(names, [(names[i], names[j]) for i, j in edges]),
+        k=draw(st.integers(1 if mode == "at-most" else 0, n)),
+        forbidden=[names[i] for i in forbidden],
+        necessary=[names[i] for i in necessary],
+        pairs=[(names[i], names[j]) for i, j in pairs],
+        mode=mode,
+    )
+    return instance, sorted(draw(run_sets(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_instances())
+def test_problems_agree_with_the_per_member_rule(case):
+    # the checks walk runs of ids; the reference walks one member at a
+    # time, and every reason and its place must agree, whether the
+    # candidate comes as names or as a VertexSet over the table
+    instance, ids = case
+    graph = instance.graph
+    expected = per_member_problems(instance, ids)
+    as_names = frozenset(graph.order[i] for i in ids)
+    as_set = VertexSet(graph.order, array("i", ids))
+    for candidate in (as_names, as_set):
+        assert solution_problems(instance, candidate) == expected
+        assert is_solution(instance, candidate) == (not expected)
+        verdict = is_defensive_alliance(graph, candidate)
+        violators = {"vertex %s is outnumbered" % (u,) for u in verdict.violators}
+        assert violators == set(outnumbered(expected))
+        assert bool(verdict) == (not violators)
+
+
+def test_stage_three_witness_against_the_per_member_rule(stage_three):
+    # the witness passes; with one run of its ids taken out, the
+    # members left outnumbered are the ones the reference names
+    instance = stage_three.third.result
+    witness = solve(SolveRequest(instance, "decide")).witness
+    assert is_solution(instance, witness)
+    assert per_member_problems(instance, witness.ids) == []
+    ids = witness.ids.tolist()
+    starts = [k for k in range(len(ids)) if not k or ids[k] != ids[k - 1] + 1]
+    stops = starts[1:] + [len(ids)]
+    assert len(starts) == 762
+    # the longest run: its members' neighbours lose the most support
+    start, stop = max(zip(starts, stops), key=lambda run: run[1] - run[0])
+    rest = ids[:start] + ids[stop:]
+    cut = VertexSet(instance.graph.order, array("i", rest))
+    expected = per_member_problems(instance, rest)
+    assert outnumbered(expected)
+    assert solution_problems(instance, cut) == expected
+    violators = {"vertex %s is outnumbered" % (u,) for u in is_defensive_alliance(instance.graph, cut).violators}
+    assert violators == set(outnumbered(expected))

@@ -7,6 +7,8 @@ import hashlib
 import itertools
 import random
 import sys
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,13 +18,17 @@ from alliancelib.alliance import AllianceInstance, is_solution
 from alliancelib.gen import (
     random_forbidden_toy,
     random_graph,
+    random_mmo,
     random_necessary_toy,
     random_pair_toy,
     random_plain_instance,
 )
 from alliancelib.graph import Graph
 from alliancelib.mmo import max_weighted_outdegree, solve_mmo
+from alliancelib.pipeline import _instance_stats
 from alliancelib.reductions import (
+    STAGE_KINDS,
+    build_stage,
     eliminate_forbidden,
     eliminate_necessary_auto,
     eliminate_pairs,
@@ -688,3 +694,111 @@ class TestDeepSearch:
         assert res.feasible
         assert res.witness == frozenset(verts)
         assert res.nodes > depth
+
+
+def per_vertex_root(instance):
+    """(state, slack, deficit, open, free_count, consistent) of the
+    root as _Search made it when it set the forbidden vertices out one
+    vertex at a time: state, the vertex's own slack and each
+    neighbour's slack, per forbidden vertex. Propagation from there is
+    _Search.assign itself."""
+    graph = instance.graph
+    first, adjacent = graph.first, graph.adjacent
+    n = len(graph.order)
+    search = _Search.__new__(_Search)
+    search.table, search.first, search.adjacent = graph.order, first, adjacent
+    search.partners = {}
+    for x, y in instance.pairs:
+        i, j = graph.order.find(x), graph.order.find(y)
+        search.partners.setdefault(i, []).append(j)
+        search.partners.setdefault(j, []).append(i)
+    degrees = [first[i + 1] - first[i] for i in range(n)]
+    search.slack = [(d + 1) // 2 for d in degrees]
+    search.deficit = [d // 2 + 1 for d in degrees]
+    search.state = [None] * n
+    search.short, search.trail = array("i"), array("i")
+    search.size, search.k = 0, instance.k
+    for i in instance.forbidden.ids:
+        search.state[i] = False
+        search.slack[i] -= 1
+        for u in adjacent[first[i]:first[i + 1]]:
+            search.slack[u] -= 1
+    forbidden = len(instance.forbidden)
+    search.open = n - forbidden
+    search.cap, search.exact = n, False
+    consistent = search.assign(list(instance.necessary.ids))
+    free_count = search.open if consistent else n - forbidden
+    exact = instance.mode == "exact"
+    consistent = consistent and search.size <= instance.k and (
+        not exact or search.size + search.open >= instance.k
+    )
+    return search.state, search.slack, search.deficit, search.open, free_count, consistent
+
+
+def root_fields(search):
+    return (
+        search.state, search.slack, search.deficit, search.open, search.free_count,
+        search.consistent,
+    )
+
+
+# the first stage each kind of source goes through
+_FIRST_TAG = {"FNC": "fnc-to-fn", "FN": "fn-to-f", "F": "f-to-plain", "plain": None}
+
+
+def generator_corpora():
+    """Instances of every generator, seeds 0-29, and every stage output
+    of at most 4,000 vertices reached from them and from the one-edge
+    targets of the chain family."""
+    sources = []
+    for seed in range(30):
+        for draw in (random_pair_toy, random_necessary_toy, random_forbidden_toy):
+            sources.append(draw(random.Random(seed)))
+        sources.append(random_plain_instance(random.Random(seed)))
+        sources.append(mmo_to_alliance(random_mmo(random.Random(seed))).result)
+    for weight, r in ((1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2)):
+        sources.append(mmo_to_alliance(one_edge_target(weight, r)).result)
+    instances = []
+    for source in sources:
+        instances.append(source)
+        tag = _FIRST_TAG[source.variant]
+        # the size formulas tell a stage past 4,000 vertices unbuilt
+        while tag is not None and STAGE_KINDS[tag].counts(_instance_stats(source))["vertices"] <= 4000:
+            source = build_stage(tag, source)[0].result
+            instances.append(source)
+            tag = _FIRST_TAG[source.variant]
+    return instances
+
+
+def test_root_agrees_with_the_per_vertex_loop():
+    # the root sets the forbidden vertices out one run of ids at a time
+    instances = generator_corpora()
+    assert len(instances) > 300
+    assert max(len(i.graph.vertices) for i in instances) > 3000
+    for instance in instances:
+        assert root_fields(_Search(instance)) == per_vertex_root(instance)
+
+
+def test_stage_three_root_agrees_with_the_per_vertex_loop(stage_three):
+    instance = stage_three.third.result
+    assert root_fields(_Search(instance)) == per_vertex_root(instance)
+
+
+# tracemalloc peak of _Search(instance) on the w=1 r=1 stage 3 while it
+# set the forbidden vertices out one at a time, on Python 3.11: the
+# state, slack, deficit and degree lists of 368,711 ints each
+PER_VERTEX_ROOT_PEAK = 9_913_692
+
+
+def test_stage_three_root_makes_no_list_over_the_forbidden_ids(stage_three):
+    # the runs take one slice each; a list over the 184,246 forbidden
+    # ids, or another list over every id, would pass the ceiling
+    instance = stage_three.third.result
+    tracemalloc.start()
+    try:
+        search = _Search(instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert search.consistent
+    assert peak <= PER_VERTEX_ROOT_PEAK * 1.05
