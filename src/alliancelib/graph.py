@@ -95,7 +95,7 @@ class VertexId(tuple):
             )
         if with_partner and (not partner or _SPACE.search(partner)):
             raise ValueError("bad partner name: %r" % (partner,))
-        if len(indices) > 2 or not all(isinstance(i, int) and i >= 0 for i in indices):
+        if len(indices) > 2 or not all(is_integer(i) and i >= 0 for i in indices):
             raise ValueError("indices must be at most two non-negative ints")
         if len(indices) not in counts:
             raise ValueError("decoration %r takes %s" % (

@@ -253,15 +253,16 @@ def _chain(n, block, twins):
 
 
 def _carry(stage, td, verdict, graph="source"):
-    """Copy of td over the vertex table of the stage result, once
-    verdict, td checked against the stage source's graph or primal
-    graph, holds."""
+    """Copy of td over the vertex table of the stage result, and the
+    one top of each id in it, once verdict, td checked against the
+    stage source's graph or primal graph, holds."""
     if not verdict:
         raise ValueError(
             "decomposition does not fit the %s graph: %s" % (graph, verdict.problems[0])
         )
     result = stage.result.graph
-    return td._onto(result, list(map(result.index.get, td._order)))
+    out = td._onto(result, list(map(result.index.get, td._order)))
+    return out, _tops(out)[0]
 
 
 def _mmo_helpers(instance):
@@ -283,10 +284,10 @@ def _mmo_copies(instance, decoration):
     return out
 
 
-def mmo_to_alliance(instance, mode="at-most"):
+def mmo_to_alliance(instance):
     """Encode an orientation problem as a pair-constrained alliance
-    instance. Every solution of the result has size exactly k, so both
-    modes accept the same solution sets."""
+    instance in at-most mode. Every solution of the result has size
+    exactly k, so exact mode would accept the same solutions."""
     graph = instance.graph
     layout = _Layout("mmo-to-fnc", instance)
     inputs = layout.inputs()
@@ -313,21 +314,20 @@ def mmo_to_alliance(instance, mode="at-most"):
     return layout.stage(
         keys, MmoGadgets(helper, copies, twins), Affine(1, 0),
         forbidden=twins.values(), necessary=inputs + list(helper.values()), pairs=pairs,
-        k=_mmo_k(len(graph.order), instance.r, sum(instance.weights.values())), mode=mode,
+        k=_mmo_k(len(graph.order), instance.r, sum(instance.weights.values())), mode="at-most",
     )
 
 
 def _transform_mmo(stage, td):
     source = stage.source
     gadgets = stage.gadgets
-    out = _carry(stage, td, td.validate(source.graph))
+    out, first = _carry(stage, td, td.validate(source.graph))
     index, bag = out._index, out._bag
-    tops = first, _more, _held = _tops(out)
     for u, w in source.graph.sorted_edges():
         cu = list(gadgets.edge_copy[(u, w)].ids)
         cw = list(gadgets.edge_copy[(w, u)].ids)
         weight = len(cu)
-        t = _joint_top(out, tops, index[u], index[w])
+        t = _joint_top(out, first, index[u], index[w])
         base = bag(t)
         if weight == 1:
             out._add(_with(base, cu[0], cw[0]), t)
@@ -451,12 +451,11 @@ def eliminate_pairs(instance):
 def _transform_pairs(stage, td):
     source = stage.source
     gadgets = stage.gadgets
-    out = _carry(stage, td, td.validate(primal_graph(source)), "primal")
+    out, first = _carry(stage, td, td.validate(primal_graph(source)), "primal")
     index = out._index
     verts = source.graph.sorted_vertices()
-    tops = first, _more, _held = _tops(out)
     sorted_pairs = sorted(source.pairs)
-    top_pair = {(a, b): _joint_top(out, tops, index[a], index[b]) for a, b in sorted_pairs}
+    top_pair = {(a, b): _joint_top(out, first, index[a], index[b]) for a, b in sorted_pairs}
     # every bag containing v also gets v_n and its forbidden twin
     last = {index[u]: (gadgets.y_chain[u].ids[-1], gadgets.y_chain_forbidden[u].ids[-1])
             for u in verts}
@@ -641,7 +640,7 @@ def _transform_necessary(stage, td):
     source = stage.source
     if not isinstance(td, NiceTreeDecomposition):
         raise ValueError("this stage transformation needs a nice decomposition")
-    out = _carry(stage, td, td.validate_nice(source.graph))
+    out, first = _carry(stage, td, td.validate_nice(source.graph))
     ordering = tuple(stage.ordering)
     if postorder_ordering(td, frozenset(ordering)) != ordering:
         raise ValueError(
@@ -651,7 +650,6 @@ def _transform_necessary(stage, td):
     index, bag = out._index, out._bag
     n = len(source.graph.vertices)
     necessary = source.necessary
-    first = _tops(out)[0]
     parent = td._parent
     # a column's bags count from 0 at its anchor: lift is 1 where a join
     # keeps its own bag below the chains, and each chain has n bags
@@ -798,9 +796,8 @@ def eliminate_forbidden(instance):
 def _transform_forbidden(stage, td):
     source = stage.source
     gadgets = stage.gadgets
-    out = _carry(stage, td, td.validate(source.graph))
+    out, first = _carry(stage, td, td.validate(source.graph))
     index = out._index
-    first = _tops(out)[0]
     for f in sorted(source.forbidden):
         t = first[index[f]]
         base = out._bag(t)

@@ -235,7 +235,8 @@ class TreeDecomposition:
         holding both ends of an edge form subtrees, and each of them
         is topped by a top of one end, so an edge is covered exactly
         when a top of one end holds the other. _tops counts those
-        edges; they are checked one by one only to name the uncovered.
+        edges; they are checked one by one, at every top of both ends,
+        only to name the uncovered.
         """
         problems = []
         parent = self._parent
@@ -271,8 +272,8 @@ class TreeDecomposition:
                     if local[u] is None
                 ]
             td = self._onto(graph, local)
-        tops = first, more, held = _tops(td, graph)
-        start, adjacent = graph.first, graph.adjacent
+        first, more, held = _tops(td, graph)
+        start, adjacent, bag = graph.first, graph.adjacent, td._bag
         if held == len(adjacent) // 2 and not more and None not in first:
             return TdVerdict(not problems, tuple(problems))
         uncovered = []
@@ -282,7 +283,8 @@ class TreeDecomposition:
             end = start[i + 1]
             # the neighbours j > i, so that each edge is seen once
             for j in adjacent[bisect_right(adjacent, i, start[i], end):end]:
-                if not _joint(td, tops, i, j):
+                if not any(w in bag(t) for u, w in ((i, j), (j, i))
+                           for t in more.get(u, (first[u],)) if t is not None):
                     uncovered.append("edge %s--%s is in no bag" % (names[i], names[j]))
         problems += uncovered
         for name in sorted(names[u] for u in more):
@@ -320,29 +322,12 @@ def _tops(td, graph=None):
     return first, more, twice // 2
 
 
-def _tops_of(tops, u):
-    first, more, _held = tops
-    return more.get(u) or ([] if first[u] is None else [first[u]])
-
-
-def _joint(td, tops, u, w):
-    """Tops of the subtrees whose bags hold both u and w: each such
-    subtree lies in one occurrence component of each end, so its top
-    is the top of one of those components."""
-    bag = td._bag
-    out = [t for t in _tops_of(tops, u) if w in bag(t)]
-    out += [t for t in _tops_of(tops, w) if u in bag(t) and t not in out]
-    return out
-
-
-def _joint_top(td, tops, u, w):
-    """Topmost node whose bag holds both u and w."""
-    joint = _joint(td, tops, u, w)
-    if not joint:
-        raise ValueError("no bag contains both %s and %s" % (td._order[u], td._order[w]))
-    if len(joint) != 1:
-        raise ValueError("occurrences of %s and %s are not connected" % (td._order[u], td._order[w]))
-    return joint[0]
+def _joint_top(td, first, u, w):
+    """Topmost node whose bag holds both u and w, given first from _tops
+    of td, which is valid for a graph with the edge u--w: both ends
+    have one top, and the lower of the two holds the other end."""
+    top = first[u]
+    return top if w in td._bag(top) else first[w]
 
 
 def _kind(td, n):

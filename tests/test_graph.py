@@ -167,6 +167,8 @@ class TestVertexId:
             ("a", "chain-Z", (1, 2, 3), "b"),
             ("a", "chain-Z", (-1,), "b"),
             ("a", "chain-Z", ("1",), "b"),
+            # equal to a/h1, yet rendered a/hTrue, which does not parse
+            ("a", "helper-h", (True,), None),
             ("a", "no-such-role", (1,), None),
             ("", "primed", (), None),
             ("a\u00a0b", "primed", (), None),

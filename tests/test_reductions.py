@@ -10,7 +10,7 @@ import pytest
 
 from alliancelib import replace
 from alliancelib.alliance import STAGE_TAGS, AllianceInstance, is_solution, primal_graph
-from alliancelib.gen import random_necessary_toy
+from alliancelib.gen import random_mmo, random_necessary_toy, random_pair_toy
 from alliancelib.graph import Graph, VertexId, parse_vertex
 from alliancelib.mmo import MmoInstance, Orientation, max_weighted_outdegree
 from alliancelib.pipeline import audit_stage
@@ -18,6 +18,7 @@ from alliancelib.reductions import (
     STAGE_KINDS,
     Affine,
     ReductionStage,
+    _carry,
     build_stage,
     eliminate_forbidden,
     eliminate_necessary,
@@ -30,6 +31,7 @@ from alliancelib.reductions import (
     solution_to_orientation,
 )
 from alliancelib.treewidth import (
+    _joint_top,
     heuristic_td,
     make_nice,
     postorder_ordering,
@@ -142,11 +144,6 @@ class TestMmoStage:
         assert len(stage.gadgets.helper[a]) == 1
         assert stage.result.k == 4 + 1
 
-    def test_mode_selectable(self):
-        stage = mmo_to_alliance(two_vertex_mmo(), mode="exact")
-        assert stage.result.mode == "exact"
-        assert stage.result.k == 15
-
     def test_orientation_to_solution_both_directions(self):
         m = two_vertex_mmo()
         stage = mmo_to_alliance(m)
@@ -159,8 +156,7 @@ class TestMmoStage:
         assert {"b.a/ec1", "b.a/ec2", "b.a/ec3"} <= names(s)
         assert not {"a.b/ec1", "a.b/ec2", "a.b/ec3"} & names(s)
         assert is_solution(stage.result, s)
-        exact = mmo_to_alliance(m, mode="exact").result
-        assert is_solution(exact, s)
+        assert len(s) == stage.result.k
         toward_a = Orientation({(a, b): (b, a)})
         s2 = orientation_to_solution(m, toward_a)
         assert {"a.b/ec1", "a.b/ec2", "a.b/ec3"} <= names(s2)
@@ -702,6 +698,56 @@ def test_widths_hold_along_the_composed_chain(label):
     td2 = transform_td(second, td1)
     assert validate_td(second.result.graph, td2).ok
     assert td2.width() <= 3 * td1.width() + 5
+
+
+def _carried_sources():
+    """(stage, decomposition of its source) of mmo-to-fnc and fnc-to-fn,
+    from generator seeds 0-29 and from the one-edge targets under the
+    cap, whose stage 1 carries its decomposition into stage 2."""
+    for seed in range(30):
+        mmo = random_mmo(random.Random(seed))
+        yield mmo_to_alliance(mmo), heuristic_td(mmo.graph)
+        toy = random_pair_toy(random.Random(seed))
+        yield eliminate_pairs(toy), heuristic_td(primal_graph(toy))
+    for label, target in sorted(COMPOSED_TARGETS.items()):
+        if label.startswith("edge-"):
+            first, td = mmo_to_alliance(target), heuristic_td(target.graph)
+            yield first, td
+            yield eliminate_pairs(first.result), transform_td(first, td)
+
+
+def _topmost_holding(td, u, w):
+    """The one node nearest the root whose bag holds ids u and w, found
+    by walking every node and each holder's path to the root."""
+    depth = {}
+    for n in td.nodes():
+        if u in td._bag(n) and w in td._bag(n):
+            depth[n] = len(td.path_between(n, td.root()))
+    least = min(depth.values())
+    holders = [n for n, d in depth.items() if d == least]
+    assert len(holders) == 1
+    return holders[0]
+
+
+def test_joint_top_is_the_topmost_node_holding_both_ends():
+    # the ends of every source edge (mmo-to-fnc) and every pair
+    # (fnc-to-fn), the gadgets hung below the joint top; both orders,
+    # so that the top of either end is the one asked first
+    checked = 0
+    for stage, td in _carried_sources():
+        source = stage.source
+        if stage.tag == "mmo-to-fnc":
+            out, first = _carry(stage, td, td.validate(source.graph))
+            ends = source.graph.sorted_edges()
+        else:
+            out, first = _carry(stage, td, td.validate(primal_graph(source)), "primal")
+            ends = sorted(source.pairs)
+        for u, w in ends:
+            a, b = out._index[u], out._index[w]
+            top = _topmost_holding(out, a, b)
+            assert _joint_top(out, first, a, b) == _joint_top(out, first, b, a) == top
+            checked += 1
+    assert checked > 0
 
 
 class TestStageRecords:

@@ -158,6 +158,12 @@ BROKEN = {
         _path("a b c"),
         ("occurrences of a are not connected",),
     ),
+    "covered at a second top": (
+        # a's tops are nodes 1 and 2; only the second holds b
+        _td(("b", None), ("a", 0), ("a b", 0)),
+        _path("a b"),
+        ("occurrences of a are not connected",),
+    ),
     "mixed": (
         _td(("a zz", None), ("b c", 0), ("a", 1)),
         _path("a b c d"),
