@@ -322,7 +322,7 @@ def _transform_mmo(stage, td):
     source = stage.source
     gadgets = stage.gadgets
     out, first = _carry(stage, td, td.validate(source.graph))
-    index, bag = out._index, out._bag
+    index, bag = stage.result.graph.index, out._bag
     for u, w in source.graph.sorted_edges():
         cu = list(gadgets.edge_copy[(u, w)].ids)
         cw = list(gadgets.edge_copy[(w, u)].ids)
@@ -330,7 +330,7 @@ def _transform_mmo(stage, td):
         t = _joint_top(out, first, index[u], index[w])
         base = bag(t)
         if weight == 1:
-            out._add(_with(base, cu[0], cw[0]), t)
+            out._hang(t, [_with(base, cu[0], cw[0])])
         else:
             out._hang(t, [_with(base, cu[i - 1], cu[i], cw[i - 1], cw[i]) for i in range(1, weight)])
         for side, owner in ((gadgets.edge_copy_forbidden[(u, w)], u),
@@ -452,7 +452,7 @@ def _transform_pairs(stage, td):
     source = stage.source
     gadgets = stage.gadgets
     out, first = _carry(stage, td, td.validate(primal_graph(source)), "primal")
-    index = out._index
+    index = stage.result.graph.index
     verts = source.graph.sorted_vertices()
     sorted_pairs = sorted(source.pairs)
     top_pair = {(a, b): _joint_top(out, first, index[a], index[b]) for a, b in sorted_pairs}
@@ -647,7 +647,7 @@ def _transform_necessary(stage, td):
             "stage ordering is not the post-order ordering of this decomposition"
         )
     gadgets = stage.gadgets
-    index, bag = out._index, out._bag
+    index, bag = stage.result.graph.index, out._bag
     n = len(source.graph.vertices)
     necessary = source.necessary
     parent = td._parent
@@ -797,7 +797,7 @@ def _transform_forbidden(stage, td):
     source = stage.source
     gadgets = stage.gadgets
     out, first = _carry(stage, td, td.validate(source.graph))
-    index = out._index
+    index = stage.result.graph.index
     for f in sorted(source.forbidden):
         t = first[index[f]]
         base = out._bag(t)

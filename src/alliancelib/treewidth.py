@@ -15,7 +15,7 @@ from bisect import bisect_right, insort
 from operator import sub
 
 from ._record import record
-from .graph import Block, VertexTable, _Index, parse_vertex
+from .graph import Block, VertexTable, parse_vertex
 
 NICE_KINDS = ("leaf", "introduce", "forget", "join")
 
@@ -32,11 +32,13 @@ class TdVerdict:
 class TreeDecomposition:
     """Rooted tree of bags with node ids 0..N-1 in creation order.
 
-    Bags hold the ids of a vertex table: _order, a VertexTable whose ids
-    follow name order, and _index, its name-to-id mapping.
-    TreeDecomposition(graph), as heuristic_td and transform_td build it,
-    shares the graph's table; td_from_lines, the one way named bags come
-    in, reads the names into a table of their own. Tables are read only.
+    TreeDecomposition(table, bags, parent) builds every one: table is a
+    VertexTable whose ids follow name order (an empty one by default),
+    bags are sorted id lists or arrays and parent gives each node's
+    parent, -1 for none; bags and parent are copied, so no caller's
+    array is shared. heuristic_td and the stage transforms pass a
+    graph's table, read only; td_from_lines, the one way named bags
+    come in, reads the names into a table of its own.
 
     All bags are runs of sorted ids in one array("i"), _ids: node n's is
     _ids[_start[n]:_end[n]] (_bag); the tree is the array _parent, -1
@@ -48,22 +50,12 @@ class TreeDecomposition:
     names, every order visible outside is name order.
     """
 
-    def __init__(self, graph=None):
-        if graph is None:
-            self._order = VertexTable([])
-            self._index = _Index(self._order)
-        else:
-            self._order, self._index = graph.order, graph.index
+    def __init__(self, table=None, bags=(), parent=()):
+        self._order = VertexTable([]) if table is None else table
         self._ids, self._start, self._end = array("i"), array("i"), array("i")
-        self._parent = array("i")
+        self._write(bags)
+        self._parent = array("i", parent)
         self._kids = None
-
-    @classmethod
-    def _over(cls, td):
-        """Empty decomposition sharing td's table."""
-        out = cls()
-        out._order, out._index = td._order, td._index
-        return out
 
     def _is_node(self, n):
         return isinstance(n, int) and 0 <= n < len(self._parent)
@@ -103,14 +95,8 @@ class TreeDecomposition:
     def _onto(self, graph, local):
         """The tree over graph's table, id u becoming local[u] or, if that
         is None, left out: both tables follow name order, so bags stay sorted."""
-        out = TreeDecomposition(graph)
-        out._write([v for u in self._bag(n) if (v := local[u]) is not None] for n in self.nodes())
-        out._parent = self._parent[:]
-        return out
-
-    def _add(self, bag, parent=-1):
-        """New node with bag, a sorted id list, under a known parent."""
-        return self._hang(parent, [bag])
+        bags = ([v for u in self._bag(n) if (v := local[u]) is not None] for n in self.nodes())
+        return TreeDecomposition(graph.order, bags, self._parent)
 
     def _hang(self, parent, bags):
         """A chain of new nodes with bags, sorted id lists, below a known
@@ -139,8 +125,8 @@ class TreeDecomposition:
     def _child_index(self):
         """(first, kids): node n's children in id order are
         kids[first[n]:first[n + 1]], the roots kids[:first[0]]. Derived
-        from _parent on the first read after a write; heuristic_td,
-        _td_from_rows and make_nice write _parent before any read."""
+        from _parent on the first read after a write; the constructor
+        and make_nice write _parent before any read."""
         if self._kids is None:
             parent = self._parent
             count = [0] * (len(parent) + 1)
@@ -169,7 +155,7 @@ class TreeDecomposition:
 
     def copy(self, into=None):
         """Copy over the same table, with copies of every array."""
-        out = (into or type(self))._over(self)
+        out = (into or type(self))(self._order)
         for name in ("_ids", "_start", "_end", "_parent"):
             setattr(out, name, getattr(self, name)[:])
         return out
@@ -367,8 +353,9 @@ def _shape_problems(td):
 
 class NiceTreeDecomposition(TreeDecomposition):
     """Decomposition whose nodes are leaf, introduce, forget or join
-    nodes, with empty root and leaf bags. Joins have exactly two
-    children, so fan-out is at most two everywhere."""
+    nodes: make_nice builds one with empty root and leaf bags, whose
+    joins have exactly two children. Read from text, the type follows
+    the declared kinds alone; validate_nice checks the shape."""
 
     def kind(self, n):
         self._check_node(n)
@@ -399,7 +386,7 @@ def make_nice(td):
     if next(_shape_problems(td), None) is None:
         return td.copy(into=NiceTreeDecomposition)
     bag, up = td._bag, td._parent
-    out = NiceTreeDecomposition._over(td)
+    out = NiceTreeDecomposition(td._order)
     ids, end, parent = out._ids, out._end, out._parent
 
     def make(cur, child):
@@ -503,11 +490,9 @@ def heuristic_td(graph):
     scored again; a heap of scores skips entries that are out of date.
     No optimality promise: treewidth_exact_small certifies small graphs.
     """
-    td = TreeDecomposition(graph)
     ids = graph.order.ids
     if not ids:
-        td._add([])
-        return td
+        return TreeDecomposition(graph.order, [[]], [-1])
     first, adjacent = graph.first, graph.adjacent
     neighbours = [set(adjacent[first[u]:first[u + 1]]) for u in ids]
     score = [_fill(neighbours, u) for u in ids]
@@ -539,17 +524,14 @@ def heuristic_td(graph):
         # adjacent bags need not share vertices, so chaining an
         # exhausted component onto the next bag is harmless
         parent[i] = min((position[a] for a in bag if position[a] > i), default=i + 1)
-    td._write(bags)
-    td._parent = parent
-    return td
+    return TreeDecomposition(graph.order, bags, parent)
 
 
 def postorder_ordering(td, eligible):
     """Eligible vertices in the order their topmost bags close during a
     post-order traversal; ties inside one bag break sorted."""
     eligible = sorted(frozenset(eligible))
-    index = td._index
-    ids = [index.get(u) for u in eligible]
+    ids = list(map(td._order.find, eligible))
     first, more, _held = _tops(td)
     for u, i in zip(eligible, ids):
         if i in more:
@@ -627,10 +609,10 @@ def td_from_lines(text):
     if not rows:
         raise ValueError("empty decomposition document")
     if all(rest and rest[0] in NICE_KINDS for _, _, _, rest in rows):
-        nice = _td_from_rows(NiceTreeDecomposition(), rows, 1)
+        nice = _td_from_rows(NiceTreeDecomposition, rows, 1)
         if all(_declared_kind_holds(nice, nid, rest[0]) for _, nid, _, rest in rows):
             return nice
-    return _td_from_rows(TreeDecomposition(), rows, 0)
+    return _td_from_rows(TreeDecomposition, rows, 0)
 
 
 def _declared_kind_holds(td, n, kind):
@@ -640,10 +622,10 @@ def _declared_kind_holds(td, n, kind):
         return False
 
 
-def _td_from_rows(td, rows, skip):
-    """td filled from parsed rows, each bag from its fields after the
-    first skip. The node ids of n rows must be 0..n-1, so that they
-    index the node tables."""
+def _td_from_rows(cls, rows, skip):
+    """A cls decomposition from parsed rows, over a table of the names
+    they read, each bag from its fields after the first skip. The node
+    ids of n rows must be 0..n-1, so that they index the node tables."""
     parsed = {}
     seen = set()
     named = []
@@ -670,16 +652,13 @@ def _td_from_rows(td, rows, skip):
     for lineno, _nid, parent, _ in rows:
         if parent is not None and not 0 <= parent < size:
             raise ValueError("line %d: unknown parent %d" % (lineno, parent))
-    td._order = table = VertexTable([Block(tuple(sorted(set().union(*named))))])
-    td._index = _Index(table)
-    bags = [None] * size
-    td._parent = array("i", [-1]) * size
+    table = VertexTable([Block(tuple(sorted(set().union(*named))))])
+    bags, parents = [None] * size, [-1] * size
     for (_, nid, parent, _), bag in zip(rows, named):
         bags[nid] = sorted(map(table.find, bag))
         if parent is not None:
-            td._parent[nid] = parent
-    td._write(bags)
-    return td
+            parents[nid] = parent
+    return cls(table, bags, parents)
 
 
 def td_to_dot(td, name="T"):

@@ -10,7 +10,7 @@ import pytest
 
 from alliancelib import replace
 from alliancelib.alliance import STAGE_TAGS, AllianceInstance, is_solution, primal_graph
-from alliancelib.gen import random_mmo, random_necessary_toy, random_pair_toy
+from alliancelib.gen import random_forbidden_toy, random_mmo, random_necessary_toy, random_pair_toy
 from alliancelib.graph import Graph, VertexId, parse_vertex
 from alliancelib.mmo import MmoInstance, Orientation, max_weighted_outdegree
 from alliancelib.pipeline import audit_stage
@@ -742,12 +742,82 @@ def test_joint_top_is_the_topmost_node_holding_both_ends():
         else:
             out, first = _carry(stage, td, td.validate(primal_graph(source)), "primal")
             ends = sorted(source.pairs)
+        index = stage.result.graph.index
         for u, w in ends:
-            a, b = out._index[u], out._index[w]
+            a, b = index[u], index[w]
             top = _topmost_holding(out, a, b)
             assert _joint_top(out, first, a, b) == _joint_top(out, first, b, a) == top
             checked += 1
     assert checked > 0
+
+
+def _transform_inputs(stage_three):
+    """(stage, decomposition of its source) for 43 transforms: the
+    one-edge w=1 r=1 chain, each stage from the decomposition the one
+    before carried (nice at stage 3), and generator seeds 0-9 of the
+    toys of each stage."""
+    target = one_edge_target(1, 1)
+    first, td = mmo_to_alliance(target), heuristic_td(target.graph)
+    yield first, td
+    yield eliminate_pairs(first.result), transform_td(first, td)
+    yield stage_three.third, stage_three.nice
+    for seed in range(10):
+        mmo = random_mmo(random.Random(seed))
+        yield mmo_to_alliance(mmo), heuristic_td(mmo.graph)
+        toy = random_pair_toy(random.Random(seed))
+        yield eliminate_pairs(toy), heuristic_td(primal_graph(toy))
+        toy = random_necessary_toy(random.Random(seed))
+        nice = make_nice(heuristic_td(toy.graph))
+        yield eliminate_necessary_auto(toy, nice), nice
+        toy = random_forbidden_toy(random.Random(seed))
+        yield eliminate_forbidden(toy), heuristic_td(toy.graph)
+
+
+ARRAYS = ("_ids", "_start", "_end", "_parent")
+
+
+def test_transforms_leave_their_input_as_it_was(stage_three):
+    # the transforms hang and splice on their output, which must own
+    # every array it writes
+    count = 0
+    for stage, td in _transform_inputs(stage_three):
+        before = td_to_lines(td), [getattr(td, a).tobytes() for a in ARRAYS]
+        out = transform_td(stage, td)
+        assert (td_to_lines(td), [getattr(td, a).tobytes() for a in ARRAYS]) == before
+        assert all(getattr(out, a) is not getattr(td, b) for a in ARRAYS for b in ARRAYS)
+        count += 1
+    assert count == 43
+
+
+def _refused(tag):
+    """(stage, decomposition, message) whose decomposition misses an
+    edge or a vertex of the graph the stage's transform checks it on."""
+    a, b = vs("a b")
+    two_bags = td_from_lines("0 - a\n1 0 b\n")
+    if tag == "mmo-to-fnc":
+        return (mmo_to_alliance(one_edge_target(1, 1)), two_bags,
+                "decomposition does not fit the source graph: edge a--b is in no bag")
+    if tag == "fnc-to-fn":
+        # the pair is the primal graph's only edge
+        toy = AllianceInstance(Graph([a, b], []), 1, pairs=[(a, b)])
+        return (eliminate_pairs(toy), heuristic_td(toy.graph),
+                "decomposition does not fit the primal graph: edge a--b is in no bag")
+    if tag == "fn-to-f":
+        fn = AllianceInstance(Graph([a, b], [(a, b)]), 1, necessary=[a])
+        return (eliminate_necessary(fn, (a, b)), make_nice(two_bags),
+                "decomposition does not fit the source graph: edge a--b is in no bag")
+    f = AllianceInstance(Graph([a, b], [(a, b)]), 1, forbidden=[b])
+    return (eliminate_forbidden(f), td_from_lines("0 - a\n"),
+            "decomposition does not fit the source graph: vertex b is in no bag")
+
+
+@pytest.mark.parametrize("tag", STAGE_TAGS)
+def test_every_transform_refuses_a_decomposition_that_does_not_fit(tag):
+    stage, td, message = _refused(tag)
+    assert stage.tag == tag
+    with pytest.raises(ValueError) as refused:
+        transform_td(stage, td)
+    assert str(refused.value) == message
 
 
 class TestStageRecords:

@@ -112,7 +112,7 @@ def test_fn_to_f_output_shares_the_graph_table(stage_three, fn_to_f):
     # bag entries are the table's ids of their names
     td, _tracked, _held = fn_to_f
     graph = stage_three.third.result.graph
-    assert td._order is graph.order and td._index is graph.index
+    assert td._order is graph.order
     index, order = graph.index, graph.order
     assert all(u == index[order[u]] for n in td.nodes() for u in td._bag(n))
 
@@ -193,7 +193,7 @@ def test_small_fn_to_f_outputs_are_pinned(case):
     stage, out = build_stage("fn-to-f", instance, td)
     nice = make_nice(td)
     first = _tops(nice)[0]
-    anchors = [first[nice._index[u]] for u in stage.ordering]
+    anchors = [first[nice._order.find(u)] for u in stage.ordering]
     assert sum(nice.kind(x) == "join" for x in anchors) == joins
     assert (len(out.nodes()), out.width(), digest(out)) == (nodes, width, pinned)
     assert validate_td(stage.result.graph, out).ok

@@ -2,10 +2,12 @@
 
 The model keeps a decomposition the plain way, in dicts keyed by node
 id, and derives children, paths and orders from the parent map alone.
-Random sequences of the builders the stage transforms use (_add, _hang
-and _splice, with bags of table ids), copies among them, must leave
-the decomposition and the model in agreement, and every copy taken
-along the way must stay as it was while the copy is built on.
+Random sequences of the builders the stage transforms use (_hang, with
+one bag or several, and _splice, with bags of table ids), copies among
+them, must leave the decomposition and the model in agreement, and
+every copy taken along the way must stay as it was while the copy is
+built on. The constructor, given the model's bags and parents at each
+step, must build the same decomposition.
 """
 
 import copy
@@ -116,7 +118,7 @@ def assert_agrees(td, model):
     assert td_to_lines(td) == model.lines()
 
 
-OPS = ("_add", "_hang", "_splice", "copy")
+OPS = ("one", "_hang", "_splice", "copy")
 bags = st.frozensets(st.sampled_from(NAMES), max_size=4)
 steps = st.lists(
     st.tuples(
@@ -130,15 +132,15 @@ steps = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(bags, steps)
 def test_mutators_agree_with_the_dict_model(first, steps):
-    td, model = TreeDecomposition(GRAPH), Model()
-    assert td._add(ids(first)) == model.add(first, None)
+    td, model = TreeDecomposition(GRAPH.order), Model()
+    assert td._hang(-1, [ids(first)]) == model.add(first, None)
     # every copy taken, with the model as it was then
     frozen = []
     for op, i, j, bag, more in steps:
         nodes = sorted(model.bags)
         n, p = nodes[i % len(nodes)], nodes[j % len(nodes)]
-        if op == "_add":
-            assert td._add(ids(bag), p) == model.add(bag, p)
+        if op == "one":
+            assert td._hang(p, [ids(bag)]) == model.add(bag, p)
         elif op == "_hang":
             assert td._hang(p, list(map(ids, more))) == model.hang(p, more)
         elif op == "_splice":
@@ -147,6 +149,10 @@ def test_mutators_agree_with_the_dict_model(first, steps):
             frozen.append((td, copy.deepcopy(model)))
             td = td.copy()
         assert_agrees(td, model)
+        nodes = sorted(model.bags)
+        parents = [-1 if model.parent[n] is None else model.parent[n] for n in nodes]
+        built = TreeDecomposition(GRAPH.order, [ids(model.bags[n]) for n in nodes], parents)
+        assert_agrees(built, model)
     for old, then in frozen:
         assert_agrees(old, then)
 
@@ -157,7 +163,7 @@ def test_a_node_costs_under_16_bytes_beside_its_bag():
     # sibling links beside them cost about 20 B a node and per-node
     # dicts of bags and parents with a child tuple about 250 B
     td = TreeDecomposition()
-    root = td._add([])
+    root = td._hang(-1, [[]])
     count = 100_000
     tracemalloc.start()
     try:
@@ -176,7 +182,7 @@ def test_a_bag_entry_costs_under_6_bytes_with_its_node():
     # header and an 8 B slot per entry, about 11 B an entry, with the
     # int objects shared
     td = TreeDecomposition()
-    root = td._add([])
+    root = td._hang(-1, [[]])
     count, size = 100_000, 18
     pool = list(range(count + size))
     tracemalloc.start()

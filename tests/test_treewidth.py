@@ -192,8 +192,8 @@ class TestStructure:
         td = td_of([(vs("a"), None)])
         a = [td._order.find(v("a"))]
         root = 0
-        x = td._add(a, root)
-        y = td._add(a, root)
+        x = td._hang(root, [a])
+        y = td._hang(root, [a])
         assert td.children(root) == [x, y]
         below = td._hang(y, [a, a])
         assert td.children(y) == [below - 1]
@@ -227,7 +227,7 @@ class TestStructure:
             assert isinstance(bag, frozenset)
             assert bag == {g.order[u] for u in td._bag(n)}
         # the graph's own table, shared and not copied
-        assert td._order is g.order and td._index is g.index
+        assert td._order is g.order
         with pytest.raises(AttributeError):
             td.bag(0).add(v("zz"))
 
@@ -545,11 +545,8 @@ def _outcome(call, *args):
 
 def _on_graph(td, graph):
     """td's tree with its bags over the graph's own table."""
-    out = TreeDecomposition(graph)
-    for n in td.nodes():
-        out._add(sorted(map(graph.index.__getitem__, td.bag(n))))
-    out._parent = td._parent[:]
-    return out
+    bags = [sorted(map(graph.index.__getitem__, td.bag(n))) for n in td.nodes()]
+    return TreeDecomposition(graph.order, bags, td._parent)
 
 
 def _golden_pair():
@@ -674,6 +671,18 @@ class TestSerialization:
         back = td_from_lines("0 - join a\n1 0 leaf a\n")
         assert not isinstance(back, NiceTreeDecomposition)
         assert back.bag(0) == {v("join"), v("a")}
+
+    def test_nice_type_follows_the_declared_kinds(self):
+        # a lone leaf holding a is read as nice though neither its root
+        # nor its leaf bag is empty: validate_nice checks the shape, and
+        # make_nice rebuilds it
+        back = td_from_lines("0 - leaf a\n")
+        assert isinstance(back, NiceTreeDecomposition)
+        assert back.validate_nice(Graph(vs("a"), [])).problems == (
+            "root bag is not empty",
+            "leaf node 0 has a nonempty bag",
+        )
+        assert td_to_lines(make_nice(back)) == "0 1 leaf\n1 2 introduce a\n2 - forget\n"
 
     def test_parse_error_names_line(self):
         with pytest.raises(ValueError, match="line 1"):
