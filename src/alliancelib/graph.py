@@ -10,7 +10,7 @@ import json
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Mapping, Sequence, Set
+from collections.abc import Sequence, Set
 from functools import partial
 from itertools import accumulate, chain, groupby, islice, repeat
 from operator import eq, floordiv, itemgetter, mod
@@ -211,7 +211,8 @@ class _Document(dict):
         if not isinstance(document, dict):
             try:
                 document = json.loads(document)
-            except json.JSONDecodeError as exc:
+            # nesting too deep for the decoder is no valid document
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError("invalid JSON: %s" % (exc,)) from None
             if not isinstance(document, dict):
                 raise ValueError("instance document must be a JSON object")
@@ -469,37 +470,6 @@ class VertexTable(Sequence):
         return (VertexTable, (self.blocks,))
 
 
-class _Index(Mapping):
-    """Read-only mapping from the names of a table to their ids."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table):
-        self._table = table
-
-    def __getitem__(self, name):
-        i = self._table.find(name)
-        if i is None:
-            raise KeyError(name)
-        return i
-
-    def get(self, name, default=None):
-        i = self._table.find(name)
-        return default if i is None else i
-
-    def __contains__(self, name):
-        return self._table.find(name) is not None
-
-    def __len__(self):
-        return len(self._table)
-
-    def __iter__(self):
-        return iter(self._table)
-
-    def __reduce__(self):
-        return (_Index, (self._table,))
-
-
 class VertexSet(Set):
     """Read-only set of the names of a table with the given ids, a
     sorted sequence of distinct ints (a range or an array).
@@ -607,9 +577,9 @@ class Graph:
     Read-only attributes:
 
     - order: the VertexTable of the names in id order, so order[i] has
-      id i; a stage output's table is laid out in gadget families,
-      whose names are made only when asked for;
-    - index: a read-only mapping from vertex to id over that table;
+      id i and order.find(v) is the id of v, or None; a stage output's
+      table is laid out in gadget families, whose names are made only
+      when asked for;
     - vertices: the VertexSet of all of them, which equals and hashes
       like the frozenset of the vertices;
     - first, adjacent: array("i")s; the open neighbourhood of id i is
@@ -665,12 +635,13 @@ class Graph:
 
         An edge may appear more than once, but only in that orientation.
         The list of keys is consumed. The caller vouches for the order
-        and the keys; nothing here checks them.
+        and the keys; only a graph past 32-bit ids or arc offsets is
+        refused, before any array is written.
         """
         if not isinstance(order, VertexTable):
             order = VertexTable([Block(tuple(order))])
         graph = cls.__new__(cls)
-        families = None
+        families = []
         # only the stage builders emit families
         if range in map(type, keys):
             if len(order) < _FILL_VERTICES:
@@ -679,6 +650,12 @@ class Graph:
             else:
                 families = [key for key in keys if type(key) is range]
                 keys[:] = [key for key in keys if type(key) is not range]
+        # ids and arc offsets are array("i") entries
+        arcs = 2 * (len(keys) + sum(map(len, families)))
+        if max(len(order), arcs) >= 1 << 31:
+            raise ValueError(
+                "graph of %d vertices and %d arcs exceeds 32-bit ids" % (len(order), arcs)
+            )
         graph._build_arrays(order, keys, families)
         return graph
 
@@ -686,7 +663,7 @@ class Graph:
         """Set the graph over order with the arrays of the int keys,
         which are consumed, and of families, ranges of keys, if any."""
         n = len(order)
-        self.order, self.index = order, _Index(order)
+        self.order = order
         self.vertices = VertexSet(order, range(n))
         # sorted, each edge's repeats are adjacent and the edges come
         # by i, then j
@@ -854,8 +831,8 @@ def graph_from_edgelist(text):
     return Graph(vertices, edges)
 
 
-def graph_to_dot(g, name="G"):
-    out = ["graph %s {" % name]
+def graph_to_dot(g):
+    out = ["graph G {"]
     for v in g.sorted_vertices():
         out.append('  "%s";' % (v,))
     for u, v in g.sorted_edges():

@@ -188,6 +188,8 @@ class _Layout:
         its sets; k is size_fn(source.k) and mode the source's unless
         given."""
         source, table = self.source, self.order
+        # the graph refuses ids past 32 bits before the sets take them
+        graph = Graph._from_keys(table, keys)
         sets = []
         for blocks in (forbidden, necessary):
             ids = array("i")
@@ -195,7 +197,7 @@ class _Layout:
                 ids.extend(block.ids)
             sets.append(VertexSet(table, ids))
         result = AllianceInstance(
-            Graph._from_keys(table, keys), size_fn(source.k) if k is None else k, *sets,
+            graph, size_fn(source.k) if k is None else k, *sets,
             pairs=pairs, mode=source.mode if mode is None else mode,
         )
         return ReductionStage(self.tag, source, result, gadgets, size_fn, ordering)
@@ -261,7 +263,7 @@ def _carry(stage, td, verdict, graph="source"):
             "decomposition does not fit the %s graph: %s" % (graph, verdict.problems[0])
         )
     result = stage.result.graph
-    out = td._onto(result, list(map(result.index.get, td._order)))
+    out = td._onto(result, list(map(result.order.find, td._order)))
     return out, _tops(out)[0]
 
 
@@ -301,7 +303,7 @@ def mmo_to_alliance(instance):
         helpers = helper[u]
         keys += _fan(n, block.start, helpers.start, helpers.count)
     for edge, block in copies.items():
-        owner = inputs[graph.index[edge[0]]].start
+        owner = inputs[graph.order.find(edge[0])].start
         weight = block.count
         keys += _fan(n, owner, block.start, weight)
         keys += _fan(n, owner, twins[edge].start, weight)
@@ -322,12 +324,12 @@ def _transform_mmo(stage, td):
     source = stage.source
     gadgets = stage.gadgets
     out, first = _carry(stage, td, td.validate(source.graph))
-    index, bag = stage.result.graph.index, out._bag
+    find, bag = stage.result.graph.order.find, out._bag
     for u, w in source.graph.sorted_edges():
         cu = list(gadgets.edge_copy[(u, w)].ids)
         cw = list(gadgets.edge_copy[(w, u)].ids)
         weight = len(cu)
-        t = _joint_top(out, first, index[u], index[w])
+        t = _joint_top(out, first, find(u), find(w))
         base = bag(t)
         if weight == 1:
             out._hang(t, [_with(base, cu[0], cw[0])])
@@ -335,10 +337,10 @@ def _transform_mmo(stage, td):
             out._hang(t, [_with(base, cu[i - 1], cu[i], cw[i - 1], cw[i]) for i in range(1, weight)])
         for side, owner in ((gadgets.edge_copy_forbidden[(u, w)], u),
                             (gadgets.edge_copy_forbidden[(w, u)], w)):
-            anchor = first[index[owner]]
+            anchor = first[find(owner)]
             out._hang(anchor, [_with(bag(anchor), x) for x in side.ids])
     for u in source.graph.sorted_vertices():
-        anchor = first[index[u]]
+        anchor = first[find(u)]
         out._hang(anchor, [_with(bag(anchor), x) for x in gadgets.helper[u].ids])
     return out
 
@@ -452,12 +454,12 @@ def _transform_pairs(stage, td):
     source = stage.source
     gadgets = stage.gadgets
     out, first = _carry(stage, td, td.validate(primal_graph(source)), "primal")
-    index = stage.result.graph.index
+    find = stage.result.graph.order.find
     verts = source.graph.sorted_vertices()
     sorted_pairs = sorted(source.pairs)
-    top_pair = {(a, b): _joint_top(out, first, index[a], index[b]) for a, b in sorted_pairs}
+    top_pair = {(a, b): _joint_top(out, first, find(a), find(b)) for a, b in sorted_pairs}
     # every bag containing v also gets v_n and its forbidden twin
-    last = {index[u]: (gadgets.y_chain[u].ids[-1], gadgets.y_chain_forbidden[u].ids[-1])
+    last = {find(u): (gadgets.y_chain[u].ids[-1], gadgets.y_chain_forbidden[u].ids[-1])
             for u in verts}
     for node in out.nodes():
         bag = out._bag(node).tolist()
@@ -466,20 +468,20 @@ def _transform_pairs(stage, td):
     # the chains' bags are spliced, each from the one before
     for u in verts:
         links = [*_links(gadgets.y_chain[u], gadgets.y_chain_forbidden[u])][::-1]
-        out._hang(first[index[u]], _spliced((index[u],), links, [()] * len(links)))
+        out._hang(first[find(u)], _spliced((find(u),), links, [()] * len(links)))
     for a, b in sorted_pairs:
         t = top_pair[(a, b)]
-        carry = last[index[b]]
-        hub_a = index[gadgets.z_hub[((a, b), a)]]
-        hub_b = index[gadgets.z_hub[((a, b), b)]]
+        carry = last[find(b)]
+        hub_a = find(gadgets.z_hub[((a, b), a)])
+        hub_b = find(gadgets.z_hub[((a, b), b)])
         za, zfa = gadgets.z_chain[((a, b), a)], gadgets.z_chain_forbidden[((a, b), a)]
         zb, zfb = gadgets.z_chain[((a, b), b)], gadgets.z_chain_forbidden[((a, b), b)]
         back = [*_links(zb, zfb)][::-1]
         # down from t: a's chain, the triangle, then b's chain back up
         bags = chain(
-            [_with(carry, *last[index[a]], hub_a, za.start, zfa.start)],
+            [_with(carry, *last[find(a)], hub_a, za.start, zfa.start)],
             _spliced((*carry, hub_a), _links(za, zfa), [()] * (za.count - 1)),
-            [_with(carry, hub_a, hub_b, index[gadgets.triangle[(a, b)]])],
+            [_with(carry, hub_a, hub_b, find(gadgets.triangle[(a, b)]))],
             _spliced((*carry, hub_b), back, [()] * len(back)),
             [_with(carry, hub_b, zb.start, zfb.start)],
         )
@@ -547,7 +549,7 @@ def eliminate_necessary(instance, ordering):
     primed = {u: layout.vertex(VertexId(str(u), "primed")) for u in open_vertices}
     # (member, its block): the chain gadgets hang off these vertices
     members = [
-        (x, inputs[instance.graph.index[x]])
+        (x, inputs[instance.graph.order.find(x)])
         for x in sorted(instance.necessary) + open_vertices
     ] + [(block[0], block) for block in primed.values()]
     a_chain = {x: layout.family(str(x), "A-chain", n + 1) for x, _ in members}
@@ -647,7 +649,7 @@ def _transform_necessary(stage, td):
             "stage ordering is not the post-order ordering of this decomposition"
         )
     gadgets = stage.gadgets
-    index, bag = stage.result.graph.index, out._bag
+    find, bag = stage.result.graph.order.find, out._bag
     n = len(source.graph.vertices)
     necessary = source.necessary
     parent = td._parent
@@ -655,7 +657,7 @@ def _transform_necessary(stage, td):
     # keeps its own bag below the chains, and each chain has n bags
     anchor, lift, height = {}, {}, {}
     for u in ordering:
-        x = anchor[u] = first[index[u]]
+        x = anchor[u] = first[find(u)]
         lift[x] = td.kind(x) == "join"
         height[x] = lift[x] + (n if u in necessary else 2 * n)
     # node of td -> (lo, hi, pair): the pair goes to column bags lo..hi
@@ -684,7 +686,7 @@ def _transform_necessary(stage, td):
         images = [u]
         if u not in necessary:
             base += tuple(
-                index[names[u]]
+                find(names[u])
                 for names in (gadgets.primed, gadgets.g_vertex, gadgets.h_vertex,
                               gadgets.g_forbidden, gadgets.h_forbidden)
             )
@@ -787,7 +789,7 @@ def eliminate_forbidden(instance):
     keys = layout.source_keys()
     for f, hub in fan_hub.items():
         leaves = fan_leaves[f]
-        keys += _fan(total, inputs[instance.graph.index[f]].start, leaves.start, 2 * instance.k)
+        keys += _fan(total, inputs[instance.graph.order.find(f)].start, leaves.start, 2 * instance.k)
         keys += _fan(total, hub.start, leaves.start, 2 * instance.k)
     gadgets = ForbiddenGadgets(_name(fan_hub), fan_leaves)
     return layout.stage(keys, gadgets, Affine(1, 0))
@@ -797,11 +799,11 @@ def _transform_forbidden(stage, td):
     source = stage.source
     gadgets = stage.gadgets
     out, first = _carry(stage, td, td.validate(source.graph))
-    index = stage.result.graph.index
+    find = stage.result.graph.order.find
     for f in sorted(source.forbidden):
-        t = first[index[f]]
+        t = first[find(f)]
         base = out._bag(t)
-        hub = index[gadgets.fan_hub[f]]
+        hub = find(gadgets.fan_hub[f])
         leaves = gadgets.fan_leaves[f].ids
         if leaves:
             out._splice(t, [_with(base, hub, leaf) for leaf in leaves])

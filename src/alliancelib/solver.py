@@ -427,13 +427,13 @@ def _connected_candidates(graph, limit):
     larger neighbors, with skipped extensions barred from reuse. Depth
     first, on an explicit stack, so a set may have any number of
     members."""
-    rank = graph.index
-    for v in graph.order:
-        low = rank[v]
+    rank = graph.order.find
+    # ids follow the table's order
+    for low, v in enumerate(graph.order):
         yield (v,)
         if limit == 1:
             continue
-        frontier = [w for w in graph.neighbors(v) if rank[w] > low]
+        frontier = [w for w in graph.neighbors(v) if rank(w) > low]
         # a frame: members, its frontier, its barred set, and the
         # frontier's positions not yet tried
         stack = [((v,), frontier, set(), enumerate(frontier))]
@@ -448,7 +448,7 @@ def _connected_candidates(graph, limit):
             extra = [
                 w
                 for w in graph.neighbors(u)
-                if rank[w] > low and w not in members and w not in barred and w not in rest
+                if rank(w) > low and w not in members and w not in barred and w not in rest
             ]
             grown = members + (u,)
             yield grown

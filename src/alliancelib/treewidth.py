@@ -244,12 +244,12 @@ class TreeDecomposition:
             problems.append("some nodes are not reachable from the root")
         if problems:
             return TdVerdict(False, tuple(problems))
-        order, known, names = self._order, graph.index, graph.order
+        order, names = self._order, graph.order
         td = self
         # over the graph's table no name is looked up or made: a table
         # of its own is mapped onto it once its foreign vertices are named
         if order is not names:
-            local = list(map(known.get, order))
+            local = list(map(names.find, order))
             if None in local:
                 problems += [
                     "bag of node %d contains foreign vertex %s" % (n, order[u])
@@ -440,17 +440,14 @@ def treewidth_exact_small(graph):
     eliminating v after X costs the number of vertices outside X
     reachable from v through X: exponential in the vertex count.
     """
-    verts = graph.sorted_vertices()
-    n = len(verts)
+    n = len(graph.order)
     if n > 12:
         raise ValueError("exact treewidth is limited to 12 vertices, got %d" % (n,))
     if n == 0:
         return -1
-    index = {u: i for i, u in enumerate(verts)}
-    nb = [0] * n
-    for u, w in graph.edges:
-        nb[index[u]] |= 1 << index[w]
-        nb[index[w]] |= 1 << index[u]
+    # bit j of nb[i] is set when ids i and j are adjacent
+    first, adjacent = graph.first, graph.adjacent
+    nb = [sum(1 << j for j in adjacent[first[i]:first[i + 1]]) for i in range(n)]
     full = (1 << n) - 1
     f = [0] * (1 << n)
     f[0] = -1
@@ -661,8 +658,8 @@ def _td_from_rows(cls, rows, skip):
     return cls(table, bags, parents)
 
 
-def td_to_dot(td, name="T"):
-    out = ["graph %s {" % name]
+def td_to_dot(td):
+    out = ["graph T {"]
     for n, labels in _bag_labels(td):
         label = ", ".join(labels)
         out.append('  n%d [label="%d: {%s}"];' % (n, n, label))

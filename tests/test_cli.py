@@ -1215,3 +1215,73 @@ def test_malformed_decompositions_exit_two(scratch, td, chain):
         argv, payload = ["reduce", "--stage", "fnc-to-fn"], _plain_payload()
     path = _fresh(scratch, json.dumps(payload), ".json")
     _main_exits_two(argv + ["--td", str(td_path), str(path)])
+
+
+# nesting deeper than the decoder's recursion limit, as the whole
+# document and as one extra field of an otherwise valid instance
+_DEEP = "[" * 100000 + "]" * 100000
+DEEP_DOCUMENTS = {
+    "bare": "[" * 100000,
+    "field": '{"vertices": ["a"], "edges": [], "k": 1, "extra": %s}' % (_DEEP,),
+}
+DEEP_COMMANDS = [
+    ["verify", "-S", "a"],
+    ["solve"],
+    ["reduce", "--chain"],
+    ["reduce", "--stage", "f-to-plain"],
+    ["roundtrip", "--stage", "f-to-plain"],
+    ["decompose"],
+]
+
+
+@pytest.mark.parametrize("document", sorted(DEEP_DOCUMENTS))
+@pytest.mark.parametrize("command", DEEP_COMMANDS, ids=" ".join)
+def test_deeply_nested_documents_exit_two(capsys, tmp_path, command, document):
+    path = write(tmp_path, "deep.json", DEEP_DOCUMENTS[document])
+    code = cli.main(command + [path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: invalid JSON: ")
+    assert "Traceback" not in captured.err
+
+
+# stages whose ids or arc offsets pass 32 bits: r = 10**12 places
+# 4 * 10**12 + 4 vertices, k on one forbidden vertex places 2k + 2 and
+# 8k arcs, so k = 3 * 10**8 passes on arcs alone
+_TARGET = {"vertices": ["a", "b"], "edges": [["a", "b", 1]], "r": 10**12}
+OVERSIZED_STAGES = {
+    "mmo-to-fnc": (["reduce", "--stage", "mmo-to-fnc"], _TARGET,
+                   "4000000000004 vertices and 8000000000004 arcs"),
+    "f-to-plain": (["reduce", "--stage", "f-to-plain"],
+                   {"vertices": ["a"], "edges": [], "k": 10**12, "forbidden": ["a"]},
+                   "2000000000002 vertices and 8000000000000 arcs"),
+    "roundtrip": (["roundtrip", "--stage", "f-to-plain"],
+                  {"vertices": ["a"], "edges": [], "k": 10**12, "forbidden": ["a"]},
+                  "2000000000002 vertices and 8000000000000 arcs"),
+    "arcs-only": (["reduce", "--stage", "f-to-plain"],
+                  {"vertices": ["a"], "edges": [], "k": 3 * 10**8, "forbidden": ["a"]},
+                  "600000002 vertices and 2400000000 arcs"),
+}
+
+
+def _within_two_gigabytes():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_STAGES))
+def test_stages_past_32_bit_ids_exit_two(tmp_path, case):
+    # a fresh process with a capped address space, so that a build which
+    # writes its arrays fails fast instead of taking gigabytes
+    argv, payload, counts = OVERSIZED_STAGES[case]
+    path = write(tmp_path, "big.json", json.dumps(payload))
+    done = subprocess.run(
+        [sys.executable, "-m", "alliancelib.cli"] + argv + [path],
+        env=dict(os.environ, PYTHONPATH=package_root()),
+        capture_output=True,
+        timeout=60,
+        preexec_fn=_within_two_gigabytes,
+    )
+    assert (done.returncode, done.stdout) == (2, b""), done.stderr
+    assert done.stderr.decode() == "error: graph of %s exceeds 32-bit ids\n" % (counts,)

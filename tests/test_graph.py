@@ -456,7 +456,7 @@ def vertex_edge_lists(draw):
 def assert_agrees(g, m):
     assert g.vertices == m.vertices
     assert g.order == sorted(m.vertices)
-    assert all(g.index[x] == i for i, x in enumerate(g.order))
+    assert all(g.order.find(x) == i for i, x in enumerate(g.order))
     assert len(g.edges) == len(m.edges)
     assert g.edges == m.edges and m.edges == g.edges
     assert not (g.edges != m.edges)
@@ -466,9 +466,9 @@ def assert_agrees(g, m):
     for x in m.vertices:
         assert g.neighbors(x) == tuple(sorted(m.adj[x]))
         assert g.degree(x) == len(m.adj[x])
-        i = g.index[x]
+        i = g.order.find(x)
         ids = g.adjacent[g.first[i]:g.first[i + 1]]
-        assert list(ids) == sorted(g.index[w] for w in m.adj[x])
+        assert list(ids) == sorted(map(g.order.find, m.adj[x]))
         for w in m.vertices - {x}:
             assert g.has_edge(x, w) == (w in m.adj[x])
             assert ((x, w) in g.edges) == ((x, w) in m.edges)
@@ -627,6 +627,25 @@ def assert_built_from_keys(n, keys):
     for g in (by_keys, by_names):
         assert (list(g.first), list(g.adjacent)) == want
     assert by_keys == by_names
+
+
+@pytest.mark.parametrize("count, keys, counts", [
+    # one explicit name and a family: ids past 32 bits
+    (1 << 31, [], "2147483649 vertices and 0 arcs"),
+    # a fan from id 0 to the family's 2**30 members: 2**31 arc offsets
+    (1 << 30, [range(1, (1 << 30) + 1)], "1073741825 vertices and 2147483648 arcs"),
+], ids=["vertices", "arcs"])
+def test_from_keys_refuses_a_graph_past_32_bit_ids(monkeypatch, count, keys, counts):
+    table = VertexTable([Block((v("a"),)), Block.family("b", "fan-leaf", count)])
+
+    def refuse(*args):
+        raise AssertionError("the arrays of a graph past 32-bit ids were written")
+
+    # refused before any array is written, so in no time and memory
+    monkeypatch.setattr(Graph, "_build_arrays", refuse)
+    with pytest.raises(ValueError) as caught:
+        Graph._from_keys(table, keys)
+    assert str(caught.value) == "graph of %s exceeds 32-bit ids" % (counts,)
 
 
 @st.composite

@@ -237,29 +237,27 @@ def _foreign(names):
 def test_vertex_tables_agree_with_their_materialised_names(corpus, data):
     _source, stage = data.draw(st.sampled_from(corpus))
     graph = stage.result.graph
-    order, index, vertices = graph.order, graph.index, graph.vertices
+    order, vertices = graph.order, graph.vertices
     names = list(order)
     n = len(names)
     assert all(type(x) is VertexId and parse_vertex(str(x)) == x for x in names)
     assert all(a < b for a, b in zip(names, names[1:]))
-    assert len(order) == len(index) == len(vertices) == n
-    assert order == names and names == order and list(index) == names
+    assert len(order) == len(vertices) == n
+    assert order == names and names == order
     i = data.draw(st.integers(-n, n - 1)) if n else 0
     if n:
         assert order[i] == names[i]
-        assert index[names[i]] == order.ids[i % n]
+        assert order.find(names[i]) == order.ids[i % n]
     lo, hi = sorted(data.draw(st.tuples(st.integers(-n - 2, n + 2), st.integers(-n - 2, n + 2))))
     assert order[lo:hi] == names[lo:hi] and order[::3] == names[::3]
     with pytest.raises(IndexError):
         order[n]
     model = dict(zip(names, range(n)))
-    assert all(index[x] == model[x] and index.get(x) == model[x] for x in names)
-    assert all(x in order and x in index and x in vertices for x in names)
+    assert all(order.find(x) == model[x] for x in names)
+    assert all(x in order and x in vertices for x in names)
     for x in _foreign(names):
-        assert index.get(x) is None and index.get(x, -1) == -1
-        assert x not in index and x not in vertices and x not in order
-        with pytest.raises(KeyError):
-            index[x]
+        assert order.find(x) is None
+        assert x not in vertices and x not in order
     frozen = frozenset(names)
     assert vertices == frozen and frozen == vertices and not (vertices != frozen)
     assert hash(vertices) == hash(frozen)
@@ -276,7 +274,7 @@ def test_vertex_tables_agree_with_their_materialised_names(corpus, data):
             listed = list(block)
             assert [block[t] for t in range(len(block))] == listed
             assert block == tuple(listed) and block[1:] == tuple(listed[1:])
-            assert [index[x] for x in listed] == list(block.ids)
+            assert [order.find(x) for x in listed] == list(block.ids)
     for back in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph), copy.copy(graph)):
         assert back == graph and back.order == order and back.vertices == vertices
         assert list(back.edges) == list(graph.edges)

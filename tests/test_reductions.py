@@ -742,9 +742,9 @@ def test_joint_top_is_the_topmost_node_holding_both_ends():
         else:
             out, first = _carry(stage, td, td.validate(primal_graph(source)), "primal")
             ends = sorted(source.pairs)
-        index = stage.result.graph.index
+        find = stage.result.graph.order.find
         for u, w in ends:
-            a, b = index[u], index[w]
+            a, b = find(u), find(w)
             top = _topmost_holding(out, a, b)
             assert _joint_top(out, first, a, b) == _joint_top(out, first, b, a) == top
             checked += 1

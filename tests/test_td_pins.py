@@ -113,8 +113,8 @@ def test_fn_to_f_output_shares_the_graph_table(stage_three, fn_to_f):
     td, _tracked, _held = fn_to_f
     graph = stage_three.third.result.graph
     assert td._order is graph.order
-    index, order = graph.index, graph.order
-    assert all(u == index[order[u]] for n in td.nodes() for u in td._bag(n))
+    order = graph.order
+    assert all(u == order.find(order[u]) for n in td.nodes() for u in td._bag(n))
 
 
 def test_validating_over_the_shared_table_makes_and_looks_up_no_names(
@@ -303,5 +303,5 @@ def test_heuristic_decomposition_of_a_stage_prefix_is_pinned():
     assert digest(td) == "11238cd6b2aac65a44c646a693aa7aff4ac643f5a3e31f5ffc02e014bd04d074"
     assert validate_td(prefix, td).ok
     # bag entries are the table's ids of their names
-    index, order = prefix.index, prefix.order
-    assert all(u == index[order[u]] for n in td.nodes() for u in td._bag(n))
+    order = prefix.order
+    assert all(u == order.find(order[u]) for n in td.nodes() for u in td._bag(n))

@@ -26,7 +26,7 @@ GRAPH = Graph(NAMES)
 
 def ids(bag):
     """The bag of names as a sorted list of GRAPH's ids."""
-    return sorted(map(GRAPH.index.__getitem__, bag))
+    return sorted(map(GRAPH.order.find, bag))
 
 
 class Model:

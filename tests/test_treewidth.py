@@ -545,7 +545,7 @@ def _outcome(call, *args):
 
 def _on_graph(td, graph):
     """td's tree with its bags over the graph's own table."""
-    bags = [sorted(map(graph.index.__getitem__, td.bag(n))) for n in td.nodes()]
+    bags = [sorted(map(graph.order.find, td.bag(n))) for n in td.nodes()]
     return TreeDecomposition(graph.order, bags, td._parent)
 
 
